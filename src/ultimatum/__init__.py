@@ -4,156 +4,9 @@ The package simulates five-round ultimatum games between fair or greedy
 players under two structures (one model simulating everything, or two
 moderated agents), parses the resulting logs, grades them against a
 human-behavior rubric, and reproduces the statistical comparisons used in
-the summary tables.
+the summary tables. The root exports nothing else: import from the
+submodules (engine, strategy, rubric, transcripts, agents, orchestrator,
+stats, experiment, cli).
 """
 
-from .engine import (
-    Decision,
-    GameConfig,
-    GameState,
-    Phase,
-    RoundOutcome,
-    format_money,
-    new_game,
-    replay,
-    submit_decision,
-    submit_offer,
-)
-from .strategy import (
-    ALL_PAIRS,
-    AdjustKind,
-    AdjustRule,
-    CutoffRule,
-    FinalRoundRule,
-    Personality,
-    PersonalityPair,
-    ProposerStrategy,
-    ReceiverStrategy,
-    Role,
-    StrategySpec,
-    check_adherence,
-    check_completeness,
-    check_personality_consistency,
-)
-from .transcripts import (
-    Confidence,
-    Structure,
-    Transcript,
-    parse_agent_log,
-    parse_canonical,
-    parse_single_model_log,
-    parse_strategy_text,
-    serialize_canonical,
-)
-from .rubric import (
-    DEFAULT_RUBRIC,
-    ErrorClass,
-    RubricConfig,
-    Verdict,
-    evaluate_transcript,
-)
-from .stats import (
-    ContingencyTable2x2,
-    chi_square_2x2,
-    format_percent,
-    two_proportion_z,
-)
-from .agents import (
-    Flaw,
-    HttpGateway,
-    ModelAgent,
-    OracleAgent,
-    RecordingGateway,
-    ReplayGateway,
-    SamplingParams,
-)
-from .orchestrator import (
-    OracleSingleModelGateway,
-    SimulationConfig,
-    SimulationResult,
-    make_model_agents,
-    make_oracle_agents,
-    run_multi_agent,
-    run_simulation,
-    run_single_model,
-)
-from .experiment import (
-    ExperimentPlan,
-    RunStore,
-    aggregate,
-    load_plan,
-    load_records,
-    regrade_record,
-    render_report,
-    run_batch,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_PAIRS",
-    "AdjustKind",
-    "AdjustRule",
-    "Confidence",
-    "ContingencyTable2x2",
-    "CutoffRule",
-    "DEFAULT_RUBRIC",
-    "Decision",
-    "ErrorClass",
-    "ExperimentPlan",
-    "FinalRoundRule",
-    "Flaw",
-    "GameConfig",
-    "GameState",
-    "HttpGateway",
-    "ModelAgent",
-    "OracleAgent",
-    "OracleSingleModelGateway",
-    "Personality",
-    "PersonalityPair",
-    "Phase",
-    "ProposerStrategy",
-    "ReceiverStrategy",
-    "RecordingGateway",
-    "ReplayGateway",
-    "Role",
-    "RoundOutcome",
-    "RubricConfig",
-    "RunStore",
-    "SamplingParams",
-    "SimulationConfig",
-    "SimulationResult",
-    "StrategySpec",
-    "Structure",
-    "Transcript",
-    "Verdict",
-    "aggregate",
-    "check_adherence",
-    "check_completeness",
-    "check_personality_consistency",
-    "chi_square_2x2",
-    "evaluate_transcript",
-    "format_money",
-    "format_percent",
-    "load_plan",
-    "load_records",
-    "make_model_agents",
-    "make_oracle_agents",
-    "new_game",
-    "parse_agent_log",
-    "parse_canonical",
-    "parse_single_model_log",
-    "parse_strategy_text",
-    "regrade_record",
-    "render_report",
-    "replay",
-    "run_batch",
-    "run_multi_agent",
-    "run_simulation",
-    "run_single_model",
-    "serialize_canonical",
-    "submit_decision",
-    "submit_offer",
-    "two_proportion_z",
-    "__version__",
-]

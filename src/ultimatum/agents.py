@@ -53,10 +53,6 @@ class GatewayError(Exception):
     """The model endpoint could not produce a usable completion."""
 
 
-class UnparseableReplyError(Exception):
-    """An agent reply did not contain the action that was requested."""
-
-
 @dataclass(frozen=True)
 class SamplingParams:
     temperature: float = 0.5
@@ -203,9 +199,12 @@ class HttpGateway(Gateway):
             if resp.status_code != 200:
                 raise GatewayError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise GatewayError(f"malformed completion response: {exc}") from exc
+            if not isinstance(content, str):
+                raise GatewayError(f"completion content is {type(content).__name__}, not text")
+            return content
         raise GatewayError(f"request failed after {self.max_retries} retries: {last_error}")
 
 

@@ -65,7 +65,6 @@ from .stats import (
 )
 from .strategy import ALL_PAIRS, PersonalityPair, Role
 from .transcripts import (
-    InconsistentLogsError,
     Structure,
     UnparseableLogError,
     parse_canonical,
@@ -79,7 +78,6 @@ MODES = ("oracle", "replay", "live")
 # Exceptions that mark one run as failed without aborting the batch.
 RUN_FAILURES = (
     UnparseableLogError,
-    InconsistentLogsError,
     TurnOrderViolationError,
     InformationLeakError,
     GatewayError,
@@ -293,9 +291,6 @@ class RunStore:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
-    def __iter__(self):
-        return iter(load_records(self.path))
-
 
 def load_records(path: str | Path) -> list[dict]:
     """Read every record from a JSON-lines store."""
@@ -371,8 +366,15 @@ def run_batch(
     if mode == "replay" and shared_gateway is None:
         raise InvalidPlanError("replay mode needs a recorded gateway")
 
-    jobs: list[tuple[str, SimulationConfig]] = []
+    # Each job carries its gateway: the shared one, or for offline
+    # single-model runs one oracle gateway per cell. None means oracle players.
+    jobs: list[tuple[str, SimulationConfig, Gateway | None]] = []
     for structure, pair in plan.cells():
+        cell_gateway = shared_gateway
+        if cell_gateway is None and structure is Structure.SINGLE_MODEL:
+            cell_gateway = OracleSingleModelGateway(
+                pair, plan.game, plan.proposer_flaw, plan.receiver_flaw
+            )
         for k in range(plan.runs_per_cell):
             run_id = f"{structure.value}.{pair.label()}.{k:03d}"
             seed = plan.seed * 1_000_003 + len(jobs)
@@ -387,27 +389,23 @@ def run_batch(
                         sampling=plan.sampling,
                         seed=seed,
                     ),
+                    cell_gateway,
                 )
             )
 
-    def execute(job: tuple[str, SimulationConfig]) -> dict:
-        run_id, config = job
+    def execute(job: tuple[str, SimulationConfig, Gateway | None]) -> dict:
+        run_id, config, gateway = job
         started = time.perf_counter()
         try:
             if config.structure is Structure.SINGLE_MODEL:
-                gw = shared_gateway
-                if gw is None:
-                    gw = OracleSingleModelGateway(
-                        config.pair, config.game, plan.proposer_flaw, plan.receiver_flaw
-                    )
-                result = run_single_model(config, gw, rubric)
+                result = run_single_model(config, gateway, rubric)
             else:
-                if shared_gateway is None:
+                if gateway is None:
                     agents = make_oracle_agents(
                         config.pair, config.game, plan.proposer_flaw, plan.receiver_flaw
                     )
                 else:
-                    agents = make_model_agents(config, shared_gateway)
+                    agents = make_model_agents(config, gateway)
                 result = run_multi_agent(config, agents, rubric)
         except RUN_FAILURES as exc:
             return _failed_record(run_id, config, exc, time.perf_counter() - started)

@@ -8,8 +8,9 @@ Two structures produce a gradable transcript:
 * multi agent - two players with private profiles are driven through the
   rules engine in strict alternation by a moderator. Each player sees only
   its own instructions, the moderator's requests, and the public events
-  (offers, decisions, outcomes). Per-agent logs are assembled from that
-  traffic and parsed as a log pair.
+  (offers, decisions, outcomes). The transcript is built from the engine
+  state the moderator drove and from each player's own strategy reply; the
+  per-agent logs assembled from that traffic are kept as its raw logs.
 
 The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
@@ -36,15 +37,16 @@ from .agents import (
 )
 from .engine import Decision, GameConfig, Money, format_money
 from .rubric import DEFAULT_RUBRIC, RubricConfig, Verdict, evaluate_transcript
-from .strategy import PersonalityPair, Role
+from .strategy import PersonalityPair, Role, StrategySpec
 from .transcripts import (
+    Confidence,
     ParseDiagnostics,
     Structure,
     Transcript,
     extract_decision_reply,
     extract_offer_reply,
-    parse_agent_log,
     parse_single_model_log,
+    parse_strategy_text,
 )
 
 
@@ -74,7 +76,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """One finished run: the parsed transcript, its grade, and the traffic
+    """One finished run: the transcript, its grade, and the traffic
     that produced it (prompts sent, replies received, in order)."""
 
     config: SimulationConfig
@@ -151,12 +153,14 @@ def _private_bio_of(agent: Agent) -> str:
 
 
 class _Moderator:
-    """Drives the two players through one game, collecting per-agent logs
-    and the message traffic needed for the information audit."""
+    """Drives the two players through one game, collecting their strategy
+    texts, per-agent logs and the message traffic needed for the
+    information audit."""
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
         self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
         self.game = game
+        self.strategies: dict[Role, str] = {}
         self.log_lines: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
         # Everything each agent said / was sent, for the audit.
         self.outbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
@@ -171,10 +175,9 @@ class _Moderator:
             agent = self.agents[role]
             reply = agent.create_strategy()
             self.outbound[role].append(reply)
+            self.strategies[role] = _strip_strategy_prefix(reply)
             self.log_lines[role].append(_labeled("Plan", agent.initial_plan))
-            self.log_lines[role].append(
-                _labeled("Strategy", _strip_strategy_prefix(reply))
-            )
+            self.log_lines[role].append(_labeled("Strategy", self.strategies[role]))
 
     def _request(self, role: Role, observation: Observation, extract, correction: str):
         """Ask for an action, allowing one corrective re-prompt."""
@@ -191,7 +194,8 @@ class _Moderator:
             f"{role.value} failed to produce a usable action in round {observation.round}"
         )
 
-    def play(self) -> None:
+    def play(self) -> tuple[engine.RoundOutcome, ...]:
+        """Play every round and return the final engine history."""
         state = engine.new_game(self.game)
         while not state.finished:
             r = state.round_index
@@ -242,6 +246,7 @@ class _Moderator:
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.tell(role, announcement)
                 self.log_lines[role].append(_labeled("Outcome", announcement))
+        return state.history
 
     def _extract_offer(self, reply: str) -> Money | None:
         offer = extract_offer_reply(reply)
@@ -249,10 +254,10 @@ class _Moderator:
             return None
         return offer
 
-    def logs(self) -> tuple[str, str]:
-        return (
-            "\n".join(self.log_lines[Role.PROPOSER]) + "\n",
-            "\n".join(self.log_lines[Role.RECEIVER]) + "\n",
+    def logs(self) -> tuple[tuple[str, str], ...]:
+        """The per-agent logs as (role, text) raw-log entries."""
+        return tuple(
+            (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
         )
 
     def audit_information(self) -> None:
@@ -289,10 +294,21 @@ def run_multi_agent(
         raise ValueError("agents must be (proposer, receiver)")
     moderator = _Moderator(proposer, receiver, config.game)
     moderator.strategy_phase()
-    moderator.play()
+    rounds = moderator.play()
     moderator.audit_information()
-    logs = moderator.logs()
-    transcript, diagnostics = parse_agent_log(logs, config.pair, config.game)
+    transcript = Transcript(
+        config=config.game,
+        pair=config.pair,
+        structure=Structure.MULTI_AGENT,
+        strategies=tuple(
+            StrategySpec(role, text, parse_strategy_text(text, role, config.game))
+            for role, text in moderator.strategies.items()
+        ),
+        rounds=rounds,
+        raw_logs=moderator.logs(),
+    )
+    # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
+    diagnostics = ParseDiagnostics(Confidence.EXACT)
     verdict = evaluate_transcript(transcript, config=rubric)
     prompt_pairs: list[tuple[str, str]] = []
     for role in (Role.PROPOSER, Role.RECEIVER):
@@ -418,22 +434,3 @@ class OracleSingleModelGateway(Gateway):
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
         return self._log
-
-
-def run_simulation(
-    config: SimulationConfig,
-    gateway: Gateway | None = None,
-    agents: tuple[Agent, Agent] | None = None,
-    rubric: RubricConfig = DEFAULT_RUBRIC,
-) -> SimulationResult:
-    """Dispatch one run to the right structure.
-
-    Single-model runs need a gateway; multi-agent runs need an agent pair.
-    """
-    if config.structure is Structure.SINGLE_MODEL:
-        if gateway is None:
-            raise ValueError("single-model runs need a gateway")
-        return run_single_model(config, gateway, rubric)
-    if agents is None:
-        raise ValueError("multi-agent runs need an agent pair")
-    return run_multi_agent(config, agents, rubric)

@@ -215,31 +215,6 @@ def _subsequent_flags(
     return flags
 
 
-def evaluate_subsequent_round(
-    history: tuple[RoundOutcome, ...],
-    action: tuple[Money, Decision],
-    pair: PersonalityPair,
-    round_no: int,
-    total_rounds: int = 5,
-    config: RubricConfig = DEFAULT_RUBRIC,
-) -> tuple[bool, bool]:
-    """(proposer_ok, receiver_ok) for a round after the first.
-
-    history holds the earlier rounds; action is this round's (offer,
-    decision). Judged purely on observed play, without reference to the
-    declared strategies.
-    """
-    if not history or round_no < 2:
-        raise ValueError("subsequent-round evaluation needs at least one prior round")
-    offer, decision = action
-    flags = _subsequent_flags(
-        history, offer, decision, pair, round_no, total_rounds, config
-    )
-    proposer_ok = not any(f.role is Role.PROPOSER for f in flags)
-    receiver_ok = not any(f.role is Role.RECEIVER for f in flags)
-    return proposer_ok, receiver_ok
-
-
 # Rules that are never excused by the player's own strategy: by the final
 # round of a fruitless game a human takes something over nothing, whatever
 # the declared plan said.

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, TypeVar
 
 
 class DegenerateTableError(ValueError):
@@ -116,31 +115,6 @@ def two_proportion_z(s1: int, n1: int, s2: int, n2: int) -> TestResult:
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     z = abs(s1 / n1 - s2 / n2) / se
     return TestResult(statistic=z, df=1, p_two_tailed=2.0 * normal_survival(z))
-
-
-K = TypeVar("K", bound=Hashable)
-
-
-@dataclass(frozen=True)
-class GroupRate:
-    """count observations, of which successes were true; rate is exact."""
-
-    count: int
-    successes: int
-    rate: Fraction
-
-
-def aggregate_rates(records: Iterable[tuple[K, bool]]) -> dict[K, GroupRate]:
-    """Group boolean outcomes by key into exact per-group rates."""
-    counts: dict[K, list[int]] = {}
-    for key, outcome in records:
-        cell = counts.setdefault(key, [0, 0])
-        cell[0] += 1
-        cell[1] += int(bool(outcome))
-    return {
-        key: GroupRate(count=n, successes=s, rate=Fraction(s, n))
-        for key, (n, s) in counts.items()
-    }
 
 
 def format_percent(rate: Fraction | float) -> str:

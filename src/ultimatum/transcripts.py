@@ -219,13 +219,16 @@ def _round_candidates(text: str) -> list[tuple[int, int, int]]:
     Line-initial headings ("Round 3:", "[Round 3]", "**Round 3**") always
     qualify; an inline mention qualifies only when it starts a sentence,
     which keeps "accept anything in round 5" inside strategy prose from
-    being mistaken for the round-5 section.
+    being mistaken for the round-5 section. The inline match inside a
+    heading is skipped, so the heading's "[" or "**" stays out of the
+    text before it.
     """
     by_start: dict[int, tuple[int, int, int]] = {}
     for m in _ROUND_HEADING_RE.finditer(text):
         by_start[m.start()] = (m.start(), m.end(), int(m.group(1)))
+    heading_ends = {end for _, end, _ in by_start.values()}
     for m in _ROUND_INLINE_RE.finditer(text):
-        if m.start() in by_start:
+        if m.end() in heading_ends:
             continue
         head = text[: m.start()].rstrip(" \t*#>[(\"'")
         if not head or head[-1] in ".!?\n":

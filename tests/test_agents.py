@@ -273,6 +273,12 @@ class TestHttpGateway:
         with pytest.raises(GatewayError):
             gateway.complete("m", MESSAGES, PARAMS)
 
+    def test_null_content_is_an_error(self):
+        session = FakeSession([FakeResponse(200, {"choices": [{"message": {"content": None}}]})])
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
+        with pytest.raises(GatewayError, match="NoneType"):
+            gateway.complete("m", MESSAGES, PARAMS)
+
     def test_round_trip_against_a_real_socket(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-local")
         seen = {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultimatum.agents import Gateway, GatewayError
+from ultimatum.agents import Gateway, GatewayError, HttpGateway
 from ultimatum.experiment import (
     ExperimentPlan,
     GroupCounts,
@@ -243,7 +243,28 @@ class FlakySecondRequest(Gateway):
         return self._log
 
 
+class NullContentSession:
+    """An HTTP session whose every completion carries "content": null."""
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.Response()
+
+
 class TestFailedRuns:
+    def test_null_reply_content_fails_the_run_not_the_batch(self):
+        plan = plan_from_dict({"runs_per_cell": 2, "endpoint": "http://example.invalid/v1"})
+        gateway = HttpGateway(plan.endpoint, session=NullContentSession(), sleep=lambda s: None)
+        batch = run_batch(plan, mode="live", gateway=gateway, max_workers=2)
+        assert len(batch.records) == 16
+        assert {r["status"] for r in batch.records} == {"failed"}
+        assert all(r["cause"].startswith("GatewayError: ") for r in batch.records)
+
     def test_failures_are_recorded_not_raised(self):
         plan = plan_from_dict(
             {"structures": ["single_model"], "pairs": ["fair-fair"], "runs_per_cell": 3}
@@ -282,7 +303,7 @@ class TestRunStore:
         store = RunStore(tmp_path / "runs.jsonl")
         store.append({"run_id": "a", "status": "ok"})
         store.append({"run_id": "b", "status": "failed"})
-        assert [r["run_id"] for r in store] == ["a", "b"]
+        assert [r["run_id"] for r in load_records(store.path)] == ["a", "b"]
 
     def test_bad_line_reports_its_number(self, tmp_path):
         path = tmp_path / "runs.jsonl"

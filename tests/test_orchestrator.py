@@ -11,6 +11,7 @@ from ultimatum.agents import (
     default_plan,
 )
 from ultimatum.engine import GameConfig
+from ultimatum.experiment import plan_from_dict, run_batch
 from ultimatum.orchestrator import (
     InformationLeakError,
     OracleSingleModelGateway,
@@ -19,7 +20,6 @@ from ultimatum.orchestrator import (
     make_model_agents,
     make_oracle_agents,
     run_multi_agent,
-    run_simulation,
     run_single_model,
     synthesize_single_model_log,
 )
@@ -31,7 +31,7 @@ from ultimatum.strategy import (
     PersonalityPair,
     Role,
 )
-from ultimatum.transcripts import Confidence, Structure
+from ultimatum.transcripts import Confidence, Structure, parse_agent_log, parse_canonical
 
 FAIR_FAIR = PersonalityPair(Personality.FAIR, Personality.FAIR)
 GREEDY_GREEDY = PersonalityPair(Personality.GREEDY, Personality.GREEDY)
@@ -263,20 +263,63 @@ class TestModelAgentGames:
         assert "accepted" in announcements[0]
 
 
+def assert_logs_parse_to_the_transcript(result):
+    """Re-parsing the per-agent logs kept as raw logs gives back the
+    transcript and diagnostics the run reported."""
+    logs = tuple(text for _, text in result.transcript.raw_logs)
+    parsed, diagnostics = parse_agent_log(logs, result.config.pair, result.config.game)
+    assert parsed == result.transcript
+    assert diagnostics == result.diagnostics
+
+
+class TestTranscriptMatchesItsLogs:
+    @pytest.mark.parametrize("pot, rounds", [(100, 5), (200, 10)])
+    @pytest.mark.parametrize(
+        "flaws",
+        [{}, {"proposer_flaw": Flaw.INCOMPLETE}, {"proposer_flaw": Flaw.DEVIATOR},
+         {"receiver_flaw": Flaw.INCONSISTENT_THRESHOLD}],
+        ids=["clean", "incomplete", "deviator", "inconsistent_threshold"],
+    )
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label())
+    def test_oracle_grids(self, pair, flaws, pot, rounds):
+        game = GameConfig(pot=pot, rounds=rounds)
+        result = run_multi_agent(
+            multi_agent_config(pair, game=game), make_oracle_agents(pair, game, **flaws)
+        )
+        assert_logs_parse_to_the_transcript(result)
+
+    def test_scripted_chat_game_without_markers(self):
+        gateway = ScriptedModelGateway(
+            [oracle_text(Role.PROPOSER, Personality.FAIR), "Let me think about it."]
+            + ["I would like to offer $0.50 this time."] * 5,
+            [oracle_text(Role.RECEIVER, Personality.FAIR)]
+            + ["Sounds fair to me, I accept."] * 5,
+        )
+        config = multi_agent_config(model="scripted")
+        result = run_multi_agent(config, make_model_agents(config, gateway))
+        assert [r.offer for r in result.transcript.rounds] == [50] * 5
+        assert result.diagnostics.confidence is Confidence.EXACT
+        assert result.diagnostics.warnings == ()
+        assert_logs_parse_to_the_transcript(result)
+
+
 class TestDispatch:
-    def test_single_model_requires_a_gateway(self):
-        with pytest.raises(ValueError):
-            run_simulation(single_model_config(), agents=make_oracle_agents(FAIR_FAIR))
+    def test_dispatches_by_structure(self, monkeypatch):
+        # run_batch is the one dispatch: each structure reaches its own
+        # runner, and offline single-model runs share one gateway per cell.
+        built = []
+        init = OracleSingleModelGateway.__init__
 
-    def test_multi_agent_requires_agents(self):
-        with pytest.raises(ValueError):
-            run_simulation(multi_agent_config(), gateway=OracleSingleModelGateway(FAIR_FAIR))
+        def counting_init(gateway, pair, *args):
+            built.append(pair)
+            init(gateway, pair, *args)
 
-    def test_dispatches_by_structure(self):
-        single = run_simulation(single_model_config(), gateway=OracleSingleModelGateway(FAIR_FAIR))
-        multi = run_simulation(multi_agent_config(), agents=make_oracle_agents(FAIR_FAIR))
-        assert single.transcript.structure is Structure.SINGLE_MODEL
-        assert multi.transcript.structure is Structure.MULTI_AGENT
+        monkeypatch.setattr(OracleSingleModelGateway, "__init__", counting_init)
+        records = run_batch(plan_from_dict({"runs_per_cell": 3})).records
+        assert [r["structure"] for r in records] == ["single_model"] * 12 + ["multi_agent"] * 12
+        for record in records:
+            assert parse_canonical(record["transcript"]).structure.value == record["structure"]
+        assert built == list(ALL_PAIRS)
 
     def test_custom_game_sizes_need_matching_bands(self):
         game = GameConfig(pot=200, rounds=3)

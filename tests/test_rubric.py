@@ -11,10 +11,9 @@ from ultimatum.rubric import (
     Verdict,
     evaluate_initial_decision,
     evaluate_initial_offer,
-    evaluate_subsequent_round,
     evaluate_transcript,
 )
-from ultimatum.strategy import Personality, PersonalityPair
+from ultimatum.strategy import Personality, PersonalityPair, Role
 from ultimatum.transcripts import parse_single_model_log
 
 GREEDY_GREEDY = PersonalityPair.from_label("greedy-greedy")
@@ -56,58 +55,49 @@ class TestOpeningDecision:
         assert evaluate_initial_decision(offer, decision, Personality.GREEDY) is ok
 
 
+# Observed-play rules only: no action is excused by the declared strategy.
+OBSERVED_PLAY = dataclasses.replace(DEFAULT_RUBRIC, strategy_override=False)
+
+
 class TestSubsequentRounds:
-    def _history(self, offers, decisions, pair="fair-fair"):
-        return build_transcript(offers, decisions, pair=pair, rounds=5).rounds
+    def _flagged(self, offers, decisions, pair="fair-fair"):
+        """Roles flagged in the last given round of a five-round game.
+
+        Rounds after it are padded with accepted repeats of the last
+        offer; flags only look back, so the padding cannot affect them.
+        """
+        round_no = len(offers)
+        pad = 5 - round_no
+        t = build_transcript(
+            offers + [offers[-1]] * pad, decisions + [ACC] * pad, pair=pair, rounds=5
+        )
+        verdict = evaluate_transcript(t, config=OBSERVED_PLAY)
+        return {f.role for f in verdict.per_round_flags if f.round == round_no}
 
     def test_small_move_after_acceptance_is_fine(self):
-        history = self._history([50], [ACC])
-        proposer_ok, receiver_ok = evaluate_subsequent_round(
-            history, (45, Decision.ACCEPT), PersonalityPair.from_label("fair-fair"), 2
-        )
-        assert proposer_ok and receiver_ok
+        assert self._flagged([50, 45], [ACC, ACC]) == set()
 
     @pytest.mark.parametrize("offer,ok", [(44, False), (45, True), (55, True), (56, False)])
     def test_after_acceptance_offers_stay_within_five(self, offer, ok):
-        history = self._history([50], [ACC])
-        proposer_ok, _ = evaluate_subsequent_round(
-            history, (offer, Decision.ACCEPT), PersonalityPair.from_label("fair-fair"), 2
-        )
-        assert proposer_ok is ok
+        assert (Role.PROPOSER not in self._flagged([50, offer], [ACC, ACC])) is ok
 
     @pytest.mark.parametrize("offer,ok", [(50, False), (51, True), (65, True), (66, False)])
     def test_after_rejection_offers_rise_by_one_to_fifteen(self, offer, ok):
-        history = self._history([50], [REJ])
-        proposer_ok, _ = evaluate_subsequent_round(
-            history, (offer, Decision.ACCEPT), PersonalityPair.from_label("fair-fair"), 2
-        )
-        assert proposer_ok is ok
+        assert (Role.PROPOSER not in self._flagged([50, offer], [REJ, ACC])) is ok
 
     def test_rejecting_above_a_previous_acceptance_is_flagged(self):
         # Accepting 45 lowers what this greedy receiver may hold out for.
-        history = self._history([45], [ACC], pair="greedy-greedy")
-        _, receiver_ok = evaluate_subsequent_round(
-            history, (50, Decision.REJECT), GREEDY_GREEDY, 2
-        )
-        assert not receiver_ok
+        assert Role.RECEIVER in self._flagged([45, 50], [ACC, REJ], pair="greedy-greedy")
 
     def test_rejecting_below_the_personality_ceiling_is_fine(self):
-        history = self._history([20], [REJ], pair="greedy-greedy")
-        _, receiver_ok = evaluate_subsequent_round(
-            history, (30, Decision.REJECT), GREEDY_GREEDY, 2
-        )
-        assert receiver_ok
+        assert Role.RECEIVER not in self._flagged([20, 30], [REJ, REJ], pair="greedy-greedy")
 
     def test_final_round_capitulation_rule(self):
-        history = self._history([25, 30, 35, 40], [REJ, REJ, REJ, REJ], pair="greedy-greedy")
-        _, holdout = evaluate_subsequent_round(
-            history, (45, Decision.REJECT), GREEDY_GREEDY, 5
-        )
-        _, gives_in = evaluate_subsequent_round(
-            history, (45, Decision.ACCEPT), GREEDY_GREEDY, 5
-        )
-        assert not holdout
-        assert gives_in
+        offers, rejections = [25, 30, 35, 40, 45], [REJ] * 4
+        holdout = self._flagged(offers, rejections + [REJ], pair="greedy-greedy")
+        gives_in = self._flagged(offers, rejections + [ACC], pair="greedy-greedy")
+        assert Role.RECEIVER in holdout
+        assert Role.RECEIVER not in gives_in
 
 
 class TestEvaluateTranscript:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from ultimatum.stats import (
     ContingencyTable2x2,
     DegenerateTableError,
-    GroupRate,
-    aggregate_rates,
     chi_square_2x2,
     chi_square_survival_1df,
     format_percent,
@@ -119,16 +117,6 @@ def test_chi_square_equals_z_squared(a, b, c, d):
 
 
 class TestRates:
-    def test_aggregate_rates_uses_exact_fractions(self):
-        rates = aggregate_rates(
-            [("a", True), ("a", True), ("a", False), ("b", True)]
-        )
-        assert rates["a"] == GroupRate(count=3, successes=2, rate=Fraction(2, 3))
-        assert rates["b"].rate == Fraction(1)
-
-    def test_empty_input_has_no_groups(self):
-        assert aggregate_rates([]) == {}
-
     @pytest.mark.parametrize(
         "fraction,text",
         [

@@ -92,7 +92,7 @@ class TestReplyExtraction:
         assert extract_decision_reply("If I reject, we both get nothing.") is None
 
 
-def single_model_log(offers, decisions, pot=100):
+def single_model_log(offers, decisions, pot=100, heading="ROUND {n}"):
     lines = [
         "STRATEGY (Proposer): I will offer $0.50 in the first round. "
         "If an offer is rejected, I will increase the offer by $0.05 in the next round. "
@@ -100,7 +100,7 @@ def single_model_log(offers, decisions, pot=100):
         "STRATEGY (Receiver): I will accept offers of $0.40 or more in every round.",
     ]
     for n, (offer, decision) in enumerate(zip(offers, decisions), start=1):
-        lines.append(f"ROUND {n}")
+        lines.append(heading.format(n=n))
         lines.append(f"OFFER: {offer} cents")
         lines.append(f"DECISION: {decision.value}")
     return "\n".join(lines)
@@ -150,6 +150,14 @@ class TestSingleModelParsing:
         assert [o.round for o in transcript.rounds] == [1, 2, 3, 4, 5]
         assert [o.offer for o in transcript.rounds] == [50] * 5
 
+    @pytest.mark.parametrize("heading", ["[Round {n}]", "**Round {n}**"])
+    def test_heading_prefix_stays_out_of_the_strategy_text(self, heading):
+        text = single_model_log([50] * 5, [ACC] * 5, heading=heading)
+        transcript, _ = parse_single_model_log(text, FAIR_FAIR)
+        assert transcript.strategies[1].raw_text == (
+            "I will accept offers of $0.40 or more in every round."
+        )
+
     def test_missing_decision_is_an_error(self):
         text = single_model_log([50, 50, 50, 50, 50], [ACC] * 5)
         text = text.replace("DECISION: accept\nROUND 2", "ROUND 2")
@@ -157,16 +165,16 @@ class TestSingleModelParsing:
             parse_single_model_log(text, FAIR_FAIR)
 
 
-def agent_logs(offers, decisions):
+def agent_logs(offers, decisions, heading="[Round {n}]"):
     prop = ["[Strategy] I will offer $0.50 in the first round. "
             "If an offer is rejected, I will increase the offer by $0.05. "
             "If an offer is accepted, I will keep the offer the same."]
     recv = ["[Strategy] I will accept offers of $0.40 or more in every round."]
     for n, (offer, decision) in enumerate(zip(offers, decisions), start=1):
-        prop.append(f"[Round {n}]")
+        prop.append(heading.format(n=n))
         prop.append(f"[Say] OFFER: {offer} cents")
         prop.append(f"[Hear] DECISION: {decision.value}")
-        recv.append(f"[Round {n}]")
+        recv.append(heading.format(n=n))
         recv.append(f"[Hear] OFFER: {offer} cents")
         recv.append(f"[Say] DECISION: {decision.value}")
     return "\n".join(prop), "\n".join(recv)
@@ -180,6 +188,17 @@ class TestAgentLogParsing:
         assert [o.offer for o in transcript.rounds] == [50, 45, 45, 45, 45]
         assert transcript.structure is Structure.MULTI_AGENT
         assert transcript.raw_logs == (("proposer", prop), ("receiver", recv))
+
+    @pytest.mark.parametrize("heading", ["[Round {n}]", "**Round {n}**"])
+    def test_heading_prefix_stays_out_of_the_strategy_text(self, heading):
+        logs = agent_logs([50] * 5, [ACC] * 5, heading=heading)
+        transcript, _ = parse_agent_log(logs, FAIR_FAIR)
+        assert [spec.raw_text for spec in transcript.strategies] == [
+            "I will offer $0.50 in the first round. "
+            "If an offer is rejected, I will increase the offer by $0.05. "
+            "If an offer is accepted, I will keep the offer the same.",
+            "I will accept offers of $0.40 or more in every round.",
+        ]
 
     def test_disagreeing_offers_raise(self):
         prop, recv = agent_logs([50] * 5, [ACC] * 5)
