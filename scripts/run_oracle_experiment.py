@@ -13,7 +13,9 @@ flaws demonstrate how each grading axis reacts:
 import argparse
 import sys
 
+from ultimatum.engine import DEFAULT_POT, DEFAULT_ROUNDS
 from ultimatum.experiment import (
+    ExperimentPlan,
     InvalidPlanError,
     RunStore,
     aggregate,
@@ -25,10 +27,10 @@ from ultimatum.experiment import (
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs-per-cell", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pot", type=int, default=100, help="pot in cents")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--runs-per-cell", type=int, default=ExperimentPlan.runs_per_cell)
+    parser.add_argument("--seed", type=int, default=ExperimentPlan.seed)
+    parser.add_argument("--pot", type=int, default=DEFAULT_POT, help="pot in cents")
+    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     parser.add_argument("--out", help="append run records to this JSON-lines file")
     parser.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     parser.add_argument(

@@ -43,6 +43,7 @@ from .strategy import (
     ReceiverStrategy,
     Role,
     StrategySpec,
+    bands_for,
     prescribed_action,
 )
 
@@ -307,7 +308,7 @@ class Flaw(enum.Enum):
     declared threshold sits outside the personality's band and play
     follows it faithfully, so again the error lives in the strategy.
     DEVIATOR (proposer): the strategy is sound but the round-3 offer
-    departs from it by 20 cents, a pure gameplay error.
+    departs from it by a fifth of the pot, a pure gameplay error.
     """
 
     INCOMPLETE = "incomplete"
@@ -316,7 +317,6 @@ class Flaw(enum.Enum):
 
 
 DEVIATION_ROUND = 3
-DEVIATION_CENTS: Money = 20
 
 _FLAW_ROLES = {
     Flaw.INCOMPLETE: Role.PROPOSER,
@@ -328,17 +328,6 @@ _FLAW_ROLES = {
 def flaw_role(flaw: Flaw) -> Role:
     """Which player a flaw is planted on."""
     return _FLAW_ROLES[flaw]
-
-
-def _proposer_amounts(personality: Personality, pot: Money) -> tuple[Money, Money]:
-    """(opening offer, concession step), scaled from the 100-cent game."""
-    opening = pot // 2 if personality is Personality.FAIR else pot // 5
-    step = max(1, pot // 20)
-    return opening, step
-
-
-def _receiver_threshold(personality: Personality, pot: Money) -> Money:
-    return 2 * pot // 5 if personality is Personality.FAIR else (11 * pot) // 20
 
 
 def oracle_strategy(
@@ -354,9 +343,11 @@ def oracle_strategy(
     """
     if flaw is not None and flaw_role(flaw) is not role:
         raise ValueError(f"flaw {flaw.value} applies to the {flaw_role(flaw).value}")
-    pot, rounds = config.pot, config.rounds
+    rounds = config.rounds
+    bands = bands_for(config.pot)
     if role is Role.PROPOSER:
-        opening, step = _proposer_amounts(personality, pot)
+        opening = bands.fair_open if personality is Personality.FAIR else bands.greedy_open
+        step = bands.oracle_step
         motive = (
             "an even split" if personality is Personality.FAIR else "keeping most of the pot for myself"
         )
@@ -385,13 +376,9 @@ def oracle_strategy(
             on_reject=AdjustRule(AdjustKind.INCREASE_BY, step),
         )
 
-    threshold = _receiver_threshold(personality, pot)
-    if flaw is Flaw.INCONSISTENT_THRESHOLD:
-        # The planted threshold sits in the other personality's band.
-        threshold = _receiver_threshold(
-            Personality.FAIR if personality is Personality.GREEDY else Personality.GREEDY,
-            pot,
-        )
+    # The planted inconsistent threshold is the other personality's.
+    plays_fair = (personality is Personality.FAIR) != (flaw is Flaw.INCONSISTENT_THRESHOLD)
+    threshold = bands.fair_threshold[0] if plays_fair else bands.greedy_hold
     if rounds > 1:
         text = (
             f"I will only accept offers of at least {format_money(threshold)} in rounds 1 "
@@ -460,7 +447,7 @@ class OracleAgent(Agent):
         if isinstance(prescribed, PrescribedOffer):
             offer = prescribed.lo
             if self.flaw is Flaw.DEVIATOR and observation.round == DEVIATION_ROUND:
-                offer = min(self.config.pot, offer + DEVIATION_CENTS)
+                offer = min(self.config.pot, offer + bands_for(self.config.pot).deviation)
             return f"OFFER: {format_money(offer)}"
         assert isinstance(prescribed, PrescribedDecision)
         return f"DECISION: {prescribed.decision.value}"

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .agents import ReplayGateway
-from .engine import GameConfig, InvalidConfigError
+from .engine import DEFAULT_POT, DEFAULT_ROUNDS, GameConfig, InvalidConfigError
 from .experiment import (
     InvalidPlanError,
     RunStore,
@@ -39,7 +39,7 @@ from .stats import (
     chi_square_2x2,
     two_proportion_z,
 )
-from .strategy import PersonalityPair
+from .strategy import MIN_POT, PersonalityPair
 from .transcripts import (
     InconsistentLogsError,
     UnparseableLogError,
@@ -143,6 +143,8 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         game = GameConfig(pot=args.pot, rounds=args.rounds)
     except (ValueError, InvalidConfigError) as exc:
         return _fail_usage(str(exc))
+    if game.pot < MIN_POT:
+        return _fail_usage(f"pot must be at least {MIN_POT} cents, got {game.pot}")
 
     try:
         if args.single_log:
@@ -216,8 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     grade_p.add_argument("--proposer-log", help="proposer agent log file")
     grade_p.add_argument("--receiver-log", help="receiver agent log file")
     grade_p.add_argument("--pair", help="personality pair label, e.g. fair-greedy")
-    grade_p.add_argument("--pot", type=int, default=100, help="pot in cents (default 100)")
-    grade_p.add_argument("--rounds", type=int, default=5, help="rounds (default 5)")
+    grade_p.add_argument(
+        "--pot", type=int, default=DEFAULT_POT, help=f"pot in cents (default {DEFAULT_POT})"
+    )
+    grade_p.add_argument(
+        "--rounds", type=int, default=DEFAULT_ROUNDS, help=f"rounds (default {DEFAULT_ROUNDS})"
+    )
     grade_p.set_defaults(func=_cmd_grade)
 
     report_p = sub.add_parser("report", help="aggregate stored runs into tables")

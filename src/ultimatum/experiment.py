@@ -36,7 +36,7 @@ from .agents import (
     SamplingParams,
     flaw_role,
 )
-from .engine import EngineError, GameConfig
+from .engine import DEFAULT_POT, DEFAULT_ROUNDS, EngineError, GameConfig
 from .orchestrator import (
     InformationLeakError,
     OracleSingleModelGateway,
@@ -48,13 +48,7 @@ from .orchestrator import (
     run_multi_agent,
     run_single_model,
 )
-from .rubric import (
-    DEFAULT_RUBRIC,
-    MalformedTranscriptError,
-    RubricConfig,
-    Verdict,
-    evaluate_transcript,
-)
+from .rubric import MalformedTranscriptError, Verdict, evaluate_transcript
 from .stats import (
     DegenerateTableError,
     ContingencyTable2x2,
@@ -63,7 +57,7 @@ from .stats import (
     format_percent,
     two_proportion_z,
 )
-from .strategy import ALL_PAIRS, PersonalityPair, Role
+from .strategy import ALL_PAIRS, MIN_POT, PersonalityPair, Role
 from .transcripts import (
     Structure,
     UnparseableLogError,
@@ -120,6 +114,8 @@ class ExperimentPlan:
             raise InvalidPlanError("duplicate personality pairs in plan")
         if self.runs_per_cell < 1:
             raise InvalidPlanError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
+        if self.game.pot < MIN_POT:
+            raise InvalidPlanError(f"pot must be at least {MIN_POT} cents, got {self.game.pot}")
         if self.proposer_flaw is not None and flaw_role(self.proposer_flaw) is not Role.PROPOSER:
             raise InvalidPlanError(f"{self.proposer_flaw.value} is not a proposer flaw")
         if self.receiver_flaw is not None and flaw_role(self.receiver_flaw) is not Role.RECEIVER:
@@ -162,7 +158,9 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
             pairs = ALL_PAIRS
         else:
             pairs = tuple(PersonalityPair.from_label(p) for p in raw_pairs)
-        game = GameConfig(pot=int(data.get("pot", 100)), rounds=int(data.get("rounds", 5)))
+        game = GameConfig(
+            pot=int(data.get("pot", DEFAULT_POT)), rounds=int(data.get("rounds", DEFAULT_ROUNDS))
+        )
         sampling_data = data.get("sampling", {}) or {}
         if not isinstance(sampling_data, dict):
             raise InvalidPlanError("sampling must be a mapping")
@@ -178,11 +176,11 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         return ExperimentPlan(
             structures=structures,
             pairs=pairs,
-            runs_per_cell=int(data.get("runs_per_cell", 10)),
+            runs_per_cell=int(data.get("runs_per_cell", ExperimentPlan.runs_per_cell)),
             game=game,
-            model=str(data.get("model", "oracle")),
+            model=str(data.get("model", ExperimentPlan.model)),
             sampling=sampling,
-            seed=int(data.get("seed", 0)),
+            seed=int(data.get("seed", ExperimentPlan.seed)),
             proposer_flaw=None if proposer_flaw in (None, "none") else Flaw(proposer_flaw),
             receiver_flaw=None if receiver_flaw in (None, "none") else Flaw(receiver_flaw),
             endpoint=data.get("endpoint"),
@@ -309,12 +307,12 @@ def load_records(path: str | Path) -> list[dict]:
     return records
 
 
-def regrade_record(record: dict, rubric: RubricConfig = DEFAULT_RUBRIC) -> dict:
+def regrade_record(record: dict) -> dict:
     """Re-grade a stored run from its canonical transcript."""
     if record.get("status") != "ok" or not record.get("transcript"):
         raise ValueError(f"run {record.get('run_id')!r} has no transcript to grade")
     transcript = parse_canonical(record["transcript"])
-    return verdict_to_dict(evaluate_transcript(transcript, config=rubric))
+    return verdict_to_dict(evaluate_transcript(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,6 @@ def run_batch(
     gateway: Gateway | None = None,
     max_workers: int | None = None,
     keep_prompts: bool = False,
-    rubric: RubricConfig = DEFAULT_RUBRIC,
 ) -> BatchResult:
     """Execute every run in the plan and return (and optionally store) records.
 
@@ -398,7 +395,7 @@ def run_batch(
         started = time.perf_counter()
         try:
             if config.structure is Structure.SINGLE_MODEL:
-                result = run_single_model(config, gateway, rubric)
+                result = run_single_model(config, gateway)
             else:
                 if gateway is None:
                     agents = make_oracle_agents(
@@ -406,7 +403,7 @@ def run_batch(
                     )
                 else:
                     agents = make_model_agents(config, gateway)
-                result = run_multi_agent(config, agents, rubric)
+                result = run_multi_agent(config, agents)
         except RUN_FAILURES as exc:
             return _failed_record(run_id, config, exc, time.perf_counter() - started)
         return _ok_record(run_id, config, result, time.perf_counter() - started, keep_prompts)

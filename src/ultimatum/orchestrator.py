@@ -36,7 +36,7 @@ from .agents import (
     private_bio,
 )
 from .engine import Decision, GameConfig, Money, format_money
-from .rubric import DEFAULT_RUBRIC, RubricConfig, Verdict, evaluate_transcript
+from .rubric import Verdict, evaluate_transcript
 from .strategy import PersonalityPair, Role, StrategySpec
 from .transcripts import (
     Confidence,
@@ -92,11 +92,7 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 
 
-def run_single_model(
-    config: SimulationConfig,
-    gateway: Gateway,
-    rubric: RubricConfig = DEFAULT_RUBRIC,
-) -> SimulationResult:
+def run_single_model(config: SimulationConfig, gateway: Gateway) -> SimulationResult:
     """One completion simulates the whole game; parse and grade it."""
     prompt = prompts.render_single_model(
         config.pair.proposer.value,
@@ -108,7 +104,7 @@ def run_single_model(
         config.model, [{"role": "user", "content": prompt}], config.sampling
     )
     transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
-    verdict = evaluate_transcript(transcript, config=rubric)
+    verdict = evaluate_transcript(transcript)
     return SimulationResult(
         config=config,
         transcript=transcript,
@@ -283,11 +279,7 @@ class _Moderator:
                     )
 
 
-def run_multi_agent(
-    config: SimulationConfig,
-    agents: tuple[Agent, Agent],
-    rubric: RubricConfig = DEFAULT_RUBRIC,
-) -> SimulationResult:
+def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> SimulationResult:
     """Drive (proposer, receiver) through one moderated game and grade it."""
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
@@ -309,7 +301,7 @@ def run_multi_agent(
     )
     # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
     diagnostics = ParseDiagnostics(Confidence.EXACT)
-    verdict = evaluate_transcript(transcript, config=rubric)
+    verdict = evaluate_transcript(transcript)
     prompt_pairs: list[tuple[str, str]] = []
     for role in (Role.PROPOSER, Role.RECEIVER):
         for label, text in getattr(moderator.agents[role], "prompt_log", ()):

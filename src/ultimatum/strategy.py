@@ -22,6 +22,7 @@ computes them.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
@@ -72,9 +73,83 @@ class AdjustKind(enum.Enum):
     SET_TO = "set_to"
 
 
-# When a plan says "increase the offer" without naming a step, any step in
-# this range (cents, inclusive) counts as following the plan.
-OPEN_STEP_RANGE: tuple[Money, Money] = (1, 15)
+# ---------------------------------------------------------------------------
+# Personality bands
+# ---------------------------------------------------------------------------
+
+# Smallest pot the bands hold for, and so the smallest that plans and
+# `ultimatum grade --pot` accept: below it a fifth of the pot rounds to no
+# cent, so the greedy oracle opens at 0 and the planted deviation vanishes.
+MIN_POT: Money = 5
+
+
+@dataclass(frozen=True)
+class Bands:
+    """Every personality threshold of one pot, in cents.
+
+    The one home of the numbers that grading and the scripted oracles use.
+    Each is a share of the pot in integer arithmetic; the comments give
+    the values for a 100-cent pot.
+    """
+
+    fair_offer: tuple[Money, Money]  # fair proposers open within (40, 60)
+    greedy_offer_below: Money  # greedy proposers open strictly below (50)
+    fair_threshold: tuple[Money, Money]  # fair receivers' round-1 threshold (40, 50)
+    greedy_min: Money  # greedy receivers want more than half (51)
+    # Drift that still counts as the same offer, or as following a
+    # qualitative plan ("around half"): a twentieth of the pot (5).
+    slack: Money
+    # A modest concession after a rejection; also what an open-ended
+    # "increase the offer" plan allows (1, 15).
+    step: tuple[Money, Money]
+    # How the scripted oracles play: opening offers (50, 20), concession
+    # (5), the greedy receiver's threshold (55; the fair one accepts from
+    # the band's lower edge) and the planted deviation (20).
+    fair_open: Money
+    greedy_open: Money
+    oracle_step: Money
+    greedy_hold: Money
+    deviation: Money
+
+    def offer_fits(self, personality: Personality, offer: Money) -> bool:
+        """Is this opening offer within the personality's band?"""
+        if personality is Personality.FAIR:
+            lo, hi = self.fair_offer
+            return lo <= offer <= hi
+        return offer < self.greedy_offer_below
+
+    def threshold_fits(self, personality: Personality, threshold: Money) -> bool:
+        """Is this round-1 acceptance threshold within the personality's band?
+
+        A fair receiver may insist on an even split, so its band reaches
+        half the pot although it accepts from the band's lower edge.
+        """
+        if personality is Personality.FAIR:
+            lo, hi = self.fair_threshold
+            return lo <= threshold <= hi
+        return threshold >= self.greedy_min
+
+    def accept_min(self, personality: Personality) -> Money:
+        """The smallest round-1 offer the personality accepts."""
+        return self.fair_threshold[0] if personality is Personality.FAIR else self.greedy_min
+
+
+@functools.lru_cache(maxsize=256)
+def bands_for(pot: Money) -> Bands:
+    """The personality bands of a pot; below MIN_POT the planted flaws misgrade."""
+    return Bands(
+        fair_offer=(2 * pot // 5, 3 * pot // 5),
+        greedy_offer_below=pot // 2,
+        fair_threshold=(2 * pot // 5, pot // 2),
+        greedy_min=pot // 2 + 1,
+        slack=pot // 20,
+        step=(1, max(1, 3 * pot // 20)),
+        fair_open=pot // 2,
+        greedy_open=pot // 5,
+        oracle_step=max(1, pot // 20),
+        greedy_hold=max(11 * pot // 20, pot // 2 + 1),  # 11/20 of a small pot is not over half
+        deviation=pot // 5,
+    )
 
 
 @dataclass(frozen=True)
@@ -222,25 +297,6 @@ def check_completeness(spec: StrategySpec, config: GameConfig) -> CompletenessRe
 
 
 @dataclass(frozen=True)
-class ConsistencyBands:
-    """Numeric bands (cents, for the 100-cent pot) defining which opening
-    intents count as fair or greedy.
-
-    The fair receiver band admits thresholds up to 50 because insisting on
-    an even split is fair behavior, even though the gameplay boundary for
-    judging fair receivers' decisions sits at 40.
-    """
-
-    fair_proposer: tuple[Money, Money] = (40, 60)
-    greedy_proposer_below: Money = 50  # opening offer strictly below
-    fair_receiver: tuple[Money, Money] = (40, 50)
-    greedy_receiver_min: Money = 51  # integer form of "more than 50"
-
-
-DEFAULT_BANDS = ConsistencyBands()
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
     """consistent is None when the deciding field is absent from the plan;
     that absence is charged to completeness, not consistency."""
@@ -250,47 +306,31 @@ class ConsistencyReport:
 
 
 def check_personality_consistency(
-    spec: StrategySpec,
-    personality: Personality,
-    bands: ConsistencyBands = DEFAULT_BANDS,
+    spec: StrategySpec, personality: Personality, config: GameConfig
 ) -> ConsistencyReport:
     """Judge the declared first-round intent against the personality.
 
     Only the opening matters here: later-round adjustments are judged
     against observed play, not against the personality.
     """
+    bands = bands_for(config.pot)
     if spec.role is Role.PROPOSER:
         plan = spec.parsed
         assert isinstance(plan, ProposerStrategy)
-        opening = plan.initial_offer
-        if opening is None:
+        if plan.initial_offer is None:
             return ConsistencyReport(None, "no opening offer declared")
-        if personality is Personality.FAIR:
-            lo, hi = bands.fair_proposer
-            if lo <= opening <= hi:
-                return ConsistencyReport(True, f"opening offer {opening} within [{lo}, {hi}]")
-            return ConsistencyReport(False, f"opening offer {opening} outside [{lo}, {hi}]")
-        if opening < bands.greedy_proposer_below:
-            return ConsistencyReport(True, f"opening offer {opening} below {bands.greedy_proposer_below}")
-        return ConsistencyReport(
-            False, f"opening offer {opening} not below {bands.greedy_proposer_below}"
-        )
-
-    plan = spec.parsed
-    assert isinstance(plan, ReceiverStrategy)
-    opening = plan.threshold_for(1)
-    if opening is None:
-        return ConsistencyReport(None, "no round-1 threshold declared")
-    if personality is Personality.FAIR:
-        lo, hi = bands.fair_receiver
-        if lo <= opening <= hi:
-            return ConsistencyReport(True, f"round-1 threshold {opening} within [{lo}, {hi}]")
-        return ConsistencyReport(False, f"round-1 threshold {opening} outside [{lo}, {hi}]")
-    if opening >= bands.greedy_receiver_min:
-        return ConsistencyReport(True, f"round-1 threshold {opening} at least {bands.greedy_receiver_min}")
-    return ConsistencyReport(
-        False, f"round-1 threshold {opening} below {bands.greedy_receiver_min}"
-    )
+        what = f"opening offer {plan.initial_offer}"
+        fits = bands.offer_fits(personality, plan.initial_offer)
+    else:
+        plan = spec.parsed
+        assert isinstance(plan, ReceiverStrategy)
+        threshold = plan.threshold_for(1)
+        if threshold is None:
+            return ConsistencyReport(None, "no round-1 threshold declared")
+        what = f"round-1 threshold {threshold}"
+        fits = bands.threshold_fits(personality, threshold)
+    where = "within" if fits else "outside"
+    return ConsistencyReport(fits, f"{what} {where} the {personality.value} band")
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +377,12 @@ def prescribed_action(
     history: Sequence[RoundOutcome],
     round_no: int,
     pending_offer: Money | None = None,
-    open_step: tuple[Money, Money] = OPEN_STEP_RANGE,
 ) -> PrescribedAction:
     """The move the strategy dictates at the given state.
 
     Pure function of its inputs. history holds the completed rounds before
-    round_no; receivers additionally need the offer on the table.
+    round_no; receivers additionally need the offer on the table. A step
+    the plan left open may be anything in the pot's concession band.
 
     Raises:
         UncoveredStateError: the plan has no rule for this state.
@@ -366,7 +406,7 @@ def prescribed_action(
         if rule is None:
             branch = "acceptance" if prev.decision is Decision.ACCEPT else "rejection"
             raise UncoveredStateError(spec.role, round_no, f"no rule after {branch}")
-        lo, hi = _apply_adjust(rule, prev.offer, open_step)
+        lo, hi = _apply_adjust(rule, prev.offer, config.pot)
         if plan.cutoff is not None and plan.cutoff.limit is not None:
             lo = min(lo, plan.cutoff.limit)
             hi = min(hi, plan.cutoff.limit)
@@ -395,26 +435,19 @@ def prescribed_action(
     return PrescribedDecision(Decision.REJECT)
 
 
-def _apply_adjust(
-    rule: AdjustRule, prev_offer: Money, open_step: tuple[Money, Money]
-) -> tuple[Money, Money]:
+def _apply_adjust(rule: AdjustRule, prev_offer: Money, pot: Money) -> tuple[Money, Money]:
     if rule.kind is AdjustKind.KEEP:
         return prev_offer, prev_offer
     if rule.kind is AdjustKind.SET_TO:
         assert rule.amount is not None
         return rule.amount, rule.amount
-    lo_step, hi_step = (rule.amount, rule.amount) if rule.amount is not None else open_step
+    if rule.amount is not None:
+        lo_step = hi_step = rule.amount
+    else:
+        lo_step, hi_step = bands_for(pot).step
     if rule.kind is AdjustKind.INCREASE_BY:
         return prev_offer + lo_step, prev_offer + hi_step
     return prev_offer - hi_step, prev_offer - lo_step
-
-
-# Default slack (cents) when comparing observed offers to prescriptions.
-# Proposer plans are often qualitative ("around half"), so offers within a
-# nickel count as following the plan; decisions are discrete, so the
-# receiver default is exact.
-PROPOSER_TOLERANCE: Money = 5
-RECEIVER_TOLERANCE: Money = 0
 
 
 @dataclass(frozen=True)
@@ -435,21 +468,19 @@ class AdherenceReport:
 def check_adherence(
     specs: tuple[StrategySpec, StrategySpec],
     transcript: "Transcript",
-    proposer_tolerance: Money = PROPOSER_TOLERANCE,
-    receiver_tolerance: Money = RECEIVER_TOLERANCE,
 ) -> AdherenceReport:
     """Compare observed play against what the declared strategies dictate.
 
     States the strategy does not cover are skipped (the gap is already
-    charged to completeness). An offer counts as adherent when it falls
-    within proposer_tolerance of the prescribed range; a decision deviates
-    unless it matches the prescription, with receiver_tolerance cents of
-    slack around the threshold boundary.
+    charged to completeness). Proposer plans are often qualitative
+    ("around half"), so an offer counts as adherent within the pot's slack
+    of the prescribed range; decisions are discrete and must match exactly.
     """
     proposer_spec, receiver_spec = specs
     if proposer_spec.role is not Role.PROPOSER or receiver_spec.role is not Role.RECEIVER:
         raise ValueError("specs must be (proposer, receiver)")
     config = transcript.config
+    slack = bands_for(config.pot).slack
     deviations: list[Deviation] = []
     for outcome in transcript.rounds:
         r = outcome.round
@@ -459,7 +490,7 @@ def check_adherence(
         except UncoveredStateError:
             prescribed = None
         if isinstance(prescribed, PrescribedOffer) and not prescribed.contains(
-            outcome.offer, slack=proposer_tolerance
+            outcome.offer, slack=slack
         ):
             expected = (
                 f"offer in [{prescribed.lo}, {prescribed.hi}]"
@@ -479,23 +510,9 @@ def check_adherence(
             isinstance(prescribed, PrescribedDecision)
             and outcome.decision is not prescribed.decision
         ):
-            plan = receiver_spec.parsed
-            assert isinstance(plan, ReceiverStrategy)
-            threshold = plan.threshold_for(r)
-            near_boundary = (
-                receiver_tolerance > 0
-                and threshold is not None
-                and abs(outcome.offer - threshold) <= receiver_tolerance
+            deviations.append(
+                Deviation(r, Role.RECEIVER, prescribed.decision.value, outcome.decision.value)
             )
-            if not near_boundary:
-                deviations.append(
-                    Deviation(
-                        r,
-                        Role.RECEIVER,
-                        prescribed.decision.value,
-                        outcome.decision.value,
-                    )
-                )
     return AdherenceReport(
         proposer_adherent=not any(d.role is Role.PROPOSER for d in deviations),
         receiver_adherent=not any(d.role is Role.RECEIVER for d in deviations),

@@ -8,7 +8,6 @@ import requests
 from helpers import ACC, REJ
 from ultimatum.agents import (
     API_KEY_ENV,
-    DEVIATION_CENTS,
     DEVIATION_ROUND,
     Flaw,
     GatewayError,
@@ -125,7 +124,7 @@ class TestOracleAgents:
             OracleAgent(Role.RECEIVER, Personality.FAIR),
         )
         assert DEVIATION_ROUND == 3
-        assert offers[2] == offers[1] + DEVIATION_CENTS
+        assert offers[2] == offers[1] + 20  # a fifth of the 100-cent pot
 
     def test_replies_use_the_standard_markers(self):
         proposer = OracleAgent(Role.PROPOSER, Personality.FAIR)

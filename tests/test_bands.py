@@ -1,0 +1,111 @@
+"""The pot-relative personality bands and the pots they hold for.
+
+Every grading and oracle threshold is a share of the pot, so the scripted
+oracle grids keep their designed error classes at any pot a plan accepts.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import FIXTURES
+from ultimatum.agents import DEVIATION_ROUND
+from ultimatum.cli import EXIT_USAGE, main
+from ultimatum.experiment import InvalidPlanError, plan_from_dict, run_batch
+from ultimatum.strategy import MIN_POT, Personality, bands_for
+
+FAIR, GREEDY = Personality.FAIR, Personality.GREEDY
+
+GRIDS = {
+    "clean": {},
+    "incomplete": {"proposer": "incomplete"},
+    "inconsistent_threshold": {"receiver": "inconsistent_threshold"},
+    "deviator": {"proposer": "deviator"},
+}
+
+
+def designed_class(grid: str, rounds: int) -> str:
+    if grid == "clean":
+        return "none"
+    if grid == "deviator":
+        return "gameplay_only" if rounds >= DEVIATION_ROUND else "none"
+    return "strategy_only"
+
+
+def grid_classes(grid: str, pot: int, rounds: int) -> set[str]:
+    """Error classes of one oracle run per cell, both structures, all pairs."""
+    plan = plan_from_dict(
+        {"pot": pot, "rounds": rounds, "runs_per_cell": 1, "flaws": GRIDS[grid]}
+    )
+    records = run_batch(plan).records
+    assert len(records) == 8
+    return {r["verdict"]["error_class"] if r["status"] == "ok" else r["cause"] for r in records}
+
+
+class TestDefaultPot:
+    def test_grading_bands_at_pot_100(self):
+        bands = bands_for(100)
+        assert bands.fair_offer == (40, 60)
+        assert bands.greedy_offer_below == 50
+        assert bands.fair_threshold == (40, 50)
+        assert bands.greedy_min == 51
+        assert bands.slack == 5
+        assert bands.step == (1, 15)
+        assert (bands.accept_min(FAIR), bands.accept_min(GREEDY)) == (40, 51)
+
+    def test_oracle_play_at_pot_100(self):
+        bands = bands_for(100)
+        assert (bands.fair_open, bands.greedy_open, bands.oracle_step) == (50, 20, 5)
+        assert (bands.fair_threshold[0], bands.greedy_hold) == (40, 55)
+        assert bands.deviation == 20
+
+
+class TestBandPredicates:
+    @given(pot=st.integers(min_value=MIN_POT, max_value=10_000))
+    def test_receiver_bands_are_disjoint(self, pot):
+        # Opening-offer bands overlap on purpose (40..49 at pot 100); a
+        # threshold is fair or greedy, never both.
+        bands = bands_for(pot)
+        for cents in range(pot + 2):
+            assert not (bands.threshold_fits(FAIR, cents) and bands.threshold_fits(GREEDY, cents))
+
+    @given(pot=st.integers(min_value=MIN_POT, max_value=10_000))
+    def test_oracles_play_inside_their_bands(self, pot):
+        bands = bands_for(pot)
+        assert bands.offer_fits(FAIR, bands.fair_open)
+        assert bands.offer_fits(GREEDY, bands.greedy_open)
+        assert bands.threshold_fits(FAIR, bands.fair_threshold[0])
+        assert bands.threshold_fits(GREEDY, bands.greedy_hold)
+        assert bands.slack < bands.deviation
+
+
+@settings(max_examples=30)
+@given(
+    pot=st.integers(min_value=20, max_value=10_000),
+    rounds=st.integers(min_value=1, max_value=10),
+)
+@example(pot=20, rounds=1)
+@example(pot=37, rounds=5)
+@example(pot=150, rounds=3)
+@example(pot=333, rounds=10)
+@example(pot=10_000, rounds=10)
+def test_oracle_grids_keep_their_designed_class_at_any_pot(pot, rounds):
+    for grid in GRIDS:
+        assert grid_classes(grid, pot, rounds) == {designed_class(grid, rounds)}, grid
+
+
+class TestSmallestPot:
+    @pytest.mark.parametrize("rounds", range(1, 11))
+    def test_every_grid_holds_at_the_smallest_pot(self, rounds):
+        for grid in GRIDS:
+            assert grid_classes(grid, MIN_POT, rounds) == {designed_class(grid, rounds)}, grid
+
+    def test_plans_reject_a_smaller_pot(self):
+        with pytest.raises(InvalidPlanError, match=f"at least {MIN_POT} cents"):
+            plan_from_dict({"pot": MIN_POT - 1})
+
+    def test_grade_rejects_a_smaller_pot(self, capsys):
+        log = FIXTURES / "fig_single_model_fair_fair.txt"
+        argv = ["grade", "--single-log", str(log), "--pair", "fair-fair"]
+        assert main(argv + ["--pot", str(MIN_POT - 1)]) == EXIT_USAGE
+        assert f"at least {MIN_POT} cents" in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from ultimatum.experiment import (
     run_batch,
 )
 from ultimatum.orchestrator import synthesize_single_model_log
-from ultimatum.rubric import DEFAULT_RUBRIC
 from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair
 from ultimatum.transcripts import Structure
 
@@ -345,14 +343,6 @@ class TestRegrade:
     def test_regrading_reproduces_the_stored_verdict(self, mixed_records):
         for record in mixed_records:
             assert regrade_record(record) == record["verdict"]
-
-    def test_a_lenient_rubric_changes_the_grade(self):
-        record = oracle_batch(1, {"proposer": "deviator"}).records[0]
-        assert record["verdict"]["error_class"] == "gameplay_only"
-        lenient = dataclasses.replace(
-            DEFAULT_RUBRIC, proposer_tolerance=100, similar_slack=100
-        )
-        assert regrade_record(record, lenient)["error_class"] == "none"
 
     def test_failed_records_cannot_be_regraded(self):
         plan = plan_from_dict(

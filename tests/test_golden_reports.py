@@ -2,9 +2,9 @@
 
 Each report is rendered from a fresh oracle batch over both structures
 and all four pairs, and must match its committed file byte for byte.
-The pot-200 files pin today's grading at a pot the rubric's absolute
-bands were not written for; a rubric change that scales the bands with
-the pot updates them on purpose.
+The pot-200 files pin grading at a pot other than the default, where
+the personality bands must scale with the pot: every grid there keeps
+its designed error class.
 
 Regenerate the files after an intended change with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.

@@ -1,32 +1,46 @@
-import dataclasses
-
 import pytest
 
 from helpers import ACC, REJ, FIXTURES, build_transcript
 from ultimatum.engine import Decision
 from ultimatum.rubric import (
-    DEFAULT_RUBRIC,
     ErrorClass,
     MalformedTranscriptError,
     Verdict,
-    evaluate_initial_decision,
-    evaluate_initial_offer,
     evaluate_transcript,
 )
-from ultimatum.strategy import Personality, PersonalityPair, Role
+from ultimatum.strategy import (
+    PersonalityPair,
+    ProposerStrategy,
+    ReceiverStrategy,
+    Role,
+    StrategySpec,
+)
 from ultimatum.transcripts import parse_single_model_log
 
 GREEDY_GREEDY = PersonalityPair.from_label("greedy-greedy")
+
+# Empty plans cover no state, so grading against them excuses no action:
+# the flags left are the observed-play rules alone.
+NO_PLANS = (
+    StrategySpec(Role.PROPOSER, "", ProposerStrategy()),
+    StrategySpec(Role.RECEIVER, "", ReceiverStrategy()),
+)
+
+
+def opening_rules(offer, decision, pair):
+    """Rules broken by a one-round game at the default pot."""
+    t = build_transcript([offer], [decision], pair=pair)
+    return {f.rule for f in evaluate_transcript(t, specs=NO_PLANS).per_round_flags}
 
 
 class TestOpeningOffer:
     @pytest.mark.parametrize("offer,ok", [(39, False), (40, True), (60, True), (61, False)])
     def test_fair_band_is_forty_to_sixty(self, offer, ok):
-        assert evaluate_initial_offer(offer, Personality.FAIR) is ok
+        assert ("opening_offer_band" not in opening_rules(offer, ACC, "fair-fair")) is ok
 
     @pytest.mark.parametrize("offer,ok", [(49, True), (50, False), (80, False)])
     def test_greedy_opens_below_half(self, offer, ok):
-        assert evaluate_initial_offer(offer, Personality.GREEDY) is ok
+        assert ("opening_offer_band" not in opening_rules(offer, ACC, "greedy-fair")) is ok
 
 
 class TestOpeningDecision:
@@ -40,7 +54,7 @@ class TestOpeningDecision:
         ],
     )
     def test_fair_receiver_boundary_at_forty(self, offer, decision, ok):
-        assert evaluate_initial_decision(offer, decision, Personality.FAIR) is ok
+        assert ("opening_decision_band" not in opening_rules(offer, decision, "fair-fair")) is ok
 
     @pytest.mark.parametrize(
         "offer,decision,ok",
@@ -52,11 +66,7 @@ class TestOpeningDecision:
         ],
     )
     def test_greedy_receiver_boundary_at_fifty_one(self, offer, decision, ok):
-        assert evaluate_initial_decision(offer, decision, Personality.GREEDY) is ok
-
-
-# Observed-play rules only: no action is excused by the declared strategy.
-OBSERVED_PLAY = dataclasses.replace(DEFAULT_RUBRIC, strategy_override=False)
+        assert ("opening_decision_band" not in opening_rules(offer, decision, "fair-greedy")) is ok
 
 
 class TestSubsequentRounds:
@@ -71,7 +81,7 @@ class TestSubsequentRounds:
         t = build_transcript(
             offers + [offers[-1]] * pad, decisions + [ACC] * pad, pair=pair, rounds=5
         )
-        verdict = evaluate_transcript(t, config=OBSERVED_PLAY)
+        verdict = evaluate_transcript(t, specs=NO_PLANS)
         return {f.role for f in verdict.per_round_flags if f.round == round_no}
 
     def test_small_move_after_acceptance_is_fine(self):
@@ -137,7 +147,7 @@ class TestEvaluateTranscript:
     def test_strategy_override_moves_band_breaks_to_strategy(self):
         # A greedy receiver declaring the fair threshold accepts 45 in round
         # 1. The action breaks the greedy band but follows the declared
-        # plan, so with the override on it stays a strategy-only error.
+        # plan, so it stays a strategy-only error.
         t = build_transcript(
             [45, 45, 45, 45, 45],
             [ACC] * 5,
@@ -149,8 +159,8 @@ class TestEvaluateTranscript:
         assert not verdict.receiver_strategy_consistent
         assert verdict.per_round_flags == ()
 
-        no_override = dataclasses.replace(DEFAULT_RUBRIC, strategy_override=False)
-        verdict = evaluate_transcript(t, config=no_override)
+        # Graded against plans that sanction nothing, the break is gameplay too.
+        verdict = evaluate_transcript(t, specs=NO_PLANS)
         assert verdict.error_class is ErrorClass.BOTH
         assert any(f.rule == "opening_decision_band" for f in verdict.per_round_flags)
 

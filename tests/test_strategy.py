@@ -7,8 +7,6 @@ from ultimatum.engine import Decision, GameConfig
 from ultimatum.transcripts import parse_strategy_text
 from ultimatum.strategy import (
     ALL_PAIRS,
-    DEFAULT_BANDS,
-    OPEN_STEP_RANGE,
     AdjustKind,
     AdjustRule,
     CutoffRule,
@@ -26,6 +24,7 @@ from ultimatum.strategy import (
     check_adherence,
     check_completeness,
     check_personality_consistency,
+    bands_for,
     prescribed_action,
 )
 
@@ -155,35 +154,35 @@ class TestConsistency:
     @pytest.mark.parametrize("offer,expected", [(39, False), (40, True), (60, True), (61, False)])
     def test_fair_proposer_band_is_inclusive(self, offer, expected):
         plan = ProposerStrategy(initial_offer=offer, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, DEFAULT_BANDS)
+        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG)
         assert report.consistent is expected
 
     @pytest.mark.parametrize("offer,expected", [(49, True), (50, False)])
     def test_greedy_proposer_opens_below_half(self, offer, expected):
         plan = ProposerStrategy(initial_offer=offer, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.GREEDY, DEFAULT_BANDS)
+        report = check_personality_consistency(proposer_spec(plan), Personality.GREEDY, CONFIG)
         assert report.consistent is expected
 
     @pytest.mark.parametrize("threshold,expected", [(39, False), (40, True), (50, True), (51, False)])
     def test_fair_receiver_band(self, threshold, expected):
         plan = ReceiverStrategy(threshold=threshold)
-        report = check_personality_consistency(receiver_spec(plan), Personality.FAIR, DEFAULT_BANDS)
+        report = check_personality_consistency(receiver_spec(plan), Personality.FAIR, CONFIG)
         assert report.consistent is expected
 
     @pytest.mark.parametrize("threshold,expected", [(50, False), (51, True), (101, True)])
     def test_greedy_receiver_band(self, threshold, expected):
         plan = ReceiverStrategy(threshold=threshold)
-        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, DEFAULT_BANDS)
+        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG)
         assert report.consistent is expected
 
     def test_missing_opening_intent_is_undecidable(self):
         plan = ProposerStrategy(initial_offer=None, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, DEFAULT_BANDS)
+        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG)
         assert report.consistent is None
 
     def test_receiver_round_one_entry_decides(self):
         plan = ReceiverStrategy(round_thresholds={1: 55})
-        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, DEFAULT_BANDS)
+        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG)
         assert report.consistent is True
 
 
@@ -210,7 +209,8 @@ class TestPrescribedAction:
         )
         t = build_transcript([50], [REJ])
         action = prescribed_action(proposer_spec(plan), CONFIG, t.rounds, 2)
-        lo, hi = OPEN_STEP_RANGE
+        lo, hi = bands_for(CONFIG.pot).step
+        assert (lo, hi) == (1, 15)
         assert action == PrescribedOffer(50 + lo, 50 + hi)
 
     def test_cutoff_caps_the_prescription(self):
@@ -296,11 +296,6 @@ class TestAdherence:
         slip = next(d for d in report.deviations if d.role is Role.RECEIVER)
         assert slip.round == 1
 
-    def test_receiver_tolerance_forgives_boundary_calls(self):
-        t = build_transcript([39, 50, 50, 50, 50], [ACC, ACC, ACC, ACC, ACC])
-        report = check_adherence(t.strategies, t, receiver_tolerance=1)
-        assert report.receiver_adherent
-
     def test_uncovered_states_are_skipped(self):
         text = "I will offer $0.50 in the first round."
         t = build_transcript([50, 90], [REJ, ACC], proposer_text=text)
@@ -320,7 +315,7 @@ class TestOracleTexts:
             text = oracle_text(role, personality)
             spec = StrategySpec(role, text, parse_strategy_text(text, role, CONFIG))
             assert check_completeness(spec, CONFIG).complete
-            assert check_personality_consistency(spec, personality, DEFAULT_BANDS).consistent
+            assert check_personality_consistency(spec, personality, CONFIG).consistent
 
 
 @given(
