@@ -444,6 +444,7 @@ class OracleAgent(Agent):
             observation.round,
             pending_offer=observation.pending_offer,
         )
+        assert prescribed is not None, "oracle behaviour plans cover every state"
         if isinstance(prescribed, PrescribedOffer):
             offer = prescribed.lo
             if self.flaw is Flaw.DEVIATOR and observation.round == DEVIATION_ROUND:

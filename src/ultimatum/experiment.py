@@ -467,10 +467,6 @@ class GroupCounts:
     def gameplay_errors(self) -> int:
         return self.gameplay_only + self.both
 
-    @property
-    def human_rate(self) -> Fraction | None:
-        return Fraction(self.none, self.ok) if self.ok else None
-
     def __add__(self, other: "GroupCounts") -> "GroupCounts":
         return GroupCounts(
             **{

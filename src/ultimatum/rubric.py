@@ -17,8 +17,9 @@ after a full string of rejections they are expected to take any nonzero
 offer in the final round rather than walk away with nothing.
 
 An action that breaks a generic band while faithfully following the
-player's own declared strategy is charged to the strategy (which is where
-the flaw lives), not to gameplay. The final-round capitulation
+player's own declared strategy (`strategy.follows`, the same rule that
+decides adherence) is charged to the strategy (which is where the flaw
+lives), not to gameplay. The final-round capitulation
 expectation is never excused that way. Gameplay is judged on observed
 actions only, never on counterfactual states.
 """
@@ -30,17 +31,12 @@ from dataclasses import dataclass
 
 from .engine import Decision, RoundOutcome
 from .strategy import (
-    PersonalityPair,
-    PrescribedDecision,
-    PrescribedOffer,
     Role,
-    StrategySpec,
-    UncoveredStateError,
     bands_for,
     check_adherence,
     check_completeness,
     check_personality_consistency,
-    prescribed_action,
+    follows,
 )
 from .transcripts import Transcript
 
@@ -71,9 +67,9 @@ class Verdict:
 
     The error class partitions runs: NONE means every boolean is true;
     BOTH means at least one strategy boolean and at least one gameplay
-    boolean (adherence or human consistency) failed. A consistency check
-    that was undecidable because the deciding field is missing counts as
-    true here; the absence itself is already a completeness failure.
+    boolean (adherence or human consistency) failed. A strategy whose
+    deciding field is missing passes the consistency check; the absence
+    itself is already a completeness failure.
     """
 
     proposer_strategy_complete: bool
@@ -108,16 +104,10 @@ class Verdict:
             return ErrorClass.NONE if self.gameplay_ok else ErrorClass.GAMEPLAY_ONLY
         return ErrorClass.STRATEGY_ONLY if self.gameplay_ok else ErrorClass.BOTH
 
-    @property
-    def human_consistent(self) -> bool:
-        return self.error_class is ErrorClass.NONE
 
-
-def _round_flags(
-    transcript: Transcript, pair: PersonalityPair, outcome: RoundOutcome
-) -> list[RoundFlag]:
+def _round_flags(transcript: Transcript, outcome: RoundOutcome) -> list[RoundFlag]:
     """Generic band breaks of one observed round, before any is excused."""
-    bands = bands_for(transcript.config.pot)
+    bands, pair = bands_for(transcript.config.pot), transcript.pair
     r, offer, decision = outcome.round, outcome.offer, outcome.decision
     flags: list[RoundFlag] = []
     if r == 1:
@@ -156,68 +146,41 @@ def _round_flags(
 _NON_OVERRIDABLE_RULES = frozenset({"final_round_capitulation"})
 
 
-def _sanctioned_by_strategy(
-    flag: RoundFlag, specs: tuple[StrategySpec, StrategySpec], transcript: Transcript
-) -> bool:
-    if flag.rule in _NON_OVERRIDABLE_RULES:
-        return False
-    spec = specs[0] if flag.role is Role.PROPOSER else specs[1]
-    outcome = transcript.rounds[flag.round - 1]
-    try:
-        prescribed = prescribed_action(
-            spec,
-            transcript.config,
-            transcript.rounds[: flag.round - 1],
-            flag.round,
-            pending_offer=outcome.offer if flag.role is Role.RECEIVER else None,
-        )
-    except UncoveredStateError:
-        return False
-    if isinstance(prescribed, PrescribedOffer):
-        return prescribed.contains(outcome.offer, slack=bands_for(transcript.config.pot).slack)
-    assert isinstance(prescribed, PrescribedDecision)
-    return prescribed.decision is outcome.decision
-
-
-def evaluate_transcript(
-    transcript: Transcript,
-    pair: PersonalityPair | None = None,
-    specs: tuple[StrategySpec, StrategySpec] | None = None,
-) -> Verdict:
+def evaluate_transcript(transcript: Transcript) -> Verdict:
     """Grade a full transcript into a Verdict.
 
-    pair and specs default to what the transcript carries. Requires every
-    configured round to be present in order (MalformedTranscriptError
-    otherwise). Pure function of its inputs: the transcript carries its
-    pot, so re-grading a stored transcript always reproduces the verdict.
+    Requires every configured round to be present in order
+    (MalformedTranscriptError otherwise). Pure function of the transcript:
+    it carries its pot, pair and strategies, so re-grading a stored
+    transcript always reproduces the verdict.
     """
-    pair = pair if pair is not None else transcript.pair
-    specs = specs if specs is not None else transcript.strategies
-    game = transcript.config
+    game, pair, specs = transcript.config, transcript.pair, transcript.strategies
     numbers = [o.round for o in transcript.rounds]
     if numbers != list(range(1, game.rounds + 1)):
         raise MalformedTranscriptError(
             f"expected rounds 1..{game.rounds}, got {numbers}"
         )
     prop_spec, recv_spec = specs
-    adherence = check_adherence(specs, transcript)
+    proposer_adherent, receiver_adherent = check_adherence(specs, transcript)
+    spec_of = {Role.PROPOSER: prop_spec, Role.RECEIVER: recv_spec}
     flags = [
         flag
         for outcome in transcript.rounds
-        for flag in _round_flags(transcript, pair, outcome)
-        if not _sanctioned_by_strategy(flag, specs, transcript)
+        for flag in _round_flags(transcript, outcome)
+        if flag.rule in _NON_OVERRIDABLE_RULES
+        or not follows(spec_of[flag.role], transcript, flag.round)
     ]
     return Verdict(
-        proposer_strategy_complete=check_completeness(prop_spec, game).complete,
-        receiver_strategy_complete=check_completeness(recv_spec, game).complete,
+        proposer_strategy_complete=check_completeness(prop_spec, game),
+        receiver_strategy_complete=check_completeness(recv_spec, game),
         proposer_strategy_consistent=check_personality_consistency(
             prop_spec, pair.proposer, game
-        ).consistent is not False,
+        ),
         receiver_strategy_consistent=check_personality_consistency(
             recv_spec, pair.receiver, game
-        ).consistent is not False,
-        proposer_adherent=adherence.proposer_adherent,
-        receiver_adherent=adherence.receiver_adherent,
+        ),
+        proposer_adherent=proposer_adherent,
+        receiver_adherent=receiver_adherent,
         gameplay_human_consistent=not flags,
         per_round_flags=tuple(flags),
     )

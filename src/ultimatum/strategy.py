@@ -7,12 +7,15 @@ cut-off the proposer will not concede past. Receiver plans are per-round
 acceptance thresholds, optionally replaced in the final round by a
 capitulation rule.
 
-Three independent questions are asked of a strategy:
+Three independent questions are asked of a strategy, each answered yes
+or no:
 
 * completeness - does it prescribe a move for every reachable state?
 * personality consistency - does its opening intent match the assigned
   personality (fair or greedy)?
-* adherence - did the observed play follow it?
+* adherence - did the observed play follow it? `follows` answers this for
+  one round and is the only place an observed action is compared with
+  the move the strategy prescribes.
 
 A strategy may be complete yet inconsistent, or consistent yet ignored in
 play; the grading rubric combines these verdicts, this module only
@@ -202,7 +205,10 @@ class ReceiverStrategy:
 
     threshold applies to every round not named in round_thresholds. A
     threshold of pot+1 encodes "reject everything". final_round_rule, when
-    present, governs the last round instead of the threshold.
+    present, governs the last round: ACCEPT_ANY_NONZERO takes any offer of
+    a cent or more, KEEP_THRESHOLD applies the threshold of the round
+    before unless round_thresholds names the last round (a plan with
+    neither leaves the last round uncovered).
     """
 
     threshold: Money | None = None
@@ -232,63 +238,43 @@ class StrategySpec:
 # ---------------------------------------------------------------------------
 
 
-class GapKind(enum.Enum):
-    NO_INITIAL_OFFER = "no_initial_offer"
-    NO_ACCEPT_BRANCH = "no_accept_branch"
-    NO_REJECT_BRANCH = "no_reject_branch"
-    UNCOVERED_ROUND = "uncovered_round"
+def _threshold(plan: ReceiverStrategy, round_no: int, rounds: int) -> Money | None:
+    """The acceptance threshold a receiver plan sets for a round; None if uncovered.
+
+    In the final round "accept any nonzero offer" caps the threshold at one
+    cent, and "keep the threshold" carries over the one of the round before
+    unless the plan names one for the final round itself.
+    """
+    if (
+        round_no == rounds
+        and plan.final_round_rule is FinalRoundRule.KEEP_THRESHOLD
+        and round_no not in plan.round_thresholds
+    ):
+        return plan.threshold_for(round_no - 1)
+    threshold = plan.threshold_for(round_no)
+    if round_no == rounds and plan.final_round_rule is FinalRoundRule.ACCEPT_ANY_NONZERO:
+        return 1 if threshold is None else min(threshold, 1)
+    return threshold
 
 
-@dataclass(frozen=True)
-class Gap:
-    kind: GapKind
-    round: int | None = None
-
-    def describe(self) -> str:
-        if self.kind is GapKind.UNCOVERED_ROUND:
-            return f"no threshold for round {self.round}"
-        return {
-            GapKind.NO_INITIAL_OFFER: "no opening offer",
-            GapKind.NO_ACCEPT_BRANCH: "no rule for after an acceptance",
-            GapKind.NO_REJECT_BRANCH: "no rule for after a rejection",
-        }[self.kind]
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    complete: bool
-    missing_cases: tuple[Gap, ...] = ()
-
-
-def check_completeness(spec: StrategySpec, config: GameConfig) -> CompletenessReport:
-    """Decide whether the strategy prescribes a move for every reachable state.
+def check_completeness(spec: StrategySpec, config: GameConfig) -> bool:
+    """Does the strategy prescribe a move for every reachable state?
 
     A proposer plan is complete when it names an opening offer and covers
     both continuations (previous offer accepted / rejected). Cut-offs are
     optional refinements and never counted against completeness. A
     receiver plan is complete when every round has a threshold (a blanket
-    threshold covers all rounds; a final-round rule covers the last).
+    threshold covers all rounds; a final-round rule can cover the last),
+    which is when `prescribed_action` answers for every round.
     """
-    gaps: list[Gap] = []
-    if spec.role is Role.PROPOSER:
-        plan = spec.parsed
-        assert isinstance(plan, ProposerStrategy)
-        if plan.initial_offer is None:
-            gaps.append(Gap(GapKind.NO_INITIAL_OFFER))
-        if plan.on_accept is None:
-            gaps.append(Gap(GapKind.NO_ACCEPT_BRANCH))
-        if plan.on_reject is None:
-            gaps.append(Gap(GapKind.NO_REJECT_BRANCH))
-    else:
-        plan = spec.parsed
-        assert isinstance(plan, ReceiverStrategy)
-        for r in range(1, config.rounds + 1):
-            covered = plan.threshold_for(r) is not None
-            if r == config.rounds and plan.final_round_rule is not None:
-                covered = True
-            if not covered:
-                gaps.append(Gap(GapKind.UNCOVERED_ROUND, round=r))
-    return CompletenessReport(complete=not gaps, missing_cases=tuple(gaps))
+    plan = spec.parsed
+    if isinstance(plan, ProposerStrategy):
+        return all(
+            part is not None for part in (plan.initial_offer, plan.on_accept, plan.on_reject)
+        )
+    return all(
+        _threshold(plan, r, config.rounds) is not None for r in range(1, config.rounds + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,60 +282,28 @@ def check_completeness(spec: StrategySpec, config: GameConfig) -> CompletenessRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """consistent is None when the deciding field is absent from the plan;
-    that absence is charged to completeness, not consistency."""
-
-    consistent: bool | None
-    reason: str
-
-
 def check_personality_consistency(
     spec: StrategySpec, personality: Personality, config: GameConfig
-) -> ConsistencyReport:
-    """Judge the declared first-round intent against the personality.
+) -> bool:
+    """Does the declared first-round intent fit the personality's band?
 
     Only the opening matters here: later-round adjustments are judged
-    against observed play, not against the personality.
+    against observed play, not against the personality. A plan that leaves
+    the deciding field out passes, because completeness already charges
+    that gap.
     """
     bands = bands_for(config.pot)
-    if spec.role is Role.PROPOSER:
-        plan = spec.parsed
-        assert isinstance(plan, ProposerStrategy)
-        if plan.initial_offer is None:
-            return ConsistencyReport(None, "no opening offer declared")
-        what = f"opening offer {plan.initial_offer}"
-        fits = bands.offer_fits(personality, plan.initial_offer)
-    else:
-        plan = spec.parsed
-        assert isinstance(plan, ReceiverStrategy)
-        threshold = plan.threshold_for(1)
-        if threshold is None:
-            return ConsistencyReport(None, "no round-1 threshold declared")
-        what = f"round-1 threshold {threshold}"
-        fits = bands.threshold_fits(personality, threshold)
-    where = "within" if fits else "outside"
-    return ConsistencyReport(fits, f"{what} {where} the {personality.value} band")
+    plan = spec.parsed
+    if isinstance(plan, ProposerStrategy):
+        offer = plan.initial_offer
+        return offer is None or bands.offer_fits(personality, offer)
+    threshold = plan.threshold_for(1)
+    return threshold is None or bands.threshold_fits(personality, threshold)
 
 
 # ---------------------------------------------------------------------------
 # Prescribed actions and adherence
 # ---------------------------------------------------------------------------
-
-
-class UncoveredStateError(Exception):
-    """The strategy has no rule for the queried state.
-
-    The gap is a completeness problem, so callers checking adherence skip
-    the state rather than counting a deviation.
-    """
-
-    def __init__(self, role: Role, round_no: int, reason: str) -> None:
-        super().__init__(f"{role.value} strategy uncovered at round {round_no}: {reason}")
-        self.role = role
-        self.round_no = round_no
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -358,9 +312,6 @@ class PrescribedOffer:
 
     lo: Money
     hi: Money
-
-    def contains(self, offer: Money, slack: Money = 0) -> bool:
-        return self.lo - slack <= offer <= self.hi + slack
 
 
 @dataclass(frozen=True)
@@ -377,15 +328,14 @@ def prescribed_action(
     history: Sequence[RoundOutcome],
     round_no: int,
     pending_offer: Money | None = None,
-) -> PrescribedAction:
-    """The move the strategy dictates at the given state.
+) -> PrescribedAction | None:
+    """The move the strategy dictates at the given state, or None if it has no rule.
 
     Pure function of its inputs. history holds the completed rounds before
     round_no; receivers additionally need the offer on the table. A step
     the plan left open may be anything in the pot's concession band.
 
     Raises:
-        UncoveredStateError: the plan has no rule for this state.
         ValueError: the query itself is malformed (history too short,
             receiver query without a pending offer).
     """
@@ -394,18 +344,16 @@ def prescribed_action(
     if len(history) < round_no - 1:
         raise ValueError(f"history has {len(history)} rounds, need {round_no - 1}")
 
-    if spec.role is Role.PROPOSER:
-        plan = spec.parsed
-        assert isinstance(plan, ProposerStrategy)
+    plan = spec.parsed
+    if isinstance(plan, ProposerStrategy):
         if round_no == 1:
             if plan.initial_offer is None:
-                raise UncoveredStateError(spec.role, round_no, "no opening offer")
+                return None
             return PrescribedOffer(plan.initial_offer, plan.initial_offer)
         prev = history[round_no - 2]
         rule = plan.on_accept if prev.decision is Decision.ACCEPT else plan.on_reject
         if rule is None:
-            branch = "acceptance" if prev.decision is Decision.ACCEPT else "rejection"
-            raise UncoveredStateError(spec.role, round_no, f"no rule after {branch}")
+            return None
         lo, hi = _apply_adjust(rule, prev.offer, config.pot)
         if plan.cutoff is not None and plan.cutoff.limit is not None:
             lo = min(lo, plan.cutoff.limit)
@@ -414,25 +362,12 @@ def prescribed_action(
         hi = max(0, min(hi, config.pot))
         return PrescribedOffer(lo, hi)
 
-    plan = spec.parsed
-    assert isinstance(plan, ReceiverStrategy)
     if pending_offer is None:
         raise ValueError("receiver prescription needs the pending offer")
-    if (
-        round_no == config.rounds
-        and plan.final_round_rule is FinalRoundRule.ACCEPT_ANY_NONZERO
-        and pending_offer >= 1
-    ):
-        return PrescribedDecision(Decision.ACCEPT)
-    threshold = plan.threshold_for(round_no)
+    threshold = _threshold(plan, round_no, config.rounds)
     if threshold is None:
-        if round_no == config.rounds and plan.final_round_rule is not None:
-            # Capitulation rule with a zero offer on the table: nothing to gain.
-            return PrescribedDecision(Decision.REJECT)
-        raise UncoveredStateError(spec.role, round_no, "no threshold for this round")
-    if pending_offer >= threshold:
-        return PrescribedDecision(Decision.ACCEPT)
-    return PrescribedDecision(Decision.REJECT)
+        return None
+    return PrescribedDecision(Decision.ACCEPT if pending_offer >= threshold else Decision.REJECT)
 
 
 def _apply_adjust(rule: AdjustRule, prev_offer: Money, pot: Money) -> tuple[Money, Money]:
@@ -450,71 +385,44 @@ def _apply_adjust(rule: AdjustRule, prev_offer: Money, pot: Money) -> tuple[Mone
     return prev_offer - hi_step, prev_offer - lo_step
 
 
-@dataclass(frozen=True)
-class Deviation:
-    round: int
-    role: Role
-    expected: str
-    actual: str
+def follows(spec: StrategySpec, transcript: "Transcript", round_no: int) -> bool | None:
+    """Did the player's action in this round follow its declared strategy?
 
-
-@dataclass(frozen=True)
-class AdherenceReport:
-    proposer_adherent: bool
-    receiver_adherent: bool
-    deviations: tuple[Deviation, ...] = ()
+    None when the strategy does not cover the state (the gap is charged to
+    completeness). Proposer plans are often qualitative ("around half"), so
+    an offer follows within the pot's slack of the prescribed range;
+    decisions are discrete and must match exactly.
+    """
+    outcome = transcript.rounds[round_no - 1]
+    prescribed = prescribed_action(
+        spec,
+        transcript.config,
+        transcript.rounds[: round_no - 1],
+        round_no,
+        pending_offer=outcome.offer if spec.role is Role.RECEIVER else None,
+    )
+    if prescribed is None:
+        return None
+    if isinstance(prescribed, PrescribedOffer):
+        slack = bands_for(transcript.config.pot).slack
+        return prescribed.lo - slack <= outcome.offer <= prescribed.hi + slack
+    return prescribed.decision is outcome.decision
 
 
 def check_adherence(
     specs: tuple[StrategySpec, StrategySpec],
     transcript: "Transcript",
-) -> AdherenceReport:
-    """Compare observed play against what the declared strategies dictate.
+) -> tuple[bool, bool]:
+    """(proposer adherent, receiver adherent): did observed play follow the strategies?
 
-    States the strategy does not cover are skipped (the gap is already
-    charged to completeness). Proposer plans are often qualitative
-    ("around half"), so an offer counts as adherent within the pot's slack
-    of the prescribed range; decisions are discrete and must match exactly.
+    A player is adherent when no round contradicts its strategy; states the
+    strategy does not cover are skipped.
     """
     proposer_spec, receiver_spec = specs
     if proposer_spec.role is not Role.PROPOSER or receiver_spec.role is not Role.RECEIVER:
         raise ValueError("specs must be (proposer, receiver)")
-    config = transcript.config
-    slack = bands_for(config.pot).slack
-    deviations: list[Deviation] = []
-    for outcome in transcript.rounds:
-        r = outcome.round
-        history = transcript.rounds[: r - 1]
-        try:
-            prescribed = prescribed_action(proposer_spec, config, history, r)
-        except UncoveredStateError:
-            prescribed = None
-        if isinstance(prescribed, PrescribedOffer) and not prescribed.contains(
-            outcome.offer, slack=slack
-        ):
-            expected = (
-                f"offer in [{prescribed.lo}, {prescribed.hi}]"
-                if prescribed.lo != prescribed.hi
-                else f"offer {prescribed.lo}"
-            )
-            deviations.append(
-                Deviation(r, Role.PROPOSER, expected, f"offer {outcome.offer}")
-            )
-        try:
-            prescribed = prescribed_action(
-                receiver_spec, config, history, r, pending_offer=outcome.offer
-            )
-        except UncoveredStateError:
-            prescribed = None
-        if (
-            isinstance(prescribed, PrescribedDecision)
-            and outcome.decision is not prescribed.decision
-        ):
-            deviations.append(
-                Deviation(r, Role.RECEIVER, prescribed.decision.value, outcome.decision.value)
-            )
-    return AdherenceReport(
-        proposer_adherent=not any(d.role is Role.PROPOSER for d in deviations),
-        receiver_adherent=not any(d.role is Role.RECEIVER for d in deviations),
-        deviations=tuple(deviations),
+    proposer_adherent, receiver_adherent = (
+        all(follows(spec, transcript, o.round) is not False for o in transcript.rounds)
+        for spec in specs
     )
+    return proposer_adherent, receiver_adherent

@@ -748,17 +748,16 @@ def _agent_strategy_text(pre: str, who: str) -> tuple[str, bool]:
             buf.append(line)
     if buf:
         return "\n".join(buf).strip(), True
-    # No [Strategy] label: keep everything except architecture chatter.
-    kept = [
-        ln
-        for ln in lines
-        if not _BRACKET_LABEL_RE.match(ln) or _BRACKET_LABEL_RE.match(ln).group("rest")
-    ]
-    text = "\n".join(
-        _BRACKET_LABEL_RE.match(ln).group("rest") if _BRACKET_LABEL_RE.match(ln) else ln
-        for ln in kept
-        if not (_BRACKET_LABEL_RE.match(ln) and _BRACKET_LABEL_RE.match(ln).group("label").strip().lower() == "plan")
-    ).strip()
+    # No [Strategy] label: keep everything except architecture chatter
+    # ([Plan] lines and bare labels), unlabelled.
+    kept: list[str] = []
+    for line in lines:
+        m = _BRACKET_LABEL_RE.match(line)
+        if m is None:
+            kept.append(line)
+        elif m.group("rest") and m.group("label").strip().lower() != "plan":
+            kept.append(m.group("rest"))
+    text = "\n".join(kept).strip()
     if not text:
         raise UnparseableLogError(f"{who} log: strategy section not found")
     return text, False

@@ -1,5 +1,4 @@
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -293,7 +292,8 @@ class TestFailedRuns:
         assert summary.ok == 2
         assert summary.failed == 1
         cell = summary.by_cell[("single_model", "fair-fair")]
-        assert cell.human_rate == Fraction(2, 2)
+        assert (cell.ok, cell.none) == (2, 2)
+        assert "cell,single_model/fair-fair,human_rate,100" in render_report(summary, fmt="csv")
 
 
 class TestRunStore:
@@ -371,10 +371,12 @@ class TestGroupCounts:
         assert counts.errors == 23
         assert counts.strategy_errors == 17
         assert counts.gameplay_errors == 9
-        assert counts.human_rate == Fraction(7, 30)
 
     def test_empty_group_has_no_rate(self):
-        assert count_group([]).human_rate is None
+        # A cell whose every run failed has nothing graded to take a rate of.
+        failed = {"run_id": "x", "status": "failed", "structure": "single_model", "pair": "fair-fair"}
+        report = render_report(aggregate([failed]), fmt="csv")
+        assert "cell,single_model/fair-fair,human_rate,-" in report.splitlines()
 
 
 class TestAggregate:

@@ -1,7 +1,12 @@
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import ACC, REJ, FIXTURES, build_transcript
-from ultimatum.engine import Decision
+from ultimatum import engine
+from ultimatum.engine import Decision, GameConfig
 from ultimatum.rubric import (
     ErrorClass,
     MalformedTranscriptError,
@@ -9,13 +14,21 @@ from ultimatum.rubric import (
     evaluate_transcript,
 )
 from ultimatum.strategy import (
+    ALL_PAIRS,
+    MIN_POT,
+    AdjustKind,
+    AdjustRule,
+    CutoffRule,
+    FinalRoundRule,
     PersonalityPair,
     ProposerStrategy,
     ReceiverStrategy,
     Role,
     StrategySpec,
+    bands_for,
+    prescribed_action,
 )
-from ultimatum.transcripts import parse_single_model_log
+from ultimatum.transcripts import Structure, Transcript, parse_single_model_log
 
 GREEDY_GREEDY = PersonalityPair.from_label("greedy-greedy")
 
@@ -27,10 +40,14 @@ NO_PLANS = (
 )
 
 
+def without_plans(t: Transcript) -> Transcript:
+    return dataclasses.replace(t, strategies=NO_PLANS)
+
+
 def opening_rules(offer, decision, pair):
     """Rules broken by a one-round game at the default pot."""
     t = build_transcript([offer], [decision], pair=pair)
-    return {f.rule for f in evaluate_transcript(t, specs=NO_PLANS).per_round_flags}
+    return {f.rule for f in evaluate_transcript(without_plans(t)).per_round_flags}
 
 
 class TestOpeningOffer:
@@ -81,7 +98,7 @@ class TestSubsequentRounds:
         t = build_transcript(
             offers + [offers[-1]] * pad, decisions + [ACC] * pad, pair=pair, rounds=5
         )
-        verdict = evaluate_transcript(t, specs=NO_PLANS)
+        verdict = evaluate_transcript(without_plans(t))
         return {f.role for f in verdict.per_round_flags if f.round == round_no}
 
     def test_small_move_after_acceptance_is_fine(self):
@@ -115,7 +132,6 @@ class TestEvaluateTranscript:
         t = build_transcript([50, 50, 50, 50, 50], [ACC] * 5)
         verdict = evaluate_transcript(t)
         assert verdict.error_class is ErrorClass.NONE
-        assert verdict.human_consistent
         assert verdict.per_round_flags == ()
 
     def test_incomplete_strategy_alone_is_a_strategy_error(self):
@@ -160,7 +176,7 @@ class TestEvaluateTranscript:
         assert verdict.per_round_flags == ()
 
         # Graded against plans that sanction nothing, the break is gameplay too.
-        verdict = evaluate_transcript(t, specs=NO_PLANS)
+        verdict = evaluate_transcript(without_plans(t))
         assert verdict.error_class is ErrorClass.BOTH
         assert any(f.rule == "opening_decision_band" for f in verdict.per_round_flags)
 
@@ -199,6 +215,22 @@ class TestEvaluateTranscript:
         assert flag.round == 3
         assert flag.role.value == "proposer"
 
+    def test_keeping_the_threshold_in_the_final_round_is_followed(self):
+        # The final round keeps round 4's 65-cent threshold, so accepting 65
+        # follows the plan.
+        t = build_transcript(
+            [50, 55, 60, 65, 65],
+            [REJ, REJ, REJ, ACC, ACC],
+            pair="fair-greedy",
+            receiver_text="I will accept at least $0.65 in rounds 1 through 4. "
+            "In the final round, I will keep the same threshold.",
+        )
+        assert t.strategies[1].parsed.final_round_rule is FinalRoundRule.KEEP_THRESHOLD
+        verdict = evaluate_transcript(t)
+        assert verdict.receiver_strategy_complete
+        assert verdict.receiver_adherent
+        assert verdict.error_class is ErrorClass.NONE
+
     def test_incomplete_transcript_is_malformed(self):
         t = build_transcript([50, 50], [ACC, ACC], rounds=5)
         with pytest.raises(MalformedTranscriptError):
@@ -211,4 +243,53 @@ class TestVerdictProperties:
         verdict = evaluate_transcript(t)
         assert verdict.strategy_ok
         assert verdict.gameplay_ok
-        assert verdict.human_consistent
+        assert verdict.error_class is ErrorClass.NONE
+
+
+_STEPS = st.sampled_from([AdjustKind.INCREASE_BY, AdjustKind.DECREASE_BY])
+
+
+@given(pot=st.integers(min_value=MIN_POT, max_value=1000), rounds=st.integers(1, 8), data=st.data())
+def test_followed_complete_plans_excuse_every_overridable_flag(pot, rounds, data):
+    """Adherence and the excusing of band breaks apply one rule.
+
+    Both players follow complete plans (offers drift within the pot's
+    slack), so the game is adherent, and every band break it shows is
+    sanctioned by a plan except the capitulation rule, which no plan
+    excuses.
+    """
+    amount = st.integers(0, pot)
+    rule = st.one_of(
+        st.just(AdjustRule(AdjustKind.KEEP)),
+        st.builds(AdjustRule, _STEPS, st.none() | st.integers(0, pot // 4)),
+        st.builds(AdjustRule, st.just(AdjustKind.SET_TO), amount),
+    )
+    proposer = ProposerStrategy(
+        initial_offer=data.draw(amount),
+        on_accept=data.draw(rule),
+        on_reject=data.draw(rule),
+        cutoff=data.draw(st.none() | st.builds(CutoffRule, amount)),
+    )
+    threshold = st.integers(0, pot + 1)
+    receiver = ReceiverStrategy(
+        threshold=data.draw(threshold),
+        round_thresholds=data.draw(st.dictionaries(st.integers(1, rounds), threshold)),
+        final_round_rule=data.draw(st.none() | st.sampled_from(FinalRoundRule)),
+    )
+    specs = (StrategySpec(Role.PROPOSER, "", proposer), StrategySpec(Role.RECEIVER, "", receiver))
+    config = GameConfig(pot=pot, rounds=rounds)
+    slack = bands_for(pot).slack
+    state = engine.new_game(config)
+    for r in range(1, rounds + 1):
+        planned = prescribed_action(specs[0], config, state.history, r)
+        offer = data.draw(st.integers(max(0, planned.lo - slack), min(pot, planned.hi + slack)))
+        state = engine.submit_offer(state, offer)
+        decision = prescribed_action(specs[1], config, state.history, r, pending_offer=offer)
+        state, _ = engine.submit_decision(state, decision.decision)
+    pair = data.draw(st.sampled_from(ALL_PAIRS))
+    t = Transcript(config, pair, Structure.SINGLE_MODEL, specs, state.history)
+
+    verdict = evaluate_transcript(t)
+    assert verdict.proposer_strategy_complete and verdict.receiver_strategy_complete
+    assert verdict.proposer_adherent and verdict.receiver_adherent
+    assert {f.rule for f in verdict.per_round_flags} <= {"final_round_capitulation"}

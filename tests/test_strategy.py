@@ -11,7 +11,6 @@ from ultimatum.strategy import (
     AdjustRule,
     CutoffRule,
     FinalRoundRule,
-    GapKind,
     Personality,
     PersonalityPair,
     PrescribedDecision,
@@ -20,11 +19,11 @@ from ultimatum.strategy import (
     ReceiverStrategy,
     Role,
     StrategySpec,
-    UncoveredStateError,
     check_adherence,
     check_completeness,
     check_personality_consistency,
     bands_for,
+    follows,
     prescribed_action,
 )
 
@@ -99,26 +98,18 @@ class TestThresholdLookup:
 
 class TestCompleteness:
     def test_full_proposer_plan_is_complete(self):
-        report = check_completeness(proposer_spec(FULL_PROPOSER), CONFIG)
-        assert report.complete
-        assert report.missing_cases == ()
+        assert check_completeness(proposer_spec(FULL_PROPOSER), CONFIG) is True
 
     @pytest.mark.parametrize(
-        "kwargs,expected",
-        [
-            ({"initial_offer": None}, GapKind.NO_INITIAL_OFFER),
-            ({"on_accept": None}, GapKind.NO_ACCEPT_BRANCH),
-            ({"on_reject": None}, GapKind.NO_REJECT_BRANCH),
-        ],
+        "kwargs", [{"initial_offer": None}, {"on_accept": None}, {"on_reject": None}]
     )
-    def test_each_missing_proposer_case_is_reported(self, kwargs, expected):
+    def test_each_missing_proposer_case_is_reported(self, kwargs):
         plan = ProposerStrategy(
             initial_offer=kwargs.get("initial_offer", 50),
             on_accept=kwargs.get("on_accept", AdjustRule(AdjustKind.KEEP)),
             on_reject=kwargs.get("on_reject", AdjustRule(AdjustKind.INCREASE_BY, 5)),
         )
-        report = check_completeness(proposer_spec(plan), CONFIG)
-        assert [g.kind for g in report.missing_cases] == [expected]
+        assert check_completeness(proposer_spec(plan), CONFIG) is False
 
     def test_cutoff_is_optional(self):
         with_cutoff = ProposerStrategy(
@@ -127,63 +118,68 @@ class TestCompleteness:
             on_reject=AdjustRule(AdjustKind.INCREASE_BY, 5),
             cutoff=CutoffRule(limit=None),
         )
-        assert check_completeness(proposer_spec(with_cutoff), CONFIG).complete
+        assert check_completeness(proposer_spec(with_cutoff), CONFIG)
 
     def test_blanket_receiver_plan_is_complete(self):
-        assert check_completeness(receiver_spec(FULL_RECEIVER), CONFIG).complete
+        assert check_completeness(receiver_spec(FULL_RECEIVER), CONFIG)
 
     def test_uncovered_rounds_are_listed(self):
         plan = ReceiverStrategy(round_thresholds={1: 40, 2: 40})
-        report = check_completeness(receiver_spec(plan), CONFIG)
-        assert [g.round for g in report.missing_cases] == [3, 4, 5]
-        assert {g.kind for g in report.missing_cases} == {GapKind.UNCOVERED_ROUND}
+        assert check_completeness(receiver_spec(plan), CONFIG) is False
+        for covered in range(3, 6):
+            # Every round through the last needs its own threshold.
+            plan = ReceiverStrategy(round_thresholds={r: 40 for r in range(1, covered + 1)})
+            assert check_completeness(receiver_spec(plan), CONFIG) is (covered == 5)
 
     def test_final_round_rule_covers_the_last_round(self):
         plan = ReceiverStrategy(
             round_thresholds={1: 40, 2: 40, 3: 40, 4: 40},
             final_round_rule=FinalRoundRule.ACCEPT_ANY_NONZERO,
         )
-        assert check_completeness(receiver_spec(plan), CONFIG).complete
+        assert check_completeness(receiver_spec(plan), CONFIG)
+
+    def test_keeping_the_threshold_needs_one_to_keep(self):
+        keep = FinalRoundRule.KEEP_THRESHOLD
+        kept = ReceiverStrategy(round_thresholds={1: 65, 2: 65, 3: 65, 4: 65}, final_round_rule=keep)
+        assert check_completeness(receiver_spec(kept), CONFIG)
+        # A one-round game has no earlier round whose threshold could be kept.
+        nothing_to_keep = ReceiverStrategy(final_round_rule=keep)
+        assert check_completeness(receiver_spec(nothing_to_keep), GameConfig(rounds=1)) is False
 
     def test_reject_everything_is_still_complete(self):
         plan = ReceiverStrategy(threshold=CONFIG.pot + 1)
-        assert check_completeness(receiver_spec(plan), CONFIG).complete
+        assert check_completeness(receiver_spec(plan), CONFIG)
 
 
 class TestConsistency:
     @pytest.mark.parametrize("offer,expected", [(39, False), (40, True), (60, True), (61, False)])
     def test_fair_proposer_band_is_inclusive(self, offer, expected):
         plan = ProposerStrategy(initial_offer=offer, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG)
-        assert report.consistent is expected
+        assert check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG) is expected
 
     @pytest.mark.parametrize("offer,expected", [(49, True), (50, False)])
     def test_greedy_proposer_opens_below_half(self, offer, expected):
         plan = ProposerStrategy(initial_offer=offer, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.GREEDY, CONFIG)
-        assert report.consistent is expected
+        assert check_personality_consistency(proposer_spec(plan), Personality.GREEDY, CONFIG) is expected
 
     @pytest.mark.parametrize("threshold,expected", [(39, False), (40, True), (50, True), (51, False)])
     def test_fair_receiver_band(self, threshold, expected):
         plan = ReceiverStrategy(threshold=threshold)
-        report = check_personality_consistency(receiver_spec(plan), Personality.FAIR, CONFIG)
-        assert report.consistent is expected
+        assert check_personality_consistency(receiver_spec(plan), Personality.FAIR, CONFIG) is expected
 
     @pytest.mark.parametrize("threshold,expected", [(50, False), (51, True), (101, True)])
     def test_greedy_receiver_band(self, threshold, expected):
         plan = ReceiverStrategy(threshold=threshold)
-        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG)
-        assert report.consistent is expected
+        assert check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG) is expected
 
     def test_missing_opening_intent_is_undecidable(self):
         plan = ProposerStrategy(initial_offer=None, on_accept=None, on_reject=None)
-        report = check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG)
-        assert report.consistent is None
+        # Completeness charges the gap, so consistency lets it pass.
+        assert check_personality_consistency(proposer_spec(plan), Personality.FAIR, CONFIG) is True
 
     def test_receiver_round_one_entry_decides(self):
         plan = ReceiverStrategy(round_thresholds={1: 55})
-        report = check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG)
-        assert report.consistent is True
+        assert check_personality_consistency(receiver_spec(plan), Personality.GREEDY, CONFIG) is True
 
 
 class TestPrescribedAction:
@@ -251,17 +247,29 @@ class TestPrescribedAction:
         assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=1) == PrescribedDecision(Decision.ACCEPT)
         assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=0) == PrescribedDecision(Decision.REJECT)
 
-    def test_uncovered_state_raises(self):
-        plan = ReceiverStrategy(round_thresholds={1: 40})
-        with pytest.raises(UncoveredStateError) as err:
-            prescribed_action(receiver_spec(plan), CONFIG, build_transcript([10], [REJ], rounds=5).rounds, 2, pending_offer=10)
-        assert err.value.round_no == 2
+    def test_final_round_keeps_the_previous_threshold(self):
+        plan = ReceiverStrategy(
+            round_thresholds={1: 65, 2: 65, 3: 65, 4: 65},
+            final_round_rule=FinalRoundRule.KEEP_THRESHOLD,
+        )
+        t = build_transcript([50, 55, 60, 65], [REJ, REJ, REJ, ACC], rounds=5)
+        spec = receiver_spec(plan)
+        assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=65) == PrescribedDecision(Decision.ACCEPT)
+        assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=64) == PrescribedDecision(Decision.REJECT)
+        # With no round-4 threshold there is nothing to keep.
+        gap = ReceiverStrategy(round_thresholds={1: 65, 2: 65, 3: 65}, final_round_rule=FinalRoundRule.KEEP_THRESHOLD)
+        assert prescribed_action(receiver_spec(gap), CONFIG, t.rounds, 5, pending_offer=65) is None
 
-    def test_uncovered_proposer_branch_raises(self):
+    def test_uncovered_state_is_none(self):
+        plan = ReceiverStrategy(round_thresholds={1: 40})
+        t = build_transcript([10], [REJ], rounds=5)
+        assert prescribed_action(receiver_spec(plan), CONFIG, t.rounds, 1, pending_offer=10) is not None
+        assert prescribed_action(receiver_spec(plan), CONFIG, t.rounds, 2, pending_offer=10) is None
+
+    def test_uncovered_proposer_branch_is_none(self):
         plan = ProposerStrategy(initial_offer=50, on_accept=None, on_reject=AdjustRule(AdjustKind.INCREASE_BY, 5))
         t = build_transcript([50], [ACC])
-        with pytest.raises(UncoveredStateError):
-            prescribed_action(proposer_spec(plan), CONFIG, t.rounds, 2)
+        assert prescribed_action(proposer_spec(plan), CONFIG, t.rounds, 2) is None
 
     def test_receiver_query_needs_a_pending_offer(self):
         with pytest.raises(ValueError):
@@ -275,32 +283,28 @@ class TestPrescribedAction:
 class TestAdherence:
     def test_clean_oracle_game_is_adherent(self):
         t = build_transcript([20, 25, 30, 35, 40], [REJ, REJ, REJ, REJ, ACC], pair="greedy-fair")
-        report = check_adherence(t.strategies, t)
-        assert report.proposer_adherent
-        assert report.receiver_adherent
-        assert report.deviations == ()
+        assert check_adherence(t.strategies, t) == (True, True)
+        assert all(follows(spec, t, r) for spec in t.strategies for r in range(1, 6))
 
     def test_offer_tolerance_is_five_cents(self):
         inside = build_transcript([50, 55], [ACC, ACC])
         outside = build_transcript([50, 56], [ACC, ACC])
-        assert check_adherence(inside.strategies, inside).proposer_adherent
-        report = check_adherence(outside.strategies, outside)
-        assert not report.proposer_adherent
-        assert report.deviations[0].round == 2
-        assert report.deviations[0].role is Role.PROPOSER
+        assert check_adherence(inside.strategies, inside) == (True, True)
+        assert check_adherence(outside.strategies, outside) == (False, True)
+        proposer = outside.strategies[0]
+        assert [follows(proposer, outside, r) for r in (1, 2)] == [True, False]
 
     def test_receiver_decisions_have_no_slack_by_default(self):
         t = build_transcript([39, 50, 50, 50, 50], [ACC, ACC, ACC, ACC, ACC])
-        report = check_adherence(t.strategies, t)
-        assert not report.receiver_adherent
-        slip = next(d for d in report.deviations if d.role is Role.RECEIVER)
-        assert slip.round == 1
+        assert check_adherence(t.strategies, t)[1] is False
+        receiver = t.strategies[1]
+        assert [follows(receiver, t, r) for r in range(1, 6)] == [False, True, True, True, True]
 
     def test_uncovered_states_are_skipped(self):
         text = "I will offer $0.50 in the first round."
         t = build_transcript([50, 90], [REJ, ACC], proposer_text=text)
-        report = check_adherence(t.strategies, t)
-        assert report.proposer_adherent
+        assert follows(t.strategies[0], t, 2) is None
+        assert check_adherence(t.strategies, t)[0] is True
 
     def test_specs_must_be_ordered(self):
         t = build_transcript([50], [ACC])
@@ -314,8 +318,8 @@ class TestOracleTexts:
         for role, personality in ((Role.PROPOSER, pair.proposer), (Role.RECEIVER, pair.receiver)):
             text = oracle_text(role, personality)
             spec = StrategySpec(role, text, parse_strategy_text(text, role, CONFIG))
-            assert check_completeness(spec, CONFIG).complete
-            assert check_personality_consistency(spec, personality, CONFIG).consistent
+            assert check_completeness(spec, CONFIG)
+            assert check_personality_consistency(spec, personality, CONFIG)
 
 
 @given(
