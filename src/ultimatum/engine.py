@@ -14,7 +14,7 @@ replayed, or diffed freely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Money is integer cents, always in [0, pot]. Floats never enter the engine.
 Money = int
@@ -128,7 +128,7 @@ def submit_offer(state: GameState, offer: Money) -> GameState:
         raise OfferOutOfRangeError(
             f"offer {offer} outside [0, {state.config.pot}]"
         )
-    return replace(state, phase=Phase.AWAITING_DECISION, pending_offer=offer)
+    return GameState(state.config, state.round_index, Phase.AWAITING_DECISION, state.history, offer)
 
 
 def submit_decision(state: GameState, decision: Decision) -> tuple[GameState, RoundOutcome]:
@@ -158,17 +158,9 @@ def submit_decision(state: GameState, decision: Decision) -> tuple[GameState, Ro
     )
     history = state.history + (outcome,)
     if len(history) >= state.config.rounds:
-        next_state = replace(
-            state, phase=Phase.FINISHED, history=history, pending_offer=None
-        )
+        next_state = GameState(state.config, state.round_index, Phase.FINISHED, history)
     else:
-        next_state = replace(
-            state,
-            round_index=state.round_index + 1,
-            phase=Phase.AWAITING_OFFER,
-            history=history,
-            pending_offer=None,
-        )
+        next_state = GameState(state.config, state.round_index + 1, Phase.AWAITING_OFFER, history)
     return next_state, outcome
 
 

@@ -9,11 +9,18 @@ one player's view. Parsing is two-tier:
 * tier 2 falls back to keyword and regex heuristics over free text when
   markers are absent or incomplete.
 
-Diagnostics report Exact confidence only when every extracted value came
-from a marker; if any heuristic fired the parse is Heuristic. Parsing
-never invents data: a round whose offer or decision cannot be located is
-an error, not a guess. Payoff lines in logs are advisory only; payoffs
-are always recomputed by the engine and mismatches become warnings.
+Each round segment is split and unlabelled once. Its offer and decision
+are each looked for among the tier-1 markers first; the tier-2 heuristics
+run only when no marker answered. Diagnostics report Exact confidence
+only when every extracted value came from a marker; if any heuristic
+fired the parse is Heuristic. Parsing never invents data: a round whose
+offer or decision cannot be located is an error, not a guess. Payoff
+lines in logs are advisory only; payoffs are always recomputed by the
+engine and mismatches become warnings.
+
+Strategy-text parses are pure, so `parse_strategy_text` memoizes them in
+a bounded, process-wide cache keyed by text, role and game config; the
+cached plans are never handed to callers to mutate.
 
 The canonical format is a versioned, line-oriented rendering of a parsed
 transcript that round-trips losslessly (see docs/transcript-format.md for
@@ -23,9 +30,11 @@ the field order).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine
 from .engine import Decision, GameConfig, Money, RoundOutcome
@@ -96,20 +105,21 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 # Alternatives are ordered so "$0.50" is consumed whole rather than as "$0".
-# Accepted forms: $0.50  $.50  $1  $1.25  50 cents  5 cents
+# Accepted forms: $0.50  $.50  $1  $1.25  $1,250.00  50 cents  5 cents  45¢
+# A comma counts as a thousands separator only before exactly three digits,
+# so "$1,250" is 125000 cents while "$1,25" stays "$1".
 _AMOUNT_RE = re.compile(
     r"""
-      \$(?P<dollars>\d+)\.(?P<frac>\d{1,2})   # $0.50, $1.25, $1.5
-    | \$\.(?P<frac_only>\d{1,2})              # $.50
-    | \$(?P<whole>\d+)                        # $1
-    | (?P<cents>\d+)\s*cents?\b               # 50 cents
+      \$(?P<dollars>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\.(?P<frac>\d{1,2})   # $0.50, $1.25, $1.5
+    | \$\.(?P<frac_only>\d{1,2})                                   # $.50
+    | \$(?P<whole>\d{1,3}(?:,\d{3})+(?!\d)|\d+)                       # $1, $1,250
+    | (?<!\d)(?P<cents>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\s*(?:cents?\b|¢)  # 50 cents, 45¢
     """,
     re.VERBOSE | re.IGNORECASE,
 )
 
 
-@dataclass(frozen=True)
-class AmountMatch:
+class AmountMatch(NamedTuple):
     cents: Money
     span: tuple[int, int]
     text: str
@@ -124,15 +134,16 @@ def extract_amounts(text: str) -> list[AmountMatch]:
     """All money amounts in the text, in document order, as integer cents."""
     out: list[AmountMatch] = []
     for m in _AMOUNT_RE.finditer(text):
-        if m.group("dollars") is not None:
-            cents = int(m.group("dollars")) * 100 + _frac_to_cents(m.group("frac"))
-        elif m.group("frac_only") is not None:
-            cents = _frac_to_cents(m.group("frac_only"))
-        elif m.group("whole") is not None:
-            cents = int(m.group("whole")) * 100
+        dollars, frac, frac_only, whole, cents = m.groups()
+        if dollars is not None:
+            value = int(dollars.replace(",", "")) * 100 + _frac_to_cents(frac)
+        elif frac_only is not None:
+            value = _frac_to_cents(frac_only)
+        elif whole is not None:
+            value = int(whole.replace(",", "")) * 100
         else:
-            cents = int(m.group("cents"))
-        out.append(AmountMatch(cents=cents, span=m.span(), text=m.group(0)))
+            value = int(cents.replace(",", ""))
+        out.append(AmountMatch(value, m.span(), m.group(0)))
     return out
 
 
@@ -230,8 +241,11 @@ def _round_candidates(text: str) -> list[tuple[int, int, int]]:
     for m in _ROUND_INLINE_RE.finditer(text):
         if m.end() in heading_ends:
             continue
-        head = text[: m.start()].rstrip(" \t*#>[(\"'")
-        if not head or head[-1] in ".!?\n":
+        # The character before the mention, past openers such as "**" or "[".
+        i = m.start()
+        while i and text[i - 1] in " \t*#>[(\"'":
+            i -= 1
+        if not i or text[i - 1] in ".!?\n":
             by_start[m.start()] = (m.start(), m.end(), int(m.group(1)))
     return sorted(by_start.values())
 
@@ -291,28 +305,36 @@ _PAYOFF_LINE_RE = re.compile(r"\b(receive|receives|received|gets|get|earn|earns|
 
 def _unlabel(line: str) -> str:
     """Drop a leading bracket label so "[Say] OFFER: $1" reads as its content."""
+    if "[" not in line:
+        return line
     m = _BRACKET_LABEL_RE.match(line)
     return m.group("rest") if m else line
 
 
-def _extract_offer(segment: str) -> tuple[Money | None, bool, list[str]]:
-    """Locate the offer in a round segment: (cents, from_marker, warnings)."""
+def _segment_lines(segment: str) -> list[str]:
+    """A segment's lines with their bracket labels dropped, read once per segment."""
+    return [_unlabel(line) for line in segment.split("\n")]
+
+
+def _extract_offer(segment: str, lines: list[str]) -> tuple[Money | None, bool, list[str]]:
+    """Locate the offer in a round segment: (cents, from_marker, warnings).
+
+    lines is `_segment_lines(segment)`. The first OFFER marker with an
+    amount wins; only when none has one is the prose searched.
+    """
     warnings: list[str] = []
-    fallback: Money | None = None
-    for line in segment.split("\n"):
-        line = _unlabel(line)
+    for line in lines:
         m = _OFFER_MARKER_RE.match(line)
         if m:
             amounts = extract_amounts(m.group("rest"))
             if amounts:
                 return amounts[0].cents, True, warnings
             warnings.append("OFFER marker without a readable amount")
-        if fallback is None and _OFFER_VERB_RE.search(line) and not _OFFER_SKIP_RE.search(line):
+    for line in lines:
+        if _OFFER_VERB_RE.search(line) and not _OFFER_SKIP_RE.search(line):
             amounts = extract_amounts(line)
             if amounts:
-                fallback = amounts[0].cents
-    if fallback is not None:
-        return fallback, False, warnings
+                return amounts[0].cents, False, warnings
     amounts = extract_amounts(segment)
     if amounts:
         warnings.append("offer taken without an offer verb nearby")
@@ -320,35 +342,40 @@ def _extract_offer(segment: str) -> tuple[Money | None, bool, list[str]]:
     return None, False, warnings
 
 
-def _extract_decision(segment: str) -> tuple[Decision | None, bool, list[str]]:
+def _extract_decision(lines: list[str]) -> tuple[Decision | None, bool, list[str]]:
+    """Locate the decision in a segment's lines: (decision, from_marker, warnings).
+
+    The first DECISION marker with a decision word wins; only when none
+    has one are the decision words of every line read.
+    """
     warnings: list[str] = []
-    hits: list[Decision] = []
-    for line in segment.split("\n"):
-        line = _unlabel(line)
+    for line in lines:
         m = _DECISION_MARKER_RE.match(line)
         if m:
-            marker_hits = _decision_hits(m.group("rest"))
-            if marker_hits:
-                return marker_hits[0], True, warnings
+            hits = _decision_hits(m.group("rest"))
+            if hits:
+                return hits[0], True, warnings
             warnings.append("DECISION marker without a readable decision")
-        hits.extend(_decision_hits(line))
-    if not hits:
-        return None, False, warnings
-    if any(h is not hits[0] for h in hits):
-        warnings.append("conflicting decision words; using the first")
-    return hits[0], False, warnings
+    first: Decision | None = None
+    for line in lines:
+        for hit in _decision_hits(line):
+            if first is None:
+                first = hit
+            elif hit is not first:
+                warnings.append("conflicting decision words; using the first")
+                return first, False, warnings
+    return first, False, warnings
 
 
 def _check_payoffs(
-    segment: str, offer: Money, decision: Decision, pot: Money, round_no: int
+    lines: list[str], offer: Money, decision: Decision, pot: Money, round_no: int
 ) -> list[str]:
-    """Compare any payoff sentence against the engine's arithmetic."""
+    """Compare any payoff sentence in a segment's lines against the engine's arithmetic."""
     if decision is Decision.ACCEPT:
         expected = sorted((pot - offer, offer))
     else:
         expected = [0, 0]
-    for line in segment.split("\n"):
-        line = _unlabel(line)
+    for line in lines:
         if not _PAYOFF_LINE_RE.search(line) or _OFFER_VERB_RE.search(line):
             continue
         amounts = [a.cents for a in extract_amounts(line)]
@@ -383,6 +410,13 @@ _CUTOFF_RE = re.compile(
     r"(?:not|n't|never) go (?:above|beyond|over|past)"
 )
 
+# "I will open with $5.00" or "start at $0.50" names the opening offer
+# without an offer verb; only the proposer's opening-offer check reads it.
+_OPENING_RE = re.compile(
+    r"\b(?:open|opens|opening|start|starts|starting|begin|begins|beginning)\s+(?:with|at)\b"
+)
+_BY_RE = re.compile(r"\bby\b")
+
 _WORD_NUMBERS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
     "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
@@ -415,7 +449,7 @@ def _mentions_acceptance(low: str) -> bool:
 
 
 def _amount_after_by(clause: str, amounts: list[AmountMatch]) -> Money | None:
-    m = re.search(r"\bby\b", clause.lower())
+    m = _BY_RE.search(clause.lower())
     if not m:
         return None
     for a in amounts:
@@ -463,7 +497,7 @@ def _parse_proposer_text(text: str) -> ProposerStrategy:
                 if acceptance and on_accept is None:
                     on_accept = rule
             continue
-        if initial is None and vals and _OFFER_VERB_RE.search(low):
+        if initial is None and vals and (_OFFER_VERB_RE.search(low) or _OPENING_RE.search(low)):
             initial = vals[0]
     return ProposerStrategy(
         initial_offer=initial, on_accept=on_accept, on_reject=on_reject, cutoff=cutoff
@@ -474,6 +508,12 @@ _ADJUSTMENT_VERB_RE = re.compile(
     r"\b(lower\w*|reduc\w*|decreas\w*|rais\w*|increas\w*|adjust\w*)\b"
 )
 _REJECT_ALL_RE = re.compile(r"\b(?:reject|decline|refuse)\w*\s+(?:any|all|every)\b")
+_BELOW_RE = re.compile(r"\b(below|under|less than)\b")
+_AT_LEAST_RE = re.compile(
+    r"\bat least\b|\bor more\b|\bor higher\b|\bor above\b|\bor better\b|\bminimum\b|\bat or above\b"
+)
+_ABOVE_RE = re.compile(r"\b(above|over|more than|greater than|exceeding|beyond)\b")
+_OR_LESS_RE = re.compile(r"\bor less\b|\bat or below\b")
 
 
 def _threshold_value(low: str, vals: list[Money], pot: Money) -> Money | None:
@@ -484,31 +524,38 @@ def _threshold_value(low: str, vals: list[Money], pot: Money) -> Money | None:
         return None
     if _ADJUSTMENT_VERB_RE.search(low) and "adjusting" not in low:
         return None
-    if re.search(r"\b(below|under|less than)\b", low):
+    if _BELOW_RE.search(low):
         return vals[0]
-    if re.search(r"\bat least\b|\bor more\b|\bor higher\b|\bor above\b|\bor better\b|\bminimum\b|\bat or above\b", low):
+    if _AT_LEAST_RE.search(low):
         return vals[0]
-    if re.search(r"\b(above|over|more than|greater than|exceeding|beyond)\b", low):
+    if _ABOVE_RE.search(low):
         return vals[0] if "or equal" in low else vals[0] + 1
-    if re.search(r"\bor less\b|\bat or below\b", low):
+    if _OR_LESS_RE.search(low):
         return vals[0] + 1
     if "threshold" in low or _ACCEPT_STEM_RE.search(low):
         return vals[0]
     return None
 
 
-def _round_scope(low: str, rounds: int) -> list[int] | None:
+_ROUND_RANGE_RE = re.compile(r"rounds?\s+(\d+)\s*(?:-|–|to|through)\s*(\d+)")
+_FIRST_ROUNDS_RE = re.compile(r"first\s+(\w+)\s+rounds")
+_ORDINAL_ROUND_RE = re.compile(
+    r"\b(first|second|third|fourth|fifth|sixth|seventh|eighth|ninth|tenth)\s+round\b"
+)
+
+
+def _round_scope(low: str) -> list[int] | None:
     """Rounds a clause names, or None when it applies to every round."""
-    m = re.search(r"rounds?\s+(\d+)\s*(?:-|–|to|through)\s*(\d+)", low)
+    m = _ROUND_RANGE_RE.search(low)
     if m:
         return list(range(int(m.group(1)), int(m.group(2)) + 1))
-    m = re.search(r"first\s+(\w+)\s+rounds", low)
+    m = _FIRST_ROUNDS_RE.search(low)
     if m and m.group(1) in _WORD_NUMBERS:
         return list(range(1, _WORD_NUMBERS[m.group(1)] + 1))
-    m = re.search(r"\bround\s+(\d+)\b", low)
+    m = _ROUND_INLINE_RE.search(low)
     if m:
         return [int(m.group(1))]
-    m = re.search(r"\b(first|second|third|fourth|fifth|sixth|seventh|eighth|ninth|tenth)\s+round\b", low)
+    m = _ORDINAL_ROUND_RE.search(low)
     if m:
         return [_ORDINALS[m.group(1)]]
     return None
@@ -517,6 +564,9 @@ def _round_scope(low: str, rounds: int) -> list[int] | None:
 _BEFORE_FINAL_RE = re.compile(
     r"\b(?:before|until|up to|prior to)\s+(?:the\s+)?(?:final|last)\s+round\b"
 )
+_ORDINAL_WORDS = {n: w for w, n in _ORDINALS.items()}
+_ACCEPT_ANY_RE = re.compile(r"accept\w*[^.;]{0,40}\bany\w*\b")
+_KEEP_WORD_RE = re.compile(r"\b(keep|maintain|hold|stick|same)\b")
 
 
 def _is_final_round_clause(low: str, rounds: int) -> bool:
@@ -525,9 +575,10 @@ def _is_final_round_clause(low: str, rounds: int) -> bool:
     low = _BEFORE_FINAL_RE.sub(" ", low)
     if "final round" in low or "last round" in low:
         return True
-    if re.search(rf"\bround\s+{rounds}\b", low):
+    last = str(rounds)
+    if any(m.group(1) == last for m in _ROUND_INLINE_RE.finditer(low)):
         return True
-    ordinal = next((w for w, n in _ORDINALS.items() if n == rounds), None)
+    ordinal = _ORDINAL_WORDS.get(rounds)
     return ordinal is not None and f"{ordinal} round" in low
 
 
@@ -541,9 +592,9 @@ def _parse_receiver_text(text: str, config: GameConfig) -> ReceiverStrategy:
         vals = [a.cents for a in amounts]
         if _is_final_round_clause(low, config.rounds):
             if final_rule is None:
-                if re.search(r"accept\w*[^.;]{0,40}\bany\w*\b", low) or "anything" in low:
+                if _ACCEPT_ANY_RE.search(low) or "anything" in low:
                     final_rule = FinalRoundRule.ACCEPT_ANY_NONZERO
-                elif re.search(r"\b(keep|maintain|hold|stick|same)\b", low) and "threshold" in low:
+                elif _KEEP_WORD_RE.search(low) and "threshold" in low:
                     final_rule = FinalRoundRule.KEEP_THRESHOLD
             if vals and config.rounds not in round_thresholds:
                 t = _threshold_value(low, vals, config.pot)
@@ -553,7 +604,7 @@ def _parse_receiver_text(text: str, config: GameConfig) -> ReceiverStrategy:
         t = _threshold_value(low, vals, config.pot)
         if t is None:
             continue
-        scope = _round_scope(low, config.rounds)
+        scope = _round_scope(low)
         if scope is None:
             if threshold is None:
                 threshold = t
@@ -575,8 +626,21 @@ def parse_strategy_text(
     final-round rule), so reordering clauses never changes the result.
     Unrecognized clauses are ignored; fields they would have filled stay
     absent and surface later as completeness gaps.
+
+    The parse is pure, so it is memoized per (text, role, config) in a
+    bounded process-wide cache. The cached plan is never handed out as
+    is: a receiver plan comes back with its own round_thresholds dict.
     """
-    config = config if config is not None else GameConfig()
+    plan = _parse_strategy(text, role, config if config is not None else GameConfig())
+    if isinstance(plan, ReceiverStrategy):
+        return ReceiverStrategy(plan.threshold, dict(plan.round_thresholds), plan.final_round_rule)
+    return plan
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_strategy(
+    text: str, role: Role, config: GameConfig
+) -> ProposerStrategy | ReceiverStrategy:
     if role is Role.PROPOSER:
         return _parse_proposer_text(text)
     return _parse_receiver_text(text, config)
@@ -589,13 +653,13 @@ def parse_strategy_text(
 
 def extract_offer_reply(text: str) -> Money | None:
     """The offer stated in one agent reply, or None if there is none."""
-    amount, _, _ = _extract_offer(text)
+    amount, _, _ = _extract_offer(text, _segment_lines(text))
     return amount
 
 
 def extract_decision_reply(text: str) -> Decision | None:
     """The decision stated in one agent reply, or None if there is none."""
-    decision, _, _ = _extract_decision(text)
+    decision, _, _ = _extract_decision(_segment_lines(text))
     return decision
 
 
@@ -631,6 +695,7 @@ def _strategy_marker_blocks(pre: str) -> dict[Role, str]:
 
 
 _SECTION_WORD_RE = re.compile(r"\b(proposer|receiver)\b", re.IGNORECASE)
+_STRATEGY_WORD_RE = re.compile(r"strateg", re.IGNORECASE)
 
 
 def _player_sections(pre: str) -> tuple[str, str]:
@@ -643,7 +708,7 @@ def _player_sections(pre: str) -> tuple[str, str]:
     headings: dict[str, int] = {}
     offset = 0
     for line in pre.split("\n"):
-        if re.search(r"strateg", line, re.IGNORECASE):
+        if _STRATEGY_WORD_RE.search(line):
             m = _SECTION_WORD_RE.search(line)
             if m:
                 headings.setdefault(m.group(1).lower(), offset)
@@ -691,7 +756,8 @@ def parse_single_model_log(
 
     actions: list[tuple[Money, Decision]] = []
     for n, segment in enumerate(segments, start=1):
-        offer, from_marker, w = _extract_offer(segment)
+        lines = _segment_lines(segment)
+        offer, from_marker, w = _extract_offer(segment, lines)
         warnings.extend(w)
         if offer is None:
             raise UnparseableLogError(f"round {n}: no offer found")
@@ -700,13 +766,13 @@ def parse_single_model_log(
                 f"round {n}: offer {offer} outside [0, {config.pot}]"
             )
         exact = exact and from_marker
-        decision, from_marker, w = _extract_decision(segment)
+        decision, from_marker, w = _extract_decision(lines)
         warnings.extend(w)
         if decision is None:
             raise UnparseableLogError(f"round {n}: no decision found")
         exact = exact and from_marker
         actions.append((offer, decision))
-        warnings.extend(_check_payoffs(segment, offer, decision, config.pot, n))
+        warnings.extend(_check_payoffs(lines, offer, decision, config.pot, n))
 
     _, outcomes = engine.replay(config, actions)
     strategies = (
@@ -794,8 +860,9 @@ def parse_agent_log(
     actions: list[tuple[Money, Decision]] = []
     for n in range(1, config.rounds + 1):
         p_seg, r_seg = prop_segs[n - 1], recv_segs[n - 1]
-        p_offer, p_mk, w1 = _extract_offer(p_seg)
-        r_offer, r_mk, w2 = _extract_offer(r_seg)
+        p_lines, r_lines = _segment_lines(p_seg), _segment_lines(r_seg)
+        p_offer, p_mk, w1 = _extract_offer(p_seg, p_lines)
+        r_offer, r_mk, w2 = _extract_offer(r_seg, r_lines)
         warnings.extend(w1 + w2)
         if p_offer is None and r_offer is None:
             raise UnparseableLogError(f"round {n}: no offer found in either log")
@@ -813,8 +880,8 @@ def parse_agent_log(
             )
         exact = exact and (p_mk or r_mk)
 
-        p_dec, p_mk, w1 = _extract_decision(p_seg)
-        r_dec, r_mk, w2 = _extract_decision(r_seg)
+        p_dec, p_mk, w1 = _extract_decision(p_lines)
+        r_dec, r_mk, w2 = _extract_decision(r_lines)
         warnings.extend(w1 + w2)
         if p_dec is None and r_dec is None:
             raise UnparseableLogError(f"round {n}: no decision found in either log")
@@ -828,7 +895,7 @@ def parse_agent_log(
         assert decision is not None
         exact = exact and (r_mk or p_mk)
         actions.append((offer, decision))
-        warnings.extend(_check_payoffs(p_seg, offer, decision, config.pot, n))
+        warnings.extend(_check_payoffs(p_lines, offer, decision, config.pot, n))
 
     prop_text, p_mk = _agent_strategy_text(prop_pre, "proposer")
     recv_text, r_mk = _agent_strategy_text(recv_pre, "receiver")

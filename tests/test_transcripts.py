@@ -50,6 +50,8 @@ class TestAmounts:
             ("50 cents", 50),
             ("5 cents", 5),
             ("$0.05", 5),
+            ("$1,250.00", 125000),  # read as $1 before
+            ("45¢", 45),
         ],
     )
     def test_single_amount_forms(self, text, cents):
@@ -62,6 +64,9 @@ class TestAmounts:
 
     def test_plain_numbers_are_not_amounts(self):
         assert extract_amounts("round 3 of 5") == []
+
+    def test_a_comma_before_fewer_than_three_digits_is_no_separator(self):
+        assert [a.cents for a in extract_amounts("$1,25 or $2")] == [100, 200]
 
 
 class TestReplyExtraction:
@@ -272,6 +277,17 @@ class TestStrategyTextParsing:
     )
     def test_receiver_threshold_wordings(self, text, expected):
         assert parse_strategy_text(text, Role.RECEIVER, CONFIG) == expected
+
+    @pytest.mark.parametrize(
+        "text,pot,opening",
+        [
+            ("I will open with $5.00 and concede slowly.", 1000, 500),
+            ("I will start at $0.50.", 100, 50),
+        ],
+    )
+    def test_opening_offer_without_an_offer_verb(self, text, pot, opening):
+        parsed = parse_strategy_text(text, Role.PROPOSER, GameConfig(pot=pot))
+        assert parsed.initial_offer == opening
 
     def test_open_adjustment_has_no_amount(self):
         text = (
