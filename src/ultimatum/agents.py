@@ -304,7 +304,8 @@ class Flaw(enum.Enum):
 
     INCOMPLETE (proposer): the declared strategy omits the accept branch;
     play quietly keeps the offer unchanged after acceptances, so the only
-    error is the strategy gap. INCONSISTENT_THRESHOLD (receiver): the
+    error is the strategy gap (none in a one-round game, which never
+    reaches the accept branch). INCONSISTENT_THRESHOLD (receiver): the
     declared threshold sits outside the personality's band and play
     follows it faithfully, so again the error lives in the strategy.
     DEVIATOR (proposer): the strategy is sound but the round-3 offer

@@ -467,14 +467,6 @@ class GroupCounts:
     def gameplay_errors(self) -> int:
         return self.gameplay_only + self.both
 
-    def __add__(self, other: "GroupCounts") -> "GroupCounts":
-        return GroupCounts(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(GroupCounts)
-            }
-        )
-
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
     acc: collections.Counter = collections.Counter()

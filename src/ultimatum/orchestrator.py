@@ -16,6 +16,10 @@ The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
 failure aborts the run. After every run an information audit re-checks
 that neither player's private profile ever crossed to the other side.
+
+The moderator is the only game loop. Offline single-model runs use it too:
+the oracles play one moderated game, and the combined log their gateway
+answers with is written from that game's strategies and engine history.
 """
 
 from __future__ import annotations
@@ -377,29 +381,21 @@ def synthesize_single_model_log(
 
     Used in offline runs so the single-model pipeline (prompt, completion,
     combined-log parse, grade) is exercised end to end without a network.
+    The oracles play through the moderator like any other pair of players;
+    the log is written from the strategies it collected and the engine
+    history it returns.
     """
     game = game if game is not None else GameConfig()
-    proposer, receiver = make_oracle_agents(pair, game, proposer_flaw, receiver_flaw)
+    moderator = _Moderator(*make_oracle_agents(pair, game, proposer_flaw, receiver_flaw), game)
+    moderator.strategy_phase()
     lines = [
-        f"STRATEGY (Proposer): {proposer.declared.raw_text}",
-        f"STRATEGY (Receiver): {receiver.declared.raw_text}",
+        f"STRATEGY ({role.value.capitalize()}): {text}"
+        for role, text in moderator.strategies.items()
     ]
-    state = engine.new_game(game)
-    while not state.finished:
-        r = state.round_index
-        obs = Observation(Role.PROPOSER, r, game.rounds, game.pot, state.history)
-        offer = extract_offer_reply(proposer.act(obs))
-        assert offer is not None
-        state = engine.submit_offer(state, offer)
-        obs = Observation(
-            Role.RECEIVER, r, game.rounds, game.pot, state.history, pending_offer=offer
-        )
-        decision = extract_decision_reply(receiver.act(obs))
-        assert decision is not None
-        state, outcome = engine.submit_decision(state, decision)
+    for outcome in moderator.play():
         lines.extend(
             [
-                f"ROUND {r}",
+                f"ROUND {outcome.round}",
                 f"OFFER: {format_money(outcome.offer)}",
                 f"DECISION: {outcome.decision.value}",
                 "OUTCOME: the proposer receives "

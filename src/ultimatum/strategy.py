@@ -260,18 +260,18 @@ def _threshold(plan: ReceiverStrategy, round_no: int, rounds: int) -> Money | No
 def check_completeness(spec: StrategySpec, config: GameConfig) -> bool:
     """Does the strategy prescribe a move for every reachable state?
 
-    A proposer plan is complete when it names an opening offer and covers
-    both continuations (previous offer accepted / rejected). Cut-offs are
-    optional refinements and never counted against completeness. A
-    receiver plan is complete when every round has a threshold (a blanket
-    threshold covers all rounds; a final-round rule can cover the last),
-    which is when `prescribed_action` answers for every round.
+    A proposer plan is complete when it names an opening offer and, if
+    there is a second round, covers both continuations (previous offer
+    accepted / rejected). Cut-offs are optional refinements and never
+    counted against completeness. A receiver plan is complete when every
+    round has a threshold (a blanket threshold covers all rounds; a
+    final-round rule can cover the last). Either way that is when
+    `prescribed_action` answers in every state the game can reach.
     """
     plan = spec.parsed
     if isinstance(plan, ProposerStrategy):
-        return all(
-            part is not None for part in (plan.initial_offer, plan.on_accept, plan.on_reject)
-        )
+        continuations = (plan.on_accept, plan.on_reject) if config.rounds > 1 else ()
+        return all(part is not None for part in (plan.initial_offer, *continuations))
     return all(
         _threshold(plan, r, config.rounds) is not None for r in range(1, config.rounds + 1)
     )

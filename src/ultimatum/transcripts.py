@@ -18,6 +18,11 @@ offer or decision cannot be located is an error, not a guess. Payoff
 lines in logs are advisory only; payoffs are always recomputed by the
 engine and mismatches become warnings.
 
+Both log parsers read rounds through one round reader, which splits a log
+at its round headings and reads each segment's offer and decision. Each
+parser then makes only its own checks (one log, or two reconciled), and
+one shared tail replays the actions and parses both strategies.
+
 Strategy-text parses are pure, so `parse_strategy_text` memoizes them in
 a bounded, process-wide cache keyed by text, role and game config; the
 cached plans are never handed to callers to mutate.
@@ -284,16 +289,6 @@ def _round_chain(text: str, rounds: int) -> list[tuple[int, int, int]]:
     return chain
 
 
-def _segments(text: str, chain: list[tuple[int, int, int]]) -> tuple[str, list[str]]:
-    """Split the text into (preamble, one segment per chained round)."""
-    pre = text[: chain[0][0]] if chain else text
-    segs = []
-    for i, (_, end, _) in enumerate(chain):
-        stop = chain[i + 1][0] if i + 1 < len(chain) else len(text)
-        segs.append(text[end:stop])
-    return pre, segs
-
-
 # ---------------------------------------------------------------------------
 # Per-segment extraction
 # ---------------------------------------------------------------------------
@@ -390,7 +385,13 @@ def _check_payoffs(
 # Strategy text -> structured fields
 # ---------------------------------------------------------------------------
 
-_CLAUSE_SPLIT_RE = re.compile(r"(?:\.(?!\d))|[!?;\n]+")
+# ", and" or ", but" ends a clause when a new condition or round scope
+# follows: "raise by $0.10, and if accepted, keep it" holds two rules.
+_CLAUSE_SPLIT_RE = re.compile(
+    r"(?:\.(?!\d))|[!?;\n]+|,\s*(?:and|but)\s+(?=(?:if|when|whenever|once|unless)\b"
+    r"|in\s+(?:round\s+\d|rounds\b|the\s+(?:final|last)\s+round\b))",
+    re.IGNORECASE,
+)
 _BULLET_PREFIX_RE = re.compile(r"^[\s\-\*\d\)\.:#]+")
 
 _CONDITIONAL_RE = re.compile(
@@ -664,6 +665,63 @@ def extract_decision_reply(text: str) -> Decision | None:
 
 
 # ---------------------------------------------------------------------------
+# Round reading, shared by both log parsers
+# ---------------------------------------------------------------------------
+
+
+class _RoundReading(NamedTuple):
+    """What one log says about one round, before any parser's checks."""
+
+    offer: Money | None
+    offer_marked: bool
+    offer_warnings: list[str]
+    decision: Decision | None
+    decision_marked: bool
+    decision_warnings: list[str]
+    lines: list[str]
+
+
+def _read_rounds(text: str, rounds: int) -> tuple[str, list[_RoundReading]]:
+    """The text before the first round, and a reading of each chained round.
+
+    The chain may be shorter than `rounds`; the parsers decide what that means.
+    """
+    chain = _round_chain(text, rounds)
+    readings = []
+    for i, (_, end, _) in enumerate(chain):
+        segment = text[end : chain[i + 1][0] if i + 1 < len(chain) else len(text)]
+        lines = _segment_lines(segment)
+        readings.append(_RoundReading(*_extract_offer(segment, lines), *_extract_decision(lines), lines))
+    return (text[: chain[0][0]] if chain else text), readings
+
+
+def _require_in_pot(round_no: int, offer: Money, pot: Money) -> None:
+    if not 0 <= offer <= pot:
+        raise UnparseableLogError(f"round {round_no}: offer {offer} outside [0, {pot}]")
+
+
+def _assemble(
+    config: GameConfig,
+    pair: PersonalityPair,
+    structure: Structure,
+    raw_logs: tuple[tuple[str, str], ...],
+    actions: list[tuple[Money, Decision]],
+    texts: tuple[str, str],
+    exact: bool,
+    warnings: list[str],
+) -> tuple[Transcript, ParseDiagnostics]:
+    """Replay the actions through the engine and parse both strategy texts."""
+    _, outcomes = engine.replay(config, actions)
+    strategies = tuple(
+        StrategySpec(role, text, parse_strategy_text(text, role, config))
+        for role, text in zip((Role.PROPOSER, Role.RECEIVER), texts)
+    )
+    transcript = Transcript(config, pair, structure, strategies, tuple(outcomes), raw_logs)
+    confidence = Confidence.EXACT if exact else Confidence.HEURISTIC
+    return transcript, ParseDiagnostics(confidence, tuple(warnings))
+
+
+# ---------------------------------------------------------------------------
 # Single combined log
 # ---------------------------------------------------------------------------
 
@@ -737,58 +795,36 @@ def parse_single_model_log(
     or decision, offer outside the pot).
     """
     config = config if config is not None else GameConfig()
-    warnings: list[str] = []
-    exact = True
-
-    chain = _round_chain(text, config.rounds)
-    if len(chain) < config.rounds:
-        raise UnparseableLogError(
-            f"found {len(chain)} of {config.rounds} round sections"
-        )
-    pre, segments = _segments(text, chain)
+    pre, readings = _read_rounds(text, config.rounds)
+    if len(readings) < config.rounds:
+        raise UnparseableLogError(f"found {len(readings)} of {config.rounds} round sections")
 
     blocks = _strategy_marker_blocks(pre)
-    if Role.PROPOSER in blocks and Role.RECEIVER in blocks:
+    exact = Role.PROPOSER in blocks and Role.RECEIVER in blocks
+    if exact:
         prop_text, recv_text = blocks[Role.PROPOSER], blocks[Role.RECEIVER]
     else:
-        exact = False
         prop_text, recv_text = _player_sections(pre)
 
+    warnings: list[str] = []
     actions: list[tuple[Money, Decision]] = []
-    for n, segment in enumerate(segments, start=1):
-        lines = _segment_lines(segment)
-        offer, from_marker, w = _extract_offer(segment, lines)
-        warnings.extend(w)
+    for n, reading in enumerate(readings, start=1):
+        offer, decision = reading.offer, reading.decision
+        warnings.extend(reading.offer_warnings)
         if offer is None:
             raise UnparseableLogError(f"round {n}: no offer found")
-        if not 0 <= offer <= config.pot:
-            raise UnparseableLogError(
-                f"round {n}: offer {offer} outside [0, {config.pot}]"
-            )
-        exact = exact and from_marker
-        decision, from_marker, w = _extract_decision(lines)
-        warnings.extend(w)
+        _require_in_pot(n, offer, config.pot)
+        warnings.extend(reading.decision_warnings)
         if decision is None:
             raise UnparseableLogError(f"round {n}: no decision found")
-        exact = exact and from_marker
+        exact = exact and reading.offer_marked and reading.decision_marked
         actions.append((offer, decision))
-        warnings.extend(_check_payoffs(lines, offer, decision, config.pot, n))
+        warnings.extend(_check_payoffs(reading.lines, offer, decision, config.pot, n))
 
-    _, outcomes = engine.replay(config, actions)
-    strategies = (
-        StrategySpec(Role.PROPOSER, prop_text.strip(), parse_strategy_text(prop_text, Role.PROPOSER, config)),
-        StrategySpec(Role.RECEIVER, recv_text.strip(), parse_strategy_text(recv_text, Role.RECEIVER, config)),
+    return _assemble(
+        config, pair, Structure.SINGLE_MODEL, (("single_model", text),),
+        actions, (prop_text.strip(), recv_text.strip()), exact, warnings,
     )
-    transcript = Transcript(
-        config=config,
-        pair=pair,
-        structure=Structure.SINGLE_MODEL,
-        strategies=strategies,
-        rounds=tuple(outcomes),
-        raw_logs=(("single_model", text),),
-    )
-    confidence = Confidence.EXACT if exact else Confidence.HEURISTIC
-    return transcript, ParseDiagnostics(confidence, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +865,25 @@ def _agent_strategy_text(pre: str, who: str) -> tuple[str, bool]:
     return text, False
 
 
+def _agreed(round_no: int, what: str, proposer_side, receiver_side, warnings: list[str]):
+    """The value the two logs give for one fact of a round.
+
+    A fact that only one log states is taken from it, with a warning; one
+    that neither states, or that the logs state differently, is an error.
+    """
+    if proposer_side is None and receiver_side is None:
+        raise UnparseableLogError(f"round {round_no}: no {what} found in either log")
+    if proposer_side is None or receiver_side is None:
+        warnings.append(f"round {round_no}: {what} appears in only one log")
+        return receiver_side if proposer_side is None else proposer_side
+    if proposer_side != receiver_side:
+        shown = [getattr(v, "value", v) for v in (proposer_side, receiver_side)]
+        raise InconsistentLogsError(
+            f"round {round_no}: logs disagree on the {what} ({shown[0]} vs {shown[1]})"
+        )
+    return proposer_side
+
+
 def parse_agent_log(
     logs: tuple[str, str], pair: PersonalityPair, config: GameConfig | None = None
 ) -> tuple[Transcript, ParseDiagnostics]:
@@ -841,81 +896,34 @@ def parse_agent_log(
     """
     config = config if config is not None else GameConfig()
     prop_log, recv_log = logs
+    prop_pre, prop_readings = _read_rounds(prop_log, config.rounds)
+    recv_pre, recv_readings = _read_rounds(recv_log, config.rounds)
+    if len(prop_readings) != len(recv_readings):
+        raise InconsistentLogsError(
+            f"proposer log has {len(prop_readings)} round sections, receiver log has {len(recv_readings)}"
+        )
+    if len(prop_readings) < config.rounds:
+        raise UnparseableLogError(f"found {len(prop_readings)} of {config.rounds} round sections")
+
     warnings: list[str] = []
     exact = True
-
-    prop_chain = _round_chain(prop_log, config.rounds)
-    recv_chain = _round_chain(recv_log, config.rounds)
-    if len(prop_chain) != len(recv_chain):
-        raise InconsistentLogsError(
-            f"proposer log has {len(prop_chain)} round sections, receiver log has {len(recv_chain)}"
-        )
-    if len(prop_chain) < config.rounds:
-        raise UnparseableLogError(
-            f"found {len(prop_chain)} of {config.rounds} round sections"
-        )
-    prop_pre, prop_segs = _segments(prop_log, prop_chain)
-    recv_pre, recv_segs = _segments(recv_log, recv_chain)
-
     actions: list[tuple[Money, Decision]] = []
-    for n in range(1, config.rounds + 1):
-        p_seg, r_seg = prop_segs[n - 1], recv_segs[n - 1]
-        p_lines, r_lines = _segment_lines(p_seg), _segment_lines(r_seg)
-        p_offer, p_mk, w1 = _extract_offer(p_seg, p_lines)
-        r_offer, r_mk, w2 = _extract_offer(r_seg, r_lines)
-        warnings.extend(w1 + w2)
-        if p_offer is None and r_offer is None:
-            raise UnparseableLogError(f"round {n}: no offer found in either log")
-        if p_offer is not None and r_offer is not None and p_offer != r_offer:
-            raise InconsistentLogsError(
-                f"round {n}: logs disagree on the offer ({p_offer} vs {r_offer})"
-            )
-        if (p_offer is None) != (r_offer is None):
-            warnings.append(f"round {n}: offer appears in only one log")
-        offer = p_offer if p_offer is not None else r_offer
-        assert offer is not None
-        if not 0 <= offer <= config.pot:
-            raise UnparseableLogError(
-                f"round {n}: offer {offer} outside [0, {config.pot}]"
-            )
-        exact = exact and (p_mk or r_mk)
-
-        p_dec, p_mk, w1 = _extract_decision(p_lines)
-        r_dec, r_mk, w2 = _extract_decision(r_lines)
-        warnings.extend(w1 + w2)
-        if p_dec is None and r_dec is None:
-            raise UnparseableLogError(f"round {n}: no decision found in either log")
-        if p_dec is not None and r_dec is not None and p_dec is not r_dec:
-            raise InconsistentLogsError(
-                f"round {n}: logs disagree on the decision ({p_dec.value} vs {r_dec.value})"
-            )
-        if (p_dec is None) != (r_dec is None):
-            warnings.append(f"round {n}: decision appears in only one log")
-        decision = r_dec if r_dec is not None else p_dec
-        assert decision is not None
-        exact = exact and (r_mk or p_mk)
+    for n, (p, r) in enumerate(zip(prop_readings, recv_readings), start=1):
+        warnings.extend(p.offer_warnings + r.offer_warnings)
+        offer = _agreed(n, "offer", p.offer, r.offer, warnings)
+        _require_in_pot(n, offer, config.pot)
+        warnings.extend(p.decision_warnings + r.decision_warnings)
+        decision = _agreed(n, "decision", p.decision, r.decision, warnings)
+        exact = exact and (p.offer_marked or r.offer_marked) and (p.decision_marked or r.decision_marked)
         actions.append((offer, decision))
-        warnings.extend(_check_payoffs(p_lines, offer, decision, config.pot, n))
+        warnings.extend(_check_payoffs(p.lines, offer, decision, config.pot, n))
 
     prop_text, p_mk = _agent_strategy_text(prop_pre, "proposer")
     recv_text, r_mk = _agent_strategy_text(recv_pre, "receiver")
-    exact = exact and p_mk and r_mk
-
-    _, outcomes = engine.replay(config, actions)
-    strategies = (
-        StrategySpec(Role.PROPOSER, prop_text, parse_strategy_text(prop_text, Role.PROPOSER, config)),
-        StrategySpec(Role.RECEIVER, recv_text, parse_strategy_text(recv_text, Role.RECEIVER, config)),
+    return _assemble(
+        config, pair, Structure.MULTI_AGENT, (("proposer", prop_log), ("receiver", recv_log)),
+        actions, (prop_text, recv_text), exact and p_mk and r_mk, warnings,
     )
-    transcript = Transcript(
-        config=config,
-        pair=pair,
-        structure=Structure.MULTI_AGENT,
-        strategies=strategies,
-        rounds=tuple(outcomes),
-        raw_logs=(("proposer", prop_log), ("receiver", recv_log)),
-    )
-    confidence = Confidence.EXACT if exact else Confidence.HEURISTIC
-    return transcript, ParseDiagnostics(confidence, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ def designed_class(grid: str, rounds: int) -> str:
         return "none"
     if grid == "deviator":
         return "gameplay_only" if rounds >= DEVIATION_ROUND else "none"
+    if grid == "incomplete":
+        # The omitted after-accept rule is only needed from round 2 on.
+        return "strategy_only" if rounds > 1 else "none"
     return "strategy_only"
 
 

@@ -1,14 +1,16 @@
 import pytest
 
 from helpers import ACC, REJ, oracle_text
+from ultimatum import engine
 from ultimatum.agents import (
     Agent,
     Flaw,
     Gateway,
+    Observation,
     SamplingParams,
     default_plan,
 )
-from ultimatum.engine import GameConfig
+from ultimatum.engine import GameConfig, format_money
 from ultimatum.experiment import plan_from_dict, run_batch
 from ultimatum.orchestrator import (
     InformationLeakError,
@@ -28,7 +30,14 @@ from ultimatum.strategy import (
     PersonalityPair,
     Role,
 )
-from ultimatum.transcripts import Confidence, Structure, parse_agent_log, parse_canonical
+from ultimatum.transcripts import (
+    Confidence,
+    Structure,
+    extract_decision_reply,
+    extract_offer_reply,
+    parse_agent_log,
+    parse_canonical,
+)
 
 FAIR_FAIR = PersonalityPair(Personality.FAIR, Personality.FAIR)
 GREEDY_GREEDY = PersonalityPair(Personality.GREEDY, Personality.GREEDY)
@@ -40,6 +49,46 @@ def single_model_config(pair=FAIR_FAIR, **kwargs):
 
 def multi_agent_config(pair=FAIR_FAIR, **kwargs):
     return SimulationConfig(structure=Structure.MULTI_AGENT, pair=pair, **kwargs)
+
+
+FLAW_GRIDS = (
+    {},
+    {"proposer_flaw": Flaw.INCOMPLETE},
+    {"proposer_flaw": Flaw.DEVIATOR},
+    {"receiver_flaw": Flaw.INCONSISTENT_THRESHOLD},
+)
+
+
+def standalone_oracle_log(pair, game, proposer_flaw=None, receiver_flaw=None):
+    """The combined oracle log as written by a game loop of its own, before
+    synthesized logs were played through the moderator."""
+    proposer, receiver = make_oracle_agents(pair, game, proposer_flaw, receiver_flaw)
+    lines = [
+        f"STRATEGY (Proposer): {proposer.declared.raw_text}",
+        f"STRATEGY (Receiver): {receiver.declared.raw_text}",
+    ]
+    state = engine.new_game(game)
+    while not state.finished:
+        r = state.round_index
+        obs = Observation(Role.PROPOSER, r, game.rounds, game.pot, state.history)
+        offer = extract_offer_reply(proposer.act(obs))
+        state = engine.submit_offer(state, offer)
+        obs = Observation(
+            Role.RECEIVER, r, game.rounds, game.pot, state.history, pending_offer=offer
+        )
+        decision = extract_decision_reply(receiver.act(obs))
+        state, outcome = engine.submit_decision(state, decision)
+        lines.extend(
+            [
+                f"ROUND {r}",
+                f"OFFER: {format_money(outcome.offer)}",
+                f"DECISION: {outcome.decision.value}",
+                "OUTCOME: the proposer receives "
+                f"{format_money(outcome.proposer_payoff)} and the receiver receives "
+                f"{format_money(outcome.receiver_payoff)}",
+            ]
+        )
+    return "\n".join(lines) + "\n"
 
 
 class TestSingleModelStructure:
@@ -77,6 +126,17 @@ class TestSingleModelStructure:
         assert "STRATEGY (Receiver):" in log
         assert "ROUND 1" in log and "ROUND 5" in log
         assert log.count("OFFER:") == 5
+
+    @pytest.mark.parametrize("rounds", range(1, 11))
+    @pytest.mark.parametrize("pot", [5, 37, 100, 1000])
+    def test_synthesized_log_equals_the_standalone_oracle_loop(self, pot, rounds):
+        # The oracles now play through the moderator; the log must be the
+        # one their own loop wrote, byte for byte, on every flaw grid.
+        game = GameConfig(pot=pot, rounds=rounds)
+        for flaws in FLAW_GRIDS:
+            for pair in ALL_PAIRS:
+                expected = standalone_oracle_log(pair, game, **flaws)
+                assert synthesize_single_model_log(pair, game, **flaws) == expected, (pair, flaws)
 
 
 class TestMultiAgentStructure:

@@ -2,9 +2,13 @@
 
 Round segments are read once, marker first: the reference below is the
 per-line loop that read markers and heuristics together, kept here as the
-definition the marker-first reading must match. Strategy texts are parsed
-through a process-wide cache, which must agree with an uncached parse and
-must not let one caller's plan leak into another's.
+definition the marker-first reading must match. Both log parsers read
+their rounds through one shared round reader; the references below are
+the two parsers as they were written before, each with its own loop, and
+the shared reading must give the same transcripts, diagnostics and errors.
+Strategy texts are parsed through a process-wide cache, which must agree
+with an uncached parse and must not let one caller's plan leak into
+another's.
 """
 
 import dataclasses
@@ -14,9 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ultimatum import engine
 from ultimatum.agents import Flaw, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig, format_money
-from ultimatum.strategy import MIN_POT, Personality, ReceiverStrategy, Role
+from ultimatum.strategy import (
+    ALL_PAIRS,
+    MIN_POT,
+    Personality,
+    ReceiverStrategy,
+    Role,
+    StrategySpec,
+)
 from ultimatum.transcripts import (
     _BRACKET_LABEL_RE,
     _DECISION_MARKER_RE,
@@ -24,13 +36,25 @@ from ultimatum.transcripts import (
     _OFFER_SKIP_RE,
     _OFFER_VERB_RE,
     _PAYOFF_LINE_RE,
+    Confidence,
+    InconsistentLogsError,
+    ParseDiagnostics,
+    Structure,
+    Transcript,
+    UnparseableLogError,
+    _agent_strategy_text,
     _check_payoffs,
     _decision_hits,
     _extract_decision,
     _extract_offer,
     _parse_strategy,
+    _player_sections,
+    _round_chain,
     _segment_lines,
+    _strategy_marker_blocks,
     extract_amounts,
+    parse_agent_log,
+    parse_single_model_log,
     parse_strategy_text,
 )
 
@@ -273,3 +297,312 @@ def test_parsed_plans_pickle():
         text, _ = oracle_strategy(role, Personality.FAIR, config)
         plan = parse_strategy_text(text, role, config)
         assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+# ---------------------------------------------------------------------------
+# Reference: the two log parsers, each with its own per-round loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_segments(text, chain):
+    pre = text[: chain[0][0]] if chain else text
+    segs = []
+    for i, (_, end, _) in enumerate(chain):
+        stop = chain[i + 1][0] if i + 1 < len(chain) else len(text)
+        segs.append(text[end:stop])
+    return pre, segs
+
+
+def ref_parse_single_model_log(text, pair, config):
+    warnings = []
+    exact = True
+
+    chain = _round_chain(text, config.rounds)
+    if len(chain) < config.rounds:
+        raise UnparseableLogError(f"found {len(chain)} of {config.rounds} round sections")
+    pre, segments = _ref_segments(text, chain)
+
+    blocks = _strategy_marker_blocks(pre)
+    if Role.PROPOSER in blocks and Role.RECEIVER in blocks:
+        prop_text, recv_text = blocks[Role.PROPOSER], blocks[Role.RECEIVER]
+    else:
+        exact = False
+        prop_text, recv_text = _player_sections(pre)
+
+    actions = []
+    for n, segment in enumerate(segments, start=1):
+        lines = _segment_lines(segment)
+        offer, from_marker, w = _extract_offer(segment, lines)
+        warnings.extend(w)
+        if offer is None:
+            raise UnparseableLogError(f"round {n}: no offer found")
+        if not 0 <= offer <= config.pot:
+            raise UnparseableLogError(f"round {n}: offer {offer} outside [0, {config.pot}]")
+        exact = exact and from_marker
+        decision, from_marker, w = _extract_decision(lines)
+        warnings.extend(w)
+        if decision is None:
+            raise UnparseableLogError(f"round {n}: no decision found")
+        exact = exact and from_marker
+        actions.append((offer, decision))
+        warnings.extend(_check_payoffs(lines, offer, decision, config.pot, n))
+
+    _, outcomes = engine.replay(config, actions)
+    strategies = (
+        StrategySpec(Role.PROPOSER, prop_text.strip(), parse_strategy_text(prop_text, Role.PROPOSER, config)),
+        StrategySpec(Role.RECEIVER, recv_text.strip(), parse_strategy_text(recv_text, Role.RECEIVER, config)),
+    )
+    transcript = Transcript(
+        config, pair, Structure.SINGLE_MODEL, strategies, tuple(outcomes), (("single_model", text),)
+    )
+    confidence = Confidence.EXACT if exact else Confidence.HEURISTIC
+    return transcript, ParseDiagnostics(confidence, tuple(warnings))
+
+
+def ref_parse_agent_log(logs, pair, config):
+    prop_log, recv_log = logs
+    warnings = []
+    exact = True
+
+    prop_chain = _round_chain(prop_log, config.rounds)
+    recv_chain = _round_chain(recv_log, config.rounds)
+    if len(prop_chain) != len(recv_chain):
+        raise InconsistentLogsError(
+            f"proposer log has {len(prop_chain)} round sections, receiver log has {len(recv_chain)}"
+        )
+    if len(prop_chain) < config.rounds:
+        raise UnparseableLogError(f"found {len(prop_chain)} of {config.rounds} round sections")
+    prop_pre, prop_segs = _ref_segments(prop_log, prop_chain)
+    recv_pre, recv_segs = _ref_segments(recv_log, recv_chain)
+
+    actions = []
+    for n in range(1, config.rounds + 1):
+        p_seg, r_seg = prop_segs[n - 1], recv_segs[n - 1]
+        p_lines, r_lines = _segment_lines(p_seg), _segment_lines(r_seg)
+        p_offer, p_mk, w1 = _extract_offer(p_seg, p_lines)
+        r_offer, r_mk, w2 = _extract_offer(r_seg, r_lines)
+        warnings.extend(w1 + w2)
+        if p_offer is None and r_offer is None:
+            raise UnparseableLogError(f"round {n}: no offer found in either log")
+        if p_offer is not None and r_offer is not None and p_offer != r_offer:
+            raise InconsistentLogsError(
+                f"round {n}: logs disagree on the offer ({p_offer} vs {r_offer})"
+            )
+        if (p_offer is None) != (r_offer is None):
+            warnings.append(f"round {n}: offer appears in only one log")
+        offer = p_offer if p_offer is not None else r_offer
+        if not 0 <= offer <= config.pot:
+            raise UnparseableLogError(f"round {n}: offer {offer} outside [0, {config.pot}]")
+        exact = exact and (p_mk or r_mk)
+
+        p_dec, p_mk, w1 = _extract_decision(p_lines)
+        r_dec, r_mk, w2 = _extract_decision(r_lines)
+        warnings.extend(w1 + w2)
+        if p_dec is None and r_dec is None:
+            raise UnparseableLogError(f"round {n}: no decision found in either log")
+        if p_dec is not None and r_dec is not None and p_dec is not r_dec:
+            raise InconsistentLogsError(
+                f"round {n}: logs disagree on the decision ({p_dec.value} vs {r_dec.value})"
+            )
+        if (p_dec is None) != (r_dec is None):
+            warnings.append(f"round {n}: decision appears in only one log")
+        decision = r_dec if r_dec is not None else p_dec
+        exact = exact and (r_mk or p_mk)
+        actions.append((offer, decision))
+        warnings.extend(_check_payoffs(p_lines, offer, decision, config.pot, n))
+
+    prop_text, p_mk = _agent_strategy_text(prop_pre, "proposer")
+    recv_text, r_mk = _agent_strategy_text(recv_pre, "receiver")
+    exact = exact and p_mk and r_mk
+
+    _, outcomes = engine.replay(config, actions)
+    strategies = (
+        StrategySpec(Role.PROPOSER, prop_text, parse_strategy_text(prop_text, Role.PROPOSER, config)),
+        StrategySpec(Role.RECEIVER, recv_text, parse_strategy_text(recv_text, Role.RECEIVER, config)),
+    )
+    transcript = Transcript(
+        config,
+        pair,
+        Structure.MULTI_AGENT,
+        strategies,
+        tuple(outcomes),
+        (("proposer", prop_log), ("receiver", recv_log)),
+    )
+    confidence = Confidence.EXACT if exact else Confidence.HEURISTIC
+    return transcript, ParseDiagnostics(confidence, tuple(warnings))
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the type and message of what it raises."""
+    try:
+        return parse(*args)
+    except (UnparseableLogError, InconsistentLogsError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Generated logs
+# ---------------------------------------------------------------------------
+
+_HEADINGS = ("ROUND {n}", "Round {n}:", "[Round {n}]", "**Round {n}**", "## Round {n}", "Then. Round {n}")
+_STRATEGY_PROSE = (
+    "I will play it by ear.",
+    "If they reject, I raise my offer by $0.05.",
+    "I accept anything in round 5.",
+    "Round 2 is where I hold firm.",
+)
+
+
+# How many final rounds a log leaves out: mostly none.
+_missing_rounds = st.sampled_from((0,) * 8 + (1, 2))
+# True about one time in ten, so most generated logs still parse.
+_rarely = st.sampled_from((False,) * 9 + (True,))
+
+
+@st.composite
+def game_configs(draw):
+    return GameConfig(
+        pot=draw(st.sampled_from((MIN_POT, 37, 100, 1000))),
+        rounds=draw(st.integers(min_value=1, max_value=5)),
+    )
+
+
+@st.composite
+def strategy_prose(draw, role, config):
+    """An oracle or fake-endpoint strategy, or free prose, or nothing."""
+    kind = draw(st.sampled_from(("oracle", "endpoint", "prose", "empty")))
+    personality = draw(st.sampled_from(Personality))
+    if kind == "oracle":
+        return oracle_strategy(role, personality, config)[0]
+    if kind == "endpoint":
+        return _fake_endpoint_text(role, personality, config.pot, config.rounds, True, False)
+    if kind == "prose":
+        return " ".join(draw(st.lists(st.sampled_from(_STRATEGY_PROSE), min_size=1, max_size=3)))
+    return ""
+
+
+@st.composite
+def offer_lines(draw, config):
+    """A marked or prose offer, now and then outside the pot, or none."""
+    outside = draw(_rarely)
+    cents = draw(st.integers(min_value=config.pot + 1) if outside else st.integers(0, config.pot))
+    template = draw(st.sampled_from(("OFFER: {a}",) * 4 + ("I offer {a} this round.", None)))
+    return [] if template is None else [template.format(a=format_money(cents))]
+
+
+@st.composite
+def decision_lines(draw):
+    """A marked or prose decision, or none."""
+    word = draw(st.sampled_from(Decision)).value
+    template = draw(st.sampled_from(("DECISION: {d}",) * 4 + ("I {d} the offer.", None)))
+    return [] if template is None else [template.format(d=word)]
+
+
+@st.composite
+def outcome_lines(draw, config):
+    """Now and then a payoff line, which the engine's arithmetic may contradict."""
+    if not draw(_rarely):
+        return []
+    a, b = draw(st.lists(st.integers(0, config.pot), min_size=2, max_size=2))
+    return [f"OUTCOME: the proposer receives {format_money(a)} and the receiver receives {format_money(b)}"]
+
+
+@st.composite
+def with_noise(draw, lines):
+    """The lines with, now and then, a few generated segment lines among them."""
+    noise = draw(st.lists(_line, min_size=1, max_size=2)) if draw(_rarely) else []
+    at = draw(st.integers(min_value=0, max_value=len(lines)))
+    return lines[:at] + noise + lines[at:]
+
+
+@st.composite
+def combined_logs(draw):
+    config = draw(game_configs())
+    lines = []
+    for role, name in ((Role.PROPOSER, "Proposer"), (Role.RECEIVER, "Receiver")):
+        text = draw(strategy_prose(role, config))
+        form = draw(st.sampled_from(("marker",) * 3 + ("heading",) * 2 + ("missing",)))
+        if form == "marker":
+            lines.append(f"STRATEGY ({name}): {text}")
+        elif form == "heading":
+            lines += [f"{name} strategy:", text]
+    heading = draw(st.sampled_from(_HEADINGS))
+    for n in range(1, config.rounds + 1 - draw(_missing_rounds)):
+        lines.append(heading.format(n=n))
+        lines += draw(with_noise(draw(offer_lines(config)) + draw(decision_lines()) + draw(outcome_lines(config))))
+    return "\n".join(lines) + "\n", config
+
+
+@st.composite
+def agent_log_pairs(draw):
+    """(proposer log, receiver log) in the moderator's layout. Now and then a
+    side leaves a fact out, states it differently, or stops a round early."""
+    config = draw(game_configs())
+    logs = []
+    for role in Role:
+        lines = [f"[Plan] Create a strategy for playing the ultimatum game as the {role.value}."]
+        text = draw(strategy_prose(role, config))
+        if draw(st.booleans()):
+            lines.append(f"[Strategy] {text}")
+        elif text:
+            lines.append(text)
+        logs.append((role, lines))
+    shown = [config.rounds - draw(_missing_rounds) for _ in logs]
+    for n in range(1, config.rounds + 1):
+        facts = draw(offer_lines(config)), draw(decision_lines())
+        for (role, lines), rounds_shown in zip(logs, shown):
+            if n > rounds_shown:
+                continue
+            says = (role is Role.PROPOSER, role is Role.RECEIVER)
+            body = []
+            for fact, said, redraw in zip(facts, says, (offer_lines(config), decision_lines())):
+                if draw(_rarely):
+                    fact = [] if draw(st.booleans()) else draw(redraw)
+                body += [("[Say] " if said else "[Hear] ") + line for line in fact]
+            body += ["[Outcome] " + line for line in draw(outcome_lines(config))]
+            lines.append(f"[Round {n}]")
+            lines += draw(with_noise(body))
+    return tuple("\n".join(lines) + "\n" for _, lines in logs), config
+
+
+@settings(max_examples=300)
+@given(case=combined_logs(), pair=st.sampled_from(ALL_PAIRS))
+@example(
+    case=("STRATEGY (Proposer): I offer $0.50.\nSTRATEGY (Receiver): I accept.\nROUND 1\nOFFER: $0.50\nDECISION: accept\n", GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+@example(case=("Proposer strategy: x\nROUND 1\nOFFER: $2\n", GameConfig(100, 1)), pair=ALL_PAIRS[0])
+@example(  # a marked offer with a decision in prose is no exact parse
+    case=("STRATEGY (Proposer): x\nSTRATEGY (Receiver): y\nROUND 1\nOFFER: $0.50\nI accept the offer.\n", GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+def test_single_model_parse_matches_its_own_loop(case, pair):
+    text, config = case
+    assert _outcome(parse_single_model_log, text, pair, config) == _outcome(
+        ref_parse_single_model_log, text, pair, config
+    )
+
+
+@settings(max_examples=300)
+@given(case=agent_log_pairs(), pair=st.sampled_from(ALL_PAIRS))
+@example(
+    case=(("[Strategy] I offer $0.50.\n[Round 1]\n[Say] OFFER: $0.50\n", "[Strategy] I accept.\n[Round 1]\n[Say] DECISION: reject\n"), GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+@example(
+    case=(("[Strategy] x\n[Round 1]\n[Say] OFFER: $0.50\n[Hear] DECISION: accept\n", "[Strategy] y\n[Round 1]\n[Hear] OFFER: $0.40\n"), GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+@example(  # decision warnings from both logs, proposer's first
+    case=(("[Strategy] x\n[Round 1]\n[Say] OFFER: $0.50\n[Hear] I accept.\n[Hear] I reject.\n", "[Strategy] y\n[Round 1]\n[Hear] OFFER: $0.50\n[Say] DECISION: unsure\n[Say] DECISION: accept\n"), GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+@example(  # payoffs are checked against the proposer's log only
+    case=(("[Strategy] x\n[Round 1]\n[Say] OFFER: $0.50\n[Hear] DECISION: accept\n", "[Strategy] y\n[Round 1]\n[Hear] OFFER: $0.50\n[Say] DECISION: accept\n[Outcome] I get $0.90 and you get $0.10.\n"), GameConfig(100, 1)),
+    pair=ALL_PAIRS[0],
+)
+def test_agent_log_parse_matches_its_own_loop(case, pair):
+    logs, config = case
+    assert _outcome(parse_agent_log, logs, pair, config) == _outcome(
+        ref_parse_agent_log, logs, pair, config
+    )

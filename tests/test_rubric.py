@@ -147,6 +147,19 @@ class TestEvaluateTranscript:
         assert not verdict.proposer_strategy_complete
         assert verdict.error_class is ErrorClass.STRATEGY_ONLY
 
+    @pytest.mark.parametrize(
+        "rounds, expected", [(1, ErrorClass.NONE), (2, ErrorClass.STRATEGY_ONLY)]
+    )
+    def test_an_opening_only_plan_is_complete_in_a_one_round_game(self, rounds, expected):
+        t = build_transcript(
+            [50] * rounds,
+            [ACC] * rounds,
+            proposer_text="I will offer $0.50 in the first round.",
+        )
+        verdict = evaluate_transcript(t)
+        assert verdict.proposer_strategy_complete is (rounds == 1)
+        assert verdict.error_class is expected
+
     def test_inconsistent_threshold_is_a_strategy_error(self):
         text = (FIXTURES / "strategy_inconsistent_receiver.txt").read_text().strip()
         t = build_transcript(

@@ -120,6 +120,13 @@ class TestCompleteness:
         )
         assert check_completeness(proposer_spec(with_cutoff), CONFIG)
 
+    def test_a_one_round_game_needs_only_the_opening_offer(self):
+        # Neither continuation is reachable when there is no second round.
+        opening_only = proposer_spec(ProposerStrategy(initial_offer=50))
+        assert check_completeness(opening_only, GameConfig(rounds=1))
+        assert check_completeness(opening_only, GameConfig(rounds=2)) is False
+        assert check_completeness(proposer_spec(ProposerStrategy()), GameConfig(rounds=1)) is False
+
     def test_blanket_receiver_plan_is_complete(self):
         assert check_completeness(receiver_spec(FULL_RECEIVER), CONFIG)
 

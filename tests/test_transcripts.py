@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import ACC, REJ, build_transcript, full_corpus, load_corpus_cases, oracle_text
 from ultimatum.engine import Decision, GameConfig
+from ultimatum.rubric import ErrorClass, evaluate_transcript
 from ultimatum.strategy import (
     ALL_PAIRS,
     AdjustKind,
@@ -289,6 +290,30 @@ class TestStrategyTextParsing:
         parsed = parse_strategy_text(text, Role.PROPOSER, GameConfig(pot=pot))
         assert parsed.initial_offer == opening
 
+    def test_a_comma_join_before_a_new_condition_starts_a_new_rule(self):
+        text = "If rejected, I raise by $0.10, and if accepted, I keep the same offer."
+        parsed = parse_strategy_text(text, Role.PROPOSER, CONFIG)
+        assert parsed.on_reject == AdjustRule(AdjustKind.INCREASE_BY, 10)
+        assert parsed.on_accept == AdjustRule(AdjustKind.KEEP)
+
+    def test_a_comma_join_before_a_round_scope_starts_a_new_rule(self):
+        # The receiver's rule in corpus case 08.
+        text = "My rule: take anything at or above $0.40 in rounds 1-4, and in round 5 accept any positive offer."
+        assert parse_strategy_text(text, Role.RECEIVER, CONFIG) == ReceiverStrategy(
+            round_thresholds={1: 40, 2: 40, 3: 40, 4: 40},
+            final_round_rule=FinalRoundRule.ACCEPT_ANY_NONZERO,
+        )
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("I accept $0.40, and more if it comes.", ReceiverStrategy(threshold=40)),
+            ("I accept $0.40, but only in round 2.", ReceiverStrategy(round_thresholds={2: 40})),
+        ],
+    )
+    def test_other_comma_joins_stay_one_clause(self, text, expected):
+        assert parse_strategy_text(text, Role.RECEIVER, CONFIG) == expected
+
     def test_open_adjustment_has_no_amount(self):
         text = (
             "I will offer $0.50 first. If the offer is accepted, I may lower it a little. "
@@ -316,6 +341,17 @@ class TestCorpus:
     @pytest.mark.parametrize("case", full_corpus()[len(load_corpus_cases()):], ids=lambda c: c["name"])
     def test_generated_cases_recover_the_game(self, case):
         self._check(case)
+
+    def test_case08_plans_grade_clean(self):
+        # The receiver joins its round 1-4 threshold and its final-round
+        # rule with ", and in round 5"; both rules must be read.
+        case = next(c for c in load_corpus_cases() if c["name"] == "case08")
+        transcript, _ = parse_agent_log(
+            (case["texts"]["proposer"], case["texts"]["receiver"]), FAIR_FAIR, CONFIG
+        )
+        verdict = evaluate_transcript(transcript)
+        assert verdict.receiver_strategy_complete
+        assert verdict.error_class is ErrorClass.NONE
 
     @staticmethod
     def _check(case):
