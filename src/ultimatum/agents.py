@@ -6,9 +6,10 @@ act on an observation, hear announcements):
 * OracleAgent - deterministic scripted players with known-good policies,
   optionally carrying one planted flaw. Oracles exercise the entire
   pipeline offline and give grading tests a ground truth.
-* ModelAgent - a player backed by a chat-completion endpoint. Its private
-  profile (including the personality line) goes only into its own system
-  prompt and never into anything shown to the opponent.
+* ModelAgent - a player backed by a chat-completion endpoint, built from
+  its role, personality and game. Its personality line (`private_bio`)
+  goes only into its own system prompt and never into anything shown to
+  the opponent.
 
 Gateways speak the chat-completion wire protocol: a JSON POST carrying the
 model id, ordered role-tagged messages, and sampling parameters, answered
@@ -62,22 +63,6 @@ class SamplingParams:
     presence_penalty: float = 0.0
 
 
-@dataclass(frozen=True)
-class AgentProfile:
-    """Who an agent is told it is.
-
-    public_bio may be shown to the opponent (blank by default); the
-    private_bio carries the personality assignment and must never leave
-    the agent's own context.
-    """
-
-    name: str
-    public_bio: str
-    private_bio: str
-    directives: str
-    initial_plan: str
-
-
 def default_plan(role: Role) -> str:
     """The planning instruction an agent starts from."""
     return f"Create a strategy for playing the ultimatum game as the {role.value}."
@@ -86,28 +71,6 @@ def default_plan(role: Role) -> str:
 def private_bio(role: Role, personality: Personality) -> str:
     """The one-sentence personality assignment kept in the player's own context."""
     return f"{role.value.capitalize()} is {personality.value}."
-
-
-def make_profile(role: Role, personality: Personality, config: GameConfig) -> AgentProfile:
-    """Standard profile for one player: blank public bio, the personality
-    stated in one private sentence, directives from the prompt templates."""
-    name = role.value.capitalize()
-    bio = private_bio(role, personality)
-    directives = prompts.render(
-        "agent_system",
-        name=name,
-        public_bio_line="",
-        private_bio=bio,
-        rounds_word=prompts.rounds_word(config.rounds),
-        pot_text=format_money(config.pot),
-    )
-    return AgentProfile(
-        name=name,
-        public_bio="",
-        private_bio=bio,
-        directives=directives,
-        initial_plan=default_plan(role),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +243,6 @@ class Agent:
 
     role: Role
     personality: Personality
-    initial_plan: str
 
     def create_strategy(self) -> str:
         """Produce the strategy reply (raw text)."""
@@ -419,7 +381,6 @@ class OracleAgent(Agent):
         self.personality = personality
         self.config = config if config is not None else GameConfig()
         self.flaw = flaw
-        self.initial_plan = default_plan(role)
         raw, parsed = oracle_strategy(role, personality, self.config, flaw)
         self.declared = StrategySpec(role, raw, parsed)
         if flaw is Flaw.INCOMPLETE:
@@ -465,29 +426,35 @@ class ModelAgent(Agent):
 
     Keeps its own ordered conversation; every completion resends the whole
     conversation, so gateway retries cannot reorder anything. The system
-    prompt is the only place the private bio appears.
+    prompt, rendered from the role, personality and game, is the only
+    place the private bio appears.
     """
 
     def __init__(
         self,
-        profile: AgentProfile,
-        gateway: Gateway,
-        model: str,
         role: Role,
         personality: Personality,
-        config: GameConfig | None = None,
+        game: GameConfig,
+        gateway: Gateway,
+        model: str,
         params: SamplingParams | None = None,
     ) -> None:
-        self.profile = profile
-        self.gateway = gateway
-        self.model = model
         self.role = role
         self.personality = personality
-        self.config = config if config is not None else GameConfig()
+        self.game = game
+        self.gateway = gateway
+        self.model = model
         self.params = params if params is not None else SamplingParams()
-        self.initial_plan = profile.initial_plan
-        self.messages: list[dict] = [{"role": "system", "content": profile.directives}]
-        self.prompt_log: list[tuple[str, str]] = [("system", profile.directives)]
+        system = prompts.render(
+            "agent_system",
+            name=role.value.capitalize(),
+            public_bio_line="",
+            private_bio=private_bio(role, personality),
+            rounds_word=prompts.rounds_word(game.rounds),
+            pot_text=format_money(game.pot),
+        )
+        self.messages: list[dict] = [{"role": "system", "content": system}]
+        self.prompt_log: list[tuple[str, str]] = [("system", system)]
 
     def _ask(self, label: str, content: str) -> str:
         self.messages.append({"role": "user", "content": content})
@@ -499,27 +466,20 @@ class ModelAgent(Agent):
     def create_strategy(self) -> str:
         content = prompts.render(
             "create_strategy",
-            initial_plan=self.profile.initial_plan,
-            rounds_word=prompts.rounds_word(self.config.rounds),
+            initial_plan=default_plan(self.role),
+            rounds_word=prompts.rounds_word(self.game.rounds),
         )
         return self._ask("create_strategy", content)
 
     def act(self, observation: Observation) -> str:
         if observation.role is Role.PROPOSER:
-            content = prompts.render(
-                "request_offer",
-                round=observation.round,
-                rounds=observation.total_rounds,
-            )
-            return self._ask("request_offer", content)
-        assert observation.pending_offer is not None
+            label, slots = "request_offer", {}
+        else:
+            label, slots = "request_decision", {"offer_text": format_money(observation.pending_offer)}
         content = prompts.render(
-            "request_decision",
-            round=observation.round,
-            rounds=observation.total_rounds,
-            offer_text=format_money(observation.pending_offer),
+            label, round=observation.round, rounds=observation.total_rounds, **slots
         )
-        return self._ask("request_decision", content)
+        return self._ask(label, content)
 
     def receive(self, message: str) -> None:
         self.messages.append({"role": "user", "content": message})

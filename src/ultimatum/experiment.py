@@ -541,16 +541,16 @@ def _best_member(
     by_member: dict[tuple[str, str], GroupCounts],
     structure: str,
     success: Callable[[GroupCounts], int],
-) -> tuple[str, GroupCounts] | None:
+) -> tuple[str, GroupCounts]:
+    """The family's member with the highest success rate, or ("-", GroupCounts())
+    when the family has no graded runs."""
     candidates = [
         (f"{s}/{model}", counts)
         for (s, model), counts in by_member.items()
         if s == structure and counts.ok > 0
     ]
-    if not candidates:
-        return None
     candidates.sort(key=lambda item: (-Fraction(success(item[1]), item[1].ok), item[0]))
-    return candidates[0]
+    return candidates[0] if candidates else ("-", GroupCounts())
 
 
 def _headline(
@@ -558,30 +558,21 @@ def _headline(
     by_member: dict[tuple[str, str], GroupCounts],
     success: Callable[[GroupCounts], int],
 ) -> HeadlineComparison:
-    best_multi = _best_member(by_member, Structure.MULTI_AGENT.value, success)
-    best_single = _best_member(by_member, Structure.SINGLE_MODEL.value, success)
-    if best_multi is None or best_single is None:
-        missing = Structure.MULTI_AGENT.value if best_multi is None else Structure.SINGLE_MODEL.value
-        present = best_multi or best_single
-        return HeadlineComparison(
-            name=name,
-            member_a=best_multi[0] if best_multi else "-",
-            successes_a=success(best_multi[1]) if best_multi else 0,
-            trials_a=best_multi[1].ok if best_multi else 0,
-            member_b=best_single[0] if best_single else "-",
-            successes_b=success(best_single[1]) if best_single else 0,
-            trials_b=best_single[1].ok if best_single else 0,
-            test=None,
-            note=f"no graded {missing} runs" if present else "no graded runs",
-        )
-    (label_a, counts_a), (label_b, counts_b) = best_multi, best_single
+    families = (Structure.MULTI_AGENT.value, Structure.SINGLE_MODEL.value)
+    (label_a, counts_a), (label_b, counts_b) = (
+        _best_member(by_member, family, success) for family in families
+    )
     sa, na = success(counts_a), counts_a.ok
     sb, nb = success(counts_b), counts_b.ok
-    try:
-        test = chi_square_2x2(ContingencyTable2x2.from_successes(sa, na, sb, nb))
-        note = test.warning
-    except DegenerateTableError as exc:
-        test, note = None, f"not computable: {exc}"
+    missing = [family for family, n in zip(families, (na, nb)) if n == 0]
+    if missing:
+        test, note = None, "no graded runs" if len(missing) == 2 else f"no graded {missing[0]} runs"
+    else:
+        try:
+            test = chi_square_2x2(ContingencyTable2x2.from_successes(sa, na, sb, nb))
+            note = test.warning
+        except DegenerateTableError as exc:
+            test, note = None, f"not computable: {exc}"
     return HeadlineComparison(
         name=name,
         member_a=label_a,

@@ -5,17 +5,20 @@ Two structures produce a gradable transcript:
 * single model - one completion request asks a model to invent both
   strategies and simulate every round itself; the reply is parsed as a
   combined log.
-* multi agent - two players with private profiles are driven through the
-  rules engine in strict alternation by a moderator. Each player sees only
-  its own instructions, the moderator's requests, and the public events
-  (offers, decisions, outcomes). The transcript is built from the engine
-  state the moderator drove and from each player's own strategy reply; the
-  per-agent logs assembled from that traffic are kept as its raw logs.
+* multi agent - two players, each holding a private personality, are
+  driven through the rules engine in strict alternation by a moderator.
+  Each player sees only its own instructions, the moderator's requests,
+  and the public events (offers, decisions, outcomes). The transcript is
+  built from the engine state the moderator drove and from each player's
+  own strategy reply. The moderator records the game as it is played and
+  renders each player's view of it, in one place, as a per-agent log; the
+  two logs are kept as the transcript's raw logs.
 
 The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
 failure aborts the run. After every run an information audit re-checks
-that neither player's private profile ever crossed to the other side.
+every message each player said or was told: neither may carry the other
+player's private personality line.
 
 The moderator is the only game loop. Offline single-model runs use it too:
 the oracles play one moderated game, and the combined log their gateway
@@ -36,7 +39,7 @@ from .agents import (
     Observation,
     OracleAgent,
     SamplingParams,
-    make_profile,
+    default_plan,
     private_bio,
 )
 from .engine import Decision, GameConfig, Money, format_money
@@ -59,7 +62,7 @@ class TurnOrderViolationError(Exception):
 
 
 class InformationLeakError(Exception):
-    """A private profile appeared in traffic its owner never sent."""
+    """A private personality line appeared in traffic its owner never sent."""
 
 
 @dataclass(frozen=True)
@@ -145,24 +148,21 @@ def _strip_strategy_prefix(reply: str) -> str:
     return f"{first}{sep}{rest}".strip()
 
 
-def _private_bio_of(agent: Agent) -> str:
-    profile = getattr(agent, "profile", None)
-    if profile is not None:
-        return profile.private_bio
-    return private_bio(agent.role, agent.personality)
-
-
 class _Moderator:
-    """Drives the two players through one game, collecting their strategy
-    texts, per-agent logs and the message traffic needed for the
-    information audit."""
+    """Drives the two players through one game and records it.
+
+    The record is what each player said and was told (for the audit and
+    the run's replies), the stripped strategy texts, and one entry per
+    round: the engine outcome, the accepted offer and decision replies and
+    the announcement. `logs()` renders the per-agent logs from it.
+    """
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
         self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
         self.game = game
         self.strategies: dict[Role, str] = {}
-        self.log_lines: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
-        # Everything each agent said / was sent, for the audit.
+        self.rounds: list[tuple[engine.RoundOutcome, str, str, str]] = []
+        # Everything each agent said / was sent, for the audit and the run's replies.
         self.outbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
         self.inbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
 
@@ -172,12 +172,9 @@ class _Moderator:
 
     def strategy_phase(self) -> None:
         for role in (Role.PROPOSER, Role.RECEIVER):
-            agent = self.agents[role]
-            reply = agent.create_strategy()
+            reply = self.agents[role].create_strategy()
             self.outbound[role].append(reply)
             self.strategies[role] = _strip_strategy_prefix(reply)
-            self.log_lines[role].append(_labeled("Plan", agent.initial_plan))
-            self.log_lines[role].append(_labeled("Strategy", self.strategies[role]))
 
     def _request(self, role: Role, observation: Observation, extract, correction: str):
         """Ask for an action, allowing one corrective re-prompt."""
@@ -199,40 +196,19 @@ class _Moderator:
         state = engine.new_game(self.game)
         while not state.finished:
             r = state.round_index
-            for role in (Role.PROPOSER, Role.RECEIVER):
-                self.log_lines[role].append(f"[Round {r}]")
-
-            obs = Observation(
-                role=Role.PROPOSER,
-                round=r,
-                total_rounds=self.game.rounds,
-                pot=self.game.pot,
-                history=state.history,
-            )
-            offer, reply = self._request(
+            obs = Observation(Role.PROPOSER, r, self.game.rounds, self.game.pot, state.history)
+            offer, offer_reply = self._request(
                 Role.PROPOSER, obs, self._extract_offer, _OFFER_CORRECTION
             )
-            self.log_lines[Role.PROPOSER].append(_labeled("Say", reply))
             state = engine.submit_offer(state, offer)
-
-            offer_line = f"OFFER: {format_money(offer)}"
-            self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
             obs = Observation(
-                role=Role.RECEIVER,
-                round=r,
-                total_rounds=self.game.rounds,
-                pot=self.game.pot,
-                history=state.history,
-                pending_offer=offer,
+                Role.RECEIVER, r, self.game.rounds, self.game.pot, state.history, pending_offer=offer
             )
-            decision, reply = self._request(
+            decision, decision_reply = self._request(
                 Role.RECEIVER, obs, extract_decision_reply, _DECISION_CORRECTION
             )
-            self.log_lines[Role.RECEIVER].append(_labeled("Say", reply))
-            decision_line = f"DECISION: {decision.value}"
-            self.log_lines[Role.PROPOSER].append(_labeled("Hear", decision_line))
-            self.inbound[Role.PROPOSER].append(decision_line)
-            self.inbound[Role.RECEIVER].append(offer_line)
+            self.inbound[Role.PROPOSER].append(f"DECISION: {decision.value}")
+            self.inbound[Role.RECEIVER].append(f"OFFER: {format_money(offer)}")
 
             state, outcome = engine.submit_decision(state, decision)
             announcement = prompts.render(
@@ -245,7 +221,7 @@ class _Moderator:
             )
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.tell(role, announcement)
-                self.log_lines[role].append(_labeled("Outcome", announcement))
+            self.rounds.append((outcome, offer_reply, decision_reply, announcement))
         return state.history
 
     def _extract_offer(self, reply: str) -> Money | None:
@@ -255,22 +231,35 @@ class _Moderator:
         return offer
 
     def logs(self) -> tuple[tuple[str, str], ...]:
-        """The per-agent logs as (role, text) raw-log entries."""
-        return tuple(
-            (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
-        )
+        """The per-agent logs as (role, text) raw-log entries.
+
+        Each log is the player's plan and strategy, then per round what it
+        said, what it heard from the other side and the announced outcome.
+        """
+        logs = []
+        for role in (Role.PROPOSER, Role.RECEIVER):
+            lines = [
+                _labeled("Plan", default_plan(role)),
+                _labeled("Strategy", self.strategies[role]),
+            ]
+            for outcome, offer_reply, decision_reply, announcement in self.rounds:
+                if role is Role.PROPOSER:
+                    turn = [_labeled("Say", offer_reply), f"[Hear] DECISION: {outcome.decision.value}"]
+                else:
+                    turn = [f"[Hear] OFFER: {format_money(outcome.offer)}", _labeled("Say", decision_reply)]
+                lines += [f"[Round {outcome.round}]", *turn, _labeled("Outcome", announcement)]
+            logs.append((role.value, "\n".join(lines) + "\n"))
+        return tuple(logs)
 
     def audit_information(self) -> None:
         """No message sent to or said by a player may contain the other
-        player's private profile."""
-        bios = {role: _private_bio_of(agent) for role, agent in self.agents.items()}
+        player's private personality line."""
         for role, opponent in (
             (Role.PROPOSER, Role.RECEIVER),
             (Role.RECEIVER, Role.PROPOSER),
         ):
-            secret = bios[opponent].lower()
-            if not secret:
-                continue
+            other = self.agents[opponent]
+            secret = private_bio(other.role, other.personality).lower()
             for text in self.inbound[role]:
                 if secret in text.lower():
                     raise InformationLeakError(
@@ -346,24 +335,11 @@ def make_oracle_agents(
 def make_model_agents(
     config: SimulationConfig, gateway: Gateway
 ) -> tuple[ModelAgent, ModelAgent]:
-    agents = []
-    for role, personality in (
-        (Role.PROPOSER, config.pair.proposer),
-        (Role.RECEIVER, config.pair.receiver),
-    ):
-        profile = make_profile(role, personality, config.game)
-        agents.append(
-            ModelAgent(
-                profile,
-                gateway,
-                config.model,
-                role,
-                personality,
-                config.game,
-                config.sampling,
-            )
-        )
-    return agents[0], agents[1]
+    game, model, sampling = config.game, config.model, config.sampling
+    return (
+        ModelAgent(Role.PROPOSER, config.pair.proposer, game, gateway, model, sampling),
+        ModelAgent(Role.RECEIVER, config.pair.receiver, game, gateway, model, sampling),
+    )
 
 
 # ---------------------------------------------------------------------------

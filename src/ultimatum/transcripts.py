@@ -23,6 +23,10 @@ at its round headings and reads each segment's offer and decision. Each
 parser then makes only its own checks (one log, or two reconciled), and
 one shared tail replays the actions and parses both strategies.
 
+Strategy text is read clause by clause. Besides money amounts, a clause's
+amounts include shares of the pot ("40%", "40 percent", "half the pot"),
+rounded down to whole cents; replies and payoff lines never read them.
+
 Strategy-text parses are pure, so `parse_strategy_text` memoizes them in
 a bounded, process-wide cache keyed by text, role and game config; the
 cached plans are never handed to callers to mutate.
@@ -39,6 +43,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import engine
@@ -418,6 +423,13 @@ _OPENING_RE = re.compile(
 )
 _BY_RE = re.compile(r"\bby\b")
 
+# A share of the pot: "40%", "40 percent", "half the pot", "half of the pot".
+# Bare "half" ("more than half") names no amount and is not read.
+_POT_SHARE_RE = re.compile(
+    r"(?<![\d.])(?P<percent>\d+(?:\.\d+)?)\s*(?:%|percent\b)|\bhalf\s+(?:of\s+)?the\s+pot\b",
+    re.IGNORECASE,
+)
+
 _WORD_NUMBERS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
     "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
@@ -449,6 +461,21 @@ def _mentions_acceptance(low: str) -> bool:
     return bool(_ACCEPT_STEM_RE.search(low)) and bool(_CONDITIONAL_RE.search(low))
 
 
+def _clause_amounts(clause: str, pot: Money) -> list[AmountMatch]:
+    """The money amounts and pot shares of one strategy clause, in document
+    order. A share is rounded down to whole cents, as the bands are."""
+    amounts = extract_amounts(clause)
+    shares = [
+        AmountMatch(
+            pot // 2 if m["percent"] is None else Fraction(m["percent"]) * pot // 100,
+            m.span(),
+            m.group(0),
+        )
+        for m in _POT_SHARE_RE.finditer(clause)
+    ]
+    return sorted(amounts + shares, key=lambda a: a.span) if shares else amounts
+
+
 def _amount_after_by(clause: str, amounts: list[AmountMatch]) -> Money | None:
     m = _BY_RE.search(clause.lower())
     if not m:
@@ -475,14 +502,14 @@ def _adjust_rule(low: str, clause: str, amounts: list[AmountMatch]) -> AdjustRul
     return None
 
 
-def _parse_proposer_text(text: str) -> ProposerStrategy:
+def _parse_proposer_text(text: str, pot: Money) -> ProposerStrategy:
     initial = None
     on_accept = None
     on_reject = None
     cutoff = None
     for clause in _split_clauses(text):
         low = clause.lower()
-        amounts = extract_amounts(clause)
+        amounts = _clause_amounts(clause, pot)
         vals = [a.cents for a in amounts]
         if _CUTOFF_RE.search(low):
             if cutoff is None:
@@ -589,8 +616,7 @@ def _parse_receiver_text(text: str, config: GameConfig) -> ReceiverStrategy:
     final_rule: FinalRoundRule | None = None
     for clause in _split_clauses(text):
         low = clause.lower()
-        amounts = extract_amounts(clause)
-        vals = [a.cents for a in amounts]
+        vals = [a.cents for a in _clause_amounts(clause, config.pot)]
         if _is_final_round_clause(low, config.rounds):
             if final_rule is None:
                 if _ACCEPT_ANY_RE.search(low) or "anything" in low:
@@ -643,7 +669,7 @@ def _parse_strategy(
     text: str, role: Role, config: GameConfig
 ) -> ProposerStrategy | ReceiverStrategy:
     if role is Role.PROPOSER:
-        return _parse_proposer_text(text)
+        return _parse_proposer_text(text, config.pot)
     return _parse_receiver_text(text, config)
 
 

@@ -20,8 +20,8 @@ from ultimatum.agents import (
     ReplayGateway,
     SamplingParams,
     flaw_role,
-    make_profile,
     oracle_strategy,
+    private_bio,
 )
 from ultimatum.engine import Decision, GameConfig
 from ultimatum.strategy import Personality, Role
@@ -32,15 +32,18 @@ CONFIG = GameConfig()
 
 class TestProfiles:
     def test_private_bio_states_the_personality(self):
-        profile = make_profile(Role.PROPOSER, Personality.GREEDY, CONFIG)
-        assert profile.private_bio == "Proposer is greedy."
-        assert profile.public_bio == ""
-        assert profile.name == "Proposer"
+        agent = ModelAgent(Role.PROPOSER, Personality.GREEDY, CONFIG, ScriptedGateway([]), "m")
+        assert private_bio(Role.PROPOSER, Personality.GREEDY) == "Proposer is greedy."
+        # A blank public bio line, then the private bio on its own line.
+        assert agent.messages[0]["content"].startswith(
+            "You are Proposer, a participant in a negotiation experiment.\nProposer is greedy.\n"
+        )
 
     def test_directives_do_not_leak_the_opponent(self):
-        profile = make_profile(Role.RECEIVER, Personality.FAIR, CONFIG)
-        assert "Receiver is fair." in profile.directives
-        assert "Proposer is" not in profile.directives
+        agent = ModelAgent(Role.RECEIVER, Personality.FAIR, CONFIG, ScriptedGateway([]), "m")
+        directives = agent.messages[0]["content"]
+        assert "Receiver is fair." in directives
+        assert "Proposer is" not in directives
 
 
 class TestOracleStrategies:
@@ -147,8 +150,7 @@ class ScriptedGateway(Gateway):
 class TestModelAgent:
     def test_conversation_accumulates_in_order(self):
         gateway = ScriptedGateway(["STRATEGY: even splits only.", "OFFER: $0.50"])
-        profile = make_profile(Role.PROPOSER, Personality.FAIR, CONFIG)
-        agent = ModelAgent(profile, gateway, "test-model", Role.PROPOSER, Personality.FAIR, CONFIG)
+        agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
         strategy = agent.create_strategy()
         assert strategy == "STRATEGY: even splits only."
         obs = Observation(role=Role.PROPOSER, round=1, total_rounds=5, pot=100)
@@ -156,14 +158,13 @@ class TestModelAgent:
 
         roles = [m["role"] for m in agent.messages]
         assert roles == ["system", "user", "assistant", "user", "assistant"]
-        assert agent.messages[0]["content"] == profile.directives
+        assert private_bio(Role.PROPOSER, Personality.FAIR) in agent.messages[0]["content"]
         # The gateway always sees the full conversation so far.
         assert len(gateway.seen[1]) == 4
 
     def test_received_messages_become_user_turns(self):
         gateway = ScriptedGateway(["STRATEGY: hold firm."])
-        profile = make_profile(Role.RECEIVER, Personality.GREEDY, CONFIG)
-        agent = ModelAgent(profile, gateway, "test-model", Role.RECEIVER, Personality.GREEDY, CONFIG)
+        agent = ModelAgent(Role.RECEIVER, Personality.GREEDY, CONFIG, gateway, "test-model")
         agent.create_strategy()
         agent.receive("Round 1 result: the offer of $0.20 was rejected.")
         assert agent.messages[-1]["role"] == "user"
@@ -171,8 +172,7 @@ class TestModelAgent:
 
     def test_prompt_log_labels_each_exchange(self):
         gateway = ScriptedGateway(["STRATEGY: even splits.", "OFFER: $0.50"])
-        profile = make_profile(Role.PROPOSER, Personality.FAIR, CONFIG)
-        agent = ModelAgent(profile, gateway, "test-model", Role.PROPOSER, Personality.FAIR, CONFIG)
+        agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
         agent.create_strategy()
         agent.act(Observation(role=Role.PROPOSER, round=1, total_rounds=5, pot=100))
         labels = [label for label, _ in agent.prompt_log]
@@ -302,12 +302,14 @@ class TestHttpGateway:
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        gateway = HttpGateway(f"http://127.0.0.1:{server.server_address[1]}/v1/chat")
         try:
-            gateway = HttpGateway(f"http://127.0.0.1:{server.server_address[1]}/v1/chat")
             reply = gateway.complete("live-model", MESSAGES, PARAMS)
         finally:
+            gateway.session.close()
             server.shutdown()
             thread.join()
+            server.server_close()
         assert reply == "DECISION: accept"
         assert seen["auth"] == "Bearer sk-local"
         assert seen["body"]["messages"] == MESSAGES

@@ -389,11 +389,25 @@ class TestAggregate:
         assert comparison.test.statistic == pytest.approx(2.3794, abs=1e-4)
         assert comparison.test.p_two_tailed == pytest.approx(0.01734, abs=5e-4)
 
-    def test_headline_needs_both_structures(self, mixed_records):
-        summary = aggregate(mixed_records)
-        headline = summary.headlines[0]
-        assert headline.test is None
-        assert "no graded multi_agent runs" in headline.note
+    @pytest.mark.parametrize(
+        "records, note",
+        [
+            ("mixed", "no graded multi_agent runs"),
+            ("multi_agent", "no graded single_model runs"),
+            ("none", "no graded runs"),
+        ],
+        ids=["mixed", "multi_agent", "none"],
+    )
+    def test_headline_needs_both_structures(self, request, records, note):
+        records = {
+            "mixed": lambda: request.getfixturevalue("mixed_records"),
+            "multi_agent": lambda: oracle_batch(2, structures=["multi_agent"]).records,
+            "none": lambda: [],
+        }[records]()
+        for headline in aggregate(records).headlines:
+            assert (headline.test, headline.note) == (None, note)
+            sides = {(headline.member_a, headline.trials_a), (headline.member_b, headline.trials_b)}
+            assert ("-", 0) in sides
 
     def test_headline_compares_best_members(self, mixed_records):
         extra = run_batch(

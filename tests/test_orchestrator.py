@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from helpers import ACC, REJ, oracle_text
-from ultimatum import engine
+from ultimatum import engine, orchestrator, prompts
 from ultimatum.agents import (
     Agent,
     Flaw,
@@ -9,8 +11,9 @@ from ultimatum.agents import (
     Observation,
     SamplingParams,
     default_plan,
+    private_bio,
 )
-from ultimatum.engine import GameConfig, format_money
+from ultimatum.engine import Decision, GameConfig, format_money
 from ultimatum.experiment import plan_from_dict, run_batch
 from ultimatum.orchestrator import (
     InformationLeakError,
@@ -185,7 +188,6 @@ class StubAgent(Agent):
     def __init__(self, role, personality, strategy_reply, actions):
         self.role = role
         self.personality = personality
-        self.initial_plan = default_plan(role)
         self._strategy = strategy_reply
         self._actions = list(actions)
         self.heard = []
@@ -261,6 +263,15 @@ class TestInformationAudit:
         with pytest.raises(InformationLeakError, match="receiver"):
             run_multi_agent(multi_agent_config(PersonalityPair(Personality.GREEDY, Personality.FAIR)),
                             (proposer, receiver))
+
+    def test_a_message_to_the_receiver_is_audited(self, monkeypatch):
+        # The inbound half: what the moderator tells a player is checked too.
+        monkeypatch.setattr(
+            orchestrator, "_DECISION_CORRECTION", "Proposer is fair. Give your decision again."
+        )
+        receiver = stub_fair_receiver(["hmm"] + ["DECISION: accept"] * 5)
+        with pytest.raises(InformationLeakError, match="message to the receiver"):
+            run_multi_agent(multi_agent_config(), (stub_fair_proposer(["OFFER: $0.50"] * 5), receiver))
 
     def test_private_bios_never_appear_in_replies(self):
         proposer, receiver = make_oracle_agents(GREEDY_GREEDY)
@@ -388,3 +399,197 @@ class TestDispatch:
         assert len(result.transcript.rounds) == 3
         assert result.transcript.config.pot == 200
         assert result.verdict.error_class is ErrorClass.NONE
+
+
+# ---------------------------------------------------------------------------
+# The moderator that built per-agent logs line by line as it played, kept as
+# the reference for the one that renders them from its record of the game.
+# ---------------------------------------------------------------------------
+
+
+def _labeled(label, text):
+    first, _, rest = text.partition("\n")
+    line = f"[{label}] {first}".rstrip()
+    return f"{line}\n{rest}" if rest else line
+
+
+def _strip_strategy_prefix(reply):
+    first, sep, rest = reply.partition("\n")
+    first = re.sub(r"^\s*strategy\s*:\s*", "", first, flags=re.IGNORECASE)
+    return f"{first}{sep}{rest}".strip()
+
+
+class LineByLineModerator:
+    def __init__(self, proposer, receiver, game):
+        self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
+        self.game = game
+        self.strategies = {}
+        self.log_lines = {Role.PROPOSER: [], Role.RECEIVER: []}
+        self.outbound = {Role.PROPOSER: [], Role.RECEIVER: []}
+        self.inbound = {Role.PROPOSER: [], Role.RECEIVER: []}
+
+    def tell(self, role, message):
+        self.agents[role].receive(message)
+        self.inbound[role].append(message)
+
+    def strategy_phase(self):
+        for role in (Role.PROPOSER, Role.RECEIVER):
+            agent = self.agents[role]
+            reply = agent.create_strategy()
+            self.outbound[role].append(reply)
+            self.strategies[role] = _strip_strategy_prefix(reply)
+            self.log_lines[role].append(_labeled("Plan", default_plan(role)))
+            self.log_lines[role].append(_labeled("Strategy", self.strategies[role]))
+
+    def _request(self, role, observation, extract, correction):
+        agent = self.agents[role]
+        for attempt in range(2):
+            reply = agent.act(observation)
+            self.outbound[role].append(reply)
+            value = extract(reply)
+            if value is not None:
+                return value, reply
+            if attempt == 0:
+                self.tell(role, correction)
+        raise TurnOrderViolationError(
+            f"{role.value} failed to produce a usable action in round {observation.round}"
+        )
+
+    def play(self):
+        state = engine.new_game(self.game)
+        while not state.finished:
+            r = state.round_index
+            for role in (Role.PROPOSER, Role.RECEIVER):
+                self.log_lines[role].append(f"[Round {r}]")
+            obs = Observation(Role.PROPOSER, r, self.game.rounds, self.game.pot, state.history)
+            offer, reply = self._request(
+                Role.PROPOSER, obs, self._extract_offer, orchestrator._OFFER_CORRECTION
+            )
+            self.log_lines[Role.PROPOSER].append(_labeled("Say", reply))
+            state = engine.submit_offer(state, offer)
+            offer_line = f"OFFER: {format_money(offer)}"
+            self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
+            obs = Observation(
+                Role.RECEIVER, r, self.game.rounds, self.game.pot, state.history, pending_offer=offer
+            )
+            decision, reply = self._request(
+                Role.RECEIVER, obs, extract_decision_reply, orchestrator._DECISION_CORRECTION
+            )
+            self.log_lines[Role.RECEIVER].append(_labeled("Say", reply))
+            decision_line = f"DECISION: {decision.value}"
+            self.log_lines[Role.PROPOSER].append(_labeled("Hear", decision_line))
+            self.inbound[Role.PROPOSER].append(decision_line)
+            self.inbound[Role.RECEIVER].append(offer_line)
+            state, outcome = engine.submit_decision(state, decision)
+            announcement = prompts.render(
+                "announce_outcome",
+                round=r,
+                offer_text=format_money(outcome.offer),
+                decision_word="accepted" if decision is Decision.ACCEPT else "rejected",
+                proposer_text=format_money(outcome.proposer_payoff),
+                receiver_text=format_money(outcome.receiver_payoff),
+            )
+            for role in (Role.PROPOSER, Role.RECEIVER):
+                self.tell(role, announcement)
+                self.log_lines[role].append(_labeled("Outcome", announcement))
+        return state.history
+
+    def _extract_offer(self, reply):
+        offer = extract_offer_reply(reply)
+        if offer is None or not 0 <= offer <= self.game.pot:
+            return None
+        return offer
+
+    def logs(self):
+        return tuple(
+            (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
+        )
+
+    def audit_information(self):
+        for role, opponent in ((Role.PROPOSER, Role.RECEIVER), (Role.RECEIVER, Role.PROPOSER)):
+            other = self.agents[opponent]
+            secret = private_bio(other.role, other.personality).lower()
+            for text in self.inbound[role] + self.outbound[role]:
+                if secret in text.lower():
+                    raise InformationLeakError(f"{role.value} traffic holds a private profile")
+
+
+def moderated_run(monkeypatch, moderator_cls, config, make_agents):
+    """run_multi_agent under the given moderator: the result, and what each
+    player was told and said."""
+    moderators = []
+
+    class Kept(moderator_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            moderators.append(self)
+
+    monkeypatch.setattr(orchestrator, "_Moderator", Kept)
+    result = run_multi_agent(config, make_agents())
+    (moderator,) = moderators
+    return result, moderator.inbound, moderator.outbound
+
+
+def assert_moderators_agree(monkeypatch, config, make_agents):
+    moderator_cls = orchestrator._Moderator
+    expected = moderated_run(monkeypatch, LineByLineModerator, config, make_agents)
+    actual = moderated_run(monkeypatch, moderator_cls, config, make_agents)
+    (want, want_told, want_said), (got, got_told, got_said) = expected, actual
+    assert got.transcript.raw_logs == want.transcript.raw_logs
+    assert got.replies == want.replies
+    assert got.prompts == want.prompts
+    assert (got_told, got_said) == (want_told, want_said)
+    assert got == want
+
+
+# Scripted chat games: (proposer replies, receiver replies) after the strategy
+# replies. They cover a re-prompt on each side, marker-free and multi-line
+# replies, and an offer outside the pot.
+CHAT_GAMES = {
+    "markers": (["OFFER: $0.50"] * 5, ["DECISION: accept"] * 5),
+    "re-prompts": (
+        ["I like turtles.", "OFFER: $0.50"] + ["OFFER: $0.50"] * 4,
+        ["DECISION: accept", "hmm, tough call", "DECISION: accept"] + ["DECISION: accept"] * 3,
+    ),
+    "marker-free": (
+        ["Let me think about it.", "I would like to offer $0.50 this time."]
+        + ["I would like to offer $0.50 this time."] * 4,
+        ["Sounds fair to me, I accept."] * 5,
+    ),
+    "multi-line": (
+        ["Thinking it over.\nOFFER: $0.50  \n(final)"] * 5,
+        ["Let me see.\nDECISION: reject", "DECISION: accept\nthanks"] * 2 + ["DECISION: accept"],
+    ),
+    "out-of-pot": (
+        ["OFFER: $1.50", "OFFER: $0.45"] + ["OFFER: $0.50"] * 4,
+        ["DECISION: reject"] + ["DECISION: accept"] * 4,
+    ),
+}
+
+
+class TestModeratorRendersTheLineByLineLogs:
+    @pytest.mark.parametrize("rounds", [1, 5, 10])
+    @pytest.mark.parametrize("pot", [5, 37, 100, 1000])
+    def test_oracle_grids(self, monkeypatch, pot, rounds):
+        game = GameConfig(pot=pot, rounds=rounds)
+        for flaws in FLAW_GRIDS:
+            for pair in ALL_PAIRS:
+                assert_moderators_agree(
+                    monkeypatch,
+                    multi_agent_config(pair, game=game),
+                    lambda: make_oracle_agents(pair, game, **flaws),
+                )
+
+    @pytest.mark.parametrize("game", CHAT_GAMES)
+    def test_scripted_chat_games(self, monkeypatch, game):
+        proposer_actions, receiver_actions = CHAT_GAMES[game]
+        config = multi_agent_config(model="scripted")
+
+        def make_agents():
+            gateway = ScriptedModelGateway(
+                ["STRATEGY:\n" + oracle_text(Role.PROPOSER, Personality.FAIR)] + proposer_actions,
+                [oracle_text(Role.RECEIVER, Personality.FAIR) + "\nThat is all."] + receiver_actions,
+            )
+            return make_model_agents(config, gateway)
+
+        assert_moderators_agree(monkeypatch, config, make_agents)

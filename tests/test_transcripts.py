@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -314,6 +315,37 @@ class TestStrategyTextParsing:
     def test_other_comma_joins_stay_one_clause(self, text, expected):
         assert parse_strategy_text(text, Role.RECEIVER, CONFIG) == expected
 
+    @pytest.mark.parametrize("pot", [100, 37, 200])
+    @pytest.mark.parametrize(
+        "text,role,field,share",
+        [
+            ("I accept any offer of at least 40% of the pot", Role.RECEIVER, "threshold", (40, 100)),
+            ("I will offer 50% of the pot in the first round", Role.PROPOSER, "initial_offer", (1, 2)),
+            ("I will offer half the pot", Role.PROPOSER, "initial_offer", (1, 2)),
+            ("I will offer half of the pot.", Role.PROPOSER, "initial_offer", (1, 2)),
+            ("I accept offers of at least 40 percent.", Role.RECEIVER, "threshold", (2, 5)),
+        ],
+    )
+    def test_pot_shares_read_as_amounts(self, text, role, field, share, pot):
+        # Rounded down to whole cents, as the bands are: 40% of 37 cents is 14.
+        parsed = parse_strategy_text(text, role, GameConfig(pot=pot))
+        assert getattr(parsed, field) == share[0] * pot // share[1]
+
+    def test_pot_shares_keep_document_order(self):
+        # The step is the first amount after "by", here a share ahead of a dollar amount.
+        text = "If the offer is rejected, I will raise it by 5% of the pot, up to $0.70."
+        parsed = parse_strategy_text(text, Role.PROPOSER, GameConfig(pot=200))
+        assert parsed.on_reject == AdjustRule(AdjustKind.INCREASE_BY, 10)
+
+    def test_bare_half_is_no_amount(self):
+        # Corpus case 03: "more than half" names no amount.
+        text = "If the proposer ever offers more than half, accept at once."
+        assert parse_strategy_text(text, Role.RECEIVER, CONFIG) == ReceiverStrategy()
+
+    def test_pot_shares_stay_out_of_replies(self):
+        assert extract_amounts("I offer 40% of the pot") == []
+        assert extract_offer_reply("I offer half the pot") is None
+
     def test_open_adjustment_has_no_amount(self):
         text = (
             "I will offer $0.50 first. If the offer is accepted, I may lower it a little. "
@@ -399,6 +431,11 @@ class TestCanonicalFormat:
         parsed = parse_canonical(text)
         assert parsed == transcript
         assert serialize_canonical(parsed) == text
+
+    def test_documented_example_round_trips(self):
+        doc = (Path(__file__).parents[1] / "docs" / "transcript-format.md").read_text()
+        example = doc.split("## Example", 1)[1].split("```\n")[1]
+        assert serialize_canonical(parse_canonical(example)) == example
 
     def test_serialized_form_is_ascii_lines(self):
         transcript = build_transcript([50], [ACC])
