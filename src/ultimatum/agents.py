@@ -1,7 +1,7 @@
 """Players and the model gateways behind them.
 
 Two kinds of player implement the same small interface (create a strategy,
-act on an observation, hear announcements):
+act on the engine's game state, hear announcements):
 
 * OracleAgent - deterministic scripted players with known-good policies,
   optionally carrying one planted flaw. Oracles exercise the entire
@@ -31,7 +31,7 @@ from pathlib import Path
 import requests as _requests
 
 from . import prompts
-from .engine import GameConfig, Money, RoundOutcome, format_money
+from .engine import GameConfig, GameState, format_money
 from .strategy import (
     AdjustKind,
     AdjustRule,
@@ -49,6 +49,8 @@ from .strategy import (
 )
 
 API_KEY_ENV = "ULTIMATUM_API_KEY"
+TIMEOUT_S = 60.0
+MAX_RETRIES = 3
 
 
 class GatewayError(Exception):
@@ -115,26 +117,22 @@ class HttpGateway(Gateway):
     """Chat-completion endpoint over HTTP POST.
 
     Retries transient failures (connection errors, 429, 5xx) up to
-    max_retries times with exponential backoff. Retrying is safe because
+    MAX_RETRIES times with exponential backoff. Retrying is safe because
     the full conversation is resent verbatim each time. The API key is
-    read from the environment, never from files or arguments.
+    read from the API_KEY_ENV environment variable, never from files or
+    arguments.
     """
 
     def __init__(
         self,
         endpoint: str,
-        api_key_env: str = API_KEY_ENV,
-        timeout: float = 60.0,
-        max_retries: int = 3,
         backoff: float = 1.0,
         session: "_requests.Session | None" = None,
         sleep=time.sleep,
     ) -> None:
         super().__init__()
         self.endpoint = endpoint
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
-        self.max_retries = max_retries
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         self.backoff = backoff
         self.session = session if session is not None else _requests.Session()
         self._sleep = sleep
@@ -145,14 +143,14 @@ class HttpGateway(Gateway):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 with self._lock:
                     self.retries += 1
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=TIMEOUT_S
                 )
             except _requests.RequestException as exc:
                 last_error = exc
@@ -169,7 +167,7 @@ class HttpGateway(Gateway):
             if not isinstance(content, str):
                 raise GatewayError(f"completion content is {type(content).__name__}, not text")
             return content
-        raise GatewayError(f"request failed after {self.max_retries} retries: {last_error}")
+        raise GatewayError(f"request failed after {MAX_RETRIES} retries: {last_error}")
 
 
 class ReplayGateway(Gateway):
@@ -177,7 +175,8 @@ class ReplayGateway(Gateway):
 
     Requests are matched by a digest of their canonical JSON, so replay is
     insensitive to record order and safe under concurrency. An unknown
-    request is an error: replay never invents a completion.
+    request is an error: replay never invents a completion. A line that is
+    not a recorded exchange raises ValueError naming the file and line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -185,11 +184,19 @@ class ReplayGateway(Gateway):
         self.path = Path(path)
         self._responses: dict[str, str] = {}
         with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                self._responses[_request_key(record["request"])] = record["response"]
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad recording: {exc}") from None
+                response = record.get("response") if isinstance(record, dict) else None
+                if not isinstance(response, str) or "request" not in record:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad recording: expected a request and a text response"
+                    )
+                self._responses[_request_key(record["request"])] = response
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
         key = _request_key(_request_payload(model, messages, params))
@@ -222,20 +229,8 @@ class RecordingGateway(Gateway):
 
 
 # ---------------------------------------------------------------------------
-# Observations and the agent interface
+# The agent interface
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What a player is allowed to see when asked to act."""
-
-    role: Role
-    round: int
-    total_rounds: int
-    pot: Money
-    history: tuple[RoundOutcome, ...] = ()
-    pending_offer: Money | None = None
 
 
 class Agent:
@@ -248,8 +243,10 @@ class Agent:
         """Produce the strategy reply (raw text)."""
         raise NotImplementedError
 
-    def act(self, observation: Observation) -> str:
-        """Produce the action reply (raw text) for the observed state."""
+    def act(self, state: GameState) -> str:
+        """Produce the action reply (raw text) for the game as it stands:
+        the round, the public history and, for the receiver, the pending
+        offer."""
         raise NotImplementedError
 
     def receive(self, message: str) -> None:
@@ -398,18 +395,18 @@ class OracleAgent(Agent):
     def create_strategy(self) -> str:
         return f"STRATEGY: {self.declared.raw_text}"
 
-    def act(self, observation: Observation) -> str:
+    def act(self, state: GameState) -> str:
         prescribed = prescribed_action(
             self._behavior,
             self.config,
-            observation.history,
-            observation.round,
-            pending_offer=observation.pending_offer,
+            state.history,
+            state.round_index,
+            pending_offer=state.pending_offer,
         )
         assert prescribed is not None, "oracle behaviour plans cover every state"
         if isinstance(prescribed, PrescribedOffer):
             offer = prescribed.lo
-            if self.flaw is Flaw.DEVIATOR and observation.round == DEVIATION_ROUND:
+            if self.flaw is Flaw.DEVIATOR and state.round_index == DEVIATION_ROUND:
                 offer = min(self.config.pot, offer + bands_for(self.config.pot).deviation)
             return f"OFFER: {format_money(offer)}"
         assert isinstance(prescribed, PrescribedDecision)
@@ -448,7 +445,6 @@ class ModelAgent(Agent):
         system = prompts.render(
             "agent_system",
             name=role.value.capitalize(),
-            public_bio_line="",
             private_bio=private_bio(role, personality),
             rounds_word=prompts.rounds_word(game.rounds),
             pot_text=format_money(game.pot),
@@ -471,14 +467,12 @@ class ModelAgent(Agent):
         )
         return self._ask("create_strategy", content)
 
-    def act(self, observation: Observation) -> str:
-        if observation.role is Role.PROPOSER:
+    def act(self, state: GameState) -> str:
+        if self.role is Role.PROPOSER:
             label, slots = "request_offer", {}
         else:
-            label, slots = "request_decision", {"offer_text": format_money(observation.pending_offer)}
-        content = prompts.render(
-            label, round=observation.round, rounds=observation.total_rounds, **slots
-        )
+            label, slots = "request_decision", {"offer_text": format_money(state.pending_offer)}
+        content = prompts.render(label, round=state.round_index, rounds=self.game.rounds, **slots)
         return self._ask(label, content)
 
     def receive(self, message: str) -> None:

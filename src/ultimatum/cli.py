@@ -70,7 +70,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.mode == "replay":
             if not args.replay_file:
                 return _fail_usage("--replay-file is required in replay mode")
-            gateway = ReplayGateway(args.replay_file)
+            try:
+                gateway = ReplayGateway(args.replay_file)
+            except ValueError as exc:
+                return _fail_usage(str(exc))
         store = RunStore(args.out)
         batch = run_batch(
             plan,

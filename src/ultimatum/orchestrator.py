@@ -8,9 +8,11 @@ Two structures produce a gradable transcript:
 * multi agent - two players, each holding a private personality, are
   driven through the rules engine in strict alternation by a moderator.
   Each player sees only its own instructions, the moderator's requests,
-  and the public events (offers, decisions, outcomes). The transcript is
-  built from the engine state the moderator drove and from each player's
-  own strategy reply. The moderator records the game as it is played and
+  and the public events (offers, decisions, outcomes). When asked to act,
+  a player is handed the engine's game state: the round, the outcomes so
+  far and, for the receiver, the pending offer. The transcript is built
+  from the engine state the moderator drove and from each player's own
+  strategy reply. The moderator records the game as it is played and
   renders each player's view of it, in one place, as a per-agent log; the
   two logs are kept as the transcript's raw logs.
 
@@ -36,7 +38,6 @@ from .agents import (
     Flaw,
     Gateway,
     ModelAgent,
-    Observation,
     OracleAgent,
     SamplingParams,
     default_plan,
@@ -101,11 +102,12 @@ class SimulationResult:
 
 def run_single_model(config: SimulationConfig, gateway: Gateway) -> SimulationResult:
     """One completion simulates the whole game; parse and grade it."""
-    prompt = prompts.render_single_model(
-        config.pair.proposer.value,
-        config.pair.receiver.value,
-        config.game.pot,
-        config.game.rounds,
+    prompt = prompts.render(
+        "single_model",
+        proposer_personality=config.pair.proposer.value,
+        receiver_personality=config.pair.receiver.value,
+        rounds_word=prompts.rounds_word(config.game.rounds),
+        pot_text=format_money(config.game.pot),
     )
     reply = gateway.complete(
         config.model, [{"role": "user", "content": prompt}], config.sampling
@@ -176,11 +178,11 @@ class _Moderator:
             self.outbound[role].append(reply)
             self.strategies[role] = _strip_strategy_prefix(reply)
 
-    def _request(self, role: Role, observation: Observation, extract, correction: str):
+    def _request(self, role: Role, state: engine.GameState, extract, correction: str):
         """Ask for an action, allowing one corrective re-prompt."""
         agent = self.agents[role]
         for attempt in range(2):
-            reply = agent.act(observation)
+            reply = agent.act(state)
             self.outbound[role].append(reply)
             value = extract(reply)
             if value is not None:
@@ -188,24 +190,19 @@ class _Moderator:
             if attempt == 0:
                 self.tell(role, correction)
         raise TurnOrderViolationError(
-            f"{role.value} failed to produce a usable action in round {observation.round}"
+            f"{role.value} failed to produce a usable action in round {state.round_index}"
         )
 
     def play(self) -> tuple[engine.RoundOutcome, ...]:
         """Play every round and return the final engine history."""
         state = engine.new_game(self.game)
         while not state.finished:
-            r = state.round_index
-            obs = Observation(Role.PROPOSER, r, self.game.rounds, self.game.pot, state.history)
             offer, offer_reply = self._request(
-                Role.PROPOSER, obs, self._extract_offer, _OFFER_CORRECTION
+                Role.PROPOSER, state, self._extract_offer, _OFFER_CORRECTION
             )
             state = engine.submit_offer(state, offer)
-            obs = Observation(
-                Role.RECEIVER, r, self.game.rounds, self.game.pot, state.history, pending_offer=offer
-            )
             decision, decision_reply = self._request(
-                Role.RECEIVER, obs, extract_decision_reply, _DECISION_CORRECTION
+                Role.RECEIVER, state, extract_decision_reply, _DECISION_CORRECTION
             )
             self.inbound[Role.PROPOSER].append(f"DECISION: {decision.value}")
             self.inbound[Role.RECEIVER].append(f"OFFER: {format_money(offer)}")
@@ -213,7 +210,7 @@ class _Moderator:
             state, outcome = engine.submit_decision(state, decision)
             announcement = prompts.render(
                 "announce_outcome",
-                round=r,
+                round=outcome.round,
                 offer_text=format_money(outcome.offer),
                 decision_word="accepted" if decision is Decision.ACCEPT else "rejected",
                 proposer_text=format_money(outcome.proposer_payoff),

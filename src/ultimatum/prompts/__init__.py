@@ -11,8 +11,6 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from ..engine import format_money
-
 _ROUND_WORDS = {
     1: "one", 2: "two", 3: "three", 4: "four", 5: "five",
     6: "six", 7: "seven", 8: "eight", 9: "nine", 10: "ten",
@@ -42,15 +40,3 @@ def load_template(name: str) -> str:
 def render(template: str, /, **slots) -> str:
     """Fill a template's substitution slots; unknown slots are an error."""
     return load_template(template).format(**slots)
-
-
-def render_single_model(
-    proposer_personality: str, receiver_personality: str, pot: int, rounds: int
-) -> str:
-    return render(
-        "single_model",
-        proposer_personality=proposer_personality,
-        receiver_personality=receiver_personality,
-        rounds_word=rounds_word(rounds),
-        pot_text=format_money(pot),
-    )

@@ -1099,6 +1099,8 @@ def parse_canonical(text: str) -> Transcript:
                 raise MalformedRecordError("strategy lines must precede round lines")
             strategies.append(StrategySpec(role, raw_text, _fields_from_json(role, fields)))
         elif kind == "round":
+            if raw_logs:
+                raise MalformedRecordError("round lines must precede rawlog lines")
             tokens = rest.split(" ")
             if len(tokens) != 4:
                 raise MalformedRecordError(f"bad round line: {line!r}")

@@ -6,15 +6,16 @@ import pytest
 import requests
 
 from helpers import ACC, REJ
+from ultimatum import engine
 from ultimatum.agents import (
     API_KEY_ENV,
     DEVIATION_ROUND,
+    MAX_RETRIES,
     Flaw,
     GatewayError,
     Gateway,
     HttpGateway,
     ModelAgent,
-    Observation,
     OracleAgent,
     RecordingGateway,
     ReplayGateway,
@@ -34,7 +35,7 @@ class TestProfiles:
     def test_private_bio_states_the_personality(self):
         agent = ModelAgent(Role.PROPOSER, Personality.GREEDY, CONFIG, ScriptedGateway([]), "m")
         assert private_bio(Role.PROPOSER, Personality.GREEDY) == "Proposer is greedy."
-        # A blank public bio line, then the private bio on its own line.
+        # The private bio sits on its own line after the opening sentence.
         assert agent.messages[0]["content"].startswith(
             "You are Proposer, a participant in a negotiation experiment.\nProposer is greedy.\n"
         )
@@ -77,29 +78,11 @@ class TestOracleStrategies:
 
 class TestOracleAgents:
     def play(self, proposer, receiver, rounds=5, pot=100):
-        from ultimatum import engine
-
         state = engine.new_game(GameConfig(pot=pot, rounds=rounds))
         offers, decisions = [], []
         while not state.finished:
-            obs = Observation(
-                role=Role.PROPOSER,
-                round=state.round_index,
-                total_rounds=rounds,
-                pot=pot,
-                history=state.history,
-            )
-            offer = extract_offer_reply(proposer.act(obs))
-            state = engine.submit_offer(state, offer)
-            obs = Observation(
-                role=Role.RECEIVER,
-                round=state.round_index,
-                total_rounds=rounds,
-                pot=pot,
-                history=state.history,
-                pending_offer=offer,
-            )
-            decision = extract_decision_reply(receiver.act(obs))
+            state = engine.submit_offer(state, extract_offer_reply(proposer.act(state)))
+            decision = extract_decision_reply(receiver.act(state))
             state, outcome = engine.submit_decision(state, decision)
             offers.append(outcome.offer)
             decisions.append(outcome.decision)
@@ -131,8 +114,7 @@ class TestOracleAgents:
 
     def test_replies_use_the_standard_markers(self):
         proposer = OracleAgent(Role.PROPOSER, Personality.FAIR)
-        obs = Observation(role=Role.PROPOSER, round=1, total_rounds=5, pot=100)
-        assert proposer.act(obs) == "OFFER: $0.50"
+        assert proposer.act(engine.new_game(CONFIG)) == "OFFER: $0.50"
         assert proposer.create_strategy().startswith("STRATEGY: ")
 
 
@@ -153,8 +135,7 @@ class TestModelAgent:
         agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
         strategy = agent.create_strategy()
         assert strategy == "STRATEGY: even splits only."
-        obs = Observation(role=Role.PROPOSER, round=1, total_rounds=5, pot=100)
-        assert agent.act(obs) == "OFFER: $0.50"
+        assert agent.act(engine.new_game(CONFIG)) == "OFFER: $0.50"
 
         roles = [m["role"] for m in agent.messages]
         assert roles == ["system", "user", "assistant", "user", "assistant"]
@@ -174,7 +155,7 @@ class TestModelAgent:
         gateway = ScriptedGateway(["STRATEGY: even splits.", "OFFER: $0.50"])
         agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
         agent.create_strategy()
-        agent.act(Observation(role=Role.PROPOSER, round=1, total_rounds=5, pot=100))
+        agent.act(engine.new_game(CONFIG))
         labels = [label for label, _ in agent.prompt_log]
         assert labels == ["system", "create_strategy", "request_offer"]
 
@@ -241,26 +222,22 @@ class TestHttpGateway:
             ]
         )
         gateway = HttpGateway(
-            "http://example.invalid/v1", session=session, max_retries=3, backoff=1.0,
-            sleep=sleeps.append,
+            "http://example.invalid/v1", session=session, backoff=1.0, sleep=sleeps.append
         )
         assert gateway.complete("m", MESSAGES, PARAMS) == "finally"
         assert gateway.retries == 3
         assert sleeps == [1.0, 2.0, 4.0]
 
     def test_gives_up_after_max_retries(self):
-        session = FakeSession([FakeResponse(500)] * 3)
-        gateway = HttpGateway(
-            "http://example.invalid/v1", session=session, max_retries=2, sleep=lambda s: None
-        )
-        with pytest.raises(GatewayError):
+        session = FakeSession([FakeResponse(500)] * (MAX_RETRIES + 1))
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
+        with pytest.raises(GatewayError, match=f"after {MAX_RETRIES} retries"):
             gateway.complete("m", MESSAGES, PARAMS)
+        assert len(session.calls) == MAX_RETRIES + 1
 
     def test_client_errors_do_not_retry(self):
         session = FakeSession([FakeResponse(401, text="bad key")])
-        gateway = HttpGateway(
-            "http://example.invalid/v1", session=session, max_retries=3, sleep=lambda s: None
-        )
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
         with pytest.raises(GatewayError):
             gateway.complete("m", MESSAGES, PARAMS)
         assert len(session.calls) == 1

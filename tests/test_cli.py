@@ -84,6 +84,35 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "--replay-file" in capsys.readouterr().err
 
+    @staticmethod
+    def replay(plan_file, out, recording):
+        return main(
+            ["run", "--plan", str(plan_file), "--out", str(out), "--mode", "replay",
+             "--replay-file", str(recording)]
+        )
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("{not json\n", "Expecting property name"), ('{"response": "OFFER: $0.50"}\n', "expected a request")],
+        ids=["not-json", "no-request"],
+    )
+    def test_malformed_recording_is_a_usage_error(self, plan_file, tmp_path, capsys, line, reason):
+        recording = tmp_path / "recording.jsonl"
+        recording.write_text("\n" + line, encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert self.replay(plan_file, out, recording) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {recording}:2: bad recording: ")
+        assert reason in err
+        assert not out.exists()
+
+    def test_empty_recording_replays_with_every_run_failed(self, plan_file, tmp_path):
+        recording = tmp_path / "recording.jsonl"
+        recording.write_text("", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert self.replay(plan_file, out, recording) == EXIT_PARTIAL
+        assert [r["status"] for r in load_records(out)] == ["failed"] * 3
+
 
 class TestGradeCommand:
     def test_grades_stored_records(self, store_path, capsys):

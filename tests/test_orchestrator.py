@@ -8,7 +8,6 @@ from ultimatum.agents import (
     Agent,
     Flaw,
     Gateway,
-    Observation,
     SamplingParams,
     default_plan,
     private_bio,
@@ -73,13 +72,8 @@ def standalone_oracle_log(pair, game, proposer_flaw=None, receiver_flaw=None):
     state = engine.new_game(game)
     while not state.finished:
         r = state.round_index
-        obs = Observation(Role.PROPOSER, r, game.rounds, game.pot, state.history)
-        offer = extract_offer_reply(proposer.act(obs))
-        state = engine.submit_offer(state, offer)
-        obs = Observation(
-            Role.RECEIVER, r, game.rounds, game.pot, state.history, pending_offer=offer
-        )
-        decision = extract_decision_reply(receiver.act(obs))
+        state = engine.submit_offer(state, extract_offer_reply(proposer.act(state)))
+        decision = extract_decision_reply(receiver.act(state))
         state, outcome = engine.submit_decision(state, decision)
         lines.extend(
             [
@@ -195,7 +189,7 @@ class StubAgent(Agent):
     def create_strategy(self):
         return self._strategy
 
-    def act(self, observation):
+    def act(self, state):
         return self._actions.pop(0)
 
     def receive(self, message):
@@ -441,10 +435,10 @@ class LineByLineModerator:
             self.log_lines[role].append(_labeled("Plan", default_plan(role)))
             self.log_lines[role].append(_labeled("Strategy", self.strategies[role]))
 
-    def _request(self, role, observation, extract, correction):
+    def _request(self, role, state, extract, correction):
         agent = self.agents[role]
         for attempt in range(2):
-            reply = agent.act(observation)
+            reply = agent.act(state)
             self.outbound[role].append(reply)
             value = extract(reply)
             if value is not None:
@@ -452,7 +446,7 @@ class LineByLineModerator:
             if attempt == 0:
                 self.tell(role, correction)
         raise TurnOrderViolationError(
-            f"{role.value} failed to produce a usable action in round {observation.round}"
+            f"{role.value} failed to produce a usable action in round {state.round_index}"
         )
 
     def play(self):
@@ -461,19 +455,15 @@ class LineByLineModerator:
             r = state.round_index
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.log_lines[role].append(f"[Round {r}]")
-            obs = Observation(Role.PROPOSER, r, self.game.rounds, self.game.pot, state.history)
             offer, reply = self._request(
-                Role.PROPOSER, obs, self._extract_offer, orchestrator._OFFER_CORRECTION
+                Role.PROPOSER, state, self._extract_offer, orchestrator._OFFER_CORRECTION
             )
             self.log_lines[Role.PROPOSER].append(_labeled("Say", reply))
             state = engine.submit_offer(state, offer)
             offer_line = f"OFFER: {format_money(offer)}"
             self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
-            obs = Observation(
-                Role.RECEIVER, r, self.game.rounds, self.game.pot, state.history, pending_offer=offer
-            )
             decision, reply = self._request(
-                Role.RECEIVER, obs, extract_decision_reply, orchestrator._DECISION_CORRECTION
+                Role.RECEIVER, state, extract_decision_reply, orchestrator._DECISION_CORRECTION
             )
             self.log_lines[Role.RECEIVER].append(_labeled("Say", reply))
             decision_line = f"DECISION: {decision.value}"

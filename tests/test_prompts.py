@@ -1,0 +1,146 @@
+"""Every v1 prompt template, rendered through the code that sends it and
+pinned as literal text at two game sizes.
+
+A template edit that changes what a model is sent fails here; such an edit
+also needs a new template version in prompts/manifest.json.
+"""
+
+import pytest
+
+from ultimatum import prompts
+from ultimatum.agents import Gateway
+from ultimatum.engine import GameConfig
+from ultimatum.orchestrator import (
+    OracleSingleModelGateway,
+    SimulationConfig,
+    make_model_agents,
+    run_multi_agent,
+    run_single_model,
+)
+from ultimatum.strategy import Personality, PersonalityPair, Role
+from ultimatum.transcripts import Structure
+
+GREEDY_FAIR = PersonalityPair(Personality.GREEDY, Personality.FAIR)
+
+# (game, rounds word, pot text, the proposer's share of an accepted $0.10 offer)
+GAMES = {
+    "pot100-5rounds": (GameConfig(pot=100, rounds=5), "five", "$1", "$0.90"),
+    "pot37-3rounds": (GameConfig(pot=37, rounds=3), "three", "$0.37", "$0.27"),
+}
+
+
+class LastConversationGateway(Gateway):
+    """Offers $0.10 and accepts it; keeps the last conversation each player sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = {}
+
+    def _complete(self, model, messages, params):
+        role = Role.PROPOSER if "You are Proposer" in messages[0]["content"] else Role.RECEIVER
+        self.sent[role] = [dict(m) for m in messages]
+        if len(messages) == 2:
+            return "STRATEGY: I offer $0.10 and accept any offer."
+        return "OFFER: $0.10" if role is Role.PROPOSER else "DECISION: accept"
+
+
+def system_prompt(name, personality, rounds_word, pot_text):
+    return (
+        f"You are {name}, a participant in a negotiation experiment.\n"
+        f"{name} is {personality}.\n"
+        "\n"
+        "Directives:\n"
+        f"- You are playing the ultimatum game {rounds_word} times with {pot_text} at stake each round.\n"
+        "- A moderator runs the game. Act only when asked, and only in your own turn.\n"
+        "- Keep your strategy and your reasoning to yourself; say only what each request asks for.\n"
+        '- When asked for a strategy, reply "STRATEGY:" followed by your strategy.\n'
+        '- When asked for an offer, reply with a single line "OFFER: $<amount>".\n'
+        '- When asked for a decision, reply with a single line "DECISION: accept" or "DECISION: reject".'
+    )
+
+
+def expected_multi_agent_prompts(rounds, rounds_word, pot_text, keep_text):
+    expected = []
+    for role, name, personality in (("proposer", "Proposer", "greedy"), ("receiver", "Receiver", "fair")):
+        expected += [
+            (f"{role}/system", system_prompt(name, personality, rounds_word, pot_text)),
+            (
+                f"{role}/create_strategy",
+                f"Create a strategy for playing the ultimatum game as the {role}.\n"
+                "\n"
+                f'Reply "STRATEGY:" followed by the strategy you will follow for all {rounds_word} rounds.',
+            ),
+        ]
+        for r in range(1, rounds + 1):
+            if role == "proposer":
+                request = (
+                    "proposer/request_offer",
+                    f"Round {r} of {rounds}. You are the proposer. Following your strategy, make "
+                    'your offer to the receiver now. Reply with a single line "OFFER: $<amount>".',
+                )
+            else:
+                request = (
+                    "receiver/request_decision",
+                    f"Round {r} of {rounds}. You are the receiver. The proposer offers you $0.10. "
+                    'Following your strategy, reply with a single line "DECISION: accept" or '
+                    '"DECISION: reject".',
+                )
+            announcement = (
+                f"Round {r} result: the offer of $0.10 was accepted. "
+                f"The proposer receives {keep_text}; the receiver receives $0.10."
+            )
+            expected += [request, (f"{role}/announcement", announcement)]
+    return expected
+
+
+@pytest.mark.parametrize("size", GAMES)
+def test_multi_agent_prompts_are_pinned(size):
+    game, rounds_word, pot_text, keep_text = GAMES[size]
+    config = SimulationConfig(Structure.MULTI_AGENT, GREEDY_FAIR, game, model="scripted")
+    gateway = LastConversationGateway()
+    result = run_multi_agent(config, make_model_agents(config, gateway))
+
+    expected = expected_multi_agent_prompts(game.rounds, rounds_word, pot_text, keep_text)
+    assert list(result.prompts) == expected
+    # What the gateway was sent is the same text: each player's last request
+    # carries every prompt but the final announcement, which comes after it.
+    for role in (Role.PROPOSER, Role.RECEIVER):
+        sent = [m["content"] for m in gateway.sent[role] if m["role"] != "assistant"]
+        assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
+
+
+@pytest.mark.parametrize("size", GAMES)
+def test_single_model_prompt_is_pinned(size):
+    game, rounds_word, pot_text, _ = GAMES[size]
+    config = SimulationConfig(Structure.SINGLE_MODEL, GREEDY_FAIR, game)
+    result = run_single_model(config, OracleSingleModelGateway(GREEDY_FAIR, game))
+    assert result.prompts == (
+        (
+            "single_model",
+            f"Create a strategy for a greedy proposer and a fair receiver in playing the ultimatum "
+            f"game {rounds_word} times with {pot_text}. Once the strategies are created, simulate "
+            f"{rounds_word} rounds of the ultimatum game with the proposer and the receiver "
+            "adhering to the previously outlined strategies.\n"
+            "\n"
+            "Format the simulation as follows. First give each strategy:\n"
+            "STRATEGY (Proposer): <the proposer's strategy>\n"
+            "STRATEGY (Receiver): <the receiver's strategy>\n"
+            "Then give exactly three lines for every round:\n"
+            "ROUND <round number>\n"
+            "OFFER: <amount offered to the receiver, e.g. $0.50>\n"
+            "DECISION: <accept or reject>\n"
+            "OUTCOME: <what each player receives this round>",
+        ),
+    )
+
+
+def test_the_pinned_prompts_cover_every_template_at_v1():
+    templates = prompts.manifest()["templates"]
+    assert {name: entry["version"] for name, entry in templates.items()} == {
+        "single_model": "v1",
+        "agent_system": "v1",
+        "create_strategy": "v1",
+        "request_offer": "v1",
+        "request_decision": "v1",
+        "announce_outcome": "v1",
+    }

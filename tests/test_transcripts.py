@@ -479,6 +479,18 @@ class TestCanonicalFormat:
         with pytest.raises(MalformedRecordError):
             parse_canonical(mutate(text))
 
+    def test_round_line_after_a_rawlog_line_is_rejected(self):
+        transcript = build_transcript([50] * 5, [ACC] * 5, structure=Structure.MULTI_AGENT)
+        transcript = dataclasses.replace(
+            transcript, raw_logs=(("proposer", "[Round 1]\n"), ("receiver", "[Round 1]\n"))
+        )
+        lines = serialize_canonical(transcript).splitlines(keepends=True)
+        last_round = max(i for i, line in enumerate(lines) if line.startswith("round "))
+        first_rawlog = lines.index(next(line for line in lines if line.startswith("rawlog ")))
+        moved = lines[:last_round] + [lines[first_rawlog], lines[last_round]] + lines[first_rawlog + 1 :]
+        with pytest.raises(MalformedRecordError, match="round lines must precede rawlog lines"):
+            parse_canonical("".join(moved))
+
     def test_plain_random_round_trips(self):
         rng = random.Random(5)
         for _ in range(50):
