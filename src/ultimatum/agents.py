@@ -249,8 +249,9 @@ class Agent:
         offer."""
         raise NotImplementedError
 
-    def receive(self, message: str) -> None:
-        """Hear an announcement (round outcomes, corrections)."""
+    def receive(self, message: str, label: str = "announcement") -> None:
+        """Hear a message from the moderator; `label` names its kind
+        ("announcement" for a round outcome, "correction" for a re-prompt)."""
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +476,6 @@ class ModelAgent(Agent):
         content = prompts.render(label, round=state.round_index, rounds=self.game.rounds, **slots)
         return self._ask(label, content)
 
-    def receive(self, message: str) -> None:
+    def receive(self, message: str, label: str = "announcement") -> None:
         self.messages.append({"role": "user", "content": message})
-        self.prompt_log.append(("announcement", message))
+        self.prompt_log.append((label, message))

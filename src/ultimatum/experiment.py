@@ -350,6 +350,12 @@ def run_batch(
     plan's endpoint. A failing run is recorded with its cause and the
     batch continues. Records are produced in grid order regardless of
     worker count.
+
+    Within one batch, each distinct single-model reply (with its pair and
+    game) is parsed and graded once; later runs that receive the same
+    reply reuse that grade. Every run still renders its prompt, calls its
+    gateway and gets its own record, and the records are the same as when
+    each run is graded on its own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -390,12 +396,17 @@ def run_batch(
                 )
             )
 
+    # Grades of the single-model replies seen in this batch. Two worker
+    # threads may both miss on one reply and both parse it; they store equal
+    # values, so the dict needs no lock.
+    graded: dict = {}
+
     def execute(job: tuple[str, SimulationConfig, Gateway | None]) -> dict:
         run_id, config, gateway = job
         started = time.perf_counter()
         try:
             if config.structure is Structure.SINGLE_MODEL:
-                result = run_single_model(config, gateway)
+                result = run_single_model(config, gateway, graded=graded)
             else:
                 if gateway is None:
                     agents = make_oracle_agents(

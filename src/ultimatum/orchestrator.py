@@ -100,8 +100,19 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 
 
-def run_single_model(config: SimulationConfig, gateway: Gateway) -> SimulationResult:
-    """One completion simulates the whole game; parse and grade it."""
+def run_single_model(
+    config: SimulationConfig,
+    gateway: Gateway,
+    *,
+    graded: dict | None = None,
+) -> SimulationResult:
+    """One completion simulates the whole game; parse and grade it.
+
+    `graded`, when given, maps (reply, pair, game) to the (transcript,
+    diagnostics, verdict) of a reply already parsed and graded. A reply
+    found there is not parsed again; one that parses and grades is added.
+    A reply that raises is never stored, so every run that gets it raises.
+    """
     prompt = prompts.render(
         "single_model",
         proposer_personality=config.pair.proposer.value,
@@ -112,8 +123,13 @@ def run_single_model(config: SimulationConfig, gateway: Gateway) -> SimulationRe
     reply = gateway.complete(
         config.model, [{"role": "user", "content": prompt}], config.sampling
     )
-    transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
-    verdict = evaluate_transcript(transcript)
+    if graded is None:
+        graded = {}
+    key = (reply, config.pair, config.game)
+    if key not in graded:
+        transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
+        graded[key] = (transcript, diagnostics, evaluate_transcript(transcript))
+    transcript, diagnostics, verdict = graded[key]
     return SimulationResult(
         config=config,
         transcript=transcript,
@@ -127,16 +143,6 @@ def run_single_model(config: SimulationConfig, gateway: Gateway) -> SimulationRe
 # ---------------------------------------------------------------------------
 # Multi-agent structure
 # ---------------------------------------------------------------------------
-
-_OFFER_CORRECTION = (
-    'Your reply must be a single line "OFFER: $<amount>" with an amount '
-    "between $0 and the full pot. Give your offer again."
-)
-_DECISION_CORRECTION = (
-    'Your reply must be a single line "DECISION: accept" or "DECISION: reject". '
-    "Give your decision again."
-)
-
 
 def _labeled(label: str, text: str) -> str:
     first, _, rest = text.partition("\n")
@@ -168,8 +174,8 @@ class _Moderator:
         self.outbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
         self.inbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
 
-    def tell(self, role: Role, message: str) -> None:
-        self.agents[role].receive(message)
+    def tell(self, role: Role, message: str, label: str = "announcement") -> None:
+        self.agents[role].receive(message, label)
         self.inbound[role].append(message)
 
     def strategy_phase(self) -> None:
@@ -179,7 +185,8 @@ class _Moderator:
             self.strategies[role] = _strip_strategy_prefix(reply)
 
     def _request(self, role: Role, state: engine.GameState, extract, correction: str):
-        """Ask for an action, allowing one corrective re-prompt."""
+        """Ask for an action, allowing one corrective re-prompt rendered
+        from the `correction` template."""
         agent = self.agents[role]
         for attempt in range(2):
             reply = agent.act(state)
@@ -188,7 +195,7 @@ class _Moderator:
             if value is not None:
                 return value, reply
             if attempt == 0:
-                self.tell(role, correction)
+                self.tell(role, prompts.render(correction), "correction")
         raise TurnOrderViolationError(
             f"{role.value} failed to produce a usable action in round {state.round_index}"
         )
@@ -198,11 +205,11 @@ class _Moderator:
         state = engine.new_game(self.game)
         while not state.finished:
             offer, offer_reply = self._request(
-                Role.PROPOSER, state, self._extract_offer, _OFFER_CORRECTION
+                Role.PROPOSER, state, self._extract_offer, "correct_offer"
             )
             state = engine.submit_offer(state, offer)
             decision, decision_reply = self._request(
-                Role.RECEIVER, state, extract_decision_reply, _DECISION_CORRECTION
+                Role.RECEIVER, state, extract_decision_reply, "correct_decision"
             )
             self.inbound[Role.PROPOSER].append(f"DECISION: {decision.value}")
             self.inbound[Role.RECEIVER].append(f"OFFER: {format_money(offer)}")

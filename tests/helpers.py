@@ -112,19 +112,26 @@ def _amount_text(rng: random.Random, cents: int) -> str:
 
 
 def generate_corpus_case(rng: random.Random) -> dict:
-    """A synthetic single-model log in a randomized style, with its answer key."""
-    pot = 100
-    rounds = rng.randint(3, 7)
+    """A synthetic single-model log in a randomized style, with its answer key.
+
+    Pots are log-uniform over 5-10000 cents, so small and large pots both
+    appear; the receiver's threshold (40% of the pot) and the proposer's
+    step (5%, at least one cent) scale with the pot.
+    """
+    pot = int(5 * 2000 ** rng.random())
+    rounds = rng.randint(1, 10)
     pair = rng.choice(["fair-fair", "fair-greedy", "greedy-fair", "greedy-greedy"])
     heading = rng.choice(_GEN_HEADINGS)
     offers = [rng.randint(1, pot - 1) for _ in range(rounds)]
     decisions = [rng.choice(["accept", "reject"]) for _ in range(rounds)]
+    step, threshold = max(1, pot * 5 // 100), pot * 40 // 100
     exact = True
     lines = [
         f"STRATEGY (Proposer): I will offer {_amount_text(rng, offers[0])} in the first round. "
-        "If an offer is rejected, I will increase the offer by $0.05 in the next round. "
-        "If an offer is accepted, I will keep the offer the same.",
-        f"STRATEGY (Receiver): I will accept offers of {_amount_text(rng, 40)} or more in every round.",
+        f"If an offer is rejected, I will increase the offer by {_amount_text(rng, step)} "
+        "in the next round. If an offer is accepted, I will keep the offer the same.",
+        f"STRATEGY (Receiver): I will accept offers of {_amount_text(rng, threshold)} or more "
+        "in every round.",
         "",
     ]
     for n in range(1, rounds + 1):
@@ -147,6 +154,8 @@ def generate_corpus_case(rng: random.Random) -> dict:
         "decisions": decisions,
         "confidence": "exact" if exact else "heuristic",
         "warnings_contain": [],
+        # (opening offer, step after a rejection, receiver threshold) the strategies state.
+        "plans": (offers[0], step, threshold),
     }
 
 

@@ -2,9 +2,12 @@ import threading
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultimatum.agents import Gateway, GatewayError, HttpGateway
+from ultimatum import orchestrator
+from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway
 from ultimatum.experiment import (
+    RUN_FAILURES,
     ExperimentPlan,
     GroupCounts,
     InvalidPlanError,
@@ -17,8 +20,17 @@ from ultimatum.experiment import (
     regrade_record,
     render_report,
     run_batch,
+    _failed_record,
+    _ok_record,
 )
-from ultimatum.orchestrator import synthesize_single_model_log
+from ultimatum.orchestrator import (
+    OracleSingleModelGateway,
+    SimulationConfig,
+    make_oracle_agents,
+    run_multi_agent,
+    run_single_model,
+    synthesize_single_model_log,
+)
 from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair
 from ultimatum.transcripts import Structure
 
@@ -295,6 +307,131 @@ class TestFailedRuns:
         cell = summary.by_cell[("single_model", "fair-fair")]
         assert (cell.ok, cell.none) == (2, 2)
         assert "cell,single_model/fair-fair,human_rate,100" in render_report(summary, fmt="csv")
+
+
+def without_elapsed(records):
+    return [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in records]
+
+
+def records_run_by_run(plan, single_model_gateway):
+    """The plan's records, each run parsed and graded on its own by a fresh
+    run_single_model or run_multi_agent call. single_model_gateway(pair)
+    gives the gateway a single-model run of that pair asks."""
+    records = []
+    for structure, pair in plan.cells():
+        for k in range(plan.runs_per_cell):
+            run_id = f"{structure.value}.{pair.label()}.{k:03d}"
+            config = SimulationConfig(
+                structure, pair, plan.game, plan.model, plan.sampling,
+                seed=plan.seed * 1_000_003 + len(records),
+            )
+            try:
+                if structure is Structure.SINGLE_MODEL:
+                    result = run_single_model(config, single_model_gateway(pair))
+                else:
+                    agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
+                    result = run_multi_agent(config, agents)
+            except RUN_FAILURES as exc:
+                records.append(_failed_record(run_id, config, exc, 0.0))
+            else:
+                records.append(_ok_record(run_id, config, result, 0.0, False))
+    return records
+
+
+class InOrderReplies(Gateway):
+    """A recording that answers the n-th completion request with its n-th reply."""
+
+    def __init__(self, replies):
+        super().__init__()
+        self.replies = list(replies)
+
+    def _complete(self, model, messages, params):
+        return self.replies.pop(0)
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """Counts the combined-log parses run_single_model makes."""
+    calls = []
+    parse = orchestrator.parse_single_model_log
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(orchestrator, "parse_single_model_log", counted)
+    return calls
+
+
+class TestSharedGrades:
+    """A batch parses and grades each distinct single-model reply once; its
+    records are the ones each run would get if graded on its own."""
+
+    @settings(max_examples=25)
+    @given(
+        pot=st.integers(min_value=5, max_value=1000),
+        rounds=st.integers(min_value=1, max_value=10),
+        flaws=st.sampled_from(
+            [
+                None,
+                {"proposer": "incomplete"},
+                {"proposer": "deviator"},
+                {"receiver": "inconsistent_threshold"},
+            ]
+        ),
+        runs_per_cell=st.integers(min_value=1, max_value=4),
+    )
+    def test_oracle_records_match_runs_graded_one_by_one(self, pot, rounds, flaws, runs_per_cell):
+        plan = plan_from_dict(
+            {"pot": pot, "rounds": rounds, "flaws": flaws, "runs_per_cell": runs_per_cell}
+        )
+        batch = run_batch(plan)
+        expected = records_run_by_run(
+            plan,
+            lambda pair: OracleSingleModelGateway(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw),
+        )
+        assert without_elapsed(batch.records) == without_elapsed(expected)
+
+    def test_replayed_replies_are_graded_once_each(self, parse_count):
+        plan = plan_from_dict(
+            {"structures": ["single_model"], "pairs": ["fair-fair"], "runs_per_cell": 4}
+        )
+        clean = synthesize_single_model_log(FAIR_FAIR)
+        replies = [
+            clean,
+            clean,
+            synthesize_single_model_log(FAIR_FAIR, proposer_flaw=Flaw.DEVIATOR),
+            synthesize_single_model_log(FAIR_FAIR, proposer_flaw=Flaw.INCOMPLETE),
+        ]
+        batch = run_batch(plan, mode="replay", gateway=InOrderReplies(replies))
+        assert parse_count == [clean, replies[2], replies[3]]
+        assert [r["verdict"]["error_class"] for r in batch.records] == [
+            "none", "none", "gameplay_only", "strategy_only"
+        ]
+        recording = InOrderReplies(replies)
+        expected = records_run_by_run(plan, lambda pair: recording)
+        assert without_elapsed(batch.records) == without_elapsed(expected)
+
+    def test_an_unparseable_reply_fails_every_run_that_gets_it(self, parse_count):
+        plan = plan_from_dict(
+            {"structures": ["single_model"], "pairs": ["fair-fair"], "runs_per_cell": 3}
+        )
+        reply = "I would rather not play."
+        batch = run_batch(plan, mode="replay", gateway=InOrderReplies([reply] * 3))
+        assert [r["status"] for r in batch.records] == ["failed"] * 3
+        causes = {r["cause"] for r in batch.records}
+        assert len(causes) == 1 and causes.pop().startswith("UnparseableLogError: ")
+        # A reply that fails to parse is not kept: each run parses it again.
+        assert parse_count == [reply] * 3
+
+    def test_grades_do_not_outlive_their_batch(self, parse_count):
+        plan = plan_from_dict({"runs_per_cell": 3})
+        single_cells = sum(s is Structure.SINGLE_MODEL for s, _ in plan.cells())
+        first = run_batch(plan)
+        assert len(parse_count) == single_cells
+        second = run_batch(plan)
+        assert len(parse_count) == 2 * single_cells
+        assert without_elapsed(first.records) == without_elapsed(second.records)
 
 
 class TestRunStore:

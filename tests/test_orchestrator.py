@@ -192,7 +192,7 @@ class StubAgent(Agent):
     def act(self, state):
         return self._actions.pop(0)
 
-    def receive(self, message):
+    def receive(self, message, label="announcement"):
         self.heard.append(message)
 
 
@@ -260,9 +260,14 @@ class TestInformationAudit:
 
     def test_a_message_to_the_receiver_is_audited(self, monkeypatch):
         # The inbound half: what the moderator tells a player is checked too.
-        monkeypatch.setattr(
-            orchestrator, "_DECISION_CORRECTION", "Proposer is fair. Give your decision again."
-        )
+        render = prompts.render
+
+        def leaky_render(template, /, **slots):
+            if template == "correct_decision":
+                return "Proposer is fair. Give your decision again."
+            return render(template, **slots)
+
+        monkeypatch.setattr(prompts, "render", leaky_render)
         receiver = stub_fair_receiver(["hmm"] + ["DECISION: accept"] * 5)
         with pytest.raises(InformationLeakError, match="message to the receiver"):
             run_multi_agent(multi_agent_config(), (stub_fair_proposer(["OFFER: $0.50"] * 5), receiver))
@@ -422,8 +427,8 @@ class LineByLineModerator:
         self.outbound = {Role.PROPOSER: [], Role.RECEIVER: []}
         self.inbound = {Role.PROPOSER: [], Role.RECEIVER: []}
 
-    def tell(self, role, message):
-        self.agents[role].receive(message)
+    def tell(self, role, message, label="announcement"):
+        self.agents[role].receive(message, label)
         self.inbound[role].append(message)
 
     def strategy_phase(self):
@@ -444,7 +449,7 @@ class LineByLineModerator:
             if value is not None:
                 return value, reply
             if attempt == 0:
-                self.tell(role, correction)
+                self.tell(role, prompts.render(correction), "correction")
         raise TurnOrderViolationError(
             f"{role.value} failed to produce a usable action in round {state.round_index}"
         )
@@ -456,14 +461,14 @@ class LineByLineModerator:
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.log_lines[role].append(f"[Round {r}]")
             offer, reply = self._request(
-                Role.PROPOSER, state, self._extract_offer, orchestrator._OFFER_CORRECTION
+                Role.PROPOSER, state, self._extract_offer, "correct_offer"
             )
             self.log_lines[Role.PROPOSER].append(_labeled("Say", reply))
             state = engine.submit_offer(state, offer)
             offer_line = f"OFFER: {format_money(offer)}"
             self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
             decision, reply = self._request(
-                Role.RECEIVER, state, extract_decision_reply, orchestrator._DECISION_CORRECTION
+                Role.RECEIVER, state, extract_decision_reply, "correct_decision"
             )
             self.log_lines[Role.RECEIVER].append(_labeled("Say", reply))
             decision_line = f"DECISION: {decision.value}"

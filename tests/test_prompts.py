@@ -109,6 +109,54 @@ def test_multi_agent_prompts_are_pinned(size):
         assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
 
 
+OFFER_CORRECTION = (
+    'Your reply must be a single line "OFFER: $<amount>" with an amount between $0 and the '
+    "full pot. Give your offer again."
+)
+DECISION_CORRECTION = (
+    'Your reply must be a single line "DECISION: accept" or "DECISION: reject". '
+    "Give your decision again."
+)
+
+
+class StallsOnceGateway(LastConversationGateway):
+    """Like LastConversationGateway, but each player's first action reply
+    carries no action, so each earns one correction."""
+
+    def __init__(self):
+        super().__init__()
+        self.stalled = set()
+
+    def _complete(self, model, messages, params):
+        reply = super()._complete(model, messages, params)
+        role = Role.PROPOSER if "You are Proposer" in messages[0]["content"] else Role.RECEIVER
+        if len(messages) > 2 and role not in self.stalled:
+            self.stalled.add(role)
+            return "Let me think about it."
+        return reply
+
+
+@pytest.mark.parametrize("size", GAMES)
+def test_corrections_are_pinned(size):
+    game, rounds_word, pot_text, keep_text = GAMES[size]
+    config = SimulationConfig(Structure.MULTI_AGENT, GREEDY_FAIR, game, model="scripted")
+    gateway = StallsOnceGateway()
+    result = run_multi_agent(config, make_model_agents(config, gateway))
+
+    expected = expected_multi_agent_prompts(game.rounds, rounds_word, pot_text, keep_text)
+    # Each player's round-1 request is followed by its correction and asked again.
+    for label, correction in (
+        ("proposer/request_offer", ("proposer/correction", OFFER_CORRECTION)),
+        ("receiver/request_decision", ("receiver/correction", DECISION_CORRECTION)),
+    ):
+        at = next(i for i, (seen, _) in enumerate(expected) if seen == label)
+        expected[at + 1 : at + 1] = [correction, expected[at]]
+    assert list(result.prompts) == expected
+    for role in (Role.PROPOSER, Role.RECEIVER):
+        sent = [m["content"] for m in gateway.sent[role] if m["role"] != "assistant"]
+        assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
+
+
 @pytest.mark.parametrize("size", GAMES)
 def test_single_model_prompt_is_pinned(size):
     game, rounds_word, pot_text, _ = GAMES[size]
@@ -143,4 +191,6 @@ def test_the_pinned_prompts_cover_every_template_at_v1():
         "request_offer": "v1",
         "request_decision": "v1",
         "announce_outcome": "v1",
+        "correct_offer": "v1",
+        "correct_decision": "v1",
     }

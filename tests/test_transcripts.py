@@ -401,6 +401,10 @@ class TestCorpus:
         assert diag.confidence.value == case["confidence"]
         for needle in case["warnings_contain"]:
             assert any(needle in w for w in diag.warnings), diag.warnings
+        if "plans" in case:
+            proposer, receiver = (spec.parsed for spec in transcript.strategies)
+            plans = (proposer.initial_offer, proposer.on_reject.amount, receiver.threshold)
+            assert plans == case["plans"]
 
 
 @st.composite
