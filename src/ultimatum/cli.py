@@ -61,6 +61,10 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         plan = load_plan(args.plan)
@@ -117,7 +121,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
     if args.records:
         try:
-            records = load_records(args.records)
+            records = load_records(args.records, on_torn_line=_warn)
         except (OSError, ValueError) as exc:
             return _fail_usage(str(exc))
         failures = 0
@@ -172,7 +176,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        records = load_records(args.records)
+        records = load_records(args.records, on_torn_line=_warn)
     except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
     print(render_report(aggregate(records), args.format), end="")

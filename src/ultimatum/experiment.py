@@ -21,7 +21,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
@@ -58,12 +58,7 @@ from .stats import (
     two_proportion_z,
 )
 from .strategy import ALL_PAIRS, MIN_POT, PersonalityPair, Role
-from .transcripts import (
-    Structure,
-    UnparseableLogError,
-    parse_canonical,
-    serialize_canonical,
-)
+from .transcripts import Structure, UnparseableLogError, parse_canonical
 
 RUN_SCHEMA = 1
 
@@ -247,7 +242,7 @@ def _ok_record(
         elapsed_seconds=round(elapsed, 6),
         confidence=result.diagnostics.confidence.value,
         warnings=list(result.diagnostics.warnings),
-        transcript=serialize_canonical(result.transcript),
+        transcript=result.canonical,
         verdict=verdict_to_dict(result.verdict),
     )
     if keep_prompts:
@@ -275,23 +270,32 @@ def _failed_record(
 class RunStore:
     """Append-only JSON-lines store of run records.
 
-    Appends are serialized under a lock and flushed line-at-a-time, so
-    concurrent workers never interleave partial records.
+    One `append` writes all its records, one line each, under one lock
+    acquisition and one open of the file, so the lines of concurrent
+    appends never interleave and each call's lines stay together.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
 
-    def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+    def append(self, *records: dict) -> None:
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(lines)
 
 
-def load_records(path: str | Path) -> list[dict]:
-    """Read every record from a JSON-lines store."""
+def load_records(
+    path: str | Path, on_torn_line: Callable[[str], None] | None = None
+) -> list[dict]:
+    """Read every record from a JSON-lines store.
+
+    A final line with no newline that is not JSON is what a write cut short
+    leaves behind: it is skipped, and `on_torn_line`, when given, is called
+    with a message naming the file and line. A bad line anywhere else
+    raises ValueError.
+    """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -300,6 +304,10 @@ def load_records(path: str | Path) -> list[dict]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):  # only the last line can lack one
+                    if on_torn_line is not None:
+                        on_torn_line(f"{path}:{lineno}: skipped a torn final line")
+                    break
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not an object")
@@ -335,6 +343,23 @@ class BatchResult:
         return sum(1 for r in self.records if r["status"] != "ok")
 
 
+def _play_oracles(plan: ExperimentPlan, pair: PersonalityPair) -> SimulationResult | Exception:
+    """The pair's oracle game, played once through the moderator, or the
+    run failure it raised (which then fails every run of the pair)."""
+    config = SimulationConfig(
+        structure=Structure.MULTI_AGENT,
+        pair=pair,
+        game=plan.game,
+        model=plan.model,
+        sampling=plan.sampling,
+    )
+    agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
+    try:
+        return run_multi_agent(config, agents)
+    except RUN_FAILURES as exc:
+        return exc
+
+
 def run_batch(
     plan: ExperimentPlan,
     mode: str = "oracle",
@@ -349,13 +374,20 @@ def run_batch(
     completion from the provided recorded gateway; "live" posts to the
     plan's endpoint. A failing run is recorded with its cause and the
     batch continues. Records are produced in grid order regardless of
-    worker count.
+    worker count, and a store gets them all in one append.
+
+    Oracle players are deterministic, so in oracle mode each pair's game
+    is played once per batch, before any worker starts. That one game
+    serves every multi-agent run of the pair, and the pair's single-model
+    gateway answers with the combined log written from it. Model-backed
+    players play every run.
 
     Within one batch, each distinct single-model reply (with its pair and
-    game) is parsed and graded once; later runs that receive the same
-    reply reuse that grade. Every run still renders its prompt, calls its
-    gateway and gets its own record, and the records are the same as when
-    each run is graded on its own.
+    game) is parsed, graded and serialized once; later runs that receive
+    the same reply reuse that grade. Every single-model run still renders
+    its prompt and calls its gateway, every run gets its own record, and
+    the records are the same as when each run plays and is graded on its
+    own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -369,15 +401,22 @@ def run_batch(
     if mode == "replay" and shared_gateway is None:
         raise InvalidPlanError("replay mode needs a recorded gateway")
 
-    # Each job carries its gateway: the shared one, or for offline
-    # single-model runs one oracle gateway per cell. None means oracle players.
-    jobs: list[tuple[str, SimulationConfig, Gateway | None]] = []
+    started = time.perf_counter()
+    # Each job carries its source: the model-backed gateway; in oracle mode
+    # the pair's played game for a multi-agent run and the gateway answering
+    # from it for a single-model run; or the exception the game raised.
+    games: dict[tuple, SimulationResult | Exception] = {}
+    jobs: list[tuple[str, SimulationConfig, Gateway | SimulationResult | Exception]] = []
     for structure, pair in plan.cells():
-        cell_gateway = shared_gateway
-        if cell_gateway is None and structure is Structure.SINGLE_MODEL:
-            cell_gateway = OracleSingleModelGateway(
-                pair, plan.game, plan.proposer_flaw, plan.receiver_flaw
-            )
+        source = shared_gateway
+        if source is None:
+            # Keyed by all that decides an oracle game (the batch's game is fixed).
+            key = (pair, plan.proposer_flaw, plan.receiver_flaw)
+            if key not in games:
+                games[key] = _play_oracles(plan, pair)
+            source = games[key]
+            if structure is Structure.SINGLE_MODEL and isinstance(source, SimulationResult):
+                source = OracleSingleModelGateway(source.transcript)
         for k in range(plan.runs_per_cell):
             run_id = f"{structure.value}.{pair.label()}.{k:03d}"
             seed = plan.seed * 1_000_003 + len(jobs)
@@ -392,7 +431,7 @@ def run_batch(
                         sampling=plan.sampling,
                         seed=seed,
                     ),
-                    cell_gateway,
+                    source,
                 )
             )
 
@@ -401,27 +440,24 @@ def run_batch(
     # values, so the dict needs no lock.
     graded: dict = {}
 
-    def execute(job: tuple[str, SimulationConfig, Gateway | None]) -> dict:
-        run_id, config, gateway = job
+    def execute(job: tuple) -> dict:
+        run_id, config, source = job
         started = time.perf_counter()
+        if isinstance(source, Exception):
+            return _failed_record(run_id, config, source, time.perf_counter() - started)
         try:
-            if config.structure is Structure.SINGLE_MODEL:
-                result = run_single_model(config, gateway, graded=graded)
+            if isinstance(source, SimulationResult):
+                result = replace(source, config=config)
+            elif config.structure is Structure.SINGLE_MODEL:
+                result = run_single_model(config, source, graded=graded)
             else:
-                if gateway is None:
-                    agents = make_oracle_agents(
-                        config.pair, config.game, plan.proposer_flaw, plan.receiver_flaw
-                    )
-                else:
-                    agents = make_model_agents(config, gateway)
-                result = run_multi_agent(config, agents)
+                result = run_multi_agent(config, make_model_agents(config, source))
         except RUN_FAILURES as exc:
             return _failed_record(run_id, config, exc, time.perf_counter() - started)
         return _ok_record(run_id, config, result, time.perf_counter() - started, keep_prompts)
 
     if max_workers is None:
         max_workers = 4 if mode == "live" else 1
-    started = time.perf_counter()
     if max_workers <= 1 or len(jobs) <= 1:
         records = [execute(job) for job in jobs]
     else:
@@ -430,8 +466,7 @@ def run_batch(
     elapsed = time.perf_counter() - started
 
     if store is not None:
-        for record in records:
-            store.append(record)
+        store.append(*records)
     usage = None
     if shared_gateway is not None:
         usage = {"requests": shared_gateway.requests, "retries": shared_gateway.retries}

@@ -24,7 +24,10 @@ player's private personality line.
 
 The moderator is the only game loop. Offline single-model runs use it too:
 the oracles play one moderated game, and the combined log their gateway
-answers with is written from that game's strategies and engine history.
+answers with is written from that game's transcript. Oracle players are
+deterministic, so an oracle batch plays each pair's game once and lets it
+serve both structures (see `experiment.run_batch`); the records are the
+same as when every run plays its own.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .transcripts import (
     extract_offer_reply,
     parse_single_model_log,
     parse_strategy_text,
+    serialize_canonical,
 )
 
 
@@ -84,13 +88,15 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """One finished run: the transcript, its grade, and the traffic
-    that produced it (prompts sent, replies received, in order)."""
+    """One finished run: the transcript (also in the canonical text a run
+    record stores), its grade, and the traffic that produced it (prompts
+    sent, replies received, in order)."""
 
     config: SimulationConfig
     transcript: Transcript
     verdict: Verdict
     diagnostics: ParseDiagnostics
+    canonical: str
     prompts: tuple[tuple[str, str], ...] = ()
     replies: tuple[tuple[str, str], ...] = ()
 
@@ -109,9 +115,10 @@ def run_single_model(
     """One completion simulates the whole game; parse and grade it.
 
     `graded`, when given, maps (reply, pair, game) to the (transcript,
-    diagnostics, verdict) of a reply already parsed and graded. A reply
-    found there is not parsed again; one that parses and grades is added.
-    A reply that raises is never stored, so every run that gets it raises.
+    diagnostics, verdict, canonical text) of a reply already parsed and
+    graded. A reply found there is not parsed or serialized again; one that
+    parses and grades is added. A reply that raises is never stored, so
+    every run that gets it raises.
     """
     prompt = prompts.render(
         "single_model",
@@ -128,13 +135,15 @@ def run_single_model(
     key = (reply, config.pair, config.game)
     if key not in graded:
         transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
-        graded[key] = (transcript, diagnostics, evaluate_transcript(transcript))
-    transcript, diagnostics, verdict = graded[key]
+        verdict = evaluate_transcript(transcript)
+        graded[key] = (transcript, diagnostics, verdict, serialize_canonical(transcript))
+    transcript, diagnostics, verdict, canonical = graded[key]
     return SimulationResult(
         config=config,
         transcript=transcript,
         verdict=verdict,
         diagnostics=diagnostics,
+        canonical=canonical,
         prompts=(("single_model", prompt),),
         replies=(("single_model", reply),),
     )
@@ -313,6 +322,7 @@ def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> Si
         transcript=transcript,
         verdict=verdict,
         diagnostics=diagnostics,
+        canonical=serialize_canonical(transcript),
         prompts=tuple(prompt_pairs),
         replies=replies,
     )
@@ -351,28 +361,21 @@ def make_model_agents(
 # ---------------------------------------------------------------------------
 
 
-def synthesize_single_model_log(
-    pair: PersonalityPair,
-    game: GameConfig | None = None,
-    proposer_flaw: Flaw | None = None,
-    receiver_flaw: Flaw | None = None,
-) -> str:
-    """A combined log in the requested reply format, played by oracles.
+def synthesize_single_model_log(transcript: Transcript) -> str:
+    """A combined log in the requested reply format, written from a played
+    game: each strategy's text, then every round of `transcript.rounds`.
 
     Used in offline runs so the single-model pipeline (prompt, completion,
     combined-log parse, grade) is exercised end to end without a network.
-    The oracles play through the moderator like any other pair of players;
-    the log is written from the strategies it collected and the engine
-    history it returns.
+    The game is one the oracles played through the moderator
+    (`run_multi_agent`), the only game loop; an oracle batch plays it once
+    per pair and writes both structures' runs from it.
     """
-    game = game if game is not None else GameConfig()
-    moderator = _Moderator(*make_oracle_agents(pair, game, proposer_flaw, receiver_flaw), game)
-    moderator.strategy_phase()
     lines = [
-        f"STRATEGY ({role.value.capitalize()}): {text}"
-        for role, text in moderator.strategies.items()
+        f"STRATEGY ({spec.role.value.capitalize()}): {spec.raw_text}"
+        for spec in transcript.strategies
     ]
-    for outcome in moderator.play():
+    for outcome in transcript.rounds:
         lines.extend(
             [
                 f"ROUND {outcome.round}",
@@ -387,18 +390,12 @@ def synthesize_single_model_log(
 
 
 class OracleSingleModelGateway(Gateway):
-    """Gateway that answers any completion request with a synthesized
-    oracle log for its configured players. One instance serves one cell."""
+    """Gateway that answers any completion request with the combined log
+    written from one played oracle game. One instance serves one cell."""
 
-    def __init__(
-        self,
-        pair: PersonalityPair,
-        game: GameConfig | None = None,
-        proposer_flaw: Flaw | None = None,
-        receiver_flaw: Flaw | None = None,
-    ) -> None:
+    def __init__(self, transcript: Transcript) -> None:
         super().__init__()
-        self._log = synthesize_single_model_log(pair, game, proposer_flaw, receiver_flaw)
+        self._log = synthesize_single_model_log(transcript)
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
         return self._log

@@ -9,6 +9,13 @@ import random
 from ultimatum import engine
 from ultimatum.agents import oracle_strategy
 from ultimatum.engine import Decision, GameConfig
+from ultimatum.orchestrator import (
+    OracleSingleModelGateway,
+    SimulationConfig,
+    make_oracle_agents,
+    run_multi_agent,
+    synthesize_single_model_log,
+)
 from ultimatum.strategy import Personality, PersonalityPair, Role, StrategySpec
 from ultimatum.transcripts import Structure, Transcript, parse_strategy_text
 
@@ -22,6 +29,24 @@ REJ = Decision.REJECT
 def oracle_text(role: Role, personality: Personality, pot: int = 100, rounds: int = 5) -> str:
     raw, _ = oracle_strategy(role, personality, GameConfig(pot=pot, rounds=rounds))
     return raw
+
+
+def oracle_game(pair: PersonalityPair, game: GameConfig | None = None, **flaws):
+    """The oracles' game for the pair, played on its own through the moderator;
+    `flaws` are make_oracle_agents' proposer_flaw and receiver_flaw."""
+    game = game if game is not None else GameConfig()
+    config = SimulationConfig(Structure.MULTI_AGENT, pair, game)
+    return run_multi_agent(config, make_oracle_agents(pair, game, **flaws))
+
+
+def oracle_gateway(pair: PersonalityPair, game: GameConfig | None = None, **flaws):
+    """A single-model oracle gateway answering from the pair's own game."""
+    return OracleSingleModelGateway(oracle_game(pair, game, **flaws).transcript)
+
+
+def oracle_log(pair: PersonalityPair, game: GameConfig | None = None, **flaws) -> str:
+    """The combined single-model log written from the pair's own game."""
+    return synthesize_single_model_log(oracle_game(pair, game, **flaws).transcript)
 
 
 def build_transcript(

@@ -201,6 +201,38 @@ class TestReportCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def torn_store(store_path):
+    """The three-record store with a fourth record cut short by a crash."""
+    whole = store_path.read_text(encoding="utf-8")
+    with store_path.open("a", encoding="utf-8") as fh:
+        fh.write(whole.splitlines()[0][:40])
+    return store_path
+
+
+class TestTornStore:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["grade"], "3 records, 3 graded, 0 failed"),
+            (["report"], "3 runs: 3 graded, 0 failed."),
+            (["report", "--format", "csv"], "overall,-,total,3"),
+        ],
+        ids=["grade", "report", "report-csv"],
+    )
+    def test_the_torn_line_is_skipped_with_one_warning(self, torn_store, capsys, argv, expected):
+        assert main([*argv, "--records", str(torn_store)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert expected in captured.out
+        assert captured.err == f"warning: {torn_store}:4: skipped a torn final line\n"
+
+    def test_a_torn_line_before_the_end_is_a_usage_error(self, torn_store, capsys):
+        with torn_store.open("a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(["grade", "--records", str(torn_store)]) == EXIT_USAGE
+        assert f"{torn_store}:4: bad record" in capsys.readouterr().err
+
+
 class TestParser:
     def test_a_command_is_required(self):
         with pytest.raises(SystemExit) as exc:

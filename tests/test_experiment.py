@@ -1,11 +1,13 @@
+import sys
 import threading
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultimatum import orchestrator
-from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway
+from helpers import oracle_gateway, oracle_log
+from ultimatum import engine, orchestrator
+from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent
 from ultimatum.experiment import (
     RUN_FAILURES,
     ExperimentPlan,
@@ -24,14 +26,12 @@ from ultimatum.experiment import (
     _ok_record,
 )
 from ultimatum.orchestrator import (
-    OracleSingleModelGateway,
     SimulationConfig,
     make_oracle_agents,
     run_multi_agent,
     run_single_model,
-    synthesize_single_model_log,
 )
-from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair
+from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair, Role
 from ultimatum.transcripts import Structure
 
 FAIR_FAIR = PersonalityPair(Personality.FAIR, Personality.FAIR)
@@ -243,7 +243,7 @@ class FlakySecondRequest(Gateway):
 
     def __init__(self):
         super().__init__()
-        self._log = synthesize_single_model_log(FAIR_FAIR)
+        self._log = oracle_log(FAIR_FAIR)
         self.calls = 0
 
     def _complete(self, model, messages, params):
@@ -313,9 +313,9 @@ def without_elapsed(records):
     return [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in records]
 
 
-def records_run_by_run(plan, single_model_gateway):
-    """The plan's records, each run parsed and graded on its own by a fresh
-    run_single_model or run_multi_agent call. single_model_gateway(pair)
+def records_run_by_run(plan, single_model_gateway, keep_prompts=False):
+    """The plan's records, each run played, parsed and graded on its own by
+    a fresh run_single_model or run_multi_agent call. single_model_gateway(pair)
     gives the gateway a single-model run of that pair asks."""
     records = []
     for structure, pair in plan.cells():
@@ -334,7 +334,7 @@ def records_run_by_run(plan, single_model_gateway):
             except RUN_FAILURES as exc:
                 records.append(_failed_record(run_id, config, exc, 0.0))
             else:
-                records.append(_ok_record(run_id, config, result, 0.0, False))
+                records.append(_ok_record(run_id, config, result, 0.0, keep_prompts))
     return records
 
 
@@ -363,9 +363,31 @@ def parse_count(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def games_played(monkeypatch):
+    """The GameConfig of each game the moderator starts.
+
+    engine.replay also starts a game, to re-check a parsed log's actions;
+    that is no game played, so it is left out."""
+    calls = []
+    new_game = engine.new_game
+
+    def counted(config=None):
+        if sys._getframe(1).f_code is not engine.replay.__code__:
+            calls.append(config)
+        return new_game(config)
+
+    monkeypatch.setattr(engine, "new_game", counted)
+    return calls
+
+
+STRUCTURE_MIXES = [["single_model"], ["multi_agent"], ["single_model", "multi_agent"]]
+
+
 class TestSharedGrades:
-    """A batch parses and grades each distinct single-model reply once; its
-    records are the ones each run would get if graded on its own."""
+    """A batch plays each oracle pair's game once, and parses and grades
+    each distinct single-model reply once; its records are the ones each
+    run would get if it played and was graded on its own."""
 
     @settings(max_examples=25)
     @given(
@@ -380,28 +402,72 @@ class TestSharedGrades:
             ]
         ),
         runs_per_cell=st.integers(min_value=1, max_value=4),
+        structures=st.sampled_from(STRUCTURE_MIXES),
+        keep_prompts=st.booleans(),
+        max_workers=st.integers(min_value=1, max_value=2),
     )
-    def test_oracle_records_match_runs_graded_one_by_one(self, pot, rounds, flaws, runs_per_cell):
+    def test_oracle_records_match_runs_graded_one_by_one(
+        self, pot, rounds, flaws, runs_per_cell, structures, keep_prompts, max_workers
+    ):
         plan = plan_from_dict(
-            {"pot": pot, "rounds": rounds, "flaws": flaws, "runs_per_cell": runs_per_cell}
+            {"pot": pot, "rounds": rounds, "flaws": flaws, "runs_per_cell": runs_per_cell,
+             "structures": structures}
         )
-        batch = run_batch(plan)
+        batch = run_batch(plan, max_workers=max_workers, keep_prompts=keep_prompts)
         expected = records_run_by_run(
             plan,
-            lambda pair: OracleSingleModelGateway(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw),
+            lambda pair: oracle_gateway(pair, plan.game, proposer_flaw=plan.proposer_flaw,
+                                        receiver_flaw=plan.receiver_flaw),
+            keep_prompts,
         )
         assert without_elapsed(batch.records) == without_elapsed(expected)
+
+    @pytest.mark.parametrize("runs_per_cell", [1, 3])
+    @pytest.mark.parametrize("structures", STRUCTURE_MIXES, ids="+".join)
+    def test_an_oracle_batch_plays_each_pair_once(self, games_played, structures, runs_per_cell):
+        plan = plan_from_dict(
+            {"structures": structures, "runs_per_cell": runs_per_cell}
+        )
+        first = run_batch(plan)
+        assert len(games_played) == len(plan.pairs)
+        assert len(first.records) == len(plan.cells()) * runs_per_cell
+        second = run_batch(plan)
+        assert len(games_played) == 2 * len(plan.pairs)
+        assert without_elapsed(first.records) == without_elapsed(second.records)
+
+    def test_a_failed_oracle_game_fails_every_run_of_its_pair(self, monkeypatch):
+        # A greedy proposer that never names an offer: the pair's one game
+        # raises TurnOrderViolationError, which every run of the pair records.
+        act = OracleAgent.act
+
+        def act_or_stall(agent, state):
+            if agent.role is Role.PROPOSER and agent.personality is Personality.GREEDY:
+                return "Let me think about it."
+            return act(agent, state)
+
+        monkeypatch.setattr(OracleAgent, "act", act_or_stall)
+        batch = run_batch(plan_from_dict({"runs_per_cell": 2}))
+        assert len(batch.records) == 16
+        for record in batch.records:
+            if record["pair"].startswith("greedy-"):
+                assert record["status"] == "failed"
+                assert record["cause"] == (
+                    "TurnOrderViolationError: proposer failed to produce a usable action in round 1"
+                )
+            else:
+                assert record["status"] == "ok", record["cause"]
+        assert batch.failed_count == 8
 
     def test_replayed_replies_are_graded_once_each(self, parse_count):
         plan = plan_from_dict(
             {"structures": ["single_model"], "pairs": ["fair-fair"], "runs_per_cell": 4}
         )
-        clean = synthesize_single_model_log(FAIR_FAIR)
+        clean = oracle_log(FAIR_FAIR)
         replies = [
             clean,
             clean,
-            synthesize_single_model_log(FAIR_FAIR, proposer_flaw=Flaw.DEVIATOR),
-            synthesize_single_model_log(FAIR_FAIR, proposer_flaw=Flaw.INCOMPLETE),
+            oracle_log(FAIR_FAIR, proposer_flaw=Flaw.DEVIATOR),
+            oracle_log(FAIR_FAIR, proposer_flaw=Flaw.INCOMPLETE),
         ]
         batch = run_batch(plan, mode="replay", gateway=InOrderReplies(replies))
         assert parse_count == [clean, replies[2], replies[3]]
@@ -475,6 +541,68 @@ class TestRunStore:
         assert {(r["worker"], r["k"]) for r in records} == {
             (i, k) for i in range(8) for k in range(25)
         }
+
+    def test_concurrent_batch_appends_keep_each_batch_together(self, tmp_path):
+        store = RunStore(tmp_path / "runs.jsonl")
+        padding = "x" * 5000  # lines long enough that a split write would show
+        workers, batches, size = 4, 20, 10
+
+        def work(worker):
+            for batch in range(batches):
+                store.append(
+                    *({"worker": worker, "batch": batch, "k": k, "pad": padding} for k in range(size))
+                )
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        records = load_records(store.path)
+        assert len(records) == workers * batches * size
+        seen = set()
+        for start in range(0, len(records), size):
+            run = records[start : start + size]
+            assert [(r["worker"], r["batch"], r["k"]) for r in run] == [
+                (run[0]["worker"], run[0]["batch"], k) for k in range(size)
+            ]
+            seen.add((run[0]["worker"], run[0]["batch"]))
+        assert len(seen) == workers * batches
+
+    def test_a_torn_final_line_is_skipped_and_reported(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text('{"run_id": "a"}\n{"run_id": "b"}\n{"run_id": "c", "sta', encoding="utf-8")
+        torn = []
+        assert [r["run_id"] for r in load_records(path, on_torn_line=torn.append)] == ["a", "b"]
+        assert torn == [f"{path}:3: skipped a torn final line"]
+        assert [r["run_id"] for r in load_records(path)] == ["a", "b"]
+
+    def test_an_unterminated_final_record_is_kept(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text('{"run_id": "a"}\n{"run_id": "b"}', encoding="utf-8")
+        torn = []
+        assert [r["run_id"] for r in load_records(path, on_torn_line=torn.append)] == ["a", "b"]
+        assert torn == []
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ('{"run_id": "a", "sta\n{"run_id": "b"}\n', 1),
+            ('{"run_id": "a"}\n{"run_id": "b", "sta\n', 2),
+        ],
+        ids=["middle", "terminated-last"],
+    )
+    def test_a_bad_line_with_its_newline_still_raises(self, tmp_path, text, lineno):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f":{lineno}: bad record"):
+            load_records(path, on_torn_line=lambda message: None)
 
 
 class TestRegrade:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from helpers import ACC, REJ, oracle_text
+from helpers import ACC, REJ, oracle_gateway, oracle_log, oracle_text
 from ultimatum import engine, orchestrator, prompts
 from ultimatum.agents import (
     Agent,
@@ -23,7 +23,6 @@ from ultimatum.orchestrator import (
     make_oracle_agents,
     run_multi_agent,
     run_single_model,
-    synthesize_single_model_log,
 )
 from ultimatum.rubric import ErrorClass
 from ultimatum.strategy import (
@@ -91,7 +90,7 @@ def standalone_oracle_log(pair, game, proposer_flaw=None, receiver_flaw=None):
 class TestSingleModelStructure:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label())
     def test_clean_oracle_logs_grade_clean(self, pair):
-        result = run_single_model(single_model_config(pair), OracleSingleModelGateway(pair))
+        result = run_single_model(single_model_config(pair), oracle_gateway(pair))
         assert result.verdict.error_class is ErrorClass.NONE
         assert result.diagnostics.confidence is Confidence.EXACT
         assert result.transcript.structure is Structure.SINGLE_MODEL
@@ -99,7 +98,7 @@ class TestSingleModelStructure:
 
     def test_prompt_names_both_personalities(self):
         pair = PersonalityPair(Personality.GREEDY, Personality.FAIR)
-        result = run_single_model(single_model_config(pair), OracleSingleModelGateway(pair))
+        result = run_single_model(single_model_config(pair), oracle_gateway(pair))
         (label, prompt), = result.prompts
         assert label == "single_model"
         assert "greedy" in prompt and "fair" in prompt
@@ -113,12 +112,12 @@ class TestSingleModelStructure:
         ],
     )
     def test_planted_flaws_grade_as_designed(self, flaws, expected):
-        gateway = OracleSingleModelGateway(FAIR_FAIR, **flaws)
+        gateway = oracle_gateway(FAIR_FAIR, **flaws)
         result = run_single_model(single_model_config(), gateway)
         assert result.verdict.error_class is expected
 
     def test_synthesized_log_uses_the_reply_format(self):
-        log = synthesize_single_model_log(GREEDY_GREEDY)
+        log = oracle_log(GREEDY_GREEDY)
         assert log.startswith("STRATEGY (Proposer):")
         assert "STRATEGY (Receiver):" in log
         assert "ROUND 1" in log and "ROUND 5" in log
@@ -133,7 +132,7 @@ class TestSingleModelStructure:
         for flaws in FLAW_GRIDS:
             for pair in ALL_PAIRS:
                 expected = standalone_oracle_log(pair, game, **flaws)
-                assert synthesize_single_model_log(pair, game, **flaws) == expected, (pair, flaws)
+                assert oracle_log(pair, game, **flaws) == expected, (pair, flaws)
 
 
 class TestMultiAgentStructure:
@@ -377,9 +376,9 @@ class TestDispatch:
         built = []
         init = OracleSingleModelGateway.__init__
 
-        def counting_init(gateway, pair, *args):
-            built.append(pair)
-            init(gateway, pair, *args)
+        def counting_init(gateway, transcript):
+            built.append(transcript.pair)
+            init(gateway, transcript)
 
         monkeypatch.setattr(OracleSingleModelGateway, "__init__", counting_init)
         records = run_batch(plan_from_dict({"runs_per_cell": 3})).records

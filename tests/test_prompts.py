@@ -7,11 +7,11 @@ also needs a new template version in prompts/manifest.json.
 
 import pytest
 
+from helpers import oracle_gateway
 from ultimatum import prompts
 from ultimatum.agents import Gateway
 from ultimatum.engine import GameConfig
 from ultimatum.orchestrator import (
-    OracleSingleModelGateway,
     SimulationConfig,
     make_model_agents,
     run_multi_agent,
@@ -161,7 +161,7 @@ def test_corrections_are_pinned(size):
 def test_single_model_prompt_is_pinned(size):
     game, rounds_word, pot_text, _ = GAMES[size]
     config = SimulationConfig(Structure.SINGLE_MODEL, GREEDY_FAIR, game)
-    result = run_single_model(config, OracleSingleModelGateway(GREEDY_FAIR, game))
+    result = run_single_model(config, oracle_gateway(GREEDY_FAIR, game))
     assert result.prompts == (
         (
             "single_model",
