@@ -20,9 +20,11 @@ from disk so whole experiments rerun offline and bit-identically.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -89,6 +91,12 @@ class Gateway:
         self.retries = 0
 
     def complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+        """Answer one chat request.
+
+        Each message is a dict with exactly two string items, "role" and
+        "content", as ModelAgent and run_single_model send them. Replay
+        keys a request on that shape (see ReplayGateway).
+        """
         with self._lock:
             self.requests += 1
         return self._complete(model, messages, params)
@@ -108,19 +116,62 @@ def _request_payload(model: str, messages: list[dict], params: SamplingParams) -
     }
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _request_key(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The digest of a request payload's canonical JSON."""
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _request_frame(model: str, params: SamplingParams, params_id: int) -> tuple[bytes, bytes]:
+    """The canonical request's bytes before and after its messages.
+
+    Keyed on the params object as well as its value: equal params can
+    still encode differently (1 and 1.0, 0.0 and -0.0). The cache holds
+    the object, so its id cannot be reused while the entry lives.
+    """
+    canonical = _canonical(_request_payload(model, [], params))
+    # Quotes inside JSON strings are escaped, so this matches the key only.
+    head, tail = canonical.split('"messages":[]', 1)
+    return (head + '"messages":[').encode("utf-8"), ("]" + tail).encode("utf-8")
+
+
+@functools.lru_cache(maxsize=4096)
+def _message_bytes(role: str, content: str) -> bytes:
+    return _canonical({"role": role, "content": content}).encode("utf-8")
+
+
+def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
+    """_request_key(_request_payload(model, messages, params)) for messages
+    of the shape Gateway.complete takes, from cached per-message bytes."""
+    head, tail = _request_frame(model, params, id(params))
+    digest = hashlib.sha256(head)
+    digest.update(b",".join([_message_bytes(m["role"], m["content"]) for m in messages]))
+    digest.update(tail)
+    return digest.hexdigest()
+
+
+def _retry_after(value: str | None) -> float:
+    """A Retry-After header's delay in seconds, capped at TIMEOUT_S; 0 when
+    the header is absent or is not a number of seconds (an HTTP date)."""
+    if value is None or not re.fullmatch(r"[0-9]+(\.[0-9]+)?", value.strip()):
+        return 0.0
+    return min(float(value), TIMEOUT_S)
 
 
 class HttpGateway(Gateway):
     """Chat-completion endpoint over HTTP POST.
 
     Retries transient failures (connection errors, 429, 5xx) up to
-    MAX_RETRIES times with exponential backoff. Retrying is safe because
-    the full conversation is resent verbatim each time. The API key is
-    read from the API_KEY_ENV environment variable, never from files or
-    arguments.
+    MAX_RETRIES times with exponential backoff. A 429 whose Retry-After
+    header gives a number of seconds waits that long instead when it is
+    longer than the backoff step, for at most TIMEOUT_S; an HTTP date
+    there is ignored. Retrying is safe because the full conversation is
+    resent verbatim each time. The API key is read from the API_KEY_ENV
+    environment variable, never from files or arguments.
     """
 
     def __init__(
@@ -143,11 +194,13 @@ class HttpGateway(Gateway):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 with self._lock:
                     self.retries += 1
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+                self._sleep(max(self.backoff * (2 ** (attempt - 1)), retry_after))
+                retry_after = 0.0
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=TIMEOUT_S
@@ -155,6 +208,8 @@ class HttpGateway(Gateway):
             except _requests.RequestException as exc:
                 last_error = exc
                 continue
+            if resp.status_code == 429:
+                retry_after = _retry_after(resp.headers.get("Retry-After"))
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = GatewayError(f"HTTP {resp.status_code} from endpoint")
                 continue
@@ -173,10 +228,18 @@ class HttpGateway(Gateway):
 class ReplayGateway(Gateway):
     """Serves recorded request/response pairs from a JSON-lines file.
 
-    Requests are matched by a digest of their canonical JSON, so replay is
-    insensitive to record order and safe under concurrency. An unknown
-    request is an error: replay never invents a completion. A line that is
-    not a recorded exchange raises ValueError naming the file and line.
+    Requests are matched by a digest of their canonical JSON (sorted keys,
+    no spaces, non-ASCII escaped), so replay is insensitive to record order
+    and safe under concurrency. Recorded payloads are hashed whole as they
+    load. A request's digest is built from the same bytes in cached pieces:
+    the text before and after the messages, kept per model and sampling
+    params, and each message's canonical JSON, kept per role and content.
+    A conversation resent with one more message then costs the encoding
+    of that message only. The digest is byte for byte the one the whole
+    payload gives, so recordings made before the pieces were cached replay
+    unchanged. An unknown request is an error: replay never invents a
+    completion. A line that is not a recorded exchange raises ValueError
+    naming the file and line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -199,7 +262,7 @@ class ReplayGateway(Gateway):
                 self._responses[_request_key(record["request"])] = response
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
-        key = _request_key(_request_payload(model, messages, params))
+        key = _request_digest(model, messages, params)
         try:
             return self._responses[key]
         except KeyError:

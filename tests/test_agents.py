@@ -1,9 +1,13 @@
+import hashlib
 import http.server
 import json
 import threading
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
+from requests.structures import CaseInsensitiveDict
 
 from helpers import ACC, REJ
 from ultimatum import engine
@@ -11,6 +15,7 @@ from ultimatum.agents import (
     API_KEY_ENV,
     DEVIATION_ROUND,
     MAX_RETRIES,
+    TIMEOUT_S,
     Flaw,
     GatewayError,
     Gateway,
@@ -20,6 +25,8 @@ from ultimatum.agents import (
     RecordingGateway,
     ReplayGateway,
     SamplingParams,
+    _request_digest,
+    _request_payload,
     flaw_role,
     oracle_strategy,
     private_bio,
@@ -161,10 +168,11 @@ class TestModelAgent:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -228,6 +236,46 @@ class TestHttpGateway:
         assert gateway.retries == 3
         assert sleeps == [1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize(
+        "retry_after, slept",
+        [
+            ("7", 7.0),  # longer than the 1 s backoff step
+            (" 2.5 ", 2.5),
+            ("0.5", 1.0),  # shorter: the backoff step still applies
+            ("3600", TIMEOUT_S),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # an HTTP date falls back to the backoff
+            ("soon", 1.0),
+            ("-5", 1.0),
+            ("", 1.0),
+            (None, 1.0),
+        ],
+    )
+    def test_a_429_waits_for_its_retry_after_seconds(self, retry_after, slept):
+        headers = {} if retry_after is None else {"retry-after": retry_after}
+        sleeps = []
+        session = FakeSession([FakeResponse(429, headers=headers), ok_response("waited")])
+        gateway = HttpGateway(
+            "http://example.invalid/v1", session=session, backoff=1.0, sleep=sleeps.append
+        )
+        assert gateway.complete("m", MESSAGES, PARAMS) == "waited"
+        assert sleeps == [slept]
+
+    def test_retry_after_sets_only_the_next_wait_and_only_on_429(self):
+        sleeps = []
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "30"}),
+                FakeResponse(503, headers={"Retry-After": "30"}),
+                FakeResponse(429, headers={"Retry-After": "3"}),
+                ok_response("finally"),
+            ]
+        )
+        gateway = HttpGateway(
+            "http://example.invalid/v1", session=session, backoff=1.0, sleep=sleeps.append
+        )
+        assert gateway.complete("m", MESSAGES, PARAMS) == "finally"
+        assert sleeps == [30.0, 2.0, 4.0]
+
     def test_gives_up_after_max_retries(self):
         session = FakeSession([FakeResponse(500)] * (MAX_RETRIES + 1))
         gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
@@ -290,6 +338,56 @@ class TestHttpGateway:
         assert reply == "DECISION: accept"
         assert seen["auth"] == "Bearer sk-local"
         assert seen["body"]["messages"] == MESSAGES
+
+
+def definitional_key(model, messages, params):
+    payload = _request_payload(model, messages, params)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Text with the characters JSON escapes or a careless encoder mangles.
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\U0001f600"]
+        ),
+        st.characters(),
+    ),
+    max_size=30,
+)
+roles = st.sampled_from(["system", "user", "assistant"]) | awkward_text
+messages_strategy = st.lists(
+    st.fixed_dictionaries({"role": roles, "content": awkward_text}),
+    min_size=1,
+    max_size=12,
+)
+model_names = st.sampled_from(['m"x"', '"messages":[]', 'gpt-"4"\\']) | awkward_text
+sampling_values = (
+    st.sampled_from([1, 0, -0.0, 0.0, 1.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308])
+    | st.integers(-10, 10)
+    | st.floats()
+)
+sampling_params = st.builds(
+    SamplingParams,
+    temperature=sampling_values,
+    top_p=sampling_values,
+    frequency_penalty=sampling_values,
+    presence_penalty=sampling_values,
+)
+
+
+class TestRequestKey:
+    @given(model=model_names, messages=messages_strategy, params=sampling_params)
+    def test_the_cached_key_is_the_digest_of_the_whole_payload(self, model, messages, params):
+        assert _request_digest(model, messages, params) == definitional_key(model, messages, params)
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (0.0, -0.0), (1, True)])
+    def test_equal_params_that_encode_differently_keep_their_own_keys(self, first, second):
+        messages = [{"role": "user", "content": "hi"}]
+        for value in (first, second, first):
+            params = SamplingParams(temperature=value)
+            assert _request_digest("m", messages, params) == definitional_key("m", messages, params)
 
 
 class TestRecordAndReplay:

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 from dataclasses import astuple
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_gateway, oracle_log
 from ultimatum import engine, orchestrator
-from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent
+from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent, ReplayGateway
 from ultimatum.experiment import (
     RUN_FAILURES,
     ExperimentPlan,
@@ -307,6 +308,24 @@ class TestFailedRuns:
         cell = summary.by_cell[("single_model", "fair-fair")]
         assert (cell.ok, cell.none) == (2, 2)
         assert "cell,single_model/fair-fair,human_rate,100" in render_report(summary, fmt="csv")
+
+
+class TestReplayFixture:
+    """tests/fixtures/replay/recording.jsonl was written by the RecordingGateway
+    from before replay keys were built from cached pieces (see record.py there)."""
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_an_older_recording_replays_to_its_verdicts(self, fixtures_dir, max_workers):
+        folder = fixtures_dir / "replay"
+        gateway = ReplayGateway(folder / "recording.jsonl")
+        batch = run_batch(
+            load_plan(folder / "plan.yaml"), mode="replay", gateway=gateway, max_workers=max_workers
+        )
+        assert batch.failed_count == 0
+        expected = json.loads((folder / "verdicts.json").read_text(encoding="utf-8"))
+        assert {r["run_id"]: r["verdict"] for r in batch.records} == expected
+        with (folder / "recording.jsonl").open(encoding="utf-8") as fh:
+            assert batch.gateway_usage["requests"] == sum(1 for _ in fh)
 
 
 def without_elapsed(records):
