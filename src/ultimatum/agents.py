@@ -267,7 +267,7 @@ class ReplayGateway(Gateway):
             return self._responses[key]
         except KeyError:
             raise GatewayError(
-                f"no recorded response for request {key[:12]}... in {self.path}"
+                f"no recorded response for request {key[:12]}... in {self.path.name}"
             ) from None
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from .agents import ReplayGateway
 from .engine import DEFAULT_POT, DEFAULT_ROUNDS, GameConfig, InvalidConfigError
 from .experiment import (
+    MODES,
     InvalidPlanError,
     RunStore,
     aggregate,
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment plan")
     run_p.add_argument("--plan", required=True, help="YAML plan file")
-    run_p.add_argument("--mode", choices=["oracle", "replay", "live"], default="oracle")
+    run_p.add_argument("--mode", choices=MODES, default="oracle")
     run_p.add_argument("--seed", type=int, help="override the plan's seed")
     run_p.add_argument("--out", required=True, help="JSON-lines store to append run records to")
     run_p.add_argument("--replay-file", help="recorded exchanges for replay mode")

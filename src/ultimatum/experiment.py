@@ -21,7 +21,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
@@ -132,7 +132,7 @@ _PLAN_KEYS = {
     "flaws",
     "endpoint",
 }
-_SAMPLING_KEYS = {"temperature", "top_p", "frequency_penalty", "presence_penalty"}
+_SAMPLING_KEYS = {f.name for f in fields(SamplingParams)}
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
@@ -405,16 +405,15 @@ def run_batch(
     # Each job carries its source: the model-backed gateway; in oracle mode
     # the pair's played game for a multi-agent run and the gateway answering
     # from it for a single-model run; or the exception the game raised.
-    games: dict[tuple, SimulationResult | Exception] = {}
+    games: dict[PersonalityPair, SimulationResult | Exception] = {}
     jobs: list[tuple[str, SimulationConfig, Gateway | SimulationResult | Exception]] = []
     for structure, pair in plan.cells():
         source = shared_gateway
         if source is None:
-            # Keyed by all that decides an oracle game (the batch's game is fixed).
-            key = (pair, plan.proposer_flaw, plan.receiver_flaw)
-            if key not in games:
-                games[key] = _play_oracles(plan, pair)
-            source = games[key]
+            # The game and flaws are fixed for the batch: the pair decides the game.
+            if pair not in games:
+                games[pair] = _play_oracles(plan, pair)
+            source = games[pair]
             if structure is Structure.SINGLE_MODEL and isinstance(source, SimulationResult):
                 source = OracleSingleModelGateway(source.transcript)
         for k in range(plan.runs_per_cell):
@@ -447,7 +446,7 @@ def run_batch(
             return _failed_record(run_id, config, source, time.perf_counter() - started)
         try:
             if isinstance(source, SimulationResult):
-                result = replace(source, config=config)
+                result = source
             elif config.structure is Structure.SINGLE_MODEL:
                 result = run_single_model(config, source, graded=graded)
             else:
@@ -540,11 +539,11 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
 
 @dataclass(frozen=True)
 class ErrorComparison:
-    """Within one structure: share of errors on each axis, and whether the
-    strategy and gameplay shares differ significantly."""
+    """Within one structure: whether the strategy and gameplay shares of
+    its errors differ significantly. The counts are the structure's
+    entry in Summary.by_structure."""
 
     structure: str
-    counts: GroupCounts
     test: TestResult | None
     note: str | None = None
 
@@ -661,7 +660,7 @@ def aggregate(records: Iterable[dict]) -> Summary:
                 note = f"not computable: {exc}"
         else:
             note = "no errors"
-        comparisons.append(ErrorComparison(structure, counts, test, note))
+        comparisons.append(ErrorComparison(structure, test, note))
 
     headlines = (
         _headline("human consistency", by_member, lambda c: c.none),
@@ -708,6 +707,61 @@ def render_report(summary: Summary, fmt: str = "markdown") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+# Each table's columns, stated once for both formats:
+# (markdown heading, CSV metric, value for the row's GroupCounts).
+_GRADED = ("graded", "graded", lambda c: c.ok)
+_CELL_COLUMNS = (
+    ("runs", "runs", lambda c: c.total),
+    _GRADED,
+    ("failed", "failed", lambda c: c.failed),
+    ("human-consistent", "human_consistent", lambda c: c.none),
+    ("rate", "human_rate", lambda c: _pct(c.none, c.ok)),
+)
+_ERROR_COLUMNS = (
+    _GRADED,
+    ("clean", "clean", lambda c: c.none),
+    ("errors", "errors", lambda c: c.errors),
+    ("strategy-only", "strategy_only", lambda c: c.strategy_only),
+    ("gameplay-only", "gameplay_only", lambda c: c.gameplay_only),
+    ("both", "both", lambda c: c.both),
+    ("strategy share", "strategy_share", lambda c: _pct(c.strategy_errors, c.errors)),
+    ("gameplay share", "gameplay_share", lambda c: _pct(c.gameplay_errors, c.errors)),
+)
+_QUALITY_COLUMNS = (
+    ("proposer complete", "proposer_complete", lambda c: c.proposer_complete),
+    ("receiver complete", "receiver_complete", lambda c: c.receiver_complete),
+    ("proposer consistent", "proposer_consistent", lambda c: c.proposer_consistent),
+    ("receiver consistent", "receiver_consistent", lambda c: c.receiver_consistent),
+    ("both complete", "both_complete", lambda c: c.both_complete),
+    ("both consistent", "both_consistent", lambda c: c.both_consistent),
+    ("robust", "strategy_robust", lambda c: c.strategy_robust),
+)
+# Values of the error comparison's TestResult, which is None (markdown "-",
+# no CSV rows) when the test was not computable.
+_TEST_COLUMNS = (
+    ("z", "z", lambda t: _fmt_stat(t.statistic)),
+    ("p", "p", lambda t: _fmt_p(t.p_two_tailed)),
+)
+
+
+def _cells(columns: tuple, row: object) -> list:
+    return ["-" if row is None else value(row) for _, _, value in columns]
+
+
+def _long_rows(section: str, group: str, columns: tuple, row: object) -> list[list]:
+    if row is None:
+        return []
+    return [[section, group, metric, value(row)] for _, metric, value in columns]
+
+
+def _md_table(keys: list[str], columns: tuple, rows: Iterable[list]) -> list[str]:
+    """A markdown table headed by the key names and the columns' headings,
+    followed by one blank line."""
+    headings = keys + [heading for heading, _, _ in columns]
+    lines = [headings, ["---"] * len(headings), *rows]
+    return ["| " + " | ".join(map(str, line)) + " |" for line in lines] + [""]
+
+
 def _render_markdown(summary: Summary) -> str:
     lines = ["# Ultimatum experiment report", ""]
     if summary.total == 0:
@@ -718,56 +772,32 @@ def _render_markdown(summary: Summary) -> str:
     )
     lines.append("")
 
-    lines.append("## Runs by cell")
-    lines.append("")
-    lines.append("| structure | pair | runs | graded | failed | human-consistent | rate |")
-    lines.append("| --- | --- | --- | --- | --- | --- | --- |")
-    for (structure, pair), counts in sorted(summary.by_cell.items()):
-        lines.append(
-            f"| {structure} | {pair} | {counts.total} | {counts.ok} | {counts.failed} "
-            f"| {counts.none} | {_pct(counts.none, counts.ok)} |"
-        )
-    lines.append("")
-
-    lines.append("## Error classes by structure")
-    lines.append("")
-    lines.append(
-        "| structure | graded | clean | errors | strategy-only | gameplay-only | both "
-        "| strategy share | gameplay share | z | p |"
+    lines += ["## Runs by cell", ""] + _md_table(
+        ["structure", "pair"],
+        _CELL_COLUMNS,
+        ([s, p, *_cells(_CELL_COLUMNS, c)] for (s, p), c in sorted(summary.by_cell.items())),
     )
-    lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
-    for comparison in summary.error_comparisons:
-        c = comparison.counts
-        z = _fmt_stat(comparison.test.statistic) if comparison.test else "-"
-        p = _fmt_p(comparison.test.p_two_tailed) if comparison.test else "-"
-        lines.append(
-            f"| {comparison.structure} | {c.ok} | {c.none} | {c.errors} "
-            f"| {c.strategy_only} | {c.gameplay_only} | {c.both} "
-            f"| {_pct(c.strategy_errors, c.errors)} | {_pct(c.gameplay_errors, c.errors)} "
-            f"| {z} | {p} |"
-        )
-    notes = [
-        f"- {c.structure}: {c.note}" for c in summary.error_comparisons if c.note
-    ]
+    lines += ["## Error classes by structure", ""] + _md_table(
+        ["structure"],
+        _ERROR_COLUMNS + _TEST_COLUMNS,
+        (
+            [
+                e.structure,
+                *_cells(_ERROR_COLUMNS, summary.by_structure[e.structure]),
+                *_cells(_TEST_COLUMNS, e.test),
+            ]
+            for e in summary.error_comparisons
+        ),
+    )
+    notes = [f"- {e.structure}: {e.note}" for e in summary.error_comparisons if e.note]
     if notes:
-        lines.append("")
-        lines.extend(notes)
-    lines.append("")
-
-    lines.append("## Strategy quality by structure")
-    lines.append("")
-    lines.append(
-        "| structure | graded | proposer complete | receiver complete "
-        "| proposer consistent | receiver consistent | both complete | both consistent | robust |"
+        lines += notes + [""]
+    quality = (_GRADED, *_QUALITY_COLUMNS)
+    lines += ["## Strategy quality by structure", ""] + _md_table(
+        ["structure"],
+        quality,
+        ([s, *_cells(quality, c)] for s, c in sorted(summary.by_structure.items())),
     )
-    lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
-    for structure, c in sorted(summary.by_structure.items()):
-        lines.append(
-            f"| {structure} | {c.ok} | {c.proposer_complete} | {c.receiver_complete} "
-            f"| {c.proposer_consistent} | {c.receiver_consistent} "
-            f"| {c.both_complete} | {c.both_consistent} | {c.strategy_robust} |"
-        )
-    lines.append("")
 
     lines.append("## Headline comparisons")
     lines.append("")
@@ -799,41 +829,13 @@ def _render_csv(summary: Summary) -> str:
     writer.writerow(["overall", "-", "graded", summary.ok])
     writer.writerow(["overall", "-", "failed", summary.failed])
     for (structure, pair), c in sorted(summary.by_cell.items()):
-        group = f"{structure}/{pair}"
-        for metric, value in (
-            ("runs", c.total),
-            ("graded", c.ok),
-            ("failed", c.failed),
-            ("human_consistent", c.none),
-            ("human_rate", _pct(c.none, c.ok)),
-        ):
-            writer.writerow(["cell", group, metric, value])
-    for comparison in summary.error_comparisons:
-        c = comparison.counts
-        rows = [
-            ("graded", c.ok),
-            ("clean", c.none),
-            ("errors", c.errors),
-            ("strategy_only", c.strategy_only),
-            ("gameplay_only", c.gameplay_only),
-            ("both", c.both),
-            ("strategy_share", _pct(c.strategy_errors, c.errors)),
-            ("gameplay_share", _pct(c.gameplay_errors, c.errors)),
-            ("proposer_complete", c.proposer_complete),
-            ("receiver_complete", c.receiver_complete),
-            ("proposer_consistent", c.proposer_consistent),
-            ("receiver_consistent", c.receiver_consistent),
-            ("both_complete", c.both_complete),
-            ("both_consistent", c.both_consistent),
-            ("strategy_robust", c.strategy_robust),
-        ]
-        if comparison.test is not None:
-            rows.append(("z", _fmt_stat(comparison.test.statistic)))
-            rows.append(("p", _fmt_p(comparison.test.p_two_tailed)))
-        if comparison.note:
-            rows.append(("note", comparison.note))
-        for metric, value in rows:
-            writer.writerow(["structure", comparison.structure, metric, value])
+        writer.writerows(_long_rows("cell", f"{structure}/{pair}", _CELL_COLUMNS, c))
+    for e in summary.error_comparisons:
+        c = summary.by_structure[e.structure]
+        writer.writerows(_long_rows("structure", e.structure, _ERROR_COLUMNS + _QUALITY_COLUMNS, c))
+        writer.writerows(_long_rows("structure", e.structure, _TEST_COLUMNS, e.test))
+        if e.note:
+            writer.writerow(["structure", e.structure, "note", e.note])
     for h in summary.headlines:
         rows = [
             ("member_a", h.member_a),

@@ -92,7 +92,6 @@ class SimulationResult:
     record stores), its grade, and the traffic that produced it (prompts
     sent, replies received, in order)."""
 
-    config: SimulationConfig
     transcript: Transcript
     verdict: Verdict
     diagnostics: ParseDiagnostics
@@ -139,7 +138,6 @@ def run_single_model(
         graded[key] = (transcript, diagnostics, verdict, serialize_canonical(transcript))
     transcript, diagnostics, verdict, canonical = graded[key]
     return SimulationResult(
-        config=config,
         transcript=transcript,
         verdict=verdict,
         diagnostics=diagnostics,
@@ -318,7 +316,6 @@ def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> Si
         for text in moderator.outbound[role]
     )
     return SimulationResult(
-        config=config,
         transcript=transcript,
         verdict=verdict,
         diagnostics=diagnostics,

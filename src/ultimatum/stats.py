@@ -1,18 +1,16 @@
 """Statistical comparisons used in the reports.
 
-Two tests cover every comparison in the summary tables:
+One test covers every comparison in the summary tables: Pearson's
+chi-square on a 2x2 contingency table, without continuity correction,
+df = 1. The two-tailed p-value is the chi-square survival function at
+1 df, which reduces to erfc(sqrt(x / 2)).
 
-* Pearson's chi-square on a 2x2 contingency table, without continuity
-  correction, df = 1. The two-tailed p-value is the chi-square survival
-  function at 1 df, which reduces to erfc(sqrt(x / 2)).
-* The two-proportion z-test with pooled variance, two-tailed p-value from
-  the standard normal survival function, 2 * (1 - Phi(|z|)), likewise an
-  erfc expression.
-
-For any 2x2 table the two are the same test: chi-square equals z squared
-and the p-values agree exactly, which the test suite exploits as a
-cross-check. Rates are kept as exact fractions so aggregation never
-accumulates float error; rendering to percent happens only at the edge.
+The two-proportion z-test with pooled variance is the same test: z is
+the square root of the chi-square on the table the two samples form,
+with the same p-value, so it is computed from the chi-square. The test
+suite checks the chi-square against scipy's chi2_contingency. Rates are
+kept as exact fractions so aggregation never accumulates float error;
+rendering to percent happens only at the edge.
 """
 
 from __future__ import annotations
@@ -65,11 +63,6 @@ def chi_square_survival_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def normal_survival(z: float) -> float:
-    """P(Z >= z) for the standard normal."""
-    return math.erfc(z / math.sqrt(2.0)) / 2.0
-
-
 def chi_square_2x2(table: ContingencyTable2x2) -> TestResult:
     """Pearson chi-square on a 2x2 table, no continuity correction.
 
@@ -101,20 +94,20 @@ def chi_square_2x2(table: ContingencyTable2x2) -> TestResult:
 def two_proportion_z(s1: int, n1: int, s2: int, n2: int) -> TestResult:
     """Two-proportion z-test with pooled variance, two-tailed.
 
-    s1 of n1 versus s2 of n2 successes. Undefined (DegenerateTableError)
-    when either sample is empty or the pooled proportion is 0 or 1, since
-    then the pooled standard error vanishes.
+    s1 of n1 versus s2 of n2 successes. |z| is the square root of the
+    chi-square on the table of the two samples, with its p-value.
+    Undefined (DegenerateTableError) when either sample is empty or the
+    pooled proportion is 0 or 1, since then the pooled standard error
+    vanishes.
     """
     if not (0 <= s1 <= n1 and 0 <= s2 <= n2):
         raise ValueError("successes must lie within their trial counts")
     if n1 == 0 or n2 == 0:
         raise DegenerateTableError("empty sample")
-    pooled = (s1 + s2) / (n1 + n2)
-    if pooled in (0.0, 1.0):
+    if s1 + s2 in (0, n1 + n2):
         raise DegenerateTableError("pooled proportion is degenerate (0 or 1)")
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    z = abs(s1 / n1 - s2 / n2) / se
-    return TestResult(statistic=z, df=1, p_two_tailed=2.0 * normal_survival(z))
+    chi = chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
+    return TestResult(statistic=math.sqrt(chi.statistic), df=1, p_two_tailed=chi.p_two_tailed)
 
 
 def format_percent(rate: Fraction | float) -> str:

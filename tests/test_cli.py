@@ -45,6 +45,10 @@ class TestStatsCommand:
         assert main(["stats", "chi2", "0", "0", "0", "0"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_z_test_sample_is_a_usage_error(self, capsys):
+        assert main(["stats", "ztest", "0", "0", "1", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: empty sample\n"
+
     def test_impossible_counts_are_a_usage_error(self, capsys):
         assert main(["stats", "ztest", "30", "20", "5", "20"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err

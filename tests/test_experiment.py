@@ -327,6 +327,20 @@ class TestReplayFixture:
         with (folder / "recording.jsonl").open(encoding="utf-8") as fh:
             assert batch.gateway_usage["requests"] == sum(1 for _ in fh)
 
+    def test_replay_does_not_depend_on_where_the_recording_lives(self, fixtures_dir, tmp_path):
+        # One exchange is left out, so some run fails and stores its cause.
+        folder = fixtures_dir / "replay"
+        lines = (folder / "recording.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        plan = load_plan(folder / "plan.yaml")
+        batches = []
+        for directory in ("first", "second"):
+            tape = tmp_path / directory / "recording.jsonl"
+            tape.parent.mkdir()
+            tape.write_text("".join(lines[1:]), encoding="utf-8")
+            batches.append(run_batch(plan, mode="replay", gateway=ReplayGateway(tape)))
+        assert batches[0].failed_count > 0
+        assert without_elapsed(batches[0].records) == without_elapsed(batches[1].records)
+
 
 def without_elapsed(records):
     return [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in records]
@@ -736,6 +750,20 @@ class TestReports:
         assert rows[0] == ["section", "group", "metric", "value"]
         assert all(len(row) == 4 for row in rows)
         assert ["cell", "single_model/fair-fair", "runs", "30"] in rows
+
+    def test_errors_all_on_both_axes_leave_the_degenerate_note(self):
+        # Every error is on both axes, so the pooled share is 1 and z is undefined.
+        flaws = {"proposer": "deviator", "receiver": "inconsistent_threshold"}
+        summary = aggregate(oracle_batch(3, flaws).records)
+        assert summary.by_structure["single_model"].both == 3
+        note = "not computable: pooled proportion is degenerate (0 or 1)"
+        markdown = render_report(summary).splitlines()
+        assert "| single_model | 3 | 0 | 3 | 0 | 0 | 3 | 100% | 100% | - | - |" in markdown
+        assert f"- single_model: {note}" in markdown
+        rows = render_report(summary, fmt="csv").splitlines()
+        assert f"structure,single_model,note,{note}" in rows
+        metrics = [r.split(",")[2] for r in rows if r.startswith("structure,single_model,")]
+        assert "z" not in metrics and "p" not in metrics
 
     def test_empty_summary_renders_a_banner(self):
         assert "No runs recorded." in render_report(aggregate([]))

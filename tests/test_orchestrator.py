@@ -329,11 +329,11 @@ class TestModelAgentGames:
         assert "accepted" in announcements[0]
 
 
-def assert_logs_parse_to_the_transcript(result):
+def assert_logs_parse_to_the_transcript(config, result):
     """Re-parsing the per-agent logs kept as raw logs gives back the
-    transcript and diagnostics the run reported."""
+    transcript and diagnostics the run of `config` reported."""
     logs = tuple(text for _, text in result.transcript.raw_logs)
-    parsed, diagnostics = parse_agent_log(logs, result.config.pair, result.config.game)
+    parsed, diagnostics = parse_agent_log(logs, config.pair, config.game)
     assert parsed == result.transcript
     assert diagnostics == result.diagnostics
 
@@ -349,10 +349,9 @@ class TestTranscriptMatchesItsLogs:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label())
     def test_oracle_grids(self, pair, flaws, pot, rounds):
         game = GameConfig(pot=pot, rounds=rounds)
-        result = run_multi_agent(
-            multi_agent_config(pair, game=game), make_oracle_agents(pair, game, **flaws)
-        )
-        assert_logs_parse_to_the_transcript(result)
+        config = multi_agent_config(pair, game=game)
+        result = run_multi_agent(config, make_oracle_agents(pair, game, **flaws))
+        assert_logs_parse_to_the_transcript(config, result)
 
     def test_scripted_chat_game_without_markers(self):
         gateway = ScriptedModelGateway(
@@ -366,7 +365,7 @@ class TestTranscriptMatchesItsLogs:
         assert [r.offer for r in result.transcript.rounds] == [50] * 5
         assert result.diagnostics.confidence is Confidence.EXACT
         assert result.diagnostics.warnings == ()
-        assert_logs_parse_to_the_transcript(result)
+        assert_logs_parse_to_the_transcript(config, result)
 
 
 class TestDispatch:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ultimatum.stats import (
@@ -11,7 +11,6 @@ from ultimatum.stats import (
     chi_square_2x2,
     chi_square_survival_1df,
     format_percent,
-    normal_survival,
     two_proportion_z,
 )
 
@@ -86,17 +85,49 @@ class TestSurvivalFunctions:
     def test_chi_square_survival_at_zero_is_one(self):
         assert chi_square_survival_1df(0.0) == pytest.approx(1.0)
 
-    def test_normal_survival_at_zero_is_half(self):
-        assert normal_survival(0.0) == pytest.approx(0.5)
-
     def test_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         for x in (0.1, 0.5, 1.0, 2.0, 5.0, 13.0909, 24.0):
             assert chi_square_survival_1df(x) == pytest.approx(
                 scipy_stats.chi2.sf(x, df=1), rel=1e-10
             )
-        for z in (0.1, 1.0, 2.0, 3.16, 4.9):
-            assert normal_survival(z) == pytest.approx(scipy_stats.norm.sf(z), rel=1e-10)
+
+
+def test_chi_square_against_scipy_contingency():
+    """The one 2x2 test (z is derived from it) against an outside
+    implementation, on every non-degenerate table with cells up to 60."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+
+    @given(*[st.integers(min_value=0, max_value=60)] * 4)
+    def check(a, b, c, d):
+        assume(0 not in (a + b, c + d, a + c, b + d))
+        statistic, p, df, _ = scipy_stats.chi2_contingency([[a, b], [c, d]], correction=False)
+        result = chi_square_2x2(ContingencyTable2x2(a, b, c, d))
+        assert result.statistic == pytest.approx(statistic, rel=1e-9, abs=1e-12)
+        assert result.p_two_tailed == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert result.df == df
+
+    check()
+
+
+class TestZTest:
+    def test_equal_proportions_give_z_zero_and_p_one(self):
+        result = two_proportion_z(3, 6, 5, 10)
+        assert (result.statistic, result.p_two_tailed) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((0, 0, 1, 2), "empty sample"),
+            ((1, 2, 0, 0), "empty sample"),
+            ((0, 5, 0, 3), "pooled proportion is degenerate (0 or 1)"),
+            ((5, 5, 3, 3), "pooled proportion is degenerate (0 or 1)"),
+        ],
+    )
+    def test_degenerate_samples_keep_their_messages(self, counts, message):
+        with pytest.raises(DegenerateTableError) as excinfo:
+            two_proportion_z(*counts)
+        assert str(excinfo.value) == message
 
 
 @given(
