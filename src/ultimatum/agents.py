@@ -27,7 +27,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import requests as _requests
@@ -120,11 +120,6 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _request_key(payload: dict) -> str:
-    """The digest of a request payload's canonical JSON."""
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
 @functools.lru_cache(maxsize=64)
 def _request_frame(model: str, params: SamplingParams, params_id: int) -> tuple[bytes, bytes]:
     """The canonical request's bytes before and after its messages.
@@ -145,8 +140,9 @@ def _message_bytes(role: str, content: str) -> bytes:
 
 
 def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
-    """_request_key(_request_payload(model, messages, params)) for messages
-    of the shape Gateway.complete takes, from cached per-message bytes."""
+    """The SHA-256 of _request_payload(model, messages, params) as canonical
+    JSON, for messages of the shape Gateway.complete takes, built from
+    cached per-message bytes."""
     head, tail = _request_frame(model, params, id(params))
     digest = hashlib.sha256(head)
     digest.update(b",".join([_message_bytes(m["role"], m["content"]) for m in messages]))
@@ -225,27 +221,60 @@ class HttpGateway(Gateway):
         raise GatewayError(f"request failed after {MAX_RETRIES} retries: {last_error}")
 
 
+_SAMPLING_FIELDS = tuple(f.name for f in fields(SamplingParams))
+_REQUEST_FIELDS = {"model", "messages", *_SAMPLING_FIELDS}
+
+
+def _recorded_digest(request, params_seen: dict) -> str | None:
+    """The lookup digest of a recorded request, or None when it does not
+    have the shape Gateway.complete sends. `params_seen` keeps one
+    SamplingParams per spelling of the values (1 and 1.0 encode apart), so
+    _request_frame's cache serves every line that shares them."""
+    if not isinstance(request, dict) or request.keys() != _REQUEST_FIELDS:
+        return None
+    model, messages = request["model"], request["messages"]
+    values = tuple(request[name] for name in _SAMPLING_FIELDS)
+    if (
+        not isinstance(model, str)
+        or not isinstance(messages, list)
+        or any(type(v) not in (int, float) for v in values)
+        or not all(
+            isinstance(m, dict) and m.keys() == {"role", "content"}
+            and all(isinstance(text, str) for text in m.values())
+            for m in messages
+        )
+    ):
+        return None
+    spelling = tuple(map(repr, values))
+    if spelling not in params_seen:
+        params_seen[spelling] = SamplingParams(*values)
+    return _request_digest(model, messages, params_seen[spelling])
+
+
 class ReplayGateway(Gateway):
     """Serves recorded request/response pairs from a JSON-lines file.
 
     Requests are matched by a digest of their canonical JSON (sorted keys,
     no spaces, non-ASCII escaped), so replay is insensitive to record order
-    and safe under concurrency. Recorded payloads are hashed whole as they
-    load. A request's digest is built from the same bytes in cached pieces:
-    the text before and after the messages, kept per model and sampling
-    params, and each message's canonical JSON, kept per role and content.
-    A conversation resent with one more message then costs the encoding
-    of that message only. The digest is byte for byte the one the whole
-    payload gives, so recordings made before the pieces were cached replay
-    unchanged. An unknown request is an error: replay never invents a
-    completion. A line that is not a recorded exchange raises ValueError
-    naming the file and line.
+    and safe under concurrency. The digest is built in cached pieces: the
+    text before and after the messages, kept per model and sampling params,
+    and each message's canonical JSON, kept per role and content. A
+    conversation resent with one more message then costs the encoding of
+    that message only. Recorded exchanges are keyed by the same function
+    as lookups, so a recorded request must have the shape Gateway.complete
+    sends: a string model, messages of exactly a string role and content,
+    and the four sampling values as numbers. The digest is byte for byte
+    the one the whole payload gives, so recordings made before the pieces
+    were cached replay unchanged. An unknown request is an error: replay
+    never invents a completion. A line that is not a recorded exchange
+    raises ValueError naming the file and line.
     """
 
     def __init__(self, path: str | Path) -> None:
         super().__init__()
         self.path = Path(path)
         self._responses: dict[str, str] = {}
+        params_seen: dict[tuple, SamplingParams] = {}
         with self.path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -259,7 +288,13 @@ class ReplayGateway(Gateway):
                     raise ValueError(
                         f"{path}:{lineno}: bad recording: expected a request and a text response"
                     )
-                self._responses[_request_key(record["request"])] = response
+                key = _recorded_digest(record["request"], params_seen)
+                if key is None:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad recording: the request does not have the "
+                        "shape of a chat request (model, role/content messages, sampling values)"
+                    )
+                self._responses[key] = response
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
         key = _request_digest(model, messages, params)

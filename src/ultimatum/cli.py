@@ -177,10 +177,10 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        records = load_records(args.records, on_torn_line=_warn)
+        summary = aggregate(load_records(args.records, on_torn_line=_warn))
     except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
-    print(render_report(aggregate(records), args.format), end="")
+    print(render_report(summary, args.format), end="")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ import collections
 import csv
 import io
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,8 +51,8 @@ from .orchestrator import (
 )
 from .rubric import MalformedTranscriptError, Verdict, evaluate_transcript
 from .stats import (
-    DegenerateTableError,
     ContingencyTable2x2,
+    DegenerateTableError,
     TestResult,
     chi_square_2x2,
     format_percent,
@@ -115,6 +116,10 @@ class ExperimentPlan:
             raise InvalidPlanError(f"{self.proposer_flaw.value} is not a proposer flaw")
         if self.receiver_flaw is not None and flaw_role(self.receiver_flaw) is not Role.RECEIVER:
             raise InvalidPlanError(f"{self.receiver_flaw.value} is not a receiver flaw")
+        for f in fields(SamplingParams):
+            value = getattr(self.sampling, f.name)
+            if not math.isfinite(value):
+                raise InvalidPlanError(f"sampling {f.name} must be finite, got {value}")
 
     def cells(self) -> list[tuple[Structure, PersonalityPair]]:
         return [(s, p) for s in self.structures for p in self.pairs]
@@ -143,16 +148,10 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     if unknown:
         raise InvalidPlanError(f"unknown plan keys: {', '.join(sorted(unknown))}")
     try:
-        raw_structures = data.get("structures", "all")
-        if raw_structures == "all":
-            structures = (Structure.SINGLE_MODEL, Structure.MULTI_AGENT)
-        else:
-            structures = tuple(Structure(s) for s in raw_structures)
-        raw_pairs = data.get("pairs", "all")
-        if raw_pairs == "all":
-            pairs = ALL_PAIRS
-        else:
-            pairs = tuple(PersonalityPair.from_label(p) for p in raw_pairs)
+        raw = data.get("structures", "all")
+        structures = ExperimentPlan.structures if raw == "all" else tuple(map(Structure, raw))
+        raw = data.get("pairs", "all")
+        pairs = ALL_PAIRS if raw == "all" else tuple(map(PersonalityPair.from_label, raw))
         game = GameConfig(
             pot=int(data.get("pot", DEFAULT_POT)), rounds=int(data.get("rounds", DEFAULT_ROUNDS))
         )
@@ -217,53 +216,34 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     }
 
 
-def _base_record(run_id: str, config: SimulationConfig) -> dict:
-    return {
+def _record(
+    run_id: str,
+    config: SimulationConfig,
+    outcome: SimulationResult | Exception,
+    elapsed: float,
+    keep_prompts: bool = False,
+) -> dict:
+    """The run's record: graded from its result, or failed with the
+    exception that ended it."""
+    ok = isinstance(outcome, SimulationResult)
+    record = {
         "schema": RUN_SCHEMA,
         "run_id": run_id,
         "structure": config.structure.value,
         "pair": config.pair.label(),
         "model": config.model,
         "seed": config.seed,
+        "status": "ok" if ok else "failed",
+        "cause": None if ok else f"{type(outcome).__name__}: {outcome}",
+        "elapsed_seconds": round(elapsed, 6),
+        "confidence": outcome.diagnostics.confidence.value if ok else None,
+        "warnings": list(outcome.diagnostics.warnings) if ok else [],
+        "transcript": outcome.canonical if ok else None,
+        "verdict": verdict_to_dict(outcome.verdict) if ok else None,
     }
-
-
-def _ok_record(
-    run_id: str,
-    config: SimulationConfig,
-    result: SimulationResult,
-    elapsed: float,
-    keep_prompts: bool,
-) -> dict:
-    record = _base_record(run_id, config)
-    record.update(
-        status="ok",
-        cause=None,
-        elapsed_seconds=round(elapsed, 6),
-        confidence=result.diagnostics.confidence.value,
-        warnings=list(result.diagnostics.warnings),
-        transcript=result.canonical,
-        verdict=verdict_to_dict(result.verdict),
-    )
-    if keep_prompts:
-        record["prompts"] = [[label, text] for label, text in result.prompts]
-        record["replies"] = [[label, text] for label, text in result.replies]
-    return record
-
-
-def _failed_record(
-    run_id: str, config: SimulationConfig, cause: Exception, elapsed: float
-) -> dict:
-    record = _base_record(run_id, config)
-    record.update(
-        status="failed",
-        cause=f"{type(cause).__name__}: {cause}",
-        elapsed_seconds=round(elapsed, 6),
-        confidence=None,
-        warnings=[],
-        transcript=None,
-        verdict=None,
-    )
+    if ok and keep_prompts:
+        record["prompts"] = [[label, text] for label, text in outcome.prompts]
+        record["replies"] = [[label, text] for label, text in outcome.replies]
     return record
 
 
@@ -440,20 +420,17 @@ def run_batch(
     graded: dict = {}
 
     def execute(job: tuple) -> dict:
-        run_id, config, source = job
+        # The job's source is the run's outcome unless it is a gateway to play with.
+        run_id, config, outcome = job
         started = time.perf_counter()
-        if isinstance(source, Exception):
-            return _failed_record(run_id, config, source, time.perf_counter() - started)
         try:
-            if isinstance(source, SimulationResult):
-                result = source
-            elif config.structure is Structure.SINGLE_MODEL:
-                result = run_single_model(config, source, graded=graded)
-            else:
-                result = run_multi_agent(config, make_model_agents(config, source))
+            if isinstance(outcome, Gateway) and config.structure is Structure.SINGLE_MODEL:
+                outcome = run_single_model(config, outcome, graded=graded)
+            elif isinstance(outcome, Gateway):
+                outcome = run_multi_agent(config, make_model_agents(config, outcome))
         except RUN_FAILURES as exc:
-            return _failed_record(run_id, config, exc, time.perf_counter() - started)
-        return _ok_record(run_id, config, result, time.perf_counter() - started, keep_prompts)
+            outcome = exc
+        return _record(run_id, config, outcome, time.perf_counter() - started, keep_prompts)
 
     if max_workers is None:
         max_workers = 4 if mode == "live" else 1
@@ -513,7 +490,16 @@ class GroupCounts:
         return self.gameplay_only + self.both
 
 
+def _missing_field(record: dict, field: str) -> ValueError:
+    """The error for a record that lacks a field the counts read, naming
+    the record by its run id or, lacking one, by its start."""
+    name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
+    return ValueError(f"record {name} has no {field}")
+
+
 def count_group(records: Iterable[dict]) -> GroupCounts:
+    """Raises ValueError naming the record when a graded record's verdict
+    lacks a field."""
     acc: collections.Counter = collections.Counter()
     for record in records:
         acc["total"] += 1
@@ -522,11 +508,14 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             continue
         acc["ok"] += 1
         verdict = record["verdict"]
-        acc[verdict["error_class"]] += 1
-        pc = bool(verdict["proposer_strategy_complete"])
-        rc = bool(verdict["receiver_strategy_complete"])
-        ps = bool(verdict["proposer_strategy_consistent"])
-        rs = bool(verdict["receiver_strategy_consistent"])
+        try:
+            acc[verdict["error_class"]] += 1
+            pc = bool(verdict["proposer_strategy_complete"])
+            rc = bool(verdict["receiver_strategy_complete"])
+            ps = bool(verdict["proposer_strategy_consistent"])
+            rs = bool(verdict["receiver_strategy_consistent"])
+        except KeyError as exc:
+            raise _missing_field(record, f"verdict field {exc}") from None
         acc["proposer_complete"] += pc
         acc["receiver_complete"] += rc
         acc["proposer_consistent"] += ps
@@ -537,98 +526,89 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
     return GroupCounts(**{f.name: acc.get(f.name, 0) for f in fields(GroupCounts)})
 
 
-@dataclass(frozen=True)
-class ErrorComparison:
-    """Within one structure: whether the strategy and gameplay shares of
-    its errors differ significantly. The counts are the structure's
-    entry in Summary.by_structure."""
-
-    structure: str
-    test: TestResult | None
-    note: str | None = None
+Group = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
-class HeadlineComparison:
-    """Cross-structure test on the best member of each family."""
+class Comparison:
+    """A test between two groups, each given as (label, successes, trials).
+
+    `test` is None when the test was not run, and `note` then says why;
+    otherwise `note` is the test's own warning, if it gave one.
+    """
 
     name: str
-    member_a: str
-    successes_a: int
-    trials_a: int
-    member_b: str
-    successes_b: int
-    trials_b: int
+    groups: tuple[Group, Group]
     test: TestResult | None
     note: str | None = None
 
 
 @dataclass(frozen=True)
 class Summary:
-    total: int
-    ok: int
-    failed: int
+    totals: GroupCounts
     by_structure: dict[str, GroupCounts]
     by_cell: dict[tuple[str, str], GroupCounts]
     by_member: dict[tuple[str, str], GroupCounts]
-    error_comparisons: tuple[ErrorComparison, ...]
-    headlines: tuple[HeadlineComparison, ...]
+    # Within each structure: strategy versus gameplay share of its errors.
+    error_comparisons: tuple[Comparison, ...]
+    # The best member of each structure family, head to head.
+    headlines: tuple[Comparison, ...]
 
 
 def _grouped(records: list[dict], key: Callable[[dict], tuple]) -> dict:
     groups: dict = {}
     for record in records:
-        groups.setdefault(key(record), []).append(record)
+        try:
+            group = key(record)
+        except KeyError as exc:
+            raise _missing_field(record, f"field {exc}") from None
+        groups.setdefault(group, []).append(record)
     return {k: count_group(v) for k, v in sorted(groups.items())}
 
 
-def _best_member(
-    by_member: dict[tuple[str, str], GroupCounts],
-    structure: str,
-    success: Callable[[GroupCounts], int],
-) -> tuple[str, GroupCounts]:
-    """The family's member with the highest success rate, or ("-", GroupCounts())
-    when the family has no graded runs."""
-    candidates = [
-        (f"{s}/{model}", counts)
-        for (s, model), counts in by_member.items()
-        if s == structure and counts.ok > 0
-    ]
-    candidates.sort(key=lambda item: (-Fraction(success(item[1]), item[1].ok), item[0]))
-    return candidates[0] if candidates else ("-", GroupCounts())
+def _compare(
+    name: str,
+    groups: tuple[Group, Group],
+    test: Callable[[int, int, int, int], TestResult],
+    skip: str | None = None,
+) -> Comparison:
+    """Run `test` on the groups' counts, unless `skip` gives a reason not to."""
+    if skip is not None:
+        return Comparison(name, groups, None, skip)
+    (_, s1, n1), (_, s2, n2) = groups
+    try:
+        result = test(s1, n1, s2, n2)
+    except DegenerateTableError as exc:
+        return Comparison(name, groups, None, f"not computable: {exc}")
+    return Comparison(name, groups, result, result.warning)
+
+
+def _chi_square(s1: int, n1: int, s2: int, n2: int) -> TestResult:
+    return chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
 
 
 def _headline(
     name: str,
     by_member: dict[tuple[str, str], GroupCounts],
     success: Callable[[GroupCounts], int],
-) -> HeadlineComparison:
+) -> Comparison:
+    """The member of each structure family with the highest success rate
+    (the first label on a tie), head to head; "-" for a family with no
+    graded runs."""
     families = (Structure.MULTI_AGENT.value, Structure.SINGLE_MODEL.value)
-    (label_a, counts_a), (label_b, counts_b) = (
-        _best_member(by_member, family, success) for family in families
-    )
-    sa, na = success(counts_a), counts_a.ok
-    sb, nb = success(counts_b), counts_b.ok
-    missing = [family for family, n in zip(families, (na, nb)) if n == 0]
+    groups = []
+    for family in families:
+        _, label, c = min(
+            ((-Fraction(success(counts), counts.ok), f"{s}/{model}", counts)
+             for (s, model), counts in by_member.items() if s == family and counts.ok > 0),
+            default=(0, "-", GroupCounts()),
+        )
+        groups.append((label, success(c), c.ok))
+    missing = [family for family, (_, _, trials) in zip(families, groups) if trials == 0]
+    skip = None
     if missing:
-        test, note = None, "no graded runs" if len(missing) == 2 else f"no graded {missing[0]} runs"
-    else:
-        try:
-            test = chi_square_2x2(ContingencyTable2x2.from_successes(sa, na, sb, nb))
-            note = test.warning
-        except DegenerateTableError as exc:
-            test, note = None, f"not computable: {exc}"
-    return HeadlineComparison(
-        name=name,
-        member_a=label_a,
-        successes_a=sa,
-        trials_a=na,
-        member_b=label_b,
-        successes_b=sb,
-        trials_b=nb,
-        test=test,
-        note=note,
-    )
+        skip = "no graded runs" if len(missing) == 2 else f"no graded {missing[0]} runs"
+    return _compare(name, tuple(groups), _chi_square, skip)
 
 
 def aggregate(records: Iterable[dict]) -> Summary:
@@ -636,46 +616,33 @@ def aggregate(records: Iterable[dict]) -> Summary:
 
     Structures are compared on the error axes within themselves, and the
     best member of each structure family is compared head to head on
-    human consistency and on strategy completeness.
+    human consistency and on strategy completeness. A record that lacks
+    a field the counts read raises ValueError naming it.
     """
     records = list(records)
     by_structure = _grouped(records, lambda r: (r["structure"],))
     by_structure = {k[0]: v for k, v in by_structure.items()}
     by_cell = _grouped(records, lambda r: (r["structure"], r["pair"]))
     by_member = _grouped(records, lambda r: (r["structure"], str(r.get("model", "-"))))
-
-    comparisons = []
-    for structure, counts in sorted(by_structure.items()):
-        test: TestResult | None = None
-        note = None
-        if counts.errors > 0:
-            try:
-                test = two_proportion_z(
-                    counts.strategy_errors,
-                    counts.errors,
-                    counts.gameplay_errors,
-                    counts.errors,
-                )
-            except DegenerateTableError as exc:
-                note = f"not computable: {exc}"
-        else:
-            note = "no errors"
-        comparisons.append(ErrorComparison(structure, test, note))
-
-    headlines = (
-        _headline("human consistency", by_member, lambda c: c.none),
-        _headline("strategy completeness", by_member, lambda c: c.both_complete),
+    error_comparisons = tuple(
+        _compare(
+            structure,
+            (("strategy", c.strategy_errors, c.errors), ("gameplay", c.gameplay_errors, c.errors)),
+            two_proportion_z,
+            None if c.errors else "no errors",
+        )
+        for structure, c in by_structure.items()
     )
-    totals = count_group(records)
     return Summary(
-        total=totals.total,
-        ok=totals.ok,
-        failed=totals.failed,
+        totals=count_group(records),
         by_structure=by_structure,
         by_cell=by_cell,
         by_member=by_member,
-        error_comparisons=tuple(comparisons),
-        headlines=headlines,
+        error_comparisons=error_comparisons,
+        headlines=(
+            _headline("human consistency", by_member, lambda c: c.none),
+            _headline("strategy completeness", by_member, lambda c: c.both_complete),
+        ),
     )
 
 
@@ -708,12 +675,15 @@ def render_report(summary: Summary, fmt: str = "markdown") -> str:
 
 
 # Each table's columns, stated once for both formats:
-# (markdown heading, CSV metric, value for the row's GroupCounts).
+# (markdown heading, CSV metric, value for the row).
+# Columns of a GroupCounts:
 _GRADED = ("graded", "graded", lambda c: c.ok)
+_FAILED = ("failed", "failed", lambda c: c.failed)
+_OVERALL_COLUMNS = (("runs", "total", lambda c: c.total), _GRADED, _FAILED)
 _CELL_COLUMNS = (
     ("runs", "runs", lambda c: c.total),
     _GRADED,
-    ("failed", "failed", lambda c: c.failed),
+    _FAILED,
     ("human-consistent", "human_consistent", lambda c: c.none),
     ("rate", "human_rate", lambda c: _pct(c.none, c.ok)),
 )
@@ -736,12 +706,18 @@ _QUALITY_COLUMNS = (
     ("both consistent", "both_consistent", lambda c: c.both_consistent),
     ("robust", "strategy_robust", lambda c: c.strategy_robust),
 )
-# Values of the error comparison's TestResult, which is None (markdown "-",
-# no CSV rows) when the test was not computable.
-_TEST_COLUMNS = (
-    ("z", "z", lambda t: _fmt_stat(t.statistic)),
-    ("p", "p", lambda t: _fmt_p(t.p_two_tailed)),
+# Columns of a Comparison's TestResult, which is None (markdown "-", no CSV
+# rows) when no test was run:
+_P = ("p", "p", lambda t: _fmt_p(t.p_two_tailed))
+_Z_COLUMNS = (("z", "z", lambda t: _fmt_stat(t.statistic)), _P)
+_CHI_SQUARE_COLUMNS = (("chi-square", "chi_square", lambda t: _fmt_stat(t.statistic)), _P)
+# Columns of a Comparison:
+_GROUP_COLUMNS = tuple(
+    (field, f"{field}_{side}", lambda h, i=i, j=j: h.groups[i][j])
+    for i, side in enumerate("ab")
+    for j, field in enumerate(("member", "successes", "trials"))
 )
+_NOTE = (("note", "note", lambda comparison: comparison.note),)
 
 
 def _cells(columns: tuple, row: object) -> list:
@@ -749,9 +725,11 @@ def _cells(columns: tuple, row: object) -> list:
 
 
 def _long_rows(section: str, group: str, columns: tuple, row: object) -> list[list]:
+    """One CSV row per column; none for a missing row or a None value."""
     if row is None:
         return []
-    return [[section, group, metric, value(row)] for _, metric, value in columns]
+    rows = ([section, group, metric, value(row)] for _, metric, value in columns)
+    return [r for r in rows if r[3] is not None]
 
 
 def _md_table(keys: list[str], columns: tuple, rows: Iterable[list]) -> list[str]:
@@ -764,13 +742,11 @@ def _md_table(keys: list[str], columns: tuple, rows: Iterable[list]) -> list[str
 
 def _render_markdown(summary: Summary) -> str:
     lines = ["# Ultimatum experiment report", ""]
-    if summary.total == 0:
+    totals = summary.totals
+    if totals.total == 0:
         lines.append("No runs recorded.")
         return "\n".join(lines) + "\n"
-    lines.append(
-        f"{summary.total} runs: {summary.ok} graded, {summary.failed} failed."
-    )
-    lines.append("")
+    lines += [f"{totals.total} runs: {totals.ok} graded, {totals.failed} failed.", ""]
 
     lines += ["## Runs by cell", ""] + _md_table(
         ["structure", "pair"],
@@ -779,17 +755,17 @@ def _render_markdown(summary: Summary) -> str:
     )
     lines += ["## Error classes by structure", ""] + _md_table(
         ["structure"],
-        _ERROR_COLUMNS + _TEST_COLUMNS,
+        _ERROR_COLUMNS + _Z_COLUMNS,
         (
             [
-                e.structure,
-                *_cells(_ERROR_COLUMNS, summary.by_structure[e.structure]),
-                *_cells(_TEST_COLUMNS, e.test),
+                e.name,
+                *_cells(_ERROR_COLUMNS, summary.by_structure[e.name]),
+                *_cells(_Z_COLUMNS, e.test),
             ]
             for e in summary.error_comparisons
         ),
     )
-    notes = [f"- {e.structure}: {e.note}" for e in summary.error_comparisons if e.note]
+    notes = [f"- {e.name}: {e.note}" for e in summary.error_comparisons if e.note]
     if notes:
         lines += notes + [""]
     quality = (_GRADED, *_QUALITY_COLUMNS)
@@ -799,22 +775,16 @@ def _render_markdown(summary: Summary) -> str:
         ([s, *_cells(quality, c)] for s, c in sorted(summary.by_structure.items())),
     )
 
-    lines.append("## Headline comparisons")
-    lines.append("")
+    lines += ["## Headline comparisons", ""]
     for h in summary.headlines:
-        detail = (
-            f"{h.member_a} {h.successes_a}/{h.trials_a} "
-            f"vs {h.member_b} {h.successes_b}/{h.trials_b}"
-        )
+        detail = " vs ".join(f"{label} {s}/{n}" for label, s, n in h.groups)
+        result = h.note
         if h.test is not None:
             result = (
                 f"chi-square {_fmt_stat(h.test.statistic)} (df={h.test.df}), "
                 f"p {_fmt_p(h.test.p_two_tailed)}"
-            )
-        else:
-            result = h.note or "not computable"
-        suffix = f" ({h.note})" if h.test is not None and h.note else ""
-        lines.append(f"- {h.name}: {detail} -> {result}{suffix}")
+            ) + (f" ({h.note})" if h.note else "")
+        lines.append(f"- {h.name}: {detail} -> {result}")
     return "\n".join(lines) + "\n"
 
 
@@ -822,34 +792,19 @@ def _render_csv(summary: Summary) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["section", "group", "metric", "value"])
-    if summary.total == 0:
+    if summary.totals.total == 0:
         writer.writerow(["overall", "-", "note", "no runs recorded"])
         return out.getvalue()
-    writer.writerow(["overall", "-", "total", summary.total])
-    writer.writerow(["overall", "-", "graded", summary.ok])
-    writer.writerow(["overall", "-", "failed", summary.failed])
+    writer.writerows(_long_rows("overall", "-", _OVERALL_COLUMNS, summary.totals))
     for (structure, pair), c in sorted(summary.by_cell.items()):
         writer.writerows(_long_rows("cell", f"{structure}/{pair}", _CELL_COLUMNS, c))
     for e in summary.error_comparisons:
-        c = summary.by_structure[e.structure]
-        writer.writerows(_long_rows("structure", e.structure, _ERROR_COLUMNS + _QUALITY_COLUMNS, c))
-        writer.writerows(_long_rows("structure", e.structure, _TEST_COLUMNS, e.test))
-        if e.note:
-            writer.writerow(["structure", e.structure, "note", e.note])
+        c = summary.by_structure[e.name]
+        writer.writerows(_long_rows("structure", e.name, _ERROR_COLUMNS + _QUALITY_COLUMNS, c))
+        writer.writerows(_long_rows("structure", e.name, _Z_COLUMNS, e.test))
+        writer.writerows(_long_rows("structure", e.name, _NOTE, e))
     for h in summary.headlines:
-        rows = [
-            ("member_a", h.member_a),
-            ("successes_a", h.successes_a),
-            ("trials_a", h.trials_a),
-            ("member_b", h.member_b),
-            ("successes_b", h.successes_b),
-            ("trials_b", h.trials_b),
-        ]
-        if h.test is not None:
-            rows.append(("chi_square", _fmt_stat(h.test.statistic)))
-            rows.append(("p", _fmt_p(h.test.p_two_tailed)))
-        if h.note:
-            rows.append(("note", h.note))
-        for metric, value in rows:
-            writer.writerow(["headline", h.name, metric, value])
+        writer.writerows(_long_rows("headline", h.name, _GROUP_COLUMNS, h))
+        writer.writerows(_long_rows("headline", h.name, _CHI_SQUARE_COLUMNS, h.test))
+        writer.writerows(_long_rows("headline", h.name, _NOTE, h))
     return out.getvalue()

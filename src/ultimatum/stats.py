@@ -95,7 +95,8 @@ def two_proportion_z(s1: int, n1: int, s2: int, n2: int) -> TestResult:
     """Two-proportion z-test with pooled variance, two-tailed.
 
     s1 of n1 versus s2 of n2 successes. |z| is the square root of the
-    chi-square on the table of the two samples, with its p-value.
+    chi-square on the table of the two samples, with its p-value and its
+    small-sample warning.
     Undefined (DegenerateTableError) when either sample is empty or the
     pooled proportion is 0 or 1, since then the pooled standard error
     vanishes.
@@ -107,7 +108,12 @@ def two_proportion_z(s1: int, n1: int, s2: int, n2: int) -> TestResult:
     if s1 + s2 in (0, n1 + n2):
         raise DegenerateTableError("pooled proportion is degenerate (0 or 1)")
     chi = chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
-    return TestResult(statistic=math.sqrt(chi.statistic), df=1, p_two_tailed=chi.p_two_tailed)
+    return TestResult(
+        statistic=math.sqrt(chi.statistic),
+        df=1,
+        p_two_tailed=chi.p_two_tailed,
+        warning=chi.warning,
+    )
 
 
 def format_percent(rate: Fraction | float) -> str:

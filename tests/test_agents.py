@@ -405,6 +405,31 @@ class TestRecordAndReplay:
         assert replay.complete("m", m2, PARAMS) == "two"
         assert replay.complete("m", m1, PARAMS) == "one"
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": 7},
+            {"messages": "hi"},
+            {"messages": [{"role": "user"}]},
+            {"messages": [{"role": "user", "content": "hi", "name": "x"}]},
+            {"messages": [{"role": "user", "content": 1}]},
+            {"temperature": "0.5"},
+            {"temperature": True},
+            {"temperature": None},
+            {"seed": 1},
+        ],
+        ids=lambda change: json.dumps(change),
+    )
+    def test_replay_refuses_requests_no_gateway_sends(self, tmp_path, change):
+        tape = tmp_path / "tape.jsonl"
+        RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", MESSAGES, PARAMS)
+        record = json.loads(tape.read_text(encoding="utf-8"))
+        ReplayGateway(tape)  # the unchanged recording loads
+        record["request"].update(change)
+        tape.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: bad recording: .*shape of a chat request"):
+            ReplayGateway(tape)
+
     def test_replay_refuses_unknown_requests(self, tmp_path):
         tape = tmp_path / "tape.jsonl"
         RecordingGateway(ScriptedGateway(["one"]), tape).complete(

@@ -53,9 +53,10 @@ class TestStatsCommand:
         assert main(["stats", "ztest", "30", "20", "5", "20"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
-    def test_small_expected_counts_warn(self, capsys):
-        assert main(["stats", "chi2", "3", "4", "1", "4"]) == EXIT_OK
-        assert "warning:" in capsys.readouterr().out
+    @pytest.mark.parametrize("test", ["chi2", "ztest"])
+    def test_small_expected_counts_warn(self, capsys, test):
+        assert main(["stats", test, "7", "7", "0", "7"]) == EXIT_OK
+        assert "warning: smallest expected cell count is 3.50 (< 5)" in capsys.readouterr().out
 
 
 class TestRunCommand:
@@ -82,6 +83,15 @@ class TestRunCommand:
         assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
         assert "unknown plan keys" in capsys.readouterr().err
 
+    def test_non_finite_sampling_is_a_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("sampling: {temperature: .nan}\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        code = main(["run", "--plan", str(plan), "--out", str(out), "--mode", "live"])
+        assert code == EXIT_USAGE
+        assert "temperature must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replay_mode_needs_a_file(self, plan_file, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
         code = main(["run", "--plan", str(plan_file), "--out", str(out), "--mode", "replay"])
@@ -97,8 +107,12 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "line, reason",
-        [("{not json\n", "Expecting property name"), ('{"response": "OFFER: $0.50"}\n', "expected a request")],
-        ids=["not-json", "no-request"],
+        [
+            ("{not json\n", "Expecting property name"),
+            ('{"response": "OFFER: $0.50"}\n', "expected a request"),
+            ('{"request": {"model": "m"}, "response": "OFFER: $0.50"}\n', "shape of a chat request"),
+        ],
+        ids=["not-json", "no-request", "request-shape"],
     )
     def test_malformed_recording_is_a_usage_error(self, plan_file, tmp_path, capsys, line, reason):
         recording = tmp_path / "recording.jsonl"
@@ -203,6 +217,27 @@ class TestReportCommand:
         code = main(["report", "--records", str(tmp_path / "nope.jsonl")])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({}, "record {} has no field 'structure'"),
+            ({"run_id": "r", "structure": "single_model"}, "record r has no field 'pair'"),
+            (
+                {"status": "ok", "structure": "multi_agent", "pair": "fair-fair", "verdict": {"x": 1}},
+                "has no verdict field 'error_class'",
+            ),
+        ],
+        ids=["empty", "no-pair", "verdict"],
+    )
+    def test_malformed_record_is_a_usage_error(self, tmp_path, capsys, record, message):
+        store = tmp_path / "runs.jsonl"
+        store.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["report", "--records", str(store)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: record ") and err.count("\n") == 1
+        assert message in err
 
 
 @pytest.fixture

@@ -23,8 +23,7 @@ from ultimatum.experiment import (
     regrade_record,
     render_report,
     run_batch,
-    _failed_record,
-    _ok_record,
+    _record,
 )
 from ultimatum.orchestrator import (
     SimulationConfig,
@@ -78,6 +77,9 @@ class TestPlanValidation:
             ({"pot": -5}, "bad plan value"),
             ({"sampling": {"typos": 1}}, "unknown sampling keys"),
             ({"sampling": [1, 2]}, "sampling must be a mapping"),
+            ({"sampling": {"temperature": float("nan")}}, "temperature must be finite, got nan"),
+            ({"sampling": {"top_p": float("inf")}}, "top_p must be finite, got inf"),
+            ({"sampling": {"presence_penalty": float("-inf")}}, "presence_penalty must be finite"),
             ({"flaws": {"referee": "incomplete"}}, "flaws must map"),
             ({"flaws": {"proposer": "inconsistent_threshold"}}, "not a proposer flaw"),
             ({"flaws": {"receiver": "deviator"}}, "not a receiver flaw"),
@@ -302,9 +304,7 @@ class TestFailedRuns:
         )
         batch = run_batch(plan, mode="replay", gateway=FlakySecondRequest())
         summary = aggregate(batch.records)
-        assert summary.total == 3
-        assert summary.ok == 2
-        assert summary.failed == 1
+        assert (summary.totals.total, summary.totals.ok, summary.totals.failed) == (3, 2, 1)
         cell = summary.by_cell[("single_model", "fair-fair")]
         assert (cell.ok, cell.none) == (2, 2)
         assert "cell,single_model/fair-fair,human_rate,100" in render_report(summary, fmt="csv")
@@ -365,9 +365,8 @@ def records_run_by_run(plan, single_model_gateway, keep_prompts=False):
                     agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
                     result = run_multi_agent(config, agents)
             except RUN_FAILURES as exc:
-                records.append(_failed_record(run_id, config, exc, 0.0))
-            else:
-                records.append(_ok_record(run_id, config, result, 0.0, keep_prompts))
+                result = exc
+            records.append(_record(run_id, config, result, 0.0, keep_prompts))
     return records
 
 
@@ -682,7 +681,8 @@ class TestAggregate:
     def test_error_share_comparison(self, mixed_records):
         summary = aggregate(mixed_records)
         comparison, = summary.error_comparisons
-        assert comparison.structure == "single_model"
+        assert comparison.name == "single_model"
+        assert comparison.groups == (("strategy", 17, 23), ("gameplay", 9, 23))
         assert comparison.test is not None
         assert comparison.test.statistic == pytest.approx(2.3794, abs=1e-4)
         assert comparison.test.p_two_tailed == pytest.approx(0.01734, abs=5e-4)
@@ -704,8 +704,7 @@ class TestAggregate:
         }[records]()
         for headline in aggregate(records).headlines:
             assert (headline.test, headline.note) == (None, note)
-            sides = {(headline.member_a, headline.trials_a), (headline.member_b, headline.trials_b)}
-            assert ("-", 0) in sides
+            assert ("-", 0, 0) in headline.groups
 
     def test_headline_compares_best_members(self, mixed_records):
         extra = run_batch(
@@ -716,9 +715,7 @@ class TestAggregate:
         summary = aggregate(mixed_records + list(extra))
         headline = summary.headlines[0]
         assert headline.name == "human consistency"
-        assert headline.member_a == "multi_agent/oracle"
-        assert (headline.successes_a, headline.trials_a) == (8, 8)
-        assert (headline.successes_b, headline.trials_b) == (7, 30)
+        assert headline.groups == (("multi_agent/oracle", 8, 8), ("single_model/oracle", 7, 30))
         assert headline.test is not None
 
     def test_no_errors_leaves_a_note(self):

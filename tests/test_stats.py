@@ -129,6 +129,17 @@ class TestZTest:
             two_proportion_z(*counts)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "counts, warning",
+        [
+            ((7, 7, 0, 7), "smallest expected cell count is 3.50 (< 5)"),
+            ((17, 23, 9, 23), None),
+        ],
+    )
+    def test_the_warning_is_the_chi_squares(self, counts, warning):
+        chi = chi_square_2x2(ContingencyTable2x2.from_successes(*counts))
+        assert two_proportion_z(*counts).warning == chi.warning == warning
+
 
 @given(
     a=st.integers(min_value=0, max_value=60),
