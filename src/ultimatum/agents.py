@@ -238,17 +238,46 @@ def _recorded_digest(request, params_seen: dict) -> str | None:
         not isinstance(model, str)
         or not isinstance(messages, list)
         or any(type(v) not in (int, float) for v in values)
-        or not all(
-            isinstance(m, dict) and m.keys() == {"role", "content"}
-            and all(isinstance(text, str) for text in m.values())
-            for m in messages
-        )
     ):
         return None
+    for m in messages:
+        if (
+            type(m) is not dict
+            or len(m) != 2
+            or type(m.get("role")) is not str
+            or type(m.get("content")) is not str
+        ):
+            return None
     spelling = tuple(map(repr, values))
     if spelling not in params_seen:
         params_seen[spelling] = SamplingParams(*values)
     return _request_digest(model, messages, params_seen[spelling])
+
+
+def _recorded_entry(line: bytes, where: str, params_seen: dict) -> tuple[str, str] | None:
+    """The (lookup digest, response) of one recording line, None for a
+    blank line. Raises ValueError starting with `where` for a line that is
+    not a recorded exchange."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: bad recording: {exc}") from None
+    if not text.strip():
+        return None
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: bad recording: {exc}") from None
+    response = record.get("response") if isinstance(record, dict) else None
+    if not isinstance(response, str) or "request" not in record:
+        raise ValueError(f"{where}: bad recording: expected a request and a text response")
+    key = _recorded_digest(record["request"], params_seen)
+    if key is None:
+        raise ValueError(
+            f"{where}: bad recording: the request does not have the shape of a chat "
+            "request (model, role/content messages, sampling values)"
+        )
+    return key, response
 
 
 class ReplayGateway(Gateway):
@@ -266,8 +295,14 @@ class ReplayGateway(Gateway):
     and the four sampling values as numbers. The digest is byte for byte
     the one the whole payload gives, so recordings made before the pieces
     were cached replay unchanged. An unknown request is an error: replay
-    never invents a completion. A line that is not a recorded exchange
-    raises ValueError naming the file and line.
+    never invents a completion.
+
+    The file is read as UTF-8 lines, split at line feeds only. A line that
+    repeats an earlier one is decoded and keyed once: only the SHA-256 of
+    each distinct line is kept, with its key and response. When several
+    lines record the same request, the last one wins. A line that is not a
+    recorded exchange (bad UTF-8, bad JSON or the wrong shape) raises
+    ValueError `<path>:<line>: bad recording: ...` at its first occurrence.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -275,26 +310,15 @@ class ReplayGateway(Gateway):
         self.path = Path(path)
         self._responses: dict[str, str] = {}
         params_seen: dict[tuple, SamplingParams] = {}
-        with self.path.open("r", encoding="utf-8") as fh:
+        entries: dict[bytes, tuple[str, str] | None] = {}
+        with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad recording: {exc}") from None
-                response = record.get("response") if isinstance(record, dict) else None
-                if not isinstance(response, str) or "request" not in record:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad recording: expected a request and a text response"
-                    )
-                key = _recorded_digest(record["request"], params_seen)
-                if key is None:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad recording: the request does not have the "
-                        "shape of a chat request (model, role/content messages, sampling values)"
-                    )
-                self._responses[key] = response
+                line_digest = hashlib.sha256(line).digest()
+                if line_digest not in entries:
+                    entries[line_digest] = _recorded_entry(line, f"{path}:{lineno}", params_seen)
+                entry = entries[line_digest]
+                if entry is not None:
+                    self._responses[entry[0]] = entry[1]
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
         key = _request_digest(model, messages, params)

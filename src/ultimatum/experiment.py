@@ -490,16 +490,29 @@ class GroupCounts:
         return self.gameplay_only + self.both
 
 
-def _missing_field(record: dict, field: str) -> ValueError:
-    """The error for a record that lacks a field the counts read, naming
-    the record by its run id or, lacking one, by its start."""
+def _bad_record(record: dict, problem: str) -> ValueError:
+    """The error for a record that lacks a field the counts read, or holds
+    it with the wrong type, naming the record by its run id or, lacking
+    one, by its start."""
     name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
-    return ValueError(f"record {name} has no {field}")
+    return ValueError(f"record {name} {problem}")
+
+
+def _text_field(record: dict, field: str) -> str:
+    """record[field], a text field the report groups by; ValueError naming
+    the record when it is missing or not a string."""
+    try:
+        value = record[field]
+    except KeyError:
+        raise _bad_record(record, f"has no field '{field}'") from None
+    if not isinstance(value, str):
+        raise _bad_record(record, f"has {field} {json.dumps(value)[:40]}, not a string")
+    return value
 
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
     """Raises ValueError naming the record when a graded record's verdict
-    lacks a field."""
+    is not an object or lacks a field."""
     acc: collections.Counter = collections.Counter()
     for record in records:
         acc["total"] += 1
@@ -508,6 +521,8 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             continue
         acc["ok"] += 1
         verdict = record["verdict"]
+        if not isinstance(verdict, dict):
+            raise _bad_record(record, f"has verdict {json.dumps(verdict)[:40]}, not an object")
         try:
             acc[verdict["error_class"]] += 1
             pc = bool(verdict["proposer_strategy_complete"])
@@ -515,7 +530,7 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             ps = bool(verdict["proposer_strategy_consistent"])
             rs = bool(verdict["receiver_strategy_consistent"])
         except KeyError as exc:
-            raise _missing_field(record, f"verdict field {exc}") from None
+            raise _bad_record(record, f"has no verdict field {exc}") from None
         acc["proposer_complete"] += pc
         acc["receiver_complete"] += rc
         acc["proposer_consistent"] += ps
@@ -558,11 +573,7 @@ class Summary:
 def _grouped(records: list[dict], key: Callable[[dict], tuple]) -> dict:
     groups: dict = {}
     for record in records:
-        try:
-            group = key(record)
-        except KeyError as exc:
-            raise _missing_field(record, f"field {exc}") from None
-        groups.setdefault(group, []).append(record)
+        groups.setdefault(key(record), []).append(record)
     return {k: count_group(v) for k, v in sorted(groups.items())}
 
 
@@ -617,13 +628,16 @@ def aggregate(records: Iterable[dict]) -> Summary:
     Structures are compared on the error axes within themselves, and the
     best member of each structure family is compared head to head on
     human consistency and on strategy completeness. A record that lacks
-    a field the counts read raises ValueError naming it.
+    a field the counts read, or holds it with the wrong type, raises
+    ValueError naming it.
     """
     records = list(records)
-    by_structure = _grouped(records, lambda r: (r["structure"],))
+    by_structure = _grouped(records, lambda r: (_text_field(r, "structure"),))
     by_structure = {k[0]: v for k, v in by_structure.items()}
-    by_cell = _grouped(records, lambda r: (r["structure"], r["pair"]))
-    by_member = _grouped(records, lambda r: (r["structure"], str(r.get("model", "-"))))
+    by_cell = _grouped(records, lambda r: (_text_field(r, "structure"), _text_field(r, "pair")))
+    by_member = _grouped(
+        records, lambda r: (_text_field(r, "structure"), str(r.get("model", "-")))
+    )
     error_comparisons = tuple(
         _compare(
             structure,

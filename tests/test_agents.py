@@ -5,7 +5,7 @@ import threading
 
 import pytest
 import requests
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from requests.structures import CaseInsensitiveDict
 
@@ -25,6 +25,7 @@ from ultimatum.agents import (
     RecordingGateway,
     ReplayGateway,
     SamplingParams,
+    _recorded_digest,
     _request_digest,
     _request_payload,
     flaw_role,
@@ -390,7 +391,74 @@ class TestRequestKey:
             assert _request_digest("m", messages, params) == definitional_key("m", messages, params)
 
 
+def reference_responses(path):
+    """The recording loaded one line at a time, every line decoded and
+    keyed, the last line for a key winning."""
+    responses, params_seen = {}, {}
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                record = json.loads(line)
+                responses[_recorded_digest(record["request"], params_seen)] = record["response"]
+    return responses
+
+
+def _exchange_line(record, ascii):
+    """record as JSON, with non-ASCII characters escaped or not; a lone
+    surrogate has no UTF-8 form, so a record holding one is escaped."""
+    line = json.dumps(record, ensure_ascii=ascii)
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return json.dumps(record)
+    return line
+
+
+@st.composite
+def recordings(draw):
+    """A recording whose lines are drawn from a small pool, so lines repeat.
+    The pool holds blank lines and exchanges of one or two requests, each
+    request possibly spelled two ways and recorded with different
+    responses."""
+    payloads = draw(
+        st.lists(
+            st.builds(_request_payload, model_names, messages_strategy, sampling_params),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    exchange = st.builds(
+        lambda request, response, ascii: _exchange_line(
+            {"request": request, "response": response}, ascii
+        ),
+        st.sampled_from(payloads),
+        st.sampled_from(["one", "two"]) | awkward_text,
+        st.booleans(),
+    )
+    blank = st.sampled_from(["", " ", "\t", "\u3000"])
+    pool = draw(st.lists(exchange | blank, min_size=1, max_size=5))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return "".join(line + "\n" for line in lines)
+
+
+# One request recorded twice with different responses, the first line
+# repeated last: that line's response wins.
+REPEATED_CONFLICT = "".join(
+    json.dumps({"request": _request_payload("m", MESSAGES, PARAMS), "response": response}) + "\n"
+    for response in ["one", "two", "one"]
+)
+
+
 class TestRecordAndReplay:
+    @given(text=recordings())
+    @example(text=REPEATED_CONFLICT)
+    def test_each_distinct_line_is_loaded_as_a_line_by_line_loop_would(
+        self, tmp_path_factory, text
+    ):
+        tape = tmp_path_factory.mktemp("memo") / "tape.jsonl"
+        tape.write_text(text, encoding="utf-8")
+        assert ReplayGateway(tape)._responses == reference_responses(tape)
+
     def test_replay_round_trip(self, tmp_path):
         tape = tmp_path / "tape.jsonl"
         inner = ScriptedGateway(["one", "two"])
@@ -413,6 +481,12 @@ class TestRecordAndReplay:
             {"messages": [{"role": "user"}]},
             {"messages": [{"role": "user", "content": "hi", "name": "x"}]},
             {"messages": [{"role": "user", "content": 1}]},
+            {"messages": [{"role": "user", "content": None}]},
+            {"messages": [{"role": "user", "content": True}]},
+            {"messages": [{"role": 1, "content": "hi"}]},
+            {"messages": [{"content": "hi", "name": "x"}]},
+            {"messages": [["user", "hi"]]},
+            {"messages": [{"role": "user", "content": "hi"}, "hi"]},
             {"temperature": "0.5"},
             {"temperature": True},
             {"temperature": None},
@@ -428,6 +502,22 @@ class TestRecordAndReplay:
         record["request"].update(change)
         tape.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r":2: bad recording: .*shape of a chat request"):
+            ReplayGateway(tape)
+
+    def test_a_repeated_bad_line_is_reported_at_its_first_line(self, tmp_path):
+        tape = tmp_path / "tape.jsonl"
+        RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", MESSAGES, PARAMS)
+        good = tape.read_text(encoding="utf-8")
+        tape.write_text(good + "{bad\n" + good + "{bad\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"tape\.jsonl:2: bad recording: "):
+            ReplayGateway(tape)
+
+    @pytest.mark.parametrize("line", [b"\xff\xfe{}\n", b'{"response": "caf\xe9"}\n'])
+    def test_a_line_that_is_not_utf8_is_reported_with_its_line(self, tmp_path, line):
+        tape = tmp_path / "tape.jsonl"
+        RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", MESSAGES, PARAMS)
+        tape.write_bytes(tape.read_bytes() + b"\n" + line)
+        with pytest.raises(ValueError, match=r"tape\.jsonl:3: bad recording: 'utf-8' codec"):
             ReplayGateway(tape)
 
     def test_replay_refuses_unknown_requests(self, tmp_path):

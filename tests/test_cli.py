@@ -108,15 +108,16 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "line, reason",
         [
-            ("{not json\n", "Expecting property name"),
-            ('{"response": "OFFER: $0.50"}\n', "expected a request"),
-            ('{"request": {"model": "m"}, "response": "OFFER: $0.50"}\n', "shape of a chat request"),
+            (b"{not json\n", "Expecting property name"),
+            (b'{"response": "OFFER: $0.50"}\n', "expected a request"),
+            (b'{"request": {"model": "m"}, "response": "OFFER: $0.50"}\n', "shape of a chat request"),
+            (b"\xff\xfe{}\n", "'utf-8' codec can't decode byte 0xff in position 0"),
         ],
-        ids=["not-json", "no-request", "request-shape"],
+        ids=["not-json", "no-request", "request-shape", "not-utf8"],
     )
     def test_malformed_recording_is_a_usage_error(self, plan_file, tmp_path, capsys, line, reason):
         recording = tmp_path / "recording.jsonl"
-        recording.write_text("\n" + line, encoding="utf-8")
+        recording.write_bytes(b"\n" + line)
         out = tmp_path / "runs.jsonl"
         assert self.replay(plan_file, out, recording) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -219,20 +220,37 @@ class TestReportCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "record, message",
+        "records, message",
         [
-            ({}, "record {} has no field 'structure'"),
-            ({"run_id": "r", "structure": "single_model"}, "record r has no field 'pair'"),
+            ([{}], "record {} has no field 'structure'"),
+            ([{"run_id": "r", "structure": "single_model"}], "record r has no field 'pair'"),
             (
-                {"status": "ok", "structure": "multi_agent", "pair": "fair-fair", "verdict": {"x": 1}},
+                [{"status": "ok", "structure": "multi_agent", "pair": "fair-fair", "verdict": {"x": 1}}],
                 "has no verdict field 'error_class'",
             ),
+            (
+                [
+                    {"run_id": "r", "status": "failed", "structure": None, "pair": "fair-fair"},
+                    {"run_id": "s", "status": "failed", "structure": "multi_agent",
+                     "pair": "fair-fair"},
+                ],
+                "record r has structure null, not a string",
+            ),
+            (
+                [{"run_id": "r", "status": "failed", "structure": "multi_agent", "pair": 7}],
+                "record r has pair 7, not a string",
+            ),
+            (
+                [{"run_id": "r", "status": "ok", "structure": "multi_agent", "pair": "fair-fair",
+                  "verdict": "x"}],
+                'record r has verdict "x", not an object',
+            ),
         ],
-        ids=["empty", "no-pair", "verdict"],
+        ids=["empty", "no-pair", "verdict", "null-structure", "number-pair", "text-verdict"],
     )
-    def test_malformed_record_is_a_usage_error(self, tmp_path, capsys, record, message):
+    def test_malformed_record_is_a_usage_error(self, tmp_path, capsys, records, message):
         store = tmp_path / "runs.jsonl"
-        store.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        store.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main(["report", "--records", str(store)]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
