@@ -126,17 +126,27 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return _fail_usage(str(exc))
         failures = 0
+        # Verdict or error per distinct transcript ("" is not keyed: its error names the run).
+        graded: dict[str, dict | Exception] = {}
         for record in records:
             run_id = record.get("run_id", "?")
             if record.get("status") != "ok":
                 failures += 1
                 print(f"{run_id}: failed ({record.get('cause')})")
                 continue
-            try:
-                verdict = regrade_record(record)
-            except Exception as exc:  # noqa: BLE001 - report and continue
+            transcript = record.get("transcript")
+            key = transcript if isinstance(transcript, str) and transcript else None
+            verdict = graded.get(key)
+            if verdict is None:
+                try:
+                    verdict = regrade_record(record)
+                except Exception as exc:  # noqa: BLE001 - report and continue
+                    verdict = exc
+                if key is not None:
+                    graded[key] = verdict
+            if isinstance(verdict, Exception):
                 failures += 1
-                print(f"{run_id}: ungradable ({exc})")
+                print(f"{run_id}: ungradable ({verdict})")
                 continue
             drift = "" if verdict == record.get("verdict") else " [differs from stored verdict]"
             print(f"{run_id}: {verdict['error_class']}{drift}")

@@ -24,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -49,7 +50,7 @@ from .orchestrator import (
     run_multi_agent,
     run_single_model,
 )
-from .rubric import MalformedTranscriptError, Verdict, evaluate_transcript
+from .rubric import ErrorClass, MalformedTranscriptError, Verdict, evaluate_transcript
 from .stats import (
     ContingencyTable2x2,
     DegenerateTableError,
@@ -477,6 +478,9 @@ class GroupCounts:
     both_consistent: int = 0
     strategy_robust: int = 0
 
+    def __add__(self, other: GroupCounts) -> GroupCounts:
+        return GroupCounts(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+
     @property
     def errors(self) -> int:
         return self.ok - self.none
@@ -510,9 +514,12 @@ def _text_field(record: dict, field: str) -> str:
     return value
 
 
+_ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
+
+
 def count_group(records: Iterable[dict]) -> GroupCounts:
     """Raises ValueError naming the record when a graded record's verdict
-    is not an object or lacks a field."""
+    is not an object, lacks a field or names an unknown error class."""
     acc: collections.Counter = collections.Counter()
     for record in records:
         acc["total"] += 1
@@ -524,13 +531,16 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
         if not isinstance(verdict, dict):
             raise _bad_record(record, f"has verdict {json.dumps(verdict)[:40]}, not an object")
         try:
-            acc[verdict["error_class"]] += 1
+            error_class = verdict["error_class"]
             pc = bool(verdict["proposer_strategy_complete"])
             rc = bool(verdict["receiver_strategy_complete"])
             ps = bool(verdict["proposer_strategy_consistent"])
             rs = bool(verdict["receiver_strategy_consistent"])
         except KeyError as exc:
             raise _bad_record(record, f"has no verdict field {exc}") from None
+        if error_class not in _ERROR_CLASSES:
+            raise _bad_record(record, f"has unknown error_class {json.dumps(error_class)[:40]}")
+        acc[error_class] += 1
         acc["proposer_complete"] += pc
         acc["receiver_complete"] += rc
         acc["proposer_consistent"] += ps
@@ -570,11 +580,12 @@ class Summary:
     headlines: tuple[Comparison, ...]
 
 
-def _grouped(records: list[dict], key: Callable[[dict], tuple]) -> dict:
-    groups: dict = {}
-    for record in records:
-        groups.setdefault(key(record), []).append(record)
-    return {k: count_group(v) for k, v in sorted(groups.items())}
+def _rolled_up(counts: dict[tuple, GroupCounts], key: Callable[[tuple], object]) -> dict:
+    """The counts summed over the groups that share key(group), sorted."""
+    rolled: dict = {}
+    for group, c in counts.items():
+        rolled[key(group)] = rolled.get(key(group), GroupCounts()) + c
+    return dict(sorted(rolled.items()))
 
 
 def _compare(
@@ -631,13 +642,14 @@ def aggregate(records: Iterable[dict]) -> Summary:
     a field the counts read, or holds it with the wrong type, raises
     ValueError naming it.
     """
-    records = list(records)
-    by_structure = _grouped(records, lambda r: (_text_field(r, "structure"),))
-    by_structure = {k[0]: v for k, v in by_structure.items()}
-    by_cell = _grouped(records, lambda r: (_text_field(r, "structure"), _text_field(r, "pair")))
-    by_member = _grouped(
-        records, lambda r: (_text_field(r, "structure"), str(r.get("model", "-")))
-    )
+    groups: dict[tuple[str, str, str], list[dict]] = {}  # (structure, pair, model)
+    for r in records:
+        key = (_text_field(r, "structure"), _text_field(r, "pair"), str(r.get("model", "-")))
+        groups.setdefault(key, []).append(r)
+    counts = {group: count_group(rs) for group, rs in groups.items()}
+    by_structure = _rolled_up(counts, itemgetter(0))
+    by_cell = _rolled_up(counts, itemgetter(0, 1))
+    by_member = _rolled_up(counts, itemgetter(0, 2))
     error_comparisons = tuple(
         _compare(
             structure,
@@ -648,7 +660,7 @@ def aggregate(records: Iterable[dict]) -> Summary:
         for structure, c in by_structure.items()
     )
     return Summary(
-        totals=count_group(records),
+        totals=sum(counts.values(), GroupCounts()),
         by_structure=by_structure,
         by_cell=by_cell,
         by_member=by_member,

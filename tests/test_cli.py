@@ -1,10 +1,12 @@
+import collections
 import json
 
 import pytest
 
 from helpers import FIXTURES
+from ultimatum import experiment
 from ultimatum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from ultimatum.experiment import load_records
+from ultimatum.experiment import load_records, regrade_record
 
 
 @pytest.fixture
@@ -133,12 +135,97 @@ class TestRunCommand:
         assert [r["status"] for r in load_records(out)] == ["failed"] * 3
 
 
+def reference_grade(records):
+    """`grade --records` output and exit code, each record re-graded on its own."""
+    lines, failures = [], 0
+    for record in records:
+        run_id = record.get("run_id", "?")
+        if record.get("status") != "ok":
+            failures += 1
+            lines.append(f"{run_id}: failed ({record.get('cause')})")
+            continue
+        try:
+            verdict = regrade_record(record)
+        except Exception as exc:
+            failures += 1
+            lines.append(f"{run_id}: ungradable ({exc})")
+            continue
+        drift = "" if verdict == record.get("verdict") else " [differs from stored verdict]"
+        lines.append(f"{run_id}: {verdict['error_class']}{drift}")
+    total = len(records)
+    lines.append(f"{total} records, {total - failures} graded, {failures} failed")
+    return "".join(line + "\n" for line in lines), EXIT_PARTIAL if failures else EXIT_OK
+
+
+@pytest.fixture
+def mixed_store(tmp_path):
+    """A store that repeats transcripts, with one repeat's stored verdict
+    edited, an unparseable transcript twice, empty and non-string
+    transcripts, and failed records."""
+    plan = tmp_path / "plan.yaml"
+    plan.write_text("pairs: [fair-greedy, greedy-greedy]\nruns_per_cell: 3\n", encoding="utf-8")
+    out = tmp_path / "runs.jsonl"
+    assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_OK
+    records = load_records(out)
+    records[4]["verdict"] = {**records[4]["verdict"], "error_class": "both"}
+    ok = {k: v for k, v in records[0].items() if k not in ("run_id", "transcript")}
+    records += [
+        {**ok, "run_id": "junk.0", "transcript": "not a transcript"},
+        {**ok, "run_id": "junk.1", "transcript": "not a transcript"},
+        {**ok, "run_id": "empty.0", "transcript": ""},
+        {**ok, "run_id": "empty.1", "transcript": ""},
+        {**ok, "run_id": "number.0", "transcript": 7},
+        {**ok, "run_id": "list.0", "transcript": ["x"]},
+        {"run_id": "failed.0", "status": "failed", "cause": "GatewayError: down"},
+        {"run_id": "failed.1", "status": "failed", "cause": "GatewayError: down",
+         "transcript": records[0]["transcript"]},
+    ]
+    out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return out
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The transcripts regrade_record parses, in order."""
+    calls = []
+    parse = experiment.parse_canonical
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(experiment, "parse_canonical", counted)
+    return calls
+
+
 class TestGradeCommand:
     def test_grades_stored_records(self, store_path, capsys):
         assert main(["grade", "--records", str(store_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "single_model.fair-fair.000: none" in out
         assert "3 records, 3 graded, 0 failed" in out
+
+    def test_a_pass_prints_what_grading_each_record_prints(self, mixed_store, capsys):
+        expected = reference_grade(load_records(mixed_store))
+        assert main(["grade", "--records", str(mixed_store)]) == expected[1]
+        out = capsys.readouterr().out
+        assert out == expected[0]
+        assert out.count("[differs from stored verdict]") == 1
+        assert out.count(": ungradable (") == 6
+        assert "run 'empty.1' has no transcript to grade" in out
+
+    def test_a_pass_parses_each_distinct_transcript_once(self, mixed_store, parsed, capsys):
+        records = load_records(mixed_store)
+        texts = [r["transcript"] for r in records if r.get("status") == "ok"]
+        distinct = {t for t in texts if isinstance(t, str) and t}
+        assert len(distinct) < len([t for t in texts if isinstance(t, str) and t])
+        for passes in (1, 2):
+            parsed.clear()
+            for _ in range(passes):
+                main(["grade", "--records", str(mixed_store)])
+            strings = collections.Counter(t for t in parsed if isinstance(t, str))
+            assert strings == collections.Counter({t: passes for t in distinct})
+            assert len(parsed) - strings.total() == 2 * passes  # 7 and ["x"], unkeyed
 
     def test_grades_a_combined_log_file(self, capsys):
         log = FIXTURES / "fig_single_model_fair_fair.txt"
@@ -203,6 +290,14 @@ class TestGradeCommand:
         assert code == EXIT_USAGE
 
 
+COMPLETE_AND_CONSISTENT = {
+    "proposer_strategy_complete": True,
+    "receiver_strategy_complete": True,
+    "proposer_strategy_consistent": True,
+    "receiver_strategy_consistent": True,
+}
+
+
 class TestReportCommand:
     def test_markdown_report(self, store_path, capsys):
         assert main(["report", "--records", str(store_path)]) == EXIT_OK
@@ -245,8 +340,19 @@ class TestReportCommand:
                   "verdict": "x"}],
                 'record r has verdict "x", not an object',
             ),
+            (
+                [{"run_id": "r", "status": "ok", "structure": "multi_agent", "pair": "fair-fair",
+                  "verdict": {**COMPLETE_AND_CONSISTENT, "error_class": [1]}}],
+                "record r has unknown error_class [1]",
+            ),
+            (
+                [{"run_id": "r", "status": "ok", "structure": "multi_agent", "pair": "fair-fair",
+                  "verdict": {**COMPLETE_AND_CONSISTENT, "error_class": "bogus"}}],
+                'record r has unknown error_class "bogus"',
+            ),
         ],
-        ids=["empty", "no-pair", "verdict", "null-structure", "number-pair", "text-verdict"],
+        ids=["empty", "no-pair", "verdict", "null-structure", "number-pair", "text-verdict",
+             "list-error-class", "unknown-error-class"],
     )
     def test_malformed_record_is_a_usage_error(self, tmp_path, capsys, records, message):
         store = tmp_path / "runs.jsonl"

@@ -31,6 +31,7 @@ from ultimatum.orchestrator import (
     run_multi_agent,
     run_single_model,
 )
+from ultimatum.rubric import ErrorClass
 from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair, Role
 from ultimatum.transcripts import Structure
 
@@ -677,6 +678,37 @@ class TestGroupCounts:
         assert "cell,single_model/fair-fair,human_rate,-" in report.splitlines()
 
 
+ABSENT = "no model field"
+
+
+def _record_of(structure, pair, model, status, verdict):
+    """A record with the fields aggregate reads."""
+    record = {"structure": structure, "pair": pair, "status": status, "verdict": verdict}
+    if model != ABSENT:
+        record["model"] = model
+    return record
+
+
+VERDICTS = st.fixed_dictionaries(
+    {"error_class": st.sampled_from([c.value for c in ErrorClass])}
+    | {
+        f"{role}_strategy_{axis}": st.booleans()
+        for role in ("proposer", "receiver")
+        for axis in ("complete", "consistent")
+    }
+)
+# Both structures, all four pairs, two models, a null and a missing model,
+# every error class, and failed runs with and without a verdict.
+RECORDS = st.builds(
+    _record_of,
+    st.sampled_from([s.value for s in Structure]),
+    st.sampled_from([p.label() for p in ALL_PAIRS]),
+    st.sampled_from(["oracle", "model-a", None, ABSENT]),
+    st.sampled_from(["ok", "ok", "failed"]),
+    st.one_of(VERDICTS, st.none()),
+)
+
+
 class TestAggregate:
     def test_error_share_comparison(self, mixed_records):
         summary = aggregate(mixed_records)
@@ -723,6 +755,23 @@ class TestAggregate:
         comparison, = summary.error_comparisons
         assert comparison.test is None
         assert comparison.note == "no errors"
+
+    @settings(max_examples=60)
+    @given(st.lists(RECORDS, max_size=40))
+    def test_counts_match_counting_each_naive_group(self, records):
+        def naive(key):
+            groups = {}
+            for r in records:
+                groups.setdefault(key(r), []).append(r)
+            return [(k, count_group(v)) for k, v in sorted(groups.items())]
+
+        summary = aggregate(records)
+        assert summary.totals == count_group(records)
+        assert list(summary.by_structure.items()) == naive(lambda r: r["structure"])
+        assert list(summary.by_cell.items()) == naive(lambda r: (r["structure"], r["pair"]))
+        assert list(summary.by_member.items()) == naive(
+            lambda r: (r["structure"], str(r.get("model", "-")))
+        )
 
 
 class TestReports:
