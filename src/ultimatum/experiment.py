@@ -300,7 +300,12 @@ def regrade_record(record: dict) -> dict:
     """Re-grade a stored run from its canonical transcript."""
     if record.get("status") != "ok" or not record.get("transcript"):
         raise ValueError(f"run {record.get('run_id')!r} has no transcript to grade")
-    transcript = parse_canonical(record["transcript"])
+    text = record["transcript"]
+    if not isinstance(text, str):
+        raise ValueError(
+            f"run {record.get('run_id')!r} has transcript {json.dumps(text)[:40]}, not text"
+        )
+    transcript = parse_canonical(text)
     return verdict_to_dict(evaluate_transcript(transcript))
 
 
@@ -515,11 +520,18 @@ def _text_field(record: dict, field: str) -> str:
 
 
 _ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
+_VERDICT_FLAGS = (
+    "proposer_strategy_complete",
+    "receiver_strategy_complete",
+    "proposer_strategy_consistent",
+    "receiver_strategy_consistent",
+)
 
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
     """Raises ValueError naming the record when a graded record's verdict
-    is not an object, lacks a field or names an unknown error class."""
+    is not an object, lacks a field, holds a flag that is not a boolean or
+    names an unknown error class."""
     acc: collections.Counter = collections.Counter()
     for record in records:
         acc["total"] += 1
@@ -532,12 +544,12 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             raise _bad_record(record, f"has verdict {json.dumps(verdict)[:40]}, not an object")
         try:
             error_class = verdict["error_class"]
-            pc = bool(verdict["proposer_strategy_complete"])
-            rc = bool(verdict["receiver_strategy_complete"])
-            ps = bool(verdict["proposer_strategy_consistent"])
-            rs = bool(verdict["receiver_strategy_consistent"])
+            pc, rc, ps, rs = (verdict[flag] for flag in _VERDICT_FLAGS)
         except KeyError as exc:
             raise _bad_record(record, f"has no verdict field {exc}") from None
+        for flag, value in zip(_VERDICT_FLAGS, (pc, rc, ps, rs)):
+            if not isinstance(value, bool):
+                raise _bad_record(record, f"has {flag} {json.dumps(value)[:40]}, not true or false")
         if error_class not in _ERROR_CLASSES:
             raise _bad_record(record, f"has unknown error_class {json.dumps(error_class)[:40]}")
         acc[error_class] += 1

@@ -678,14 +678,24 @@ def _parse_strategy(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def extract_offer_reply(text: str) -> Money | None:
-    """The offer stated in one agent reply, or None if there is none."""
+    """The offer stated in one agent reply, or None if there is none.
+
+    The extraction is pure and its result immutable, so it is memoized
+    per reply text in a bounded process-wide cache.
+    """
     amount, _, _ = _extract_offer(text, _segment_lines(text))
     return amount
 
 
+@functools.lru_cache(maxsize=4096)
 def extract_decision_reply(text: str) -> Decision | None:
-    """The decision stated in one agent reply, or None if there is none."""
+    """The decision stated in one agent reply, or None if there is none.
+
+    The extraction is pure and its result immutable, so it is memoized
+    per reply text in a bounded process-wide cache.
+    """
     decision, _, _ = _extract_decision(_segment_lines(text))
     return decision
 

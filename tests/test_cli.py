@@ -225,7 +225,19 @@ class TestGradeCommand:
                 main(["grade", "--records", str(mixed_store)])
             strings = collections.Counter(t for t in parsed if isinstance(t, str))
             assert strings == collections.Counter({t: passes for t in distinct})
-            assert len(parsed) - strings.total() == 2 * passes  # 7 and ["x"], unkeyed
+            assert len(parsed) == strings.total()  # 7 and ["x"] are refused unparsed
+
+    def test_a_transcript_that_is_not_text_is_named_per_record(self, store_path, capsys):
+        ok = load_records(store_path)[0]
+        records = [{**ok, "run_id": "n", "transcript": 7}, {**ok, "run_id": "l", "transcript": ["x"]}]
+        store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["grade", "--records", str(store_path)]) == EXIT_PARTIAL
+        assert capsys.readouterr().out == (
+            "n: ungradable (run 'n' has transcript 7, not text)\n"
+            "l: ungradable (run 'l' has transcript [\"x\"], not text)\n"
+            "2 records, 0 graded, 2 failed\n"
+        )
 
     def test_grades_a_combined_log_file(self, capsys):
         log = FIXTURES / "fig_single_model_fair_fair.txt"
@@ -350,9 +362,21 @@ class TestReportCommand:
                   "verdict": {**COMPLETE_AND_CONSISTENT, "error_class": "bogus"}}],
                 'record r has unknown error_class "bogus"',
             ),
+            (
+                [{"run_id": "r", "status": "ok", "structure": "multi_agent", "pair": "fair-fair",
+                  "verdict": {**COMPLETE_AND_CONSISTENT, "error_class": "none",
+                              "proposer_strategy_complete": "no"}}],
+                'record r has proposer_strategy_complete "no", not true or false',
+            ),
+            (
+                [{"run_id": "r", "status": "ok", "structure": "multi_agent", "pair": "fair-fair",
+                  "verdict": {**COMPLETE_AND_CONSISTENT, "error_class": "none",
+                              "receiver_strategy_consistent": None}}],
+                "record r has receiver_strategy_consistent null, not true or false",
+            ),
         ],
         ids=["empty", "no-pair", "verdict", "null-structure", "number-pair", "text-verdict",
-             "list-error-class", "unknown-error-class"],
+             "list-error-class", "unknown-error-class", "text-flag", "null-flag"],
     )
     def test_malformed_record_is_a_usage_error(self, tmp_path, capsys, records, message):
         store = tmp_path / "runs.jsonl"

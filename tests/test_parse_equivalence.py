@@ -8,10 +8,12 @@ the two parsers as they were written before, each with its own loop, and
 the shared reading must give the same transcripts, diagnostics and errors.
 Strategy texts are parsed through a process-wide cache, which must agree
 with an uncached parse and must not let one caller's plan leak into
-another's.
+another's. Single agent replies are read through process-wide caches too,
+which must agree with an uncached reading.
 """
 
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -19,8 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultimatum import engine
-from ultimatum.agents import Flaw, flaw_role, oracle_strategy
+from ultimatum.agents import Flaw, ReplayGateway, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig, format_money
+from ultimatum.experiment import load_plan, run_batch
 from ultimatum.strategy import (
     ALL_PAIRS,
     MIN_POT,
@@ -53,6 +56,8 @@ from ultimatum.transcripts import (
     _segment_lines,
     _strategy_marker_blocks,
     extract_amounts,
+    extract_decision_reply,
+    extract_offer_reply,
     parse_agent_log,
     parse_single_model_log,
     parse_strategy_text,
@@ -177,12 +182,12 @@ _LABELS = ("", "[Say] ", "[Hear] ", "  [Outcome] ", "[Plan]")
 
 
 def _money_forms(cents):
-    return st.sampled_from(
-        (format_money(cents), f"{cents} cents", f"{cents}¢", f"${cents / 100:,.2f}")
-    )
+    forms = (format_money(cents), f"{cents} cents", f"{cents}¢", f"${cents / 100:,.2f}")
+    return st.sampled_from(forms + ((f"$.{cents:02d}",) if cents < 100 else ()))
 
 
-_amounts = st.integers(min_value=0, max_value=200_000).flatmap(_money_forms)
+# Amounts under a dollar are drawn often enough for the "$.50" spelling to show.
+_amounts = st.one_of(st.integers(0, 99), st.integers(0, 200_000)).flatmap(_money_forms)
 _line = st.builds(
     lambda label, template, a, b: label + template.format(a=a, b=b),
     st.sampled_from(_LABELS),
@@ -297,6 +302,78 @@ def test_parsed_plans_pickle():
         text, _ = oracle_strategy(role, Personality.FAIR, config)
         plan = parse_strategy_text(text, role, config)
         assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+# ---------------------------------------------------------------------------
+# Memoized reply extraction
+# ---------------------------------------------------------------------------
+
+
+_MALFORMED = (
+    "OFFER $0.50",
+    "OFFER:: fifty",
+    "DECISION accept",
+    "DECISION: acc ept",
+    "$",
+    "$.",
+    "cents",
+    "¢45",
+    "$1,25.0",
+    "OFFER: $-0.10",
+    "[Say]",
+    "[] OFFER: {a}",
+)
+_reply_line = st.one_of(
+    st.builds(
+        lambda label, template, a, b: label + template.format(a=a, b=b),
+        st.sampled_from(_LABELS),
+        st.sampled_from(_LINE_TEMPLATES + _MALFORMED),
+        _amounts,
+        _amounts,
+    ),
+    st.text(max_size=20),
+)
+replies = st.lists(_reply_line, max_size=4).map("\n".join)
+
+
+@settings(max_examples=300)
+@given(batch=st.lists(replies, min_size=1, max_size=6))
+@example(batch=["OFFER: $.45", "OFFER: $.54"])
+@example(batch=["I offer $0.40 this round.", "I offer $0.45 this round."])
+@example(batch=["[Say] DECISION: I will not accept", "[Say] DECISION: I will accept"])
+@example(batch=["I offer $1,250.00, then 45¢.", "45¢"])
+def test_memoized_reply_extraction_equals_an_uncached_one(batch):
+    # Replies that differ only in part must not share a cached reading.
+    for extract in (extract_offer_reply, extract_decision_reply):
+        uncached = [extract.__wrapped__(reply) for reply in batch]
+        assert [extract(reply) for reply in batch] == uncached
+        assert [extract(reply) for reply in batch] == uncached  # now from the cache
+
+
+def test_the_reply_caches_are_bounded():
+    assert extract_offer_reply.cache_info().maxsize == 4096
+    assert extract_decision_reply.cache_info().maxsize == 4096
+
+
+def test_a_replay_reads_the_same_from_warm_reply_caches(fixtures_dir):
+    folder = fixtures_dir / "replay"
+    plan = load_plan(folder / "plan.yaml")
+    extract_offer_reply.cache_clear()
+    extract_decision_reply.cache_clear()
+    batches = [
+        run_batch(plan, mode="replay", gateway=ReplayGateway(folder / "recording.jsonl"))
+        for _ in range(2)
+    ]
+    assert extract_offer_reply.cache_info().hits > 0
+    assert extract_decision_reply.cache_info().hits > 0
+    first, second = (
+        [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in batch.records]
+        for batch in batches
+    )
+    assert first == second
+    assert {r["run_id"]: r["verdict"] for r in first} == json.loads(
+        (folder / "verdicts.json").read_text(encoding="utf-8")
+    )
 
 
 # ---------------------------------------------------------------------------
