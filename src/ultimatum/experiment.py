@@ -203,12 +203,18 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 
 
+# The verdict's strategy flags, as stored and as `count_group` reads them.
+_STRATEGY_FLAGS = (
+    "proposer_strategy_complete",
+    "receiver_strategy_complete",
+    "proposer_strategy_consistent",
+    "receiver_strategy_consistent",
+)
+
+
 def verdict_to_dict(verdict: Verdict) -> dict:
     return {
-        "proposer_strategy_complete": verdict.proposer_strategy_complete,
-        "receiver_strategy_complete": verdict.receiver_strategy_complete,
-        "proposer_strategy_consistent": verdict.proposer_strategy_consistent,
-        "receiver_strategy_consistent": verdict.receiver_strategy_consistent,
+        **{flag: getattr(verdict, flag) for flag in _STRATEGY_FLAGS},
         "proposer_adherent": verdict.proposer_adherent,
         "receiver_adherent": verdict.receiver_adherent,
         "gameplay_human_consistent": verdict.gameplay_human_consistent,
@@ -520,12 +526,6 @@ def _text_field(record: dict, field: str) -> str:
 
 
 _ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
-_VERDICT_FLAGS = (
-    "proposer_strategy_complete",
-    "receiver_strategy_complete",
-    "proposer_strategy_consistent",
-    "receiver_strategy_consistent",
-)
 
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
@@ -544,12 +544,13 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             raise _bad_record(record, f"has verdict {json.dumps(verdict)[:40]}, not an object")
         try:
             error_class = verdict["error_class"]
-            pc, rc, ps, rs = (verdict[flag] for flag in _VERDICT_FLAGS)
+            for flag in _STRATEGY_FLAGS:
+                if not isinstance(verdict[flag], bool):
+                    value = json.dumps(verdict[flag])[:40]
+                    raise _bad_record(record, f"has {flag} {value}, not true or false")
         except KeyError as exc:
             raise _bad_record(record, f"has no verdict field {exc}") from None
-        for flag, value in zip(_VERDICT_FLAGS, (pc, rc, ps, rs)):
-            if not isinstance(value, bool):
-                raise _bad_record(record, f"has {flag} {json.dumps(value)[:40]}, not true or false")
+        pc, rc, ps, rs = (verdict[flag] for flag in _STRATEGY_FLAGS)
         if error_class not in _ERROR_CLASSES:
             raise _bad_record(record, f"has unknown error_class {json.dumps(error_class)[:40]}")
         acc[error_class] += 1
