@@ -139,15 +139,69 @@ def _message_bytes(role: str, content: str) -> bytes:
     return _canonical({"role": role, "content": content}).encode("utf-8")
 
 
+class Conversation(list):
+    """A model-backed player's messages: role/content dicts that only grow.
+
+    A plain list to gateways and the wire payload. `append` is the way in
+    and keeps each message's prompt label (None for the player's replies);
+    the mutators that would rewrite a sent message raise TypeError, and
+    messages are not edited in place. The conversation keeps the running
+    SHA-256 of its canonical request for the (model, params) frame it was
+    last asked about, so `digest` hashes only the messages added since.
+    """
+
+    # Slots keep the fresh conversation each recorded request is keyed by cheap.
+    __slots__ = ("_labels", "_model", "_params", "_head", "_tail", "_sha", "_hashed")
+
+    def __init__(self, messages=()) -> None:
+        list.__init__(self, messages)
+        self._labels: list[str | None] = [None] * len(self)
+        # The frame last asked about, its text before the messages, and how
+        # many messages the running hash has read.
+        self._model = self._params = self._head = None
+        self._hashed = 0
+
+    def append(self, message: dict, label: str | None = None) -> None:
+        list.append(self, message)
+        self._labels.append(label)
+
+    def extend(self, messages) -> None:
+        for message in messages:
+            self.append(message)
+
+    def _grows_only(self, *args, **kwargs):
+        raise TypeError("a Conversation only grows: use append")
+
+    __setitem__ = __delitem__ = insert = pop = remove = clear = _grows_only
+    sort = reverse = __iadd__ = __imul__ = _grows_only
+
+    def labeled(self) -> list[tuple[str, str]]:
+        """(label, content) of each labeled message, in order."""
+        return [(label, m["content"]) for label, m in zip(self._labels, self) if label is not None]
+
+    def digest(self, model: str, params: SamplingParams) -> str:
+        """The SHA-256 of _request_payload(model, self, params) as canonical JSON."""
+        if model is not self._model or params is not self._params:
+            head, self._tail = _request_frame(model, params, id(params))
+            self._model, self._params = model, params
+            # The text before the messages is all the running hash has read of the frame.
+            if head != self._head:
+                self._head, self._sha, self._hashed = head, hashlib.sha256(head), 0
+        sha, hashed = self._sha, self._hashed
+        if hashed < len(self):
+            if hashed:
+                sha.update(b",")
+            sha.update(b",".join([_message_bytes(m["role"], m["content"]) for m in self[hashed:]]))
+            self._hashed = len(self)
+        digest = sha.copy()
+        digest.update(self._tail)
+        return digest.hexdigest()
+
+
 def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
     """The SHA-256 of _request_payload(model, messages, params) as canonical
-    JSON, for messages of the shape Gateway.complete takes, built from
-    cached per-message bytes."""
-    head, tail = _request_frame(model, params, id(params))
-    digest = hashlib.sha256(head)
-    digest.update(b",".join([_message_bytes(m["role"], m["content"]) for m in messages]))
-    digest.update(tail)
-    return digest.hexdigest()
+    JSON, for messages of the shape Gateway.complete takes."""
+    return Conversation(messages).digest(model, params)
 
 
 def _retry_after(value: str | None) -> float:
@@ -161,11 +215,12 @@ def _retry_after(value: str | None) -> float:
 class HttpGateway(Gateway):
     """Chat-completion endpoint over HTTP POST.
 
-    Retries transient failures (connection errors, 429, 5xx) up to
-    MAX_RETRIES times with exponential backoff. A 429 whose Retry-After
-    header gives a number of seconds waits that long instead when it is
-    longer than the backoff step, for at most TIMEOUT_S; an HTTP date
-    there is ignored. Retrying is safe because the full conversation is
+    Retries transient failures (connection errors, timeouts, 429, 5xx)
+    up to MAX_RETRIES times with exponential backoff; a request that
+    cannot be sent as given (a malformed URL or header) fails at once. A
+    429 whose Retry-After header gives a number of seconds waits that long
+    instead when it is longer than the backoff step, for at most
+    TIMEOUT_S; an HTTP date there is ignored. Retrying is safe because the full conversation is
     resent verbatim each time. The API key is read from the API_KEY_ENV
     environment variable, never from files or arguments.
     """
@@ -202,6 +257,9 @@ class HttpGateway(Gateway):
                     self.endpoint, json=payload, headers=headers, timeout=TIMEOUT_S
                 )
             except _requests.RequestException as exc:
+                # A malformed URL or header (requests raises these as ValueError too) never heals.
+                if isinstance(exc, ValueError):
+                    raise GatewayError(f"bad request: {exc}") from exc
                 last_error = exc
                 continue
             if resp.status_code == 429:
@@ -285,17 +343,17 @@ class ReplayGateway(Gateway):
 
     Requests are matched by a digest of their canonical JSON (sorted keys,
     no spaces, non-ASCII escaped), so replay is insensitive to record order
-    and safe under concurrency. The digest is built in cached pieces: the
-    text before and after the messages, kept per model and sampling params,
-    and each message's canonical JSON, kept per role and content. A
-    conversation resent with one more message then costs the encoding of
-    that message only. Recorded exchanges are keyed by the same function
-    as lookups, so a recorded request must have the shape Gateway.complete
-    sends: a string model, messages of exactly a string role and content,
-    and the four sampling values as numbers. The digest is byte for byte
-    the one the whole payload gives, so recordings made before the pieces
-    were cached replay unchanged. An unknown request is an error: replay
-    never invents a completion.
+    and safe under concurrency. The digest is Conversation.digest: a
+    player's Conversation keeps the running hash of its request, so a turn
+    hashes only the messages added since the player's previous request,
+    each from its cached canonical JSON. A plain message list (a
+    single-model request) and each recorded request are hashed the same
+    way over a fresh Conversation, so a recorded request must have the
+    shape Gateway.complete sends: a string model, messages of exactly a
+    string role and content, and the four sampling values as numbers.
+    The digest is byte for byte the one the whole payload gives, so
+    recordings made before it was built in pieces replay unchanged. An
+    unknown request is an error: replay never invents a completion.
 
     The file is read as UTF-8 lines, split at line feeds only. A line that
     repeats an earlier one is decoded and keyed once: only the SHA-256 of
@@ -321,7 +379,8 @@ class ReplayGateway(Gateway):
                     self._responses[entry[0]] = entry[1]
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
-        key = _request_digest(model, messages, params)
+        conversation = messages if isinstance(messages, Conversation) else Conversation(messages)
+        key = conversation.digest(model, params)
         try:
             return self._responses[key]
         except KeyError:
@@ -544,10 +603,11 @@ class OracleAgent(Agent):
 class ModelAgent(Agent):
     """A player driven through a chat gateway.
 
-    Keeps its own ordered conversation; every completion resends the whole
-    conversation, so gateway retries cannot reorder anything. The system
-    prompt, rendered from the role, personality and game, is the only
-    place the private bio appears.
+    Keeps its own ordered, append-only Conversation (`messages`); every
+    completion resends the whole conversation, so gateway retries cannot
+    reorder anything. `prompt_log` reads the labeled messages back from
+    it. The system prompt, rendered from the role, personality and game,
+    is the only place the private bio appears.
     """
 
     def __init__(
@@ -572,12 +632,16 @@ class ModelAgent(Agent):
             rounds_word=prompts.rounds_word(game.rounds),
             pot_text=format_money(game.pot),
         )
-        self.messages: list[dict] = [{"role": "system", "content": system}]
-        self.prompt_log: list[tuple[str, str]] = [("system", system)]
+        self.messages = Conversation()
+        self.messages.append({"role": "system", "content": system}, "system")
+
+    @property
+    def prompt_log(self) -> list[tuple[str, str]]:
+        """(label, text) of every message the player was sent, in order."""
+        return self.messages.labeled()
 
     def _ask(self, label: str, content: str) -> str:
-        self.messages.append({"role": "user", "content": content})
-        self.prompt_log.append((label, content))
+        self.messages.append({"role": "user", "content": content}, label)
         reply = self.gateway.complete(self.model, self.messages, self.params)
         self.messages.append({"role": "assistant", "content": reply})
         return reply
@@ -599,5 +663,4 @@ class ModelAgent(Agent):
         return self._ask(label, content)
 
     def receive(self, message: str, label: str = "announcement") -> None:
-        self.messages.append({"role": "user", "content": message})
-        self.prompt_log.append((label, message))
+        self.messages.append({"role": "user", "content": message}, label)

@@ -67,6 +67,8 @@ def _warn(message: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        return _fail_usage("--workers must be at least 1")
     try:
         plan = load_plan(args.plan)
         if args.seed is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -81,6 +83,17 @@ class InvalidPlanError(ValueError):
     """The experiment plan is malformed or internally contradictory."""
 
 
+# Cached: the plans of one run or sweep mostly share an endpoint.
+@functools.lru_cache(maxsize=64)
+def _is_http_url(value: str) -> bool:
+    try:
+        url = urlsplit(value)
+        url.port  # raises ValueError on a port that is not a number in range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """The grid of runs to execute and how to execute them.
@@ -121,6 +134,12 @@ class ExperimentPlan:
             value = getattr(self.sampling, f.name)
             if not math.isfinite(value):
                 raise InvalidPlanError(f"sampling {f.name} must be finite, got {value}")
+        if self.endpoint is not None and not (
+            isinstance(self.endpoint, str) and _is_http_url(self.endpoint)
+        ):
+            raise InvalidPlanError(
+                f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}"
+            )
 
     def cells(self) -> list[tuple[Structure, PersonalityPair]]:
         return [(s, p) for s in self.structures for p in self.pairs]

@@ -307,21 +307,21 @@ def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> Si
     diagnostics = ParseDiagnostics(Confidence.EXACT)
     verdict = evaluate_transcript(transcript)
     prompt_pairs: list[tuple[str, str]] = []
+    replies: list[tuple[str, str]] = []
     for role in (Role.PROPOSER, Role.RECEIVER):
-        for label, text in getattr(moderator.agents[role], "prompt_log", ()):
-            prompt_pairs.append((f"{role.value}/{label}", text))
-    replies = tuple(
-        (role.value, text)
-        for role in (Role.PROPOSER, Role.RECEIVER)
-        for text in moderator.outbound[role]
-    )
+        name = role.value
+        prompt_pairs += [
+            (f"{name}/{label}", text)
+            for label, text in getattr(moderator.agents[role], "prompt_log", ())
+        ]
+        replies += [(name, text) for text in moderator.outbound[role]]
     return SimulationResult(
         transcript=transcript,
         verdict=verdict,
         diagnostics=diagnostics,
         canonical=serialize_canonical(transcript),
         prompts=tuple(prompt_pairs),
-        replies=replies,
+        replies=tuple(replies),
     )
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import http.server
 import json
+import operator
 import threading
+from dataclasses import astuple
 
 import pytest
 import requests
@@ -16,6 +18,7 @@ from ultimatum.agents import (
     DEVIATION_ROUND,
     MAX_RETRIES,
     TIMEOUT_S,
+    Conversation,
     Flaw,
     GatewayError,
     Gateway,
@@ -25,6 +28,7 @@ from ultimatum.agents import (
     RecordingGateway,
     ReplayGateway,
     SamplingParams,
+    _canonical,
     _recorded_digest,
     _request_digest,
     _request_payload,
@@ -277,6 +281,47 @@ class TestHttpGateway:
         assert gateway.complete("m", MESSAGES, PARAMS) == "finally"
         assert sleeps == [30.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize(
+        "error",
+        [requests.ConnectionError("reset"), requests.Timeout("slow"), requests.ReadTimeout("slow")],
+    )
+    def test_connection_errors_and_timeouts_are_retried(self, error):
+        sleeps = []
+        session = FakeSession([error, ok_response("recovered")])
+        gateway = HttpGateway(
+            "http://example.invalid/v1", session=session, backoff=1.0, sleep=sleeps.append
+        )
+        assert gateway.complete("m", MESSAGES, PARAMS) == "recovered"
+        assert sleeps == [1.0]
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            requests.exceptions.InvalidURL("no host"),
+            requests.exceptions.MissingSchema("no scheme"),
+            requests.exceptions.InvalidSchema("no adapter"),
+            requests.exceptions.InvalidHeader("bad header"),
+        ],
+    )
+    def test_a_request_that_cannot_be_sent_fails_at_once(self, error):
+        sleeps = []
+        session = FakeSession([error, ok_response("never read")])
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=sleeps.append)
+        with pytest.raises(GatewayError, match="bad request"):
+            gateway.complete("m", MESSAGES, PARAMS)
+        assert (len(session.calls), gateway.retries, sleeps) == (1, 0, [])
+
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8000/v1/chat/completions", "ftp://x/y", "http://", "5"]
+    )
+    def test_a_malformed_endpoint_fails_before_any_connection(self, endpoint):
+        sleeps = []
+        with requests.Session() as session:
+            gateway = HttpGateway(endpoint, session=session, sleep=sleeps.append)
+            with pytest.raises(GatewayError, match="bad request"):
+                gateway.complete("m", MESSAGES, PARAMS)
+        assert (gateway.retries, sleeps) == (0, [])
+
     def test_gives_up_after_max_retries(self):
         session = FakeSession([FakeResponse(500)] * (MAX_RETRIES + 1))
         gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
@@ -389,6 +434,94 @@ class TestRequestKey:
         for value in (first, second, first):
             params = SamplingParams(temperature=value)
             assert _request_digest("m", messages, params) == definitional_key("m", messages, params)
+
+
+# Sampling values spelled apart though equal (1 and 1.0, 0.0 and -0.0):
+# each spelling encodes differently, so each needs its own digest.
+SPELLED_PARAMS = [
+    SamplingParams(temperature=t, top_p=p, frequency_penalty=f, presence_penalty=q)
+    for t, p, f, q in [
+        (1, 1.0, 0.0, 0.0),
+        (1.0, 1, -0.0, 0.0),
+        (1, 1, 1, -0.0),
+        (-0.0, 1.0, 1.0, 1),
+    ]
+]
+frames = st.tuples(
+    st.sampled_from(SPELLED_PARAMS)
+    | st.builds(SamplingParams, *[st.sampled_from([1, 1.0, -0.0, 0.0])] * 4),
+    st.booleans(),
+)
+
+
+class TestConversation:
+    @given(
+        models=st.lists(model_names, min_size=1, max_size=2),
+        messages=messages_strategy,
+        data=st.data(),
+    )
+    def test_the_running_digest_is_the_digest_of_the_whole_payload(self, models, messages, data):
+        conversation = Conversation()
+        for message in messages:
+            conversation.append(message, data.draw(st.none() | st.just("label")))
+            # Ask once or twice, keeping the frame or switching model or params.
+            for _ in range(data.draw(st.integers(1, 2))):
+                model = data.draw(st.sampled_from(models))
+                params, fresh_copy = data.draw(frames)
+                if fresh_copy:
+                    params = SamplingParams(*astuple(params))
+                payload = _request_payload(model, list(conversation), params)
+                expected = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+                assert conversation.digest(model, params) == expected
+                assert _request_digest(model, conversation, params) == expected
+
+    MUTATIONS = {
+        "setitem": lambda c: c.__setitem__(0, {"role": "user", "content": "rewritten"}),
+        "setslice": lambda c: c.__setitem__(slice(0, 1), []),
+        "delitem": lambda c: c.__delitem__(0),
+        "delslice": lambda c: c.__delitem__(slice(None)),
+        "insert": lambda c: c.insert(0, {"role": "user", "content": "early"}),
+        "pop": lambda c: c.pop(),
+        "remove": lambda c: c.remove(c[0]),
+        "clear": lambda c: c.clear(),
+        "sort": lambda c: c.sort(key=lambda m: m["content"]),
+        "reverse": lambda c: c.reverse(),
+        "iadd": lambda c: operator.iadd(c, [{"role": "user", "content": "more"}]),
+        "imul": lambda c: operator.imul(c, 2),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_mutators_that_rewrite_sent_messages_raise(self, mutate):
+        conversation = Conversation(MESSAGES)
+        conversation.append({"role": "assistant", "content": "hello"})
+        before = conversation.digest("m", PARAMS)
+        with pytest.raises(TypeError, match="only grows"):
+            mutate(conversation)
+        assert conversation == MESSAGES + [{"role": "assistant", "content": "hello"}]
+        assert conversation.digest("m", PARAMS) == before
+        assert before == definitional_key("m", conversation, PARAMS)
+
+    def test_it_is_a_plain_message_list_on_the_wire(self):
+        conversation = Conversation()
+        conversation.append({"role": "system", "content": "rules"}, "system")
+        conversation.extend([{"role": "user", "content": "hi"}])
+        assert isinstance(conversation, list)
+        assert json.dumps(conversation) == json.dumps(list(conversation))
+        assert conversation.labeled() == [("system", "rules")]
+
+    def test_a_player_hands_the_gateway_its_conversation(self):
+        class Keeper(ScriptedGateway):
+            def _complete(self, model, messages, params):
+                self.seen.append(messages)
+                return self.replies.pop(0)
+
+        gateway = Keeper(["STRATEGY: even splits."])
+        agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
+        agent.create_strategy()
+        assert gateway.seen[0] is agent.messages
+        assert isinstance(agent.messages, Conversation)
+        agent.receive("Round 1 result: accepted.")
+        assert agent.prompt_log[-1] == ("announcement", "Round 1 result: accepted.")
 
 
 def reference_responses(path):

@@ -94,6 +94,25 @@ class TestRunCommand:
         assert "temperature must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_a_usage_error(self, plan_file, tmp_path, capsys, workers):
+        out = tmp_path / "runs.jsonl"
+        code = main(["run", "--plan", str(plan_file), "--out", str(out), "--workers", workers])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert not out.exists()
+
+    def test_an_endpoint_without_a_scheme_is_a_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("endpoint: localhost:8000/v1/chat/completions\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        code = main(["run", "--plan", str(plan), "--out", str(out), "--mode", "live"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: endpoint must be an http(s) URL with a host")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_replay_mode_needs_a_file(self, plan_file, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
         code = main(["run", "--plan", str(plan_file), "--out", str(out), "--mode", "replay"])

@@ -90,6 +90,37 @@ class TestPlanValidation:
         with pytest.raises(InvalidPlanError, match=fragment):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            5,
+            ["http://example.invalid/v1"],
+            "",
+            "localhost:8000/v1/chat/completions",
+            "example.invalid/v1",
+            "ftp://x/y",
+            "http://",
+            "https:///v1/chat/completions",
+            "http://example.invalid:port/v1",
+            "http://example.invalid:99999/v1",
+        ],
+    )
+    def test_an_endpoint_must_be_an_http_url_with_a_host(self, endpoint):
+        with pytest.raises(InvalidPlanError, match="endpoint must be an http"):
+            plan_from_dict({"endpoint": endpoint})
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "http://example.invalid/v1",
+            "https://api.example.invalid/v1/chat/completions",
+            "HTTP://127.0.0.1:8000/v1",
+            "http://[::1]:8000/v1",
+        ],
+    )
+    def test_http_endpoints_are_accepted(self, endpoint):
+        assert plan_from_dict({"endpoint": endpoint}).endpoint == endpoint
+
     def test_plan_must_be_a_mapping(self):
         with pytest.raises(InvalidPlanError):
             plan_from_dict(["single_model"])
@@ -327,6 +358,22 @@ class TestReplayFixture:
         assert {r["run_id"]: r["verdict"] for r in batch.records} == expected
         with (folder / "recording.jsonl").open(encoding="utf-8") as fh:
             assert batch.gateway_usage["requests"] == sum(1 for _ in fh)
+
+    def test_one_and_two_workers_replay_the_same_records(self, fixtures_dir):
+        folder = fixtures_dir / "replay"
+        plan = load_plan(folder / "plan.yaml")
+        batches = [
+            run_batch(
+                plan,
+                mode="replay",
+                gateway=ReplayGateway(folder / "recording.jsonl"),
+                max_workers=workers,
+                keep_prompts=True,
+            )
+            for workers in (1, 2)
+        ]
+        assert batches[0].failed_count == 0
+        assert without_elapsed(batches[0].records) == without_elapsed(batches[1].records)
 
     def test_replay_does_not_depend_on_where_the_recording_lives(self, fixtures_dir, tmp_path):
         # One exchange is left out, so some run fails and stores its cause.
