@@ -67,8 +67,6 @@ def _warn(message: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        return _fail_usage("--workers must be at least 1")
     try:
         plan = load_plan(args.plan)
         if args.seed is not None:
@@ -136,8 +134,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
                 failures += 1
                 print(f"{run_id}: failed ({record.get('cause')})")
                 continue
-            transcript = record.get("transcript")
-            key = transcript if isinstance(transcript, str) and transcript else None
+            key = record["transcript"] or None
             verdict = graded.get(key)
             if verdict is None:
                 try:

@@ -167,13 +167,16 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     unknown = set(data) - _PLAN_KEYS
     if unknown:
         raise InvalidPlanError(f"unknown plan keys: {', '.join(sorted(unknown))}")
+    for key in ("pot", "rounds", "runs_per_cell", "seed"):
+        if key in data and type(data[key]) is not int:  # a bool or float is not a count
+            raise InvalidPlanError(f"{key} must be a whole number, got {data[key]!r}")
     try:
         raw = data.get("structures", "all")
         structures = ExperimentPlan.structures if raw == "all" else tuple(map(Structure, raw))
         raw = data.get("pairs", "all")
         pairs = ALL_PAIRS if raw == "all" else tuple(map(PersonalityPair.from_label, raw))
         game = GameConfig(
-            pot=int(data.get("pot", DEFAULT_POT)), rounds=int(data.get("rounds", DEFAULT_ROUNDS))
+            pot=data.get("pot", DEFAULT_POT), rounds=data.get("rounds", DEFAULT_ROUNDS)
         )
         sampling_data = data.get("sampling", {}) or {}
         if not isinstance(sampling_data, dict):
@@ -190,11 +193,11 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         return ExperimentPlan(
             structures=structures,
             pairs=pairs,
-            runs_per_cell=int(data.get("runs_per_cell", ExperimentPlan.runs_per_cell)),
+            runs_per_cell=data.get("runs_per_cell", ExperimentPlan.runs_per_cell),
             game=game,
             model=str(data.get("model", ExperimentPlan.model)),
             sampling=sampling,
-            seed=int(data.get("seed", ExperimentPlan.seed)),
+            seed=data.get("seed", ExperimentPlan.seed),
             proposer_flaw=None if proposer_flaw in (None, "none") else Flaw(proposer_flaw),
             receiver_flaw=None if receiver_flaw in (None, "none") else Flaw(receiver_flaw),
             endpoint=data.get("endpoint"),
@@ -229,6 +232,51 @@ _STRATEGY_FLAGS = (
     "proposer_strategy_consistent",
     "receiver_strategy_consistent",
 )
+
+# The run-record schema, checked in this order where stored records enter
+# (`load_records`): the text fields below; on an ok record, its verdict
+# object's `error_class` and boolean `_STRATEGY_FLAGS`, and its text
+# `transcript`; then `schema`. Nothing else in a record is checked.
+_TEXT_FIELDS = {  # field: the values it may hold; None: any string, or absent
+    "structure": frozenset(s.value for s in Structure),
+    "pair": frozenset(p.label() for p in ALL_PAIRS),
+    "model": None,
+    "status": frozenset(("ok", "failed")),
+}
+_ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
+
+
+def _shown(value: object) -> str:
+    return json.dumps(value)[:40]
+
+
+def _schema_problem(record: dict) -> str | None:
+    """The first way the record breaks the run-record schema, or None."""
+    for field, allowed in _TEXT_FIELDS.items():
+        if field not in record:
+            if allowed is not None:
+                return f"has no field '{field}'"
+        elif type(record[field]) is not str:
+            return f"has {field} {_shown(record[field])}, not a string"
+        elif allowed is not None and record[field] not in allowed:
+            return f"has unknown {field} {_shown(record[field])}"
+    if record["status"] == "ok":
+        verdict = record.get("verdict")
+        if type(verdict) is not dict:
+            return f"has verdict {_shown(verdict)}, not an object"
+        for field in ("error_class", *_STRATEGY_FLAGS):
+            if field not in verdict:
+                return f"has no verdict field '{field}'"
+        for flag in _STRATEGY_FLAGS:
+            if type(verdict[flag]) is not bool:
+                return f"has {flag} {_shown(verdict[flag])}, not true or false"
+        if verdict["error_class"] not in _ERROR_CLASSES:
+            return f"has unknown error_class {_shown(verdict['error_class'])}"
+        if type(record.get("transcript")) is not str:
+            return f"has transcript {_shown(record.get('transcript'))}, not text"
+    if type(record.get("schema")) is not int or record["schema"] != RUN_SCHEMA:
+        return f"has schema {_shown(record.get('schema'))}, not {RUN_SCHEMA}"
+    return None
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
@@ -295,12 +343,14 @@ class RunStore:
 def load_records(
     path: str | Path, on_torn_line: Callable[[str], None] | None = None
 ) -> list[dict]:
-    """Read every record from a JSON-lines store.
+    """Read every record from a JSON-lines store, each checked against the
+    run-record schema; the readers after this one trust their input.
 
     A final line with no newline that is not JSON is what a write cut short
     leaves behind: it is skipped, and `on_torn_line`, when given, is called
-    with a message naming the file and line. A bad line anywhere else
-    raises ValueError.
+    with a message naming the file and line. A bad line anywhere else, and
+    a record that breaks the schema, raise ValueError naming the file and
+    line (and the record by its run id or, lacking one, by its start).
     """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -317,6 +367,10 @@ def load_records(
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not an object")
+            problem = _schema_problem(record)
+            if problem is not None:
+                name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
+                raise ValueError(f"{path}:{lineno}: record {name} {problem}")
             records.append(record)
     return records
 
@@ -325,13 +379,7 @@ def regrade_record(record: dict) -> dict:
     """Re-grade a stored run from its canonical transcript."""
     if record.get("status") != "ok" or not record.get("transcript"):
         raise ValueError(f"run {record.get('run_id')!r} has no transcript to grade")
-    text = record["transcript"]
-    if not isinstance(text, str):
-        raise ValueError(
-            f"run {record.get('run_id')!r} has transcript {json.dumps(text)[:40]}, not text"
-        )
-    transcript = parse_canonical(text)
-    return verdict_to_dict(evaluate_transcript(transcript))
+    return verdict_to_dict(evaluate_transcript(parse_canonical(record["transcript"])))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +450,8 @@ def run_batch(
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+    if max_workers is not None and max_workers < 1:
+        raise InvalidPlanError(f"workers must be at least 1, got {max_workers}")
     if mode != "oracle" and (plan.proposer_flaw or plan.receiver_flaw):
         raise InvalidPlanError("planted flaws only apply to oracle players")
     shared_gateway = gateway
@@ -524,33 +574,10 @@ class GroupCounts:
         return self.gameplay_only + self.both
 
 
-def _bad_record(record: dict, problem: str) -> ValueError:
-    """The error for a record that lacks a field the counts read, or holds
-    it with the wrong type, naming the record by its run id or, lacking
-    one, by its start."""
-    name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
-    return ValueError(f"record {name} {problem}")
-
-
-def _text_field(record: dict, field: str) -> str:
-    """record[field], a text field the report groups by; ValueError naming
-    the record when it is missing or not a string."""
-    try:
-        value = record[field]
-    except KeyError:
-        raise _bad_record(record, f"has no field '{field}'") from None
-    if not isinstance(value, str):
-        raise _bad_record(record, f"has {field} {json.dumps(value)[:40]}, not a string")
-    return value
-
-
-_ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
-
-
 def count_group(records: Iterable[dict]) -> GroupCounts:
-    """Raises ValueError naming the record when a graded record's verdict
-    is not an object, lacks a field, holds a flag that is not a boolean or
-    names an unknown error class."""
+    """Count a group of records that keep the run-record schema (as
+    `load_records` returns them). A record that is not ok, or has no
+    verdict, counts as failed."""
     acc: collections.Counter = collections.Counter()
     for record in records:
         acc["total"] += 1
@@ -559,20 +586,8 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
             continue
         acc["ok"] += 1
         verdict = record["verdict"]
-        if not isinstance(verdict, dict):
-            raise _bad_record(record, f"has verdict {json.dumps(verdict)[:40]}, not an object")
-        try:
-            error_class = verdict["error_class"]
-            for flag in _STRATEGY_FLAGS:
-                if not isinstance(verdict[flag], bool):
-                    value = json.dumps(verdict[flag])[:40]
-                    raise _bad_record(record, f"has {flag} {value}, not true or false")
-        except KeyError as exc:
-            raise _bad_record(record, f"has no verdict field {exc}") from None
         pc, rc, ps, rs = (verdict[flag] for flag in _STRATEGY_FLAGS)
-        if error_class not in _ERROR_CLASSES:
-            raise _bad_record(record, f"has unknown error_class {json.dumps(error_class)[:40]}")
-        acc[error_class] += 1
+        acc[verdict["error_class"]] += 1
         acc["proposer_complete"] += pc
         acc["receiver_complete"] += rc
         acc["proposer_consistent"] += ps
@@ -670,13 +685,13 @@ def aggregate(records: Iterable[dict]) -> Summary:
 
     Structures are compared on the error axes within themselves, and the
     best member of each structure family is compared head to head on
-    human consistency and on strategy completeness. A record that lacks
-    a field the counts read, or holds it with the wrong type, raises
-    ValueError naming it.
+    human consistency and on strategy completeness. The records keep the
+    run-record schema, as `load_records` returns them; a record with no
+    model is counted under "-".
     """
     groups: dict[tuple[str, str, str], list[dict]] = {}  # (structure, pair, model)
     for r in records:
-        key = (_text_field(r, "structure"), _text_field(r, "pair"), str(r.get("model", "-")))
+        key = (r["structure"], r["pair"], str(r.get("model", "-")))
         groups.setdefault(key, []).append(r)
     counts = {group: count_group(rs) for group, rs in groups.items()}
     by_structure = _rolled_up(counts, itemgetter(0))

@@ -9,6 +9,7 @@ import random
 from ultimatum import engine
 from ultimatum.agents import oracle_strategy
 from ultimatum.engine import Decision, GameConfig
+from ultimatum.experiment import RUN_SCHEMA
 from ultimatum.orchestrator import (
     OracleSingleModelGateway,
     SimulationConfig,
@@ -83,6 +84,20 @@ def build_transcript(
         strategies=strategies,
         rounds=tuple(outcomes),
     )
+
+
+def stored_record(**fields) -> dict:
+    """A failed run's record that keeps the run-record schema, with `fields`
+    added to it or replacing its own."""
+    return {
+        "schema": RUN_SCHEMA,
+        "structure": "single_model",
+        "pair": "fair-fair",
+        "model": "oracle",
+        "status": "failed",
+        "cause": "GatewayError: down",
+        **fields,
+    }
 
 
 def load_corpus_cases() -> list[dict]:

@@ -1,12 +1,18 @@
 import collections
+import contextlib
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FIXTURES
 from ultimatum import experiment
+from ultimatum.agents import Gateway, GatewayError
 from ultimatum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from ultimatum.experiment import load_records, regrade_record
+from ultimatum.experiment import load_records, plan_from_dict, regrade_record, run_batch
 
 
 @pytest.fixture
@@ -99,7 +105,7 @@ class TestRunCommand:
         out = tmp_path / "runs.jsonl"
         code = main(["run", "--plan", str(plan_file), "--out", str(out), "--workers", workers])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
         assert not out.exists()
 
     def test_an_endpoint_without_a_scheme_is_a_usage_error(self, tmp_path, capsys):
@@ -179,8 +185,8 @@ def reference_grade(records):
 @pytest.fixture
 def mixed_store(tmp_path):
     """A store that repeats transcripts, with one repeat's stored verdict
-    edited, an unparseable transcript twice, empty and non-string
-    transcripts, and failed records."""
+    edited, an unparseable transcript twice, empty transcripts, and failed
+    records."""
     plan = tmp_path / "plan.yaml"
     plan.write_text("pairs: [fair-greedy, greedy-greedy]\nruns_per_cell: 3\n", encoding="utf-8")
     out = tmp_path / "runs.jsonl"
@@ -188,15 +194,14 @@ def mixed_store(tmp_path):
     records = load_records(out)
     records[4]["verdict"] = {**records[4]["verdict"], "error_class": "both"}
     ok = {k: v for k, v in records[0].items() if k not in ("run_id", "transcript")}
+    cell = {k: records[0][k] for k in ("structure", "pair", "schema")}
     records += [
         {**ok, "run_id": "junk.0", "transcript": "not a transcript"},
         {**ok, "run_id": "junk.1", "transcript": "not a transcript"},
         {**ok, "run_id": "empty.0", "transcript": ""},
         {**ok, "run_id": "empty.1", "transcript": ""},
-        {**ok, "run_id": "number.0", "transcript": 7},
-        {**ok, "run_id": "list.0", "transcript": ["x"]},
-        {"run_id": "failed.0", "status": "failed", "cause": "GatewayError: down"},
-        {"run_id": "failed.1", "status": "failed", "cause": "GatewayError: down",
+        {"run_id": "failed.0", "status": "failed", "cause": "GatewayError: down", **cell},
+        {"run_id": "failed.1", "status": "failed", "cause": "GatewayError: down", **cell,
          "transcript": records[0]["transcript"]},
     ]
     out.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -230,7 +235,7 @@ class TestGradeCommand:
         out = capsys.readouterr().out
         assert out == expected[0]
         assert out.count("[differs from stored verdict]") == 1
-        assert out.count(": ungradable (") == 6
+        assert out.count(": ungradable (") == 4
         assert "run 'empty.1' has no transcript to grade" in out
 
     def test_a_pass_parses_each_distinct_transcript_once(self, mixed_store, parsed, capsys):
@@ -244,19 +249,17 @@ class TestGradeCommand:
                 main(["grade", "--records", str(mixed_store)])
             strings = collections.Counter(t for t in parsed if isinstance(t, str))
             assert strings == collections.Counter({t: passes for t in distinct})
-            assert len(parsed) == strings.total()  # 7 and ["x"] are refused unparsed
+            assert len(parsed) == strings.total()  # only text is parsed
 
-    def test_a_transcript_that_is_not_text_is_named_per_record(self, store_path, capsys):
+    def test_a_transcript_that_is_not_text_is_a_usage_error(self, store_path, capsys):
         ok = load_records(store_path)[0]
         records = [{**ok, "run_id": "n", "transcript": 7}, {**ok, "run_id": "l", "transcript": ["x"]}]
         store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         capsys.readouterr()
-        assert main(["grade", "--records", str(store_path)]) == EXIT_PARTIAL
-        assert capsys.readouterr().out == (
-            "n: ungradable (run 'n' has transcript 7, not text)\n"
-            "l: ungradable (run 'l' has transcript [\"x\"], not text)\n"
-            "2 records, 0 graded, 2 failed\n"
-        )
+        assert main(["grade", "--records", str(store_path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {store_path}:1: record n has transcript 7, not text\n"
 
     def test_grades_a_combined_log_file(self, capsys):
         log = FIXTURES / "fig_single_model_fair_fair.txt"
@@ -403,8 +406,85 @@ class TestReportCommand:
         assert main(["report", "--records", str(store)]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: record ") and err.count("\n") == 1
+        assert err.startswith(f"error: {store}:1: record ") and err.count("\n") == 1
         assert message in err
+
+
+class _DownGateway(Gateway):
+    def _complete(self, model, messages, params):
+        raise GatewayError("endpoint down")
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_records() -> tuple[str, ...]:
+    """Stored lines of a graded oracle run, a failed run and a run that kept
+    its prompts, as run_batch writes them."""
+    plan = plan_from_dict({"pairs": ["fair-greedy"], "runs_per_cell": 1})
+    oracle, _ = run_batch(plan).records
+    _, kept = run_batch(plan, keep_prompts=True).records
+    plan = plan_from_dict({"structures": ["multi_agent"], "pairs": ["fair-fair"], "runs_per_cell": 1})
+    failed, = run_batch(plan, mode="replay", gateway=_DownGateway()).records
+    return tuple(json.dumps(r) for r in (oracle, failed, kept))
+
+
+_ANY_WRONG_TYPE = st.sampled_from([None, 7, 1.5, True, [], ["x"], {}])
+# Each checked field: where it lives (the record or its verdict), whether
+# only an ok record is checked for it, and the values it must not take.
+_MUTATIONS = [
+    ("record", False, "structure", st.one_of(_ANY_WRONG_TYPE, st.just("warp_drive"))),
+    ("record", False, "pair", st.one_of(_ANY_WRONG_TYPE, st.just("bold-timid"))),
+    ("record", False, "model", _ANY_WRONG_TYPE),
+    ("record", False, "status", st.one_of(_ANY_WRONG_TYPE, st.just("done"))),
+    ("record", True, "verdict", st.sampled_from([None, 7, "x", [], ["x"], True])),
+    ("verdict", True, "error_class", st.one_of(_ANY_WRONG_TYPE, st.just("bogus"))),
+    *(
+        ("verdict", True, flag, st.sampled_from([None, 0, 1, "no", "true", [], {}]))
+        for flag in experiment._STRATEGY_FLAGS
+    ),
+    ("record", True, "transcript", _ANY_WRONG_TYPE),
+    ("record", False, "schema", st.sampled_from([None, 0, 2, True, 1.0, "1", [1]])),
+]
+_REMOVED = object()
+
+
+@st.composite
+def _broken_store(draw):
+    """Valid stored lines with one record broken in one checked field (a wrong
+    type, an unknown value, or the field removed), and that record's line
+    number and field."""
+    lines = [json.loads(line) for line in _valid_records()]
+    lineno = draw(st.integers(1, len(lines)))
+    record = lines[lineno - 1]
+    where, _, field, wrong = draw(
+        st.sampled_from([m for m in _MUTATIONS if record["status"] == "ok" or not m[1]])
+    )
+    removable = field != "model"  # a record may lack its model
+    value = draw(st.one_of(wrong, st.just(_REMOVED)) if removable else wrong)
+    target = record if where == "record" else record["verdict"]
+    if value is _REMOVED:
+        del target[field]
+    else:
+        target[field] = value
+    return "".join(json.dumps(r) + "\n" for r in lines), lineno, record["run_id"], field
+
+
+class TestRecordSchema:
+    @settings(max_examples=150)
+    @given(_broken_store())
+    def test_one_broken_field_is_a_usage_error(self, tmp_path_factory, case):
+        text, lineno, run_id, field = case
+        store = tmp_path_factory.mktemp("broken") / "runs.jsonl"
+        store.write_text(text, encoding="utf-8")
+        for argv in (["report"], ["grade"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--records", str(store)])
+            assert code == EXIT_USAGE
+            assert out.getvalue() == ""
+            message = err.getvalue()
+            prefix = f"error: {store}:{lineno}: record {run_id} "
+            assert message.startswith(prefix) and message.count("\n") == 1
+            assert field in message[len(prefix):]
 
 
 @pytest.fixture

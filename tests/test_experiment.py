@@ -6,7 +6,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_gateway, oracle_log
+from helpers import oracle_gateway, oracle_log, stored_record
 from ultimatum import engine, orchestrator
 from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent, ReplayGateway
 from ultimatum.experiment import (
@@ -32,7 +32,7 @@ from ultimatum.orchestrator import (
     run_single_model,
 )
 from ultimatum.rubric import ErrorClass
-from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair, Role
+from ultimatum.strategy import ALL_PAIRS, MIN_POT, Personality, PersonalityPair, Role
 from ultimatum.transcripts import Structure
 
 FAIR_FAIR = PersonalityPair(Personality.FAIR, Personality.FAIR)
@@ -84,6 +84,11 @@ class TestPlanValidation:
             ({"flaws": {"referee": "incomplete"}}, "flaws must map"),
             ({"flaws": {"proposer": "inconsistent_threshold"}}, "not a proposer flaw"),
             ({"flaws": {"receiver": "deviator"}}, "not a receiver flaw"),
+            ({"pot": 99.5}, "pot must be a whole number, got 99.5"),
+            ({"pot": "100"}, "pot must be a whole number, got '100'"),
+            ({"rounds": True}, "rounds must be a whole number, got True"),
+            ({"runs_per_cell": 2.7}, "runs_per_cell must be a whole number, got 2.7"),
+            ({"seed": 1.9}, "seed must be a whole number, got 1.9"),
         ],
     )
     def test_bad_plans_are_rejected(self, data, fragment):
@@ -266,6 +271,14 @@ class TestRunBatch:
     def test_live_mode_needs_an_endpoint(self):
         with pytest.raises(InvalidPlanError, match="endpoint"):
             run_batch(plan_from_dict({}), mode="live")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, tmp_path, workers):
+        store = RunStore(tmp_path / "runs.jsonl")
+        plan = plan_from_dict({"runs_per_cell": 1, "pairs": ["fair-fair"]})
+        with pytest.raises(InvalidPlanError, match=f"^workers must be at least 1, got {workers}$"):
+            run_batch(plan, store=store, max_workers=workers)
+        assert not store.path.exists()
 
 
 class FailingGateway(Gateway):
@@ -580,16 +593,21 @@ class TestSharedGrades:
         assert without_elapsed(first.records) == without_elapsed(second.records)
 
 
+# Stored lines of two records that keep the run-record schema.
+LINE_A = json.dumps(stored_record(run_id="a"))
+LINE_B = json.dumps(stored_record(run_id="b"))
+
+
 class TestRunStore:
     def test_append_and_load_round_trip(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
-        store.append({"run_id": "a", "status": "ok"})
-        store.append({"run_id": "b", "status": "failed"})
+        store.append(stored_record(run_id="a"))
+        store.append(stored_record(run_id="b"))
         assert [r["run_id"] for r in load_records(store.path)] == ["a", "b"]
 
     def test_bad_line_reports_its_number(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text('{"run_id": "a"}\nnot json\n', encoding="utf-8")
+        path.write_text(f"{LINE_A}\nnot json\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: bad record"):
             load_records(path)
 
@@ -601,7 +619,7 @@ class TestRunStore:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text('{"run_id": "a"}\n\n{"run_id": "b"}\n', encoding="utf-8")
+        path.write_text(f"{LINE_A}\n\n{LINE_B}\n", encoding="utf-8")
         assert len(load_records(path)) == 2
 
     def test_concurrent_appends_never_interleave(self, tmp_path):
@@ -609,7 +627,7 @@ class TestRunStore:
 
         def work(worker):
             for k in range(25):
-                store.append({"worker": worker, "k": k})
+                store.append(stored_record(worker=worker, k=k))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for t in threads:
@@ -630,7 +648,7 @@ class TestRunStore:
         def work(worker):
             for batch in range(batches):
                 store.append(
-                    *({"worker": worker, "batch": batch, "k": k, "pad": padding} for k in range(size))
+                    *(stored_record(worker=worker, batch=batch, k=k, pad=padding) for k in range(size))
                 )
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
@@ -657,7 +675,7 @@ class TestRunStore:
 
     def test_a_torn_final_line_is_skipped_and_reported(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text('{"run_id": "a"}\n{"run_id": "b"}\n{"run_id": "c", "sta', encoding="utf-8")
+        path.write_text(f'{LINE_A}\n{LINE_B}\n{{"run_id": "c", "sta', encoding="utf-8")
         torn = []
         assert [r["run_id"] for r in load_records(path, on_torn_line=torn.append)] == ["a", "b"]
         assert torn == [f"{path}:3: skipped a torn final line"]
@@ -665,7 +683,7 @@ class TestRunStore:
 
     def test_an_unterminated_final_record_is_kept(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text('{"run_id": "a"}\n{"run_id": "b"}', encoding="utf-8")
+        path.write_text(f"{LINE_A}\n{LINE_B}", encoding="utf-8")
         torn = []
         assert [r["run_id"] for r in load_records(path, on_torn_line=torn.append)] == ["a", "b"]
         assert torn == []
@@ -673,8 +691,8 @@ class TestRunStore:
     @pytest.mark.parametrize(
         "text, lineno",
         [
-            ('{"run_id": "a", "sta\n{"run_id": "b"}\n', 1),
-            ('{"run_id": "a"}\n{"run_id": "b", "sta\n', 2),
+            (f'{{"run_id": "a", "sta\n{LINE_B}\n', 1),
+            (f'{LINE_A}\n{{"run_id": "b", "sta\n', 2),
         ],
         ids=["middle", "terminated-last"],
     )
@@ -683,6 +701,51 @@ class TestRunStore:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f":{lineno}: bad record"):
             load_records(path, on_torn_line=lambda message: None)
+
+
+FLAW_SETS = (
+    {},
+    {"proposer": "incomplete"},
+    {"proposer": "deviator"},
+    {"receiver": "inconsistent_threshold"},
+    {"proposer": "deviator", "receiver": "inconsistent_threshold"},
+)
+
+
+class TestStoredRecordsKeepTheSchema:
+    """Every store run_batch writes loads back through load_records, so the
+    writer and the run-record schema agree."""
+
+    @settings(max_examples=30)
+    @given(
+        flaws=st.sampled_from(FLAW_SETS),
+        pot=st.integers(MIN_POT, 400),
+        rounds=st.integers(1, 10),
+        keep_prompts=st.booleans(),
+    )
+    def test_oracle_batches(self, tmp_path_factory, flaws, pot, rounds, keep_prompts):
+        store = RunStore(tmp_path_factory.mktemp("oracle") / "runs.jsonl")
+        plan = plan_from_dict({"runs_per_cell": 1, "pot": pot, "rounds": rounds, "flaws": flaws})
+        batch = run_batch(plan, store=store, keep_prompts=keep_prompts)
+        assert load_records(store.path) == list(batch.records)
+
+    @pytest.mark.parametrize("recording", ["fixture", "empty"])
+    def test_replayed_batches(self, fixtures_dir, tmp_path, recording):
+        folder = fixtures_dir / "replay"
+        tape = folder / "recording.jsonl"
+        if recording == "empty":  # every run fails with a GatewayError
+            tape = tmp_path / "empty.jsonl"
+            tape.write_text("", encoding="utf-8")
+        store = RunStore(tmp_path / "runs.jsonl")
+        batch = run_batch(
+            load_plan(folder / "plan.yaml"),
+            mode="replay",
+            store=store,
+            gateway=ReplayGateway(tape),
+            keep_prompts=True,
+        )
+        assert batch.failed_count == (len(batch.records) if recording == "empty" else 0)
+        assert load_records(store.path) == list(batch.records)
 
 
 class TestRegrade:
