@@ -20,7 +20,6 @@ from disk so whole experiments rerun offline and bit-identically.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import json
 import os
@@ -120,88 +119,23 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=64)
-def _request_frame(model: str, params: SamplingParams, params_id: int) -> tuple[bytes, bytes]:
-    """The canonical request's bytes before and after its messages.
-
-    Keyed on the params object as well as its value: equal params can
-    still encode differently (1 and 1.0, 0.0 and -0.0). The cache holds
-    the object, so its id cannot be reused while the entry lives.
-    """
-    canonical = _canonical(_request_payload(model, [], params))
-    # Quotes inside JSON strings are escaped, so this matches the key only.
-    head, tail = canonical.split('"messages":[]', 1)
-    return (head + '"messages":[').encode("utf-8"), ("]" + tail).encode("utf-8")
+_SAMPLING_FIELDS = tuple(f.name for f in fields(SamplingParams))
 
 
-@functools.lru_cache(maxsize=4096)
-def _message_bytes(role: str, content: str) -> bytes:
-    return _canonical({"role": role, "content": content}).encode("utf-8")
-
-
-class Conversation(list):
-    """A model-backed player's messages: role/content dicts that only grow.
-
-    A plain list to gateways and the wire payload. `append` is the way in
-    and keeps each message's prompt label (None for the player's replies);
-    the mutators that would rewrite a sent message raise TypeError, and
-    messages are not edited in place. The conversation keeps the running
-    SHA-256 of its canonical request for the (model, params) frame it was
-    last asked about, so `digest` hashes only the messages added since.
-    """
-
-    # Slots keep the fresh conversation each recorded request is keyed by cheap.
-    __slots__ = ("_labels", "_model", "_params", "_head", "_tail", "_sha", "_hashed")
-
-    def __init__(self, messages=()) -> None:
-        list.__init__(self, messages)
-        self._labels: list[str | None] = [None] * len(self)
-        # The frame last asked about, its text before the messages, and how
-        # many messages the running hash has read.
-        self._model = self._params = self._head = None
-        self._hashed = 0
-
-    def append(self, message: dict, label: str | None = None) -> None:
-        list.append(self, message)
-        self._labels.append(label)
-
-    def extend(self, messages) -> None:
-        for message in messages:
-            self.append(message)
-
-    def _grows_only(self, *args, **kwargs):
-        raise TypeError("a Conversation only grows: use append")
-
-    __setitem__ = __delitem__ = insert = pop = remove = clear = _grows_only
-    sort = reverse = __iadd__ = __imul__ = _grows_only
-
-    def labeled(self) -> list[tuple[str, str]]:
-        """(label, content) of each labeled message, in order."""
-        return [(label, m["content"]) for label, m in zip(self._labels, self) if label is not None]
-
-    def digest(self, model: str, params: SamplingParams) -> str:
-        """The SHA-256 of _request_payload(model, self, params) as canonical JSON."""
-        if model is not self._model or params is not self._params:
-            head, self._tail = _request_frame(model, params, id(params))
-            self._model, self._params = model, params
-            # The text before the messages is all the running hash has read of the frame.
-            if head != self._head:
-                self._head, self._sha, self._hashed = head, hashlib.sha256(head), 0
-        sha, hashed = self._sha, self._hashed
-        if hashed < len(self):
-            if hashed:
-                sha.update(b",")
-            sha.update(b",".join([_message_bytes(m["role"], m["content"]) for m in self[hashed:]]))
-            self._hashed = len(self)
-        digest = sha.copy()
-        digest.update(self._tail)
-        return digest.hexdigest()
+def _request_key(model: str, messages: list[dict], params: SamplingParams) -> tuple:
+    """The value replay looks a request up by, for messages of the shape
+    Gateway.complete takes: (model, repr of each sampling value) and each
+    message's (role, content). Two requests have equal keys exactly when
+    their canonical JSON is equal; repr keeps 1 and 1.0, and 0.0 and -0.0,
+    apart as JSON does."""
+    frame = (model, *[repr(getattr(params, name)) for name in _SAMPLING_FIELDS])
+    return frame, tuple([(m["role"], m["content"]) for m in messages])
 
 
 def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
-    """The SHA-256 of _request_payload(model, messages, params) as canonical
-    JSON, for messages of the shape Gateway.complete takes."""
-    return Conversation(messages).digest(model, params)
+    """The SHA-256 of _request_payload(model, messages, params) as canonical JSON."""
+    canonical = _canonical(_request_payload(model, messages, params))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _retry_after(value: str | None) -> float:
@@ -279,15 +213,13 @@ class HttpGateway(Gateway):
         raise GatewayError(f"request failed after {MAX_RETRIES} retries: {last_error}")
 
 
-_SAMPLING_FIELDS = tuple(f.name for f in fields(SamplingParams))
 _REQUEST_FIELDS = {"model", "messages", *_SAMPLING_FIELDS}
 
 
-def _recorded_digest(request, params_seen: dict) -> str | None:
-    """The lookup digest of a recorded request, or None when it does not
-    have the shape Gateway.complete sends. `params_seen` keeps one
-    SamplingParams per spelling of the values (1 and 1.0 encode apart), so
-    _request_frame's cache serves every line that shares them."""
+def _recorded_key(request, shared: dict) -> tuple | None:
+    """The _request_key of a recorded request, or None when it does not
+    have the shape Gateway.complete sends. `shared` keeps one copy of each
+    frame and each (role, content) pair across the lines of a recording."""
     if not isinstance(request, dict) or request.keys() != _REQUEST_FIELDS:
         return None
     model, messages = request["model"], request["messages"]
@@ -306,14 +238,12 @@ def _recorded_digest(request, params_seen: dict) -> str | None:
             or type(m.get("content")) is not str
         ):
             return None
-    spelling = tuple(map(repr, values))
-    if spelling not in params_seen:
-        params_seen[spelling] = SamplingParams(*values)
-    return _request_digest(model, messages, params_seen[spelling])
+    frame, pairs = _request_key(model, messages, SamplingParams(*values))
+    return shared.setdefault(frame, frame), tuple([shared.setdefault(p, p) for p in pairs])
 
 
-def _recorded_entry(line: bytes, where: str, params_seen: dict) -> tuple[str, str] | None:
-    """The (lookup digest, response) of one recording line, None for a
+def _recorded_entry(line: bytes, where: str, shared: dict) -> tuple[tuple, str] | None:
+    """The (lookup key, response) of one recording line, None for a
     blank line. Raises ValueError starting with `where` for a line that is
     not a recorded exchange."""
     try:
@@ -329,7 +259,7 @@ def _recorded_entry(line: bytes, where: str, params_seen: dict) -> tuple[str, st
     response = record.get("response") if isinstance(record, dict) else None
     if not isinstance(response, str) or "request" not in record:
         raise ValueError(f"{where}: bad recording: expected a request and a text response")
-    key = _recorded_digest(record["request"], params_seen)
+    key = _recorded_key(record["request"], shared)
     if key is None:
         raise ValueError(
             f"{where}: bad recording: the request does not have the shape of a chat "
@@ -341,23 +271,22 @@ def _recorded_entry(line: bytes, where: str, params_seen: dict) -> tuple[str, st
 class ReplayGateway(Gateway):
     """Serves recorded request/response pairs from a JSON-lines file.
 
-    Requests are matched by a digest of their canonical JSON (sorted keys,
-    no spaces, non-ASCII escaped), so replay is insensitive to record order
-    and safe under concurrency. The digest is Conversation.digest: a
-    player's Conversation keeps the running hash of its request, so a turn
-    hashes only the messages added since the player's previous request,
-    each from its cached canonical JSON. A plain message list (a
-    single-model request) and each recorded request are hashed the same
-    way over a fresh Conversation, so a recorded request must have the
-    shape Gateway.complete sends: a string model, messages of exactly a
-    string role and content, and the four sampling values as numbers.
-    The digest is byte for byte the one the whole payload gives, so
-    recordings made before it was built in pieces replay unchanged. An
-    unknown request is an error: replay never invents a completion.
+    Requests are looked up by their value (`_request_key`): the model,
+    the repr of each sampling value and each message's role and content.
+    Two requests have equal keys exactly when their canonical JSON (sorted
+    keys, no spaces, non-ASCII escaped) is equal, so recordings replay as
+    they did when requests were matched by a digest of that JSON, and
+    replay is insensitive to record order and safe under concurrency. A
+    recorded request must have the shape Gateway.complete sends: a string
+    model, messages of exactly a string role and content, and the four
+    sampling values as numbers. An unknown request is an error naming the
+    start of its canonical JSON's SHA-256: replay never invents a
+    completion.
 
     The file is read as UTF-8 lines, split at line feeds only. A line that
     repeats an earlier one is decoded and keyed once: only the SHA-256 of
-    each distinct line is kept, with its key and response. When several
+    each distinct line is kept, with its key and response, and the keys
+    share one copy of each frame and each message. When several
     lines record the same request, the last one wins. A line that is not a
     recorded exchange (bad UTF-8, bad JSON or the wrong shape) raises
     ValueError `<path>:<line>: bad recording: ...` at its first occurrence.
@@ -366,26 +295,25 @@ class ReplayGateway(Gateway):
     def __init__(self, path: str | Path) -> None:
         super().__init__()
         self.path = Path(path)
-        self._responses: dict[str, str] = {}
-        params_seen: dict[tuple, SamplingParams] = {}
-        entries: dict[bytes, tuple[str, str] | None] = {}
+        self._responses: dict[tuple, str] = {}
+        shared: dict[tuple, tuple] = {}
+        entries: dict[bytes, tuple[tuple, str] | None] = {}
         with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line_digest = hashlib.sha256(line).digest()
                 if line_digest not in entries:
-                    entries[line_digest] = _recorded_entry(line, f"{path}:{lineno}", params_seen)
+                    entries[line_digest] = _recorded_entry(line, f"{path}:{lineno}", shared)
                 entry = entries[line_digest]
                 if entry is not None:
                     self._responses[entry[0]] = entry[1]
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
-        conversation = messages if isinstance(messages, Conversation) else Conversation(messages)
-        key = conversation.digest(model, params)
         try:
-            return self._responses[key]
+            return self._responses[_request_key(model, messages, params)]
         except KeyError:
+            digest = _request_digest(model, messages, params)
             raise GatewayError(
-                f"no recorded response for request {key[:12]}... in {self.path.name}"
+                f"no recorded response for request {digest[:12]}... in {self.path.name}"
             ) from None
 
 
@@ -603,11 +531,11 @@ class OracleAgent(Agent):
 class ModelAgent(Agent):
     """A player driven through a chat gateway.
 
-    Keeps its own ordered, append-only Conversation (`messages`); every
-    completion resends the whole conversation, so gateway retries cannot
-    reorder anything. `prompt_log` reads the labeled messages back from
-    it. The system prompt, rendered from the role, personality and game,
-    is the only place the private bio appears.
+    Keeps its own ordered conversation (`messages`); every completion
+    resends the whole conversation, so gateway retries cannot reorder
+    anything. `prompt_log` holds (label, text) of every message the
+    player was sent, in order. The system prompt, rendered from the role,
+    personality and game, is the only place the private bio appears.
     """
 
     def __init__(
@@ -632,16 +560,16 @@ class ModelAgent(Agent):
             rounds_word=prompts.rounds_word(game.rounds),
             pot_text=format_money(game.pot),
         )
-        self.messages = Conversation()
-        self.messages.append({"role": "system", "content": system}, "system")
+        self.messages: list[dict] = []
+        self.prompt_log: list[tuple[str, str]] = []
+        self._send("system", system, role="system")
 
-    @property
-    def prompt_log(self) -> list[tuple[str, str]]:
-        """(label, text) of every message the player was sent, in order."""
-        return self.messages.labeled()
+    def _send(self, label: str, content: str, role: str = "user") -> None:
+        self.messages.append({"role": role, "content": content})
+        self.prompt_log.append((label, content))
 
     def _ask(self, label: str, content: str) -> str:
-        self.messages.append({"role": "user", "content": content}, label)
+        self._send(label, content)
         reply = self.gateway.complete(self.model, self.messages, self.params)
         self.messages.append({"role": "assistant", "content": reply})
         return reply
@@ -663,4 +591,4 @@ class ModelAgent(Agent):
         return self._ask(label, content)
 
     def receive(self, message: str, label: str = "announcement") -> None:
-        self.messages.append({"role": "user", "content": message}, label)
+        self._send(label, message)

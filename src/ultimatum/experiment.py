@@ -130,6 +130,8 @@ class ExperimentPlan:
             raise InvalidPlanError(f"{self.proposer_flaw.value} is not a proposer flaw")
         if self.receiver_flaw is not None and flaw_role(self.receiver_flaw) is not Role.RECEIVER:
             raise InvalidPlanError(f"{self.receiver_flaw.value} is not a receiver flaw")
+        if not isinstance(self.model, str):
+            raise InvalidPlanError(f"model must be a string, got {self.model!r}")
         for f in fields(SamplingParams):
             value = getattr(self.sampling, f.name)
             if not math.isfinite(value):
@@ -184,6 +186,9 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         bad = set(sampling_data) - _SAMPLING_KEYS
         if bad:
             raise InvalidPlanError(f"unknown sampling keys: {', '.join(sorted(bad))}")
+        for key, value in sampling_data.items():
+            if type(value) not in (int, float):  # a bool or a string is not a number
+                raise InvalidPlanError(f"sampling {key} must be a number, got {value!r}")
         sampling = SamplingParams(**{k: float(v) for k, v in sampling_data.items()})
         flaws = data.get("flaws", {}) or {}
         if not isinstance(flaws, dict) or set(flaws) - {"proposer", "receiver"}:
@@ -195,7 +200,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
             pairs=pairs,
             runs_per_cell=data.get("runs_per_cell", ExperimentPlan.runs_per_cell),
             game=game,
-            model=str(data.get("model", ExperimentPlan.model)),
+            model=data.get("model", ExperimentPlan.model),
             sampling=sampling,
             seed=data.get("seed", ExperimentPlan.seed),
             proposer_flaw=None if proposer_flaw in (None, "none") else Flaw(proposer_flaw),

@@ -1,7 +1,6 @@
 import hashlib
 import http.server
 import json
-import operator
 import threading
 from dataclasses import astuple
 
@@ -18,7 +17,6 @@ from ultimatum.agents import (
     DEVIATION_ROUND,
     MAX_RETRIES,
     TIMEOUT_S,
-    Conversation,
     Flaw,
     GatewayError,
     Gateway,
@@ -28,9 +26,8 @@ from ultimatum.agents import (
     RecordingGateway,
     ReplayGateway,
     SamplingParams,
-    _canonical,
-    _recorded_digest,
-    _request_digest,
+    _recorded_key,
+    _request_key,
     _request_payload,
     flaw_role,
     oracle_strategy,
@@ -170,6 +167,20 @@ class TestModelAgent:
         agent.act(engine.new_game(CONFIG))
         labels = [label for label, _ in agent.prompt_log]
         assert labels == ["system", "create_strategy", "request_offer"]
+
+    def test_a_player_hands_the_gateway_its_conversation(self):
+        class Keeper(ScriptedGateway):
+            def _complete(self, model, messages, params):
+                self.seen.append(messages)
+                return self.replies.pop(0)
+
+        gateway = Keeper(["STRATEGY: even splits."])
+        agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
+        agent.create_strategy()
+        assert gateway.seen[0] is agent.messages
+        agent.receive("Round 1 result: accepted.")
+        assert agent.messages[-1] == {"role": "user", "content": "Round 1 result: accepted."}
+        assert agent.prompt_log[-1] == ("announcement", "Round 1 result: accepted.")
 
 
 class FakeResponse:
@@ -423,116 +434,74 @@ sampling_params = st.builds(
 )
 
 
-class TestRequestKey:
-    @given(model=model_names, messages=messages_strategy, params=sampling_params)
-    def test_the_cached_key_is_the_digest_of_the_whole_payload(self, model, messages, params):
-        assert _request_digest(model, messages, params) == definitional_key(model, messages, params)
-
-    @pytest.mark.parametrize("first, second", [(1, 1.0), (0.0, -0.0), (1, True)])
-    def test_equal_params_that_encode_differently_keep_their_own_keys(self, first, second):
-        messages = [{"role": "user", "content": "hi"}]
-        for value in (first, second, first):
-            params = SamplingParams(temperature=value)
-            assert _request_digest("m", messages, params) == definitional_key("m", messages, params)
-
-
-# Sampling values spelled apart though equal (1 and 1.0, 0.0 and -0.0):
-# each spelling encodes differently, so each needs its own digest.
-SPELLED_PARAMS = [
-    SamplingParams(temperature=t, top_p=p, frequency_penalty=f, presence_penalty=q)
-    for t, p, f, q in [
-        (1, 1.0, 0.0, 0.0),
-        (1.0, 1, -0.0, 0.0),
-        (1, 1, 1, -0.0),
-        (-0.0, 1.0, 1.0, 1),
+@st.composite
+def nearby_requests(draw):
+    """Two requests, the second the first after up to two edits: another
+    model, a message's role or content flipped, a message added, or a
+    sampling value spelled another way (1, 1.0 and True; 0.0 and -0.0).
+    So the two often coincide, often differ in one role alone, and often
+    differ only in how equal sampling values are spelled."""
+    flip = {"m": "n", "n": "m", "user": "assistant", "assistant": "user", "a": "b", "b": "a"}
+    respell = {repr(1): 1.0, repr(1.0): True, repr(True): 1, repr(0.0): -0.0, repr(-0.0): 0.0}
+    pair = st.tuples(st.sampled_from(["user", "assistant"]), st.sampled_from(["a", "b"]))
+    model = draw(st.sampled_from(["m", "n"]))
+    messages = draw(st.lists(pair, min_size=1, max_size=3))
+    sampling = draw(st.lists(st.sampled_from([1, 1.0, True, 0.0, -0.0]), min_size=4, max_size=4))
+    first = (model, list(messages), list(sampling))
+    edits = st.sampled_from(["model", "role", "content", "add", "value"])
+    for edit in draw(st.lists(edits, max_size=2)):
+        i = draw(st.integers(0, len(messages) - 1))
+        if edit == "model":
+            model = flip[model]
+        elif edit == "role":
+            messages[i] = (flip[messages[i][0]], messages[i][1])
+        elif edit == "content":
+            messages[i] = (messages[i][0], flip[messages[i][1]])
+        elif edit == "add":
+            messages.append(draw(pair))
+        else:
+            j = draw(st.integers(0, 3))
+            sampling[j] = respell[repr(sampling[j])]
+    return [
+        (m, [{"role": role, "content": content} for role, content in ms], SamplingParams(*vs))
+        for m, ms, vs in (first, (model, messages, sampling))
     ]
-]
-frames = st.tuples(
-    st.sampled_from(SPELLED_PARAMS)
-    | st.builds(SamplingParams, *[st.sampled_from([1, 1.0, -0.0, 0.0])] * 4),
-    st.booleans(),
-)
 
 
-class TestConversation:
-    @given(
-        models=st.lists(model_names, min_size=1, max_size=2),
-        messages=messages_strategy,
-        data=st.data(),
-    )
-    def test_the_running_digest_is_the_digest_of_the_whole_payload(self, models, messages, data):
-        conversation = Conversation()
-        for message in messages:
-            conversation.append(message, data.draw(st.none() | st.just("label")))
-            # Ask once or twice, keeping the frame or switching model or params.
-            for _ in range(data.draw(st.integers(1, 2))):
-                model = data.draw(st.sampled_from(models))
-                params, fresh_copy = data.draw(frames)
-                if fresh_copy:
-                    params = SamplingParams(*astuple(params))
-                payload = _request_payload(model, list(conversation), params)
-                expected = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-                assert conversation.digest(model, params) == expected
-                assert _request_digest(model, conversation, params) == expected
+class TestRequestKey:
+    @given(pair=nearby_requests())
+    def test_keys_are_equal_exactly_when_the_canonical_json_is(self, pair):
+        same_json = definitional_key(*pair[0]) == definitional_key(*pair[1])
+        live = [_request_key(*request) for request in pair]
+        assert (live[0] == live[1]) == same_json
+        # A recorded request keys as it was sent, unless a sampling value is
+        # a bool, which no plan sends and a recording may not hold.
+        shared = {}
+        recorded = [
+            _recorded_key(json.loads(json.dumps(_request_payload(*request))), shared)
+            for request in pair
+        ]
+        for request, key, live_key in zip(pair, recorded, live):
+            has_bool = any(type(v) is bool for v in astuple(request[2]))
+            assert key == (None if has_bool else live_key)
+        if None not in recorded:
+            assert (recorded[0] == recorded[1]) == same_json
 
-    MUTATIONS = {
-        "setitem": lambda c: c.__setitem__(0, {"role": "user", "content": "rewritten"}),
-        "setslice": lambda c: c.__setitem__(slice(0, 1), []),
-        "delitem": lambda c: c.__delitem__(0),
-        "delslice": lambda c: c.__delitem__(slice(None)),
-        "insert": lambda c: c.insert(0, {"role": "user", "content": "early"}),
-        "pop": lambda c: c.pop(),
-        "remove": lambda c: c.remove(c[0]),
-        "clear": lambda c: c.clear(),
-        "sort": lambda c: c.sort(key=lambda m: m["content"]),
-        "reverse": lambda c: c.reverse(),
-        "iadd": lambda c: operator.iadd(c, [{"role": "user", "content": "more"}]),
-        "imul": lambda c: operator.imul(c, 2),
-    }
-
-    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
-    def test_mutators_that_rewrite_sent_messages_raise(self, mutate):
-        conversation = Conversation(MESSAGES)
-        conversation.append({"role": "assistant", "content": "hello"})
-        before = conversation.digest("m", PARAMS)
-        with pytest.raises(TypeError, match="only grows"):
-            mutate(conversation)
-        assert conversation == MESSAGES + [{"role": "assistant", "content": "hello"}]
-        assert conversation.digest("m", PARAMS) == before
-        assert before == definitional_key("m", conversation, PARAMS)
-
-    def test_it_is_a_plain_message_list_on_the_wire(self):
-        conversation = Conversation()
-        conversation.append({"role": "system", "content": "rules"}, "system")
-        conversation.extend([{"role": "user", "content": "hi"}])
-        assert isinstance(conversation, list)
-        assert json.dumps(conversation) == json.dumps(list(conversation))
-        assert conversation.labeled() == [("system", "rules")]
-
-    def test_a_player_hands_the_gateway_its_conversation(self):
-        class Keeper(ScriptedGateway):
-            def _complete(self, model, messages, params):
-                self.seen.append(messages)
-                return self.replies.pop(0)
-
-        gateway = Keeper(["STRATEGY: even splits."])
-        agent = ModelAgent(Role.PROPOSER, Personality.FAIR, CONFIG, gateway, "test-model")
-        agent.create_strategy()
-        assert gateway.seen[0] is agent.messages
-        assert isinstance(agent.messages, Conversation)
-        agent.receive("Round 1 result: accepted.")
-        assert agent.prompt_log[-1] == ("announcement", "Round 1 result: accepted.")
+    @given(model=model_names, messages=messages_strategy, params=sampling_params)
+    def test_an_awkward_request_keys_as_recorded(self, model, messages, params):
+        recorded = json.loads(json.dumps(_request_payload(model, messages, params)))
+        assert _recorded_key(recorded, {}) == _request_key(model, messages, params)
 
 
 def reference_responses(path):
     """The recording loaded one line at a time, every line decoded and
     keyed, the last line for a key winning."""
-    responses, params_seen = {}, {}
+    responses = {}
     with path.open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 record = json.loads(line)
-                responses[_recorded_digest(record["request"], params_seen)] = record["response"]
+                responses[_recorded_key(record["request"], {})] = record["response"]
     return responses
 
 
@@ -659,8 +628,21 @@ class TestRecordAndReplay:
             "m", [{"role": "user", "content": "known"}], PARAMS
         )
         replay = ReplayGateway(tape)
-        with pytest.raises(GatewayError):
-            replay.complete("m", [{"role": "user", "content": "unknown"}], PARAMS)
+        unknown = [{"role": "user", "content": "unknown"}]
+        digest = definitional_key("m", unknown, PARAMS)
+        cause = rf"^no recorded response for request {digest[:12]}\.\.\. in tape\.jsonl$"
+        with pytest.raises(GatewayError, match=cause):
+            replay.complete("m", unknown, PARAMS)
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (0.0, -0.0)])
+    def test_equal_sampling_values_spelled_apart_replay_apart(self, tmp_path, first, second):
+        tape = tmp_path / "tape.jsonl"
+        recorder = RecordingGateway(ScriptedGateway(["one", "two"]), tape)
+        recorder.complete("m", MESSAGES, SamplingParams(temperature=first))
+        recorder.complete("m", MESSAGES, SamplingParams(temperature=second))
+        replay = ReplayGateway(tape)
+        assert replay.complete("m", MESSAGES, SamplingParams(temperature=second)) == "two"
+        assert replay.complete("m", MESSAGES, SamplingParams(temperature=first)) == "one"
 
     def test_usage_counters(self):
         gateway = ScriptedGateway(["a", "b"])

@@ -89,6 +89,10 @@ class TestPlanValidation:
             ({"rounds": True}, "rounds must be a whole number, got True"),
             ({"runs_per_cell": 2.7}, "runs_per_cell must be a whole number, got 2.7"),
             ({"seed": 1.9}, "seed must be a whole number, got 1.9"),
+            ({"model": None}, "model must be a string, got None"),
+            ({"model": 7}, "model must be a string, got 7"),
+            ({"sampling": {"temperature": True}}, "temperature must be a number, got True"),
+            ({"sampling": {"top_p": "0.9"}}, "sampling top_p must be a number, got '0.9'"),
         ],
     )
     def test_bad_plans_are_rejected(self, data, fragment):
@@ -920,6 +924,26 @@ class TestReports:
         assert f"structure,single_model,note,{note}" in rows
         metrics = [r.split(",")[2] for r in rows if r.startswith("structure,single_model,")]
         assert "z" not in metrics and "p" not in metrics
+
+    def test_a_computable_headline_carries_its_chi_square(self):
+        # The paper's split: 35 of 40 multi-agent runs human-consistent
+        # against 20 of 40 single-model runs.
+        flags = {f"{role}_strategy_{axis}": True for role in ("proposer", "receiver")
+                 for axis in ("complete", "consistent")}
+        records = [
+            _record_of(structure, "fair-fair", "oracle", "ok",
+                       {"error_class": "none" if k < consistent else "gameplay_only", **flags})
+            for structure, consistent in (("multi_agent", 35), ("single_model", 20))
+            for k in range(40)
+        ]
+        summary = aggregate(records)
+        assert (
+            "- human consistency: multi_agent/oracle 35/40 vs single_model/oracle 20/40 "
+            "-> chi-square 13.0909 (df=1), p 0.000296732"
+        ) in render_report(summary).splitlines()
+        rows = render_report(summary, fmt="csv").splitlines()
+        assert "headline,human consistency,chi_square,13.0909" in rows
+        assert "headline,human consistency,p,0.000296732" in rows
 
     def test_empty_summary_renders_a_banner(self):
         assert "No runs recorded." in render_report(aggregate([]))

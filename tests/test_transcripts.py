@@ -428,6 +428,11 @@ def random_transcripts(draw):
     return dataclasses.replace(transcript, raw_logs=((label, raw),))
 
 
+def _edit_lines(text, edit):
+    """text with its list of lines (line feeds kept) passed through edit."""
+    return "".join(edit(text.splitlines(keepends=True)))
+
+
 class TestCanonicalFormat:
     def test_round_trip_is_byte_stable(self):
         transcript = build_transcript([50, 55, 55, 55, 55], [REJ, ACC, ACC, ACC, ACC])
@@ -466,21 +471,75 @@ class TestCanonicalFormat:
         with pytest.raises(MalformedRecordError):
             parse_canonical(text.replace("ultimatum-transcript", "other-transcript", 1))
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
+    # Lines of the text tampered with: 0 header, 1 proposer strategy,
+    # 2 receiver strategy, 3-7 rounds 1-5.
+    TAMPERINGS = {
+        "payoff-lie": (
             lambda s: s.replace("payoffs=50/50", "payoffs=49/51", 1),
-            lambda s: s.replace("round 1 ", "round 2 ", 1),
-            lambda s: s.rstrip("\n"),
-            lambda s: s + "junk\n",
-            lambda s: s.replace("strategy proposer", "strategy receiver", 1),
-        ],
-        ids=["payoff-lie", "round-gap", "missing-newline", "trailing-junk", "role-swap"],
-    )
-    def test_tampered_records_are_rejected(self, mutate):
+            r"round 1: payoffs \(49, 51\) inconsistent with accept",
+        ),
+        "round-gap": (lambda s: s.replace("round 1 ", "round 2 ", 1), "round 2 out of sequence"),
+        "missing-newline": (lambda s: s.rstrip("\n"), "must end with a newline"),
+        "trailing-junk": (lambda s: s + "junk\n", "unknown record kind 'junk'"),
+        "role-swap": (
+            lambda s: _edit_lines(s, lambda ls: [ls[0], ls[2], ls[1], *ls[3:]]),
+            "expected proposer then receiver strategy lines",
+        ),
+        "empty-text": (lambda s: "\n", "empty transcript text"),
+        "wrong-header-key": (
+            lambda s: s.replace(" pot=", " pots=", 1),
+            r"expected pot=\.\.\., got 'pots=100'",
+        ),
+        "bad-header-value": (
+            lambda s: s.replace("rounds=5", "rounds=five", 1),
+            "bad header values: invalid literal",
+        ),
+        "bad-json": (lambda s: s.replace('{"cutoff":null', '{"cutoff":nul', 1), "bad JSON payload"),
+        "trailing-data": (
+            lambda s: s.replace('next round."\n', 'next round." extra\n', 1),
+            "trailing data after record: 'extra'",
+        ),
+        "unknown-strategy-role": (
+            lambda s: s.replace("strategy receiver", "strategy referee", 1),
+            "bad strategy role 'referee'",
+        ),
+        "fields-not-an-object": (
+            lambda s: _edit_lines(s, lambda ls: [*ls[:2], 'strategy receiver [] "x"\n', *ls[3:]]),
+            "strategy line must hold fields object and raw text",
+        ),
+        "strategy-after-round": (
+            lambda s: _edit_lines(s, lambda ls: [*ls[:2], ls[3], ls[2], *ls[4:]]),
+            "strategy lines must precede round lines",
+        ),
+        "round-token-count": (
+            lambda s: s.replace(" payoffs=50/50", "", 1),
+            "bad round line: 'round 1 offer=50 decision=accept'",
+        ),
+        "round-not-an-integer": (
+            lambda s: s.replace("offer=50", "offer=fifty", 1),
+            "bad round line: invalid literal",
+        ),
+        "offer-outside-pot": (
+            lambda s: s.replace("offer=50 decision=accept payoffs=50/50",
+                                "offer=150 decision=accept payoffs=-50/150", 1),
+            "round 1: offer 150 outside pot",
+        ),
+        "rawlog-not-two-strings": (
+            lambda s: s + 'rawlog "single_model" 7\n',
+            "rawlog line must hold two strings",
+        ),
+        "missing-strategy": (
+            lambda s: _edit_lines(s, lambda ls: [ls[0], *ls[2:]]),
+            "expected proposer then receiver strategy lines",
+        ),
+        "missing-round": (lambda s: _edit_lines(s, lambda ls: ls[:-1]), "expected 5 rounds, got 4"),
+    }
+
+    @pytest.mark.parametrize("mutate, match", TAMPERINGS.values(), ids=TAMPERINGS.keys())
+    def test_tampered_records_are_rejected(self, mutate, match):
         transcript = build_transcript([50, 50, 50, 50, 50], [ACC] * 5)
         text = serialize_canonical(transcript)
-        with pytest.raises(MalformedRecordError):
+        with pytest.raises(MalformedRecordError, match=match):
             parse_canonical(mutate(text))
 
     def test_round_line_after_a_rawlog_line_is_rejected(self):
