@@ -560,12 +560,11 @@ class ModelAgent(Agent):
             rounds_word=prompts.rounds_word(game.rounds),
             pot_text=format_money(game.pot),
         )
-        self.messages: list[dict] = []
-        self.prompt_log: list[tuple[str, str]] = []
-        self._send("system", system, role="system")
+        self.messages: list[dict] = [{"role": "system", "content": system}]
+        self.prompt_log: list[tuple[str, str]] = [("system", system)]
 
-    def _send(self, label: str, content: str, role: str = "user") -> None:
-        self.messages.append({"role": role, "content": content})
+    def _send(self, label: str, content: str) -> None:
+        self.messages.append({"role": "user", "content": content})
         self.prompt_log.append((label, content))
 
     def _ask(self, label: str, content: str) -> str:
