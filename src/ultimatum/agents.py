@@ -27,6 +27,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import requests as _requests
@@ -64,6 +65,12 @@ class SamplingParams:
     top_p: float = 0.5
     frequency_penalty: float = 0.0
     presence_penalty: float = 0.0
+
+    @cached_property
+    def _reprs(self) -> tuple[str, ...]:
+        """The repr of each value, in field order, as replay keys them (see
+        _request_key): computed once per object, when it is first keyed."""
+        return tuple([repr(getattr(self, name)) for name in _SAMPLING_FIELDS])
 
 
 def default_plan(role: Role) -> str:
@@ -128,8 +135,12 @@ def _request_key(model: str, messages: list[dict], params: SamplingParams) -> tu
     message's (role, content). Two requests have equal keys exactly when
     their canonical JSON is equal; repr keeps 1 and 1.0, and 0.0 and -0.0,
     apart as JSON does."""
-    frame = (model, *[repr(getattr(params, name)) for name in _SAMPLING_FIELDS])
-    return frame, tuple([(m["role"], m["content"]) for m in messages])
+    return _key(model, params._reprs, messages)
+
+
+def _key(model: str, reprs, messages: list[dict]) -> tuple:
+    """_request_key from the reprs of the sampling values, in field order."""
+    return (model, *reprs), tuple([(m["role"], m["content"]) for m in messages])
 
 
 def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
@@ -154,9 +165,10 @@ class HttpGateway(Gateway):
     cannot be sent as given (a malformed URL or header) fails at once. A
     429 whose Retry-After header gives a number of seconds waits that long
     instead when it is longer than the backoff step, for at most
-    TIMEOUT_S; an HTTP date there is ignored. Retrying is safe because the full conversation is
-    resent verbatim each time. The API key is read from the API_KEY_ENV
-    environment variable, never from files or arguments.
+    TIMEOUT_S; an HTTP date there is ignored. Retrying is safe because the
+    full conversation is resent verbatim each time. The API key is read
+    from the API_KEY_ENV environment variable, never from files or
+    arguments.
     """
 
     def __init__(
@@ -238,7 +250,7 @@ def _recorded_key(request, shared: dict) -> tuple | None:
             or type(m.get("content")) is not str
         ):
             return None
-    frame, pairs = _request_key(model, messages, SamplingParams(*values))
+    frame, pairs = _key(model, [repr(v) for v in values], messages)
     return shared.setdefault(frame, frame), tuple([shared.setdefault(p, p) for p in pairs])
 
 

@@ -32,8 +32,10 @@ same as when every run plays its own.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import engine, prompts
 from .agents import (
@@ -86,18 +88,34 @@ class SimulationConfig:
     seed: int | None = None
 
 
+Traffic = tuple[tuple[str, str], ...]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """One finished run: the transcript (also in the canonical text a run
-    record stores), its grade, and the traffic that produced it (prompts
-    sent, replies received, in order)."""
+    record stores), its grade, and the traffic that produced it: `prompts`
+    sent and `replies` received, in order, as (label, text) pairs.
+    `_traffic` builds the two when either is first read, so traffic that
+    nobody reads (a batch that does not keep prompts) is never built."""
 
     transcript: Transcript
     verdict: Verdict
     diagnostics: ParseDiagnostics
     canonical: str
-    prompts: tuple[tuple[str, str], ...] = ()
-    replies: tuple[tuple[str, str], ...] = ()
+    _traffic: Callable[[], tuple[Traffic, Traffic]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _built_traffic(self) -> tuple[Traffic, Traffic]:
+        return self._traffic()
+
+    @property
+    def prompts(self) -> Traffic:
+        return self._built_traffic[0]
+
+    @property
+    def replies(self) -> Traffic:
+        return self._built_traffic[1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +155,8 @@ def run_single_model(
         verdict = evaluate_transcript(transcript)
         graded[key] = (transcript, diagnostics, verdict, serialize_canonical(transcript))
     transcript, diagnostics, verdict, canonical = graded[key]
-    return SimulationResult(
-        transcript=transcript,
-        verdict=verdict,
-        diagnostics=diagnostics,
-        canonical=canonical,
-        prompts=(("single_model", prompt),),
-        replies=(("single_model", reply),),
-    )
+    traffic = ((("single_model", prompt),), (("single_model", reply),))
+    return SimulationResult(transcript, verdict, diagnostics, canonical, lambda: traffic)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +169,30 @@ def _labeled(label: str, text: str) -> str:
     return f"{line}\n{rest}" if rest else line
 
 
+_STRATEGY_PREFIX_RE = re.compile(r"^\s*strategy\s*:\s*", re.IGNORECASE)
+
+
 def _strip_strategy_prefix(reply: str) -> str:
     first, sep, rest = reply.partition("\n")
-    first = re.sub(r"^\s*strategy\s*:\s*", "", first, flags=re.IGNORECASE)
+    first = _STRATEGY_PREFIX_RE.sub("", first)
     return f"{first}{sep}{rest}".strip()
+
+
+class _Seat:
+    """One player in a game: its role, its agent, and every message it
+    was told (`inbound`) and said (`outbound`)."""
+
+    __slots__ = ("role", "agent", "inbound", "outbound")
+
+    def __init__(self, role: Role, agent: Agent) -> None:
+        self.role = role
+        self.agent = agent
+        self.inbound: list[str] = []
+        self.outbound: list[str] = []
+
+    def tell(self, message: str, label: str = "announcement") -> None:
+        self.agent.receive(message, label)
+        self.inbound.append(message)
 
 
 class _Moderator:
@@ -170,56 +202,54 @@ class _Moderator:
     the run's replies), the stripped strategy texts, and one entry per
     round: the engine outcome, the accepted offer and decision replies and
     the announcement. `logs()` renders the per-agent logs from it.
+
+    Each player's seat (`proposer`, `receiver`: its agent and the lists of
+    what it was told and said) is resolved once per game, when the
+    moderator is made, so no exchange looks anything up by role.
     """
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
-        self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
         self.game = game
+        self.proposer = _Seat(Role.PROPOSER, proposer)
+        self.receiver = _Seat(Role.RECEIVER, receiver)
         self.strategies: dict[Role, str] = {}
         self.rounds: list[tuple[engine.RoundOutcome, str, str, str]] = []
-        # Everything each agent said / was sent, for the audit and the run's replies.
-        self.outbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
-        self.inbound: dict[Role, list[str]] = {Role.PROPOSER: [], Role.RECEIVER: []}
-
-    def tell(self, role: Role, message: str, label: str = "announcement") -> None:
-        self.agents[role].receive(message, label)
-        self.inbound[role].append(message)
 
     def strategy_phase(self) -> None:
-        for role in (Role.PROPOSER, Role.RECEIVER):
-            reply = self.agents[role].create_strategy()
-            self.outbound[role].append(reply)
-            self.strategies[role] = _strip_strategy_prefix(reply)
+        for seat in (self.proposer, self.receiver):
+            reply = seat.agent.create_strategy()
+            seat.outbound.append(reply)
+            self.strategies[seat.role] = _strip_strategy_prefix(reply)
 
-    def _request(self, role: Role, state: engine.GameState, extract, correction: str):
+    def _request(self, seat: _Seat, state: engine.GameState, extract, correction: str):
         """Ask for an action, allowing one corrective re-prompt rendered
         from the `correction` template."""
-        agent = self.agents[role]
         for attempt in range(2):
-            reply = agent.act(state)
-            self.outbound[role].append(reply)
+            reply = seat.agent.act(state)
+            seat.outbound.append(reply)
             value = extract(reply)
             if value is not None:
                 return value, reply
             if attempt == 0:
-                self.tell(role, prompts.render(correction), "correction")
+                seat.tell(prompts.render(correction), "correction")
         raise TurnOrderViolationError(
-            f"{role.value} failed to produce a usable action in round {state.round_index}"
+            f"{seat.role.value} failed to produce a usable action in round {state.round_index}"
         )
 
     def play(self) -> tuple[engine.RoundOutcome, ...]:
         """Play every round and return the final engine history."""
+        proposer, receiver = self.proposer, self.receiver
         state = engine.new_game(self.game)
         while not state.finished:
             offer, offer_reply = self._request(
-                Role.PROPOSER, state, self._extract_offer, "correct_offer"
+                proposer, state, self._extract_offer, "correct_offer"
             )
             state = engine.submit_offer(state, offer)
             decision, decision_reply = self._request(
-                Role.RECEIVER, state, extract_decision_reply, "correct_decision"
+                receiver, state, extract_decision_reply, "correct_decision"
             )
-            self.inbound[Role.PROPOSER].append(f"DECISION: {decision.value}")
-            self.inbound[Role.RECEIVER].append(f"OFFER: {format_money(offer)}")
+            proposer.inbound.append(f"DECISION: {decision.value}")
+            receiver.inbound.append(f"OFFER: {format_money(offer)}")
 
             state, outcome = engine.submit_decision(state, decision)
             announcement = prompts.render(
@@ -230,8 +260,8 @@ class _Moderator:
                 proposer_text=format_money(outcome.proposer_payoff),
                 receiver_text=format_money(outcome.receiver_payoff),
             )
-            for role in (Role.PROPOSER, Role.RECEIVER):
-                self.tell(role, announcement)
+            proposer.tell(announcement)
+            receiver.tell(announcement)
             self.rounds.append((outcome, offer_reply, decision_reply, announcement))
         return state.history
 
@@ -265,26 +295,25 @@ class _Moderator:
     def audit_information(self) -> None:
         """No message sent to or said by a player may contain the other
         player's private personality line."""
-        for role, opponent in (
-            (Role.PROPOSER, Role.RECEIVER),
-            (Role.RECEIVER, Role.PROPOSER),
-        ):
-            other = self.agents[opponent]
-            secret = private_bio(other.role, other.personality).lower()
-            for text in self.inbound[role]:
+        for seat, other in ((self.proposer, self.receiver), (self.receiver, self.proposer)):
+            secret = private_bio(other.role, other.agent.personality).lower()
+            who, whose = seat.role.value, other.role.value
+            for text in seat.inbound:
                 if secret in text.lower():
                     raise InformationLeakError(
-                        f"message to the {role.value} contains the {opponent.value}'s private profile"
+                        f"message to the {who} contains the {whose}'s private profile"
                     )
-            for text in self.outbound[role]:
+            for text in seat.outbound:
                 if secret in text.lower():
                     raise InformationLeakError(
-                        f"the {role.value} said the {opponent.value}'s private profile out loud"
+                        f"the {who} said the {whose}'s private profile out loud"
                     )
 
 
 def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> SimulationResult:
-    """Drive (proposer, receiver) through one moderated game and grade it."""
+    """Drive (proposer, receiver) through one moderated game and grade it.
+    The run's prompts and replies are built from the moderator's record
+    when the result's traffic is first read."""
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
         raise ValueError("agents must be (proposer, receiver)")
@@ -303,26 +332,28 @@ def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> Si
         rounds=rounds,
         raw_logs=moderator.logs(),
     )
-    # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
-    diagnostics = ParseDiagnostics(Confidence.EXACT)
-    verdict = evaluate_transcript(transcript)
+    return SimulationResult(
+        transcript,
+        evaluate_transcript(transcript),
+        # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
+        ParseDiagnostics(Confidence.EXACT),
+        serialize_canonical(transcript),
+        functools.partial(_moderated_traffic, moderator),
+    )
+
+
+def _moderated_traffic(moderator: _Moderator) -> tuple[Traffic, Traffic]:
+    """A moderated run's (prompts, replies): each player's labeled prompt
+    log (oracles keep none), then each player's replies, proposer first."""
     prompt_pairs: list[tuple[str, str]] = []
     replies: list[tuple[str, str]] = []
-    for role in (Role.PROPOSER, Role.RECEIVER):
-        name = role.value
+    for seat in (moderator.proposer, moderator.receiver):
+        name = seat.role.value
         prompt_pairs += [
-            (f"{name}/{label}", text)
-            for label, text in getattr(moderator.agents[role], "prompt_log", ())
+            (f"{name}/{label}", text) for label, text in getattr(seat.agent, "prompt_log", ())
         ]
-        replies += [(name, text) for text in moderator.outbound[role]]
-    return SimulationResult(
-        transcript=transcript,
-        verdict=verdict,
-        diagnostics=diagnostics,
-        canonical=serialize_canonical(transcript),
-        prompts=tuple(prompt_pairs),
-        replies=tuple(replies),
-    )
+        replies += [(name, text) for text in seat.outbound]
+    return tuple(prompt_pairs), tuple(replies)
 
 
 # ---------------------------------------------------------------------------

@@ -970,6 +970,8 @@ CANONICAL_TAG = "ultimatum-transcript"
 CANONICAL_VERSION = "v1"
 
 _DECODER = json.JSONDecoder()
+# Encodes strategy fields: sorted keys, no spaces, non-ASCII escaped.
+_FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _adjust_to_json(rule: AdjustRule | None):
@@ -1035,7 +1037,7 @@ def serialize_canonical(transcript: Transcript) -> str:
         f"pair={transcript.pair.label()} structure={transcript.structure.value}"
     ]
     for spec in transcript.strategies:
-        fields = json.dumps(_fields_to_json(spec), sort_keys=True, separators=(",", ":"))
+        fields = _FIELDS_ENCODER.encode(_fields_to_json(spec))
         lines.append(f"strategy {spec.role.value} {fields} {json.dumps(spec.raw_text)}")
     for o in transcript.rounds:
         lines.append(

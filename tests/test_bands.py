@@ -103,6 +103,15 @@ class TestSmallestPot:
         for grid in GRIDS:
             assert grid_classes(grid, MIN_POT, rounds) == {designed_class(grid, rounds)}, grid
 
+    @pytest.mark.parametrize("pot", range(MIN_POT, 20))
+    def test_pots_under_twenty_cents_concede_one_cent(self, pot):
+        # A twentieth of these pots rounds down to nothing: the oracles still
+        # concede one cent, and the largest concession graded as modest is
+        # three twentieths of the pot but never under one cent.
+        bands = bands_for(pot)
+        assert bands.oracle_step == 1
+        assert bands.step == (1, 1 if pot < 14 else 2)
+
     def test_plans_reject_a_smaller_pot(self):
         with pytest.raises(InvalidPlanError, match=f"at least {MIN_POT} cents"):
             plan_from_dict({"pot": MIN_POT - 1})

@@ -256,6 +256,30 @@ class TestRunBatch:
         assert verbose["prompts"][0][0] == "single_model"
         assert verbose["replies"][0][0] == "single_model"
 
+    @pytest.mark.parametrize("keep_prompts", [False, True])
+    def test_a_moderated_run_builds_its_traffic_only_when_kept(
+        self, fixtures_dir, monkeypatch, keep_prompts
+    ):
+        built = []
+        build = orchestrator._moderated_traffic
+
+        def counted(moderator):
+            built.append(moderator)
+            return build(moderator)
+
+        monkeypatch.setattr(orchestrator, "_moderated_traffic", counted)
+        folder = fixtures_dir / "replay"
+        batch = run_batch(
+            load_plan(folder / "plan.yaml"),
+            mode="replay",
+            gateway=ReplayGateway(folder / "recording.jsonl"),
+            keep_prompts=keep_prompts,
+        )
+        moderated = [r for r in batch.records if r["structure"] == "multi_agent"]
+        assert moderated and batch.failed_count == 0
+        assert len(built) == (len(moderated) if keep_prompts else 0)
+        assert all(("prompts" in r) is keep_prompts for r in batch.records)
+
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [

@@ -418,12 +418,16 @@ def _strip_strategy_prefix(reply):
 
 class LineByLineModerator:
     def __init__(self, proposer, receiver, game):
-        self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
+        # The seats run_multi_agent reads; the role-keyed dicts share their lists.
+        self.proposer = orchestrator._Seat(Role.PROPOSER, proposer)
+        self.receiver = orchestrator._Seat(Role.RECEIVER, receiver)
+        seats = (self.proposer, self.receiver)
+        self.agents = {seat.role: seat.agent for seat in seats}
         self.game = game
         self.strategies = {}
         self.log_lines = {Role.PROPOSER: [], Role.RECEIVER: []}
-        self.outbound = {Role.PROPOSER: [], Role.RECEIVER: []}
-        self.inbound = {Role.PROPOSER: [], Role.RECEIVER: []}
+        self.outbound = {seat.role: seat.outbound for seat in seats}
+        self.inbound = {seat.role: seat.inbound for seat in seats}
 
     def tell(self, role, message, label="announcement"):
         self.agents[role].receive(message, label)
@@ -520,7 +524,10 @@ def moderated_run(monkeypatch, moderator_cls, config, make_agents):
     monkeypatch.setattr(orchestrator, "_Moderator", Kept)
     result = run_multi_agent(config, make_agents())
     (moderator,) = moderators
-    return result, moderator.inbound, moderator.outbound
+    seats = (moderator.proposer, moderator.receiver)
+    told = {seat.role: seat.inbound for seat in seats}
+    said = {seat.role: seat.outbound for seat in seats}
+    return result, told, said
 
 
 def assert_moderators_agree(monkeypatch, config, make_agents):

@@ -126,6 +126,33 @@ class TestSubsequentRounds:
         assert Role.RECEIVER in holdout
         assert Role.RECEIVER not in gives_in
 
+    @pytest.mark.parametrize("offer,flagged", [(1, True), (0, False)])
+    def test_holding_out_against_a_one_cent_final_offer_is_flagged(self, offer, flagged):
+        # One cent is something over nothing; an empty offer is nothing.
+        offers, decisions = [25, 30, 35, 40, offer], [REJ] * 5
+        t = build_transcript(offers, decisions, pair="greedy-greedy", rounds=5)
+        rules = {
+            f.rule
+            for f in evaluate_transcript(without_plans(t)).per_round_flags
+            if f.round == 5 and f.role is Role.RECEIVER
+        }
+        assert rules == ({"final_round_capitulation"} if flagged else set())
+
+    @pytest.mark.parametrize(
+        "offers,decisions,flagged",
+        [
+            # The greedy ceiling at pot 100 is 51: rejecting exactly it raises it.
+            ([20, 51], [REJ, REJ], True),
+            ([20, 50], [REJ, REJ], False),
+            # Accepting 45 lowers the ceiling to 45.
+            ([45, 45], [ACC, REJ], True),
+            ([45, 44], [ACC, REJ], False),
+        ],
+    )
+    def test_rejecting_exactly_the_ceiling_is_flagged(self, offers, decisions, flagged):
+        receiver_flagged = Role.RECEIVER in self._flagged(offers, decisions, pair="greedy-greedy")
+        assert receiver_flagged is flagged
+
 
 class TestEvaluateTranscript:
     def test_clean_game_has_no_errors(self):

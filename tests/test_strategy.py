@@ -254,6 +254,18 @@ class TestPrescribedAction:
         assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=1) == PrescribedDecision(Decision.ACCEPT)
         assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=0) == PrescribedDecision(Decision.REJECT)
 
+    def test_final_round_accept_any_nonzero_lowers_a_named_threshold(self):
+        # The plan names a threshold for the final round too; the rule
+        # still takes a single cent there.
+        plan = ReceiverStrategy(
+            threshold=40, final_round_rule=FinalRoundRule.ACCEPT_ANY_NONZERO
+        )
+        t = build_transcript([10, 10, 10, 10], [REJ, REJ, REJ, REJ], rounds=5)
+        spec = receiver_spec(plan)
+        assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=1) == PrescribedDecision(Decision.ACCEPT)
+        assert prescribed_action(spec, CONFIG, t.rounds, 5, pending_offer=0) == PrescribedDecision(Decision.REJECT)
+        assert prescribed_action(spec, CONFIG, t.rounds, 4, pending_offer=39) == PrescribedDecision(Decision.REJECT)
+
     def test_final_round_keeps_the_previous_threshold(self):
         plan = ReceiverStrategy(
             round_thresholds={1: 65, 2: 65, 3: 65, 4: 65},
