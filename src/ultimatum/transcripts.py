@@ -110,6 +110,21 @@ class Transcript:
     raw_logs: tuple[tuple[str, str], ...] = ()
 
 
+# The log and reply patterns run over every line and log, so where it pays
+# each opens with a test that lets `re` pass over, in C, the positions where
+# it cannot start. `re` does so only for a pattern that opens with a
+# character class outside IGNORECASE. So a word read case-insensitively
+# opens with its first letter in both cases plus whatever else Python's case
+# folding maps to that letter (U+017F, long s, for "s"; U+212A, the Kelvin
+# sign, for "k"), then `(?<!\w.)` where the word used to open with "\b",
+# then the rest of the word under `(?i:...)`. The amount pattern, whose
+# groups start where the match does, opens with a one-character lookahead
+# instead, which still fails sooner than the whole pattern. Each rewritten
+# pattern matches exactly as the plain form it replaced:
+# tests/test_parse_equivalence.py keeps the plain forms and checks each
+# pair against each other.
+
+
 # ---------------------------------------------------------------------------
 # Money amounts
 # ---------------------------------------------------------------------------
@@ -117,13 +132,16 @@ class Transcript:
 # Alternatives are ordered so "$0.50" is consumed whole rather than as "$0".
 # Accepted forms: $0.50  $.50  $1  $1.25  $1,250.00  50 cents  5 cents  45¢
 # A comma counts as a thousands separator only before exactly three digits,
-# so "$1,250" is 125000 cents while "$1,25" stays "$1".
+# so "$1,250" is 125000 cents while "$1,25" stays "$1". Every amount starts
+# with "$" or a digit, and the lookahead says so first.
 _AMOUNT_RE = re.compile(
     r"""
+    (?=[$\d])(?:
       \$(?P<dollars>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\.(?P<frac>\d{1,2})   # $0.50, $1.25, $1.5
     | \$\.(?P<frac_only>\d{1,2})                                   # $.50
     | \$(?P<whole>\d{1,3}(?:,\d{3})+(?!\d)|\d+)                       # $1, $1,250
     | (?<!\d)(?P<cents>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\s*(?:cents?\b|¢)  # 50 cents, 45¢
+    )
     """,
     re.VERBOSE | re.IGNORECASE,
 )
@@ -230,8 +248,11 @@ def _is_marker_line(line: str) -> bool:
 # Round segmentation
 # ---------------------------------------------------------------------------
 
+# A heading starts a line, and "^" is already one cheap test per position:
+# the first character of a heading may be a space or any punctuation, so a
+# first-character class would let through more than it rules out.
 _ROUND_HEADING_RE = re.compile(r"^[^\w\n]*round\s+(\d+)\b", re.IGNORECASE | re.MULTILINE)
-_ROUND_INLINE_RE = re.compile(r"\bround\s+(\d+)\b", re.IGNORECASE)
+_ROUND_INLINE_RE = re.compile(r"[Rr](?<!\w.)(?i:ound\s+(\d+)\b)")
 
 
 def _round_candidates(text: str) -> list[tuple[int, int, int]]:
@@ -298,9 +319,17 @@ def _round_chain(text: str, rounds: int) -> list[tuple[int, int, int]]:
 # Per-segment extraction
 # ---------------------------------------------------------------------------
 
-_OFFER_VERB_RE = re.compile(r"\b(offer|offers|offered|offering|propose|proposes|proposed|proposing)\b", re.IGNORECASE)
-_OFFER_SKIP_RE = re.compile(r"threshold|strateg", re.IGNORECASE)
-_PAYOFF_LINE_RE = re.compile(r"\b(receive|receives|received|gets|get|earn|earns|payoff|pocket|pockets|keeps)\b", re.IGNORECASE)
+# offer|offers|offered|offering|propose|proposes|proposed|proposing, as whole words
+_OFFER_VERB_RE = re.compile(
+    r"([OoPp](?<!\w.)(?i:(?<=o)ffer(?:s|ed|ing)?|(?<=p)ropos(?:e|es|ed|ing)))\b"
+)
+# threshold|strateg
+_OFFER_SKIP_RE = re.compile(r"[TtSs\u017f](?i:(?<=t)hreshold|(?<=s)trateg)")
+# receive|receives|received|gets|get|earn|earns|payoff|pocket|pockets|keeps, as whole words
+_PAYOFF_LINE_RE = re.compile(
+    r"([RrGgEePpKk\u212a](?<!\w.)"
+    r"(?i:(?<=r)eceive[sd]?|(?<=g)ets?|(?<=e)arns?|(?<=p)(?:ayoff|ockets?)|(?<=k)eeps))\b"
+)
 
 
 def _unlabel(line: str) -> str:
@@ -788,8 +817,9 @@ def _strategy_marker_blocks(pre: str) -> dict[Role, str]:
     return blocks
 
 
-_SECTION_WORD_RE = re.compile(r"\b(proposer|receiver)\b", re.IGNORECASE)
-_STRATEGY_WORD_RE = re.compile(r"strateg", re.IGNORECASE)
+# proposer|receiver, as whole words
+_SECTION_WORD_RE = re.compile(r"([PpRr](?<!\w.)(?i:(?<=p)roposer|(?<=r)eceiver))\b")
+_STRATEGY_WORD_RE = re.compile(r"[Ss\u017f](?i:trateg)")
 
 
 def _player_sections(pre: str) -> tuple[str, str]:
@@ -1058,8 +1088,9 @@ def _parse_kv(token: str, key: str) -> str:
 def _read_json_pair(rest: str) -> tuple[object, object]:
     try:
         first, idx = _DECODER.raw_decode(rest)
-        second, end = _DECODER.raw_decode(rest[idx:].lstrip(), 0)
-        trailing = rest[idx:].lstrip()[end:].strip()
+        tail = rest[idx:].lstrip()
+        second, end = _DECODER.raw_decode(tail, 0)
+        trailing = tail[end:].strip()
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"bad JSON payload: {exc}") from None
     if trailing:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import FIXTURES
 from ultimatum.agents import DEVIATION_ROUND
-from ultimatum.cli import EXIT_USAGE, main
+from ultimatum.cli import EXIT_OK, EXIT_USAGE, main
 from ultimatum.experiment import InvalidPlanError, plan_from_dict, run_batch
 from ultimatum.strategy import MIN_POT, Personality, bands_for
 
@@ -111,6 +111,25 @@ class TestSmallestPot:
         bands = bands_for(pot)
         assert bands.oracle_step == 1
         assert bands.step == (1, 1 if pot < 14 else 2)
+
+    @pytest.mark.parametrize("pot", range(MIN_POT, 41))
+    def test_a_greedy_receiver_holds_out_for_eleven_twentieths_and_over_half(self, pot):
+        # The smallest threshold that is both: under 20 cents, eleven
+        # twentieths is not over half, and the hold is one cent over half.
+        def holds(cents):
+            return cents >= 11 * pot // 20 and 2 * cents > pot
+
+        hold = bands_for(pot).greedy_hold
+        assert holds(hold) and not holds(hold - 1)
+
+    def test_a_plan_at_five_cents_runs_and_one_at_four_is_a_usage_error(self, tmp_path):
+        for pot, code in ((5, EXIT_OK), (4, EXIT_USAGE)):
+            plan = tmp_path / f"pot{pot}.yaml"
+            plan.write_text(f"runs_per_cell: 1\npot: {pot}\nrounds: 1\n", encoding="utf-8")
+            out = tmp_path / f"pot{pot}.jsonl"
+            assert main(["run", "--plan", str(plan), "--out", str(out)]) == code, pot
+        assert (tmp_path / "pot5.jsonl").exists()
+        assert not (tmp_path / "pot4.jsonl").exists()
 
     def test_plans_reject_a_smaller_pot(self):
         with pytest.raises(InvalidPlanError, match=f"at least {MIN_POT} cents"):

@@ -6,6 +6,8 @@ definition the marker-first reading must match. Both log parsers read
 their rounds through one shared round reader; the references below are
 the two parsers as they were written before, each with its own loop, and
 the shared reading must give the same transcripts, diagnostics and errors.
+The log and reply patterns that open with a first-character test must
+match exactly as the plain forms they replaced, which are kept below.
 Strategy texts are parsed through a process-wide cache, which must agree
 with an uncached parse and must not let one caller's plan leak into
 another's. Single agent replies are read through process-wide caches too,
@@ -15,12 +17,15 @@ which must agree with an uncached reading.
 import dataclasses
 import json
 import pickle
+import re
+import string
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ultimatum import engine
+from ultimatum import engine, transcripts
 from ultimatum.agents import Flaw, ReplayGateway, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig, format_money
 from ultimatum.experiment import load_plan, run_batch
@@ -683,3 +688,169 @@ def test_agent_log_parse_matches_its_own_loop(case, pair):
     assert _outcome(parse_agent_log, logs, pair, config) == _outcome(
         ref_parse_agent_log, logs, pair, config
     )
+
+
+# ---------------------------------------------------------------------------
+# Patterns that open with a first-character test
+# ---------------------------------------------------------------------------
+
+# The plain forms of the rewritten patterns, verbatim as they read before
+# each was made to open with a first-character class or lookahead.
+PLAIN_PATTERNS = {
+    "_AMOUNT_RE": re.compile(
+        r"""
+      \$(?P<dollars>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\.(?P<frac>\d{1,2})   # $0.50, $1.25, $1.5
+    | \$\.(?P<frac_only>\d{1,2})                                   # $.50
+    | \$(?P<whole>\d{1,3}(?:,\d{3})+(?!\d)|\d+)                       # $1, $1,250
+    | (?<!\d)(?P<cents>\d{1,3}(?:,\d{3})+(?!\d)|\d+)\s*(?:cents?\b|¢)  # 50 cents, 45¢
+    """,
+        re.VERBOSE | re.IGNORECASE,
+    ),
+    "_ROUND_INLINE_RE": re.compile(r"\bround\s+(\d+)\b", re.IGNORECASE),
+    "_OFFER_VERB_RE": re.compile(r"\b(offer|offers|offered|offering|propose|proposes|proposed|proposing)\b", re.IGNORECASE),
+    "_OFFER_SKIP_RE": re.compile(r"threshold|strateg", re.IGNORECASE),
+    "_PAYOFF_LINE_RE": re.compile(r"\b(receive|receives|received|gets|get|earn|earns|payoff|pocket|pockets|keeps)\b", re.IGNORECASE),
+    "_SECTION_WORD_RE": re.compile(r"\b(proposer|receiver)\b", re.IGNORECASE),
+    "_STRATEGY_WORD_RE": re.compile(r"strateg", re.IGNORECASE),
+}
+
+# The words each pattern reads.
+_PATTERN_WORDS = {
+    "_AMOUNT_RE": ("cent", "cents"),
+    "_ROUND_INLINE_RE": ("round", "rounds"),
+    "_OFFER_VERB_RE": (
+        "offer", "offers", "offered", "offering", "propose", "proposes", "proposed", "proposing",
+    ),
+    "_OFFER_SKIP_RE": ("threshold", "strategy", "strateg"),
+    "_PAYOFF_LINE_RE": (
+        "receive", "receives", "received", "gets", "get", "earn", "earns",
+        "payoff", "pocket", "pockets", "keeps",
+    ),
+    "_SECTION_WORD_RE": ("proposer", "receiver"),
+    "_STRATEGY_WORD_RE": ("strategy", "strateg"),
+}
+
+# Every spelling Python's case folding accepts for a letter: both cases,
+# plus U+017F (long s) for "s", U+212A (Kelvin sign) for "k", and U+0130
+# (capital I with dot) and U+0131 (dotless i) for "i".
+_SPELLINGS = {c: (c, c.upper()) for c in string.ascii_lowercase}
+_SPELLINGS["s"] += ("\u017f",)
+_SPELLINGS["k"] += ("\u212a",)
+_SPELLINGS["i"] += ("\u0130", "\u0131")
+
+
+def _near_misses(words):
+    """The words cut short, or run on into more word characters."""
+    out = []
+    for word in words:
+        out += [word[:n] for n in range(1, len(word))]
+        out += [word + "s", word + "er", "x" + word, word + "_"]
+    return out
+
+
+def _spellings(word):
+    """The word with its first letter spelled each way case folding accepts,
+    and the rest in lower case, in upper case, in alternating case, or with
+    each letter in its last spelling (long s, Kelvin sign, dotless i)."""
+    head, rest = word[0], word[1:]
+    tails = (
+        rest,
+        rest.upper(),
+        "".join(c.upper() if i % 2 else c for i, c in enumerate(rest)),
+        "".join(_SPELLINGS.get(c, (c,))[-1] for c in rest),
+    )
+    return [first + tail for first in _SPELLINGS.get(head, (head,)) for tail in tails]
+
+
+# Digits include Arabic-Indic three and fullwidth five, which `\d` reads.
+_numbers = st.text(alphabet="0123456789٣５,.", min_size=1, max_size=9)
+_noise = st.sampled_from(
+    (" ", "  ", "\t", "\n", "$", "$.", ",", ".", "¢", "[", "]", "(", "*", "'", "-", "_",
+     "x", "é", "\u212a", "\u017f", "\u0130", "\u0131", "٣", "５")
+)
+
+
+def pattern_texts(name):
+    words = _PATTERN_WORDS[name]
+    whole = st.sampled_from([w for word in words for w in _spellings(word)])
+    near = st.sampled_from([w for word in _near_misses(words) for w in _spellings(word)])
+    token = st.one_of(whole, whole, near, _numbers, _noise, st.just(" "))
+    return st.lists(token, min_size=1, max_size=16).map("".join)
+
+
+def _found(m):
+    return None if m is None else (m.span(), m.groups())
+
+
+def _assert_same_matches(new, plain, text):
+    """finditer over the text, and search and match from every position,
+    find the same spans and groups."""
+    assert [_found(m) for m in new.finditer(text)] == [_found(m) for m in plain.finditer(text)]
+    for pos in range(len(text) + 1):
+        assert _found(new.search(text, pos)) == _found(plain.search(text, pos)), pos
+        assert _found(new.match(text, pos)) == _found(plain.match(text, pos)), pos
+
+
+@pytest.mark.parametrize("name", PLAIN_PATTERNS)
+def test_rewritten_pattern_matches_as_its_plain_form(name):
+    new, plain = getattr(transcripts, name), PLAIN_PATTERNS[name]
+
+    @settings(max_examples=250)
+    @given(text=pattern_texts(name))
+    def check(text):
+        _assert_same_matches(new, plain, text)
+
+    check()
+
+
+_PATTERN_EDGES = (
+    "\u212aeeps $0.50",
+    "ſtrategy and ſTRATEG",
+    "PROPOſED 45¢",
+    "Rounds ٣ and ROUND ５.",
+    "xround 1, _round 2, round 3x, [round 4]",
+    "٣٣ cents, ５¢, $٣.５５, $1,250.00, $1,25",
+    "receiver's proposer-receiver payoff\npockets",
+    "offeRING|Offered|offer_|preoffer",
+    "the Proposer receives 60 cents and the receiver receives $.40",
+    "THRESHOLD thresholİ threshoıd",
+)
+
+
+@pytest.mark.parametrize("name", PLAIN_PATTERNS)
+@pytest.mark.parametrize("text", _PATTERN_EDGES)
+def test_rewritten_pattern_matches_as_its_plain_form_on_edge_cases(name, text):
+    _assert_same_matches(getattr(transcripts, name), PLAIN_PATTERNS[name], text)
+
+
+# Each word is also read alone, at the start or end of a text, and run
+# into word characters, digits and punctuation on either side.
+_WORD_CONTEXTS = (
+    "{}", " {} ", "x{}", "{}x", "_{}", "{}_", "é{}", "٣{}", "12 {}", "{} ５.", "[{}]", "\n{}\n", "$.{}",
+    "x{} 5", "_{}\t٣", "{} 12x", "{} ５ ",
+)
+
+
+@pytest.mark.parametrize("name", PLAIN_PATTERNS)
+def test_rewritten_pattern_reads_every_word_as_its_plain_form(name):
+    """Every word and near miss, its first letter spelled each way case
+    folding accepts, in each context."""
+    new, plain = getattr(transcripts, name), PLAIN_PATTERNS[name]
+    words = _PATTERN_WORDS[name]
+    for word in list(words) + _near_misses(words):
+        for first in _SPELLINGS.get(word[0], (word[0],)):
+            for context in _WORD_CONTEXTS:
+                _assert_same_matches(new, plain, context.format(first + word[1:]))
+
+
+def test_the_spellings_are_every_case_fold_of_each_letter():
+    """The generator's spellings are exactly what IGNORECASE accepts for
+    each letter, found by trying every code point."""
+    letter = re.compile("[a-z]", re.IGNORECASE)
+    folds = {c: set() for c in string.ascii_lowercase}
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        if letter.fullmatch(ch):
+            for c in folds:
+                if re.fullmatch(c, ch, re.IGNORECASE):
+                    folds[c].add(ch)
+    assert folds == {c: set(_SPELLINGS[c]) for c in folds}

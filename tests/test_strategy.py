@@ -298,6 +298,14 @@ class TestPrescribedAction:
         with pytest.raises(ValueError):
             prescribed_action(proposer_spec(FULL_PROPOSER), CONFIG, [], 3)
 
+    @pytest.mark.parametrize(
+        "spec, pending", [(proposer_spec(FULL_PROPOSER), None), (receiver_spec(FULL_RECEIVER), 50)]
+    )
+    def test_a_history_one_round_short_is_refused(self, spec, pending):
+        t = build_transcript([50], [REJ])
+        with pytest.raises(ValueError, match="history has 1 rounds, need 2"):
+            prescribed_action(spec, CONFIG, t.rounds, 3, pending_offer=pending)
+
 
 class TestAdherence:
     def test_clean_oracle_game_is_adherent(self):
@@ -329,6 +337,12 @@ class TestAdherence:
         t = build_transcript([50], [ACC])
         with pytest.raises(ValueError):
             check_adherence((t.strategies[1], t.strategies[0]), t)
+
+    @pytest.mark.parametrize("roles", [(0, 0), (1, 1)], ids=["two proposers", "two receivers"])
+    def test_each_spec_must_hold_its_own_role(self, roles):
+        t = build_transcript([50], [ACC])
+        with pytest.raises(ValueError, match="specs must be"):
+            check_adherence(tuple(t.strategies[i] for i in roles), t)
 
 
 class TestOracleTexts:
