@@ -24,13 +24,13 @@ import hashlib
 import json
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-
-import requests as _requests
+from typing import TYPE_CHECKING
 
 from . import prompts
 from .engine import GameConfig, GameState, format_money
@@ -49,6 +49,9 @@ from .strategy import (
     bands_for,
     prescribed_action,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "ULTIMATUM_API_KEY"
 TIMEOUT_S = 60.0
@@ -175,14 +178,20 @@ class HttpGateway(Gateway):
         self,
         endpoint: str,
         backoff: float = 1.0,
-        session: "_requests.Session | None" = None,
+        session: requests.Session | None = None,
         sleep=time.sleep,
     ) -> None:
         super().__init__()
         self.endpoint = endpoint
         self.api_key = os.environ.get(API_KEY_ENV, "")
         self.backoff = backoff
-        self.session = session if session is not None else _requests.Session()
+        if session is None:
+            # Imported here, so that a process that never builds a session
+            # of its own (offline runs, grading, reports) never loads requests.
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
@@ -202,7 +211,12 @@ class HttpGateway(Gateway):
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=TIMEOUT_S
                 )
-            except _requests.RequestException as exc:
+            except OSError as exc:
+                # requests' exceptions are OSErrors, and only a loaded requests
+                # can have raised one; any other error is not retried.
+                loaded = sys.modules.get("requests")
+                if loaded is None or not isinstance(exc, loaded.RequestException):
+                    raise
                 # A malformed URL or header (requests raises these as ValueError too) never heals.
                 if isinstance(exc, ValueError):
                     raise GatewayError(f"bad request: {exc}") from exc

@@ -22,15 +22,12 @@ import json
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
-
-import yaml
 
 from .agents import (
     Flaw,
@@ -214,10 +211,31 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    """Load and validate a YAML plan file."""
+    """Load and validate a YAML plan file. A mapping that names one key
+    twice, at any depth, is refused rather than read as its last value."""
+    # Imported here: only commands that read a plan file load PyYAML.
+    import yaml
+
+    class PlanLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            lines: dict = {}
+            for key_node, _ in node.value:
+                # A plan names scalar keys; a "<<" key merges in another mapping.
+                merge = key_node.tag == "tag:yaml.org,2002:merge"
+                if merge or not isinstance(key_node, yaml.ScalarNode):
+                    continue
+                key = self.construct_object(key_node)
+                line = key_node.start_mark.line + 1
+                if key in lines:
+                    raise InvalidPlanError(
+                        f"plan file repeats key {key!r} on line {line} (first on line {lines[key]})"
+                    )
+                lines[key] = line
+            return super().construct_mapping(node, deep)
+
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=PlanLoader)
     except OSError as exc:
         raise InvalidPlanError(f"cannot read plan file: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -523,6 +541,9 @@ def run_batch(
     if max_workers <= 1 or len(jobs) <= 1:
         records = [execute(job) for job in jobs]
     else:
+        # Imported here: a batch on one worker starts no thread pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(execute, jobs))
     elapsed = time.perf_counter() - started

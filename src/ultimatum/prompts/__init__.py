@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 
 _ROUND_WORDS = {
     1: "one", 2: "two", 3: "three", 4: "four", 5: "five",
@@ -22,9 +21,18 @@ def rounds_word(rounds: int) -> str:
     return _ROUND_WORDS.get(rounds, str(rounds))
 
 
+def _resource(name: str):
+    """A file of this package."""
+    # Imported here: commands that render no prompt (grading, reports)
+    # never load importlib.resources.
+    from importlib import resources
+
+    return resources.files(__package__).joinpath(name)
+
+
 @lru_cache(maxsize=1)
 def manifest() -> dict:
-    with resources.files(__package__).joinpath("manifest.json").open("r", encoding="utf-8") as fh:
+    with _resource("manifest.json").open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -33,8 +41,7 @@ def load_template(name: str) -> str:
     entry = manifest()["templates"].get(name)
     if entry is None:
         raise KeyError(f"unknown prompt template {name!r}")
-    path = resources.files(__package__).joinpath(entry["file"])
-    return path.read_text(encoding="utf-8").strip()
+    return _resource(entry["file"]).read_text(encoding="utf-8").strip()
 
 
 def render(template: str, /, **slots) -> str:

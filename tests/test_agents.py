@@ -322,6 +322,22 @@ class TestHttpGateway:
             gateway.complete("m", MESSAGES, PARAMS)
         assert (len(session.calls), gateway.retries, sleeps) == (1, 0, [])
 
+    @pytest.mark.parametrize("error", [RuntimeError("session bug"), ConnectionResetError("reset")])
+    def test_an_error_that_is_not_from_requests_fails_at_once(self, error):
+        # Only requests' own errors are endpoint failures; a plain OSError is not one.
+        sleeps = []
+        session = FakeSession([error, ok_response("never read")])
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=sleeps.append)
+        with pytest.raises(type(error)) as raised:
+            gateway.complete("m", MESSAGES, PARAMS)
+        assert raised.value is error
+        assert (len(session.calls), gateway.retries, sleeps) == (1, 0, [])
+
+    def test_a_gateway_given_no_session_builds_a_requests_session(self):
+        gateway = HttpGateway("http://example.invalid/v1")
+        with gateway.session:
+            assert type(gateway.session) is requests.Session
+
     @pytest.mark.parametrize(
         "endpoint", ["localhost:8000/v1/chat/completions", "ftp://x/y", "http://", "5"]
     )

@@ -91,6 +91,28 @@ class TestRunCommand:
         assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
         assert "unknown plan keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("pot: 100\npot: 200\n", "error: plan file repeats key 'pot' on line 2 (first on line 1)\n"),
+            (
+                "sampling:\n  temperature: 0.3\n  top_p: 0.9\n  temperature: 0.4\n",
+                "error: plan file repeats key 'temperature' on line 4 (first on line 2)\n",
+            ),
+            (
+                "runs_per_cell: 1\nflaws: {proposer: deviator, proposer: incomplete}\n",
+                "error: plan file repeats key 'proposer' on line 2 (first on line 2)\n",
+            ),
+        ],
+    )
+    def test_a_repeated_plan_key_is_a_usage_error(self, tmp_path, capsys, text, error):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(text, encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
     def test_non_finite_sampling_is_a_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.yaml"
         plan.write_text("sampling: {temperature: .nan}\n", encoding="utf-8")

@@ -160,6 +160,20 @@ class TestPlanValidation:
         with pytest.raises(InvalidPlanError, match="not valid YAML"):
             load_plan(path)
 
+    def test_load_plan_reads_distinct_keys_at_every_depth(self, tmp_path):
+        # A key may appear once in each mapping, and a key a mapping sets
+        # over one it merges in ("<<") is not a repeat.
+        path = tmp_path / "plan.yaml"
+        path.write_text(
+            "runs_per_cell: 2\n"
+            "sampling: {<<: {temperature: 0.3, top_p: 0.1}, top_p: 0.4}\n"
+            "flaws: {proposer: deviator, receiver: none}\n",
+            encoding="utf-8",
+        )
+        plan = load_plan(path)
+        assert (plan.runs_per_cell, plan.sampling.temperature, plan.sampling.top_p) == (2, 0.3, 0.4)
+        assert plan.proposer_flaw is Flaw.DEVIATOR
+
     def test_load_plan_missing_file(self, tmp_path):
         with pytest.raises(InvalidPlanError, match="cannot read"):
             load_plan(tmp_path / "nope.yaml")
