@@ -24,6 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -239,7 +240,12 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     except OSError as exc:
         raise InvalidPlanError(f"cannot read plan file: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise InvalidPlanError(f"plan file is not valid YAML: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        if getattr(exc, "problem", None) and mark is not None:
+            where = f"{exc.problem} on line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            where = " ".join(str(exc).split())
+        raise InvalidPlanError(f"plan file is not valid YAML: {where}") from exc
     return plan_from_dict(data if data is not None else {})
 
 
@@ -344,12 +350,34 @@ def _record(
     return record
 
 
+# Stands in for a record's transcript while the rest of the record is
+# encoded; its JSON form is then replaced by the transcript's.
+_TRANSCRIPT_MARKER = "transcript-marker"
+_ENCODED_MARKER = json.dumps(_TRANSCRIPT_MARKER)
+
+
+def _record_line(record: dict, escaped: dict[str, str]) -> str:
+    """json.dumps(record, sort_keys=True), escaping the record's transcript
+    through `escaped` (JSON form by text), so that runs sharing a transcript
+    escape it once. A record whose other fields also encode the marker is
+    encoded whole."""
+    text = record.get("transcript")
+    if type(text) is str:
+        line = json.dumps({**record, "transcript": _TRANSCRIPT_MARKER}, sort_keys=True)
+        if line.count(_ENCODED_MARKER) == 1:
+            if text not in escaped:
+                escaped[text] = encode_basestring_ascii(text)
+            return line.replace(_ENCODED_MARKER, escaped[text])
+    return json.dumps(record, sort_keys=True)
+
+
 class RunStore:
     """Append-only JSON-lines store of run records.
 
     One `append` writes all its records, one line each, under one lock
     acquisition and one open of the file, so the lines of concurrent
-    appends never interleave and each call's lines stay together.
+    appends never interleave and each call's lines stay together. Each
+    line is `json.dumps(record, sort_keys=True)`.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -357,7 +385,8 @@ class RunStore:
         self._lock = threading.Lock()
 
     def append(self, *records: dict) -> None:
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        escaped: dict[str, str] = {}
+        lines = "".join(_record_line(record, escaped) + "\n" for record in records)
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(lines)
@@ -585,7 +614,7 @@ class GroupCounts:
     strategy_robust: int = 0
 
     def __add__(self, other: GroupCounts) -> GroupCounts:
-        return GroupCounts(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        return GroupCounts(*(getattr(self, name) + getattr(other, name) for name in _COUNT_FIELDS))
 
     @property
     def errors(self) -> int:
@@ -598,6 +627,9 @@ class GroupCounts:
     @property
     def gameplay_errors(self) -> int:
         return self.gameplay_only + self.both
+
+
+_COUNT_FIELDS = tuple(f.name for f in fields(GroupCounts))
 
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
@@ -621,7 +653,7 @@ def count_group(records: Iterable[dict]) -> GroupCounts:
         acc["both_complete"] += pc and rc
         acc["both_consistent"] += ps and rs
         acc["strategy_robust"] += pc and rc and ps and rs
-    return GroupCounts(**{f.name: acc.get(f.name, 0) for f in fields(GroupCounts)})
+    return GroupCounts(*(acc.get(name, 0) for name in _COUNT_FIELDS))
 
 
 Group = tuple[str, int, int]

@@ -58,6 +58,10 @@ class PersonalityPair:
     @classmethod
     def from_label(cls, label: str) -> "PersonalityPair":
         try:
+            return _PAIRS_BY_LABEL[label.lower()]
+        except (KeyError, TypeError):
+            pass  # not a pair's label: read it token by token, to raise as that does
+        try:
             p, r = label.lower().split("-")
             return cls(Personality(p), Personality(r))
         except ValueError:
@@ -67,6 +71,7 @@ class PersonalityPair:
 ALL_PAIRS = tuple(
     PersonalityPair(p, r) for p in Personality for r in Personality
 )
+_PAIRS_BY_LABEL = {pair.label(): pair for pair in ALL_PAIRS}
 
 
 class AdjustKind(enum.Enum):
@@ -321,6 +326,10 @@ class PrescribedDecision:
 
 PrescribedAction = Union[PrescribedOffer, PrescribedDecision]
 
+# A receiver's prescription is one of two values, so it is built once each.
+_PRESCRIBED_ACCEPT = PrescribedDecision(Decision.ACCEPT)
+_PRESCRIBED_REJECT = PrescribedDecision(Decision.REJECT)
+
 
 def prescribed_action(
     spec: StrategySpec,
@@ -367,7 +376,7 @@ def prescribed_action(
     threshold = _threshold(plan, round_no, config.rounds)
     if threshold is None:
         return None
-    return PrescribedDecision(Decision.ACCEPT if pending_offer >= threshold else Decision.REJECT)
+    return _PRESCRIBED_ACCEPT if pending_offer >= threshold else _PRESCRIBED_REJECT
 
 
 def _apply_adjust(rule: AdjustRule, prev_offer: Money, pot: Money) -> tuple[Money, Money]:

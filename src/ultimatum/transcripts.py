@@ -1003,6 +1003,37 @@ _DECODER = json.JSONDecoder()
 # Encodes strategy fields: sorted keys, no spaces, non-ASCII escaped.
 _FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# A round line as serialize_canonical writes it: ASCII digits (at most 18,
+# well inside int()'s digit limit) and a decision word. parse_canonical
+# reads any other round line token by token (_read_round_tokens), which
+# also reads what int() accepts beyond ASCII digits, such as "+5" or "0_5".
+_ROUND_LINE_RE = re.compile(
+    r"round ([0-9]{1,18}) offer=([0-9]{1,18}) decision=(accept|reject)"
+    r" payoffs=([0-9]{1,18})/([0-9]{1,18})"
+)
+_DECISIONS = {d.value: d for d in Decision}
+
+
+def _by_value(enum_cls: type[enum.Enum]):
+    """A function from a value to its enum_cls member, answered from a dict.
+    A value the dict does not hold, or cannot hash, goes to enum_cls itself,
+    which returns or raises as the plain enum call does."""
+    members = {member.value: member for member in enum_cls}
+
+    def member(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum_cls(value)
+
+    return member
+
+
+_role = _by_value(Role)
+_structure = _by_value(Structure)
+_adjust_kind = _by_value(AdjustKind)
+_final_round_rule = _by_value(FinalRoundRule)
+
 
 def _adjust_to_json(rule: AdjustRule | None):
     if rule is None:
@@ -1013,7 +1044,7 @@ def _adjust_to_json(rule: AdjustRule | None):
 def _adjust_from_json(obj) -> AdjustRule | None:
     if obj is None:
         return None
-    return AdjustRule(AdjustKind(obj["kind"]), obj.get("amount"))
+    return AdjustRule(_adjust_kind(obj["kind"]), obj.get("amount"))
 
 
 def _fields_to_json(spec: StrategySpec) -> dict:
@@ -1049,7 +1080,7 @@ def _fields_from_json(role: Role, obj: dict):
         return ReceiverStrategy(
             threshold=obj["threshold"],
             round_thresholds={int(k): v for k, v in obj["round_thresholds"].items()},
-            final_round_rule=None if rule is None else FinalRoundRule(rule),
+            final_round_rule=None if rule is None else _final_round_rule(rule),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise MalformedRecordError(f"bad strategy fields: {exc}") from None
@@ -1083,6 +1114,23 @@ def _parse_kv(token: str, key: str) -> str:
     if not token.startswith(key + "="):
         raise MalformedRecordError(f"expected {key}=..., got {token!r}")
     return token[len(key) + 1 :]
+
+
+def _read_round_tokens(line: str, rest: str) -> tuple[int, Money, Decision, tuple[Money, Money]]:
+    """(number, offer, decision, payoffs) of a round line read token by
+    token: the reading of any line that _ROUND_LINE_RE does not match."""
+    tokens = rest.split(" ")
+    if len(tokens) != 4:
+        raise MalformedRecordError(f"bad round line: {line!r}")
+    try:
+        number = int(tokens[0])
+        offer = int(_parse_kv(tokens[1], "offer"))
+        decision = Decision(_parse_kv(tokens[2], "decision"))
+        prop_pay, _, recv_pay = _parse_kv(tokens[3], "payoffs").partition("/")
+        payoffs = (int(prop_pay), int(recv_pay))
+    except ValueError as exc:
+        raise MalformedRecordError(f"bad round line: {exc}") from None
+    return number, offer, decision, payoffs
 
 
 def _read_json_pair(rest: str) -> tuple[object, object]:
@@ -1120,7 +1168,7 @@ def parse_canonical(text: str) -> Transcript:
             pot=int(_parse_kv(header[2], "pot")), rounds=int(_parse_kv(header[3], "rounds"))
         )
         pair = PersonalityPair.from_label(_parse_kv(header[4], "pair"))
-        structure = Structure(_parse_kv(header[5], "structure"))
+        structure = _structure(_parse_kv(header[5], "structure"))
     except (ValueError, engine.InvalidConfigError) as exc:
         raise MalformedRecordError(f"bad header values: {exc}") from None
 
@@ -1132,7 +1180,7 @@ def parse_canonical(text: str) -> Transcript:
         if kind == "strategy":
             role_token, _, payload = rest.partition(" ")
             try:
-                role = Role(role_token)
+                role = _role(role_token)
             except ValueError:
                 raise MalformedRecordError(f"bad strategy role {role_token!r}") from None
             fields, raw_text = _read_json_pair(payload)
@@ -1144,17 +1192,13 @@ def parse_canonical(text: str) -> Transcript:
         elif kind == "round":
             if raw_logs:
                 raise MalformedRecordError("round lines must precede rawlog lines")
-            tokens = rest.split(" ")
-            if len(tokens) != 4:
-                raise MalformedRecordError(f"bad round line: {line!r}")
-            try:
-                number = int(tokens[0])
-                offer = int(_parse_kv(tokens[1], "offer"))
-                decision = Decision(_parse_kv(tokens[2], "decision"))
-                prop_pay, _, recv_pay = _parse_kv(tokens[3], "payoffs").partition("/")
+            match = _ROUND_LINE_RE.fullmatch(line)
+            if match is None:
+                number, offer, decision, payoffs = _read_round_tokens(line, rest)
+            else:
+                number, offer, word, prop_pay, recv_pay = match.groups()
+                number, offer, decision = int(number), int(offer), _DECISIONS[word]
                 payoffs = (int(prop_pay), int(recv_pay))
-            except ValueError as exc:
-                raise MalformedRecordError(f"bad round line: {exc}") from None
             if number != len(rounds) + 1 or number > config.rounds:
                 raise MalformedRecordError(f"round {number} out of sequence")
             if not 0 <= offer <= config.pot:

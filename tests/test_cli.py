@@ -113,6 +113,32 @@ class TestRunCommand:
         assert capsys.readouterr().err == error
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("structures: [unclosed\n", "expected ',' or ']', but got '<stream end>' on line 2, column 1"),
+            ("pot: 100\n  rounds: 5\n", "mapping values are not allowed here on line 2, column 9"),
+            ("pot: @x\n", "found character '@' that cannot start any token on line 1, column 6"),
+        ],
+    )
+    def test_a_plan_that_is_not_yaml_is_one_error_line(self, tmp_path, capsys, text, problem):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(text, encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: plan file is not valid YAML: {problem}\n"
+        assert not out.exists()
+
+    def test_an_unreadable_character_in_a_plan_is_one_error_line(self, tmp_path, capsys):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("pot: 1\x00\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan file is not valid YAML: unacceptable character #x0000")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_sampling_is_a_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.yaml"
         plan.write_text("sampling: {temperature: .nan}\n", encoding="utf-8")

@@ -23,6 +23,7 @@ from ultimatum.experiment import (
     regrade_record,
     render_report,
     run_batch,
+    _TRANSCRIPT_MARKER,
     _record,
 )
 from ultimatum.orchestrator import (
@@ -640,7 +641,41 @@ LINE_A = json.dumps(stored_record(run_id="a"))
 LINE_B = json.dumps(stored_record(run_id="b"))
 
 
+# Texts that hold the marker RunStore.append stands in for a transcript,
+# as a whole, quoted as its JSON form is, or inside other text.
+marker_texts = st.sampled_from(
+    [_TRANSCRIPT_MARKER, f'"{_TRANSCRIPT_MARKER}"', f'say "{_TRANSCRIPT_MARKER}', "transcript"]
+) | st.builds(lambda a, b: a + _TRANSCRIPT_MARKER + b, st.text(max_size=5), st.text(max_size=5))
+texts = marker_texts | st.text(max_size=40)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def record_batches(draw):
+    """Records to append in one call: nested fields, and transcripts drawn
+    from a small pool (so records share them) or of another type or absent."""
+    pool = draw(st.lists(texts, min_size=1, max_size=3))
+    fields = st.dictionaries(texts, json_values, max_size=4)
+    with_transcript = st.builds(
+        lambda record, transcript: {**record, "transcript": transcript},
+        fields,
+        st.sampled_from(pool) | json_values,
+    )
+    return draw(st.lists(with_transcript | fields, max_size=6))
+
+
 class TestRunStore:
+    @given(records=record_batches())
+    def test_each_line_is_the_record_dumped_with_sorted_keys(self, tmp_path_factory, records):
+        store = RunStore(tmp_path_factory.mktemp("store") / "runs.jsonl")
+        store.append(*records)
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        assert store.path.read_text(encoding="utf-8") == expected
+
     def test_append_and_load_round_trip(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
         store.append(stored_record(run_id="a"))
