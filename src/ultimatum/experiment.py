@@ -160,6 +160,14 @@ _PLAN_KEYS = {
 _SAMPLING_KEYS = {f.name for f in fields(SamplingParams)}
 
 
+def _plan_pair(label: object) -> PersonalityPair:
+    """One item of a plan's `pairs`: a label, which YAML may hand over as
+    a number, null, list or mapping."""
+    if type(label) is not str:
+        raise ValueError(f"bad personality pair label: {label!r}")
+    return PersonalityPair.from_label(label)
+
+
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from plain mapping data (typically parsed YAML)."""
     if not isinstance(data, dict):
@@ -174,7 +182,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         raw = data.get("structures", "all")
         structures = ExperimentPlan.structures if raw == "all" else tuple(map(Structure, raw))
         raw = data.get("pairs", "all")
-        pairs = ALL_PAIRS if raw == "all" else tuple(map(PersonalityPair.from_label, raw))
+        pairs = ALL_PAIRS if raw == "all" else tuple(map(_plan_pair, raw))
         game = GameConfig(
             pot=data.get("pot", DEFAULT_POT), rounds=data.get("rounds", DEFAULT_ROUNDS)
         )
@@ -235,7 +243,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             return super().construct_mapping(node, deep)
 
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
+        # Read as bytes: PyYAML decodes them, and a byte that is not text is
+        # then a YAMLError naming the file, like any other bad character.
+        with Path(path).open("rb") as fh:
             data = yaml.load(fh, Loader=PlanLoader)
     except OSError as exc:
         raise InvalidPlanError(f"cannot read plan file: {exc}") from exc
@@ -494,11 +504,14 @@ def run_batch(
     players play every run.
 
     Within one batch, each distinct single-model reply (with its pair and
-    game) is parsed, graded and serialized once; later runs that receive
-    the same reply reuse that grade. Every single-model run still renders
-    its prompt and calls its gateway, every run gets its own record, and
-    the records are the same as when each run plays and is graded on its
-    own.
+    game) is parsed, graded and serialized once, and so is each distinct
+    game that model-backed players play (see `run_multi_agent` for what
+    makes two games the same); later runs that receive the same reply or
+    play the same game reuse that grade. Every run still renders its
+    prompts and calls its gateway, every multi-agent run passes its own
+    information audit and keeps its own traffic, every run gets its own
+    record, and the records are the same as when each run plays and is
+    graded on its own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -547,9 +560,9 @@ def run_batch(
                 )
             )
 
-    # Grades of the single-model replies seen in this batch. Two worker
-    # threads may both miss on one reply and both parse it; they store equal
-    # values, so the dict needs no lock.
+    # Grades of the single-model replies and model-backed games seen in this
+    # batch. Two worker threads may both miss on one key and both grade it;
+    # they store equal values, so the dict needs no lock.
     graded: dict = {}
 
     def execute(job: tuple) -> dict:
@@ -560,7 +573,9 @@ def run_batch(
             if isinstance(outcome, Gateway) and config.structure is Structure.SINGLE_MODEL:
                 outcome = run_single_model(config, outcome, graded=graded)
             elif isinstance(outcome, Gateway):
-                outcome = run_multi_agent(config, make_model_agents(config, outcome))
+                outcome = run_multi_agent(
+                    config, make_model_agents(config, outcome), graded=graded
+                )
         except RUN_FAILURES as exc:
             outcome = exc
         return _record(run_id, config, outcome, time.perf_counter() - started, keep_prompts)

@@ -310,10 +310,28 @@ class _Moderator:
                     )
 
 
-def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> SimulationResult:
+def run_multi_agent(
+    config: SimulationConfig,
+    agents: tuple[Agent, Agent],
+    *,
+    graded: dict | None = None,
+) -> SimulationResult:
     """Drive (proposer, receiver) through one moderated game and grade it.
     The run's prompts and replies are built from the moderator's record
-    when the result's traffic is first read."""
+    when the result's traffic is first read.
+
+    `graded`, when given, maps (pair, game, proposer strategy text,
+    receiver strategy text, the accepted (offer reply, decision reply) of
+    each round) to the (transcript, verdict, canonical text) of a game
+    already graded. That key determines the transcript: the strategy texts
+    are parsed against the game, the engine replays the actions read from
+    the accepted replies into the rounds, and the per-agent logs hold only
+    those texts, the rounds and each role's fixed plan. A game found there
+    is not built, graded or serialized again; one that grades is added.
+    Every run still plays through the moderator and passes its own
+    information audit, and its traffic is its own. A run that raises is
+    never stored, so every run that plays the same game raises.
+    """
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
         raise ValueError("agents must be (proposer, receiver)")
@@ -321,23 +339,36 @@ def run_multi_agent(config: SimulationConfig, agents: tuple[Agent, Agent]) -> Si
     moderator.strategy_phase()
     rounds = moderator.play()
     moderator.audit_information()
-    transcript = Transcript(
-        config=config.game,
-        pair=config.pair,
-        structure=Structure.MULTI_AGENT,
-        strategies=tuple(
-            StrategySpec(role, text, parse_strategy_text(text, role, config.game))
-            for role, text in moderator.strategies.items()
-        ),
-        rounds=rounds,
-        raw_logs=moderator.logs(),
+    if graded is None:
+        graded = {}
+    strategies = moderator.strategies
+    key = (
+        config.pair,
+        config.game,
+        strategies[Role.PROPOSER],
+        strategies[Role.RECEIVER],
+        tuple((offer, decision) for _, offer, decision, _ in moderator.rounds),
     )
+    if key not in graded:
+        transcript = Transcript(
+            config=config.game,
+            pair=config.pair,
+            structure=Structure.MULTI_AGENT,
+            strategies=tuple(
+                StrategySpec(role, text, parse_strategy_text(text, role, config.game))
+                for role, text in strategies.items()
+            ),
+            rounds=rounds,
+            raw_logs=moderator.logs(),
+        )
+        graded[key] = (transcript, evaluate_transcript(transcript), serialize_canonical(transcript))
+    transcript, verdict, canonical = graded[key]
     return SimulationResult(
         transcript,
-        evaluate_transcript(transcript),
+        verdict,
         # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
         ParseDiagnostics(Confidence.EXACT),
-        serialize_canonical(transcript),
+        canonical,
         functools.partial(_moderated_traffic, moderator),
     )
 

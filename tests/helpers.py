@@ -7,7 +7,7 @@ import pathlib
 import random
 
 from ultimatum import engine
-from ultimatum.agents import oracle_strategy
+from ultimatum.agents import Gateway, oracle_strategy
 from ultimatum.engine import Decision, GameConfig
 from ultimatum.experiment import RUN_SCHEMA
 from ultimatum.orchestrator import (
@@ -48,6 +48,21 @@ def oracle_gateway(pair: PersonalityPair, game: GameConfig | None = None, **flaw
 def oracle_log(pair: PersonalityPair, game: GameConfig | None = None, **flaws) -> str:
     """The combined single-model log written from the pair's own game."""
     return synthesize_single_model_log(oracle_game(pair, game, **flaws).transcript)
+
+
+class ScriptedModelGateway(Gateway):
+    """Answers each player from its own queue, routing on the system prompt."""
+
+    def __init__(self, proposer_replies, receiver_replies):
+        super().__init__()
+        self.queues = {
+            "Proposer": list(proposer_replies),
+            "Receiver": list(receiver_replies),
+        }
+
+    def _complete(self, model, messages, params):
+        who = "Proposer" if "You are Proposer" in messages[0]["content"] else "Receiver"
+        return self.queues[who].pop(0)
 
 
 def build_transcript(

@@ -139,6 +139,29 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_a_plan_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        plan = tmp_path / "plan.yaml"
+        plan.write_bytes(b"runs_per_cell: 1\npot: \xff\n")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (
+            "error: plan file is not valid YAML: unacceptable character #x00ff: "
+            f'invalid start byte in "{plan}", position 22\n'
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["1", "null", "[fair-fair]", "{fair: greedy}"])
+    def test_a_pair_that_is_not_a_label_is_a_usage_error(self, tmp_path, capsys, item):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(f"pairs: [{item}]\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad plan value: bad personality pair label: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_sampling_is_a_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.yaml"
         plan.write_text("sampling: {temperature: .nan}\n", encoding="utf-8")

@@ -6,8 +6,8 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_gateway, oracle_log, stored_record
-from ultimatum import engine, orchestrator
+from helpers import ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text, stored_record
+from ultimatum import engine, experiment, orchestrator
 from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent, ReplayGateway
 from ultimatum.experiment import (
     RUN_FAILURES,
@@ -28,6 +28,7 @@ from ultimatum.experiment import (
 )
 from ultimatum.orchestrator import (
     SimulationConfig,
+    make_model_agents,
     make_oracle_agents,
     run_multi_agent,
     run_single_model,
@@ -73,6 +74,12 @@ class TestPlanValidation:
             ({"warp_drive": 9}, "unknown plan keys"),
             ({"structures": ["warp_drive"]}, "bad plan value"),
             ({"pairs": ["bold-timid"]}, "bad plan value"),
+            ({"pairs": [1]}, "bad plan value: bad personality pair label: 1"),
+            ({"pairs": [None]}, "bad plan value: bad personality pair label: None"),
+            ({"pairs": [["fair-fair"]]}, r"bad plan value: bad personality pair label: \['fair-fair'\]"),
+            ({"pairs": [{"fair": "greedy"}]}, "bad plan value: bad personality pair label: {'fair'"),
+            ({"structures": [1]}, "bad plan value: 1 is not a valid Structure"),
+            ({"flaws": {"proposer": 1}}, "bad plan value: 1 is not a valid Flaw"),
             ({"pairs": ["fair-fair", "fair-fair"]}, "duplicate"),
             ({"structures": ["single_model", "single_model"]}, "duplicate"),
             ({"runs_per_cell": 0}, "runs_per_cell"),
@@ -450,10 +457,12 @@ def without_elapsed(records):
     return [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in records]
 
 
-def records_run_by_run(plan, single_model_gateway, keep_prompts=False):
+def records_run_by_run(plan, single_model_gateway, keep_prompts=False, players=None):
     """The plan's records, each run played, parsed and graded on its own by
     a fresh run_single_model or run_multi_agent call. single_model_gateway(pair)
-    gives the gateway a single-model run of that pair asks."""
+    gives the gateway a single-model run of that pair asks; players(config),
+    when given, gives a multi-agent run its players, which are otherwise
+    the plan's oracles."""
     records = []
     for structure, pair in plan.cells():
         for k in range(plan.runs_per_cell):
@@ -465,6 +474,8 @@ def records_run_by_run(plan, single_model_gateway, keep_prompts=False):
             try:
                 if structure is Structure.SINGLE_MODEL:
                     result = run_single_model(config, single_model_gateway(pair))
+                elif players is not None:
+                    result = run_multi_agent(config, players(config))
                 else:
                     agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
                     result = run_multi_agent(config, agents)
@@ -634,6 +645,210 @@ class TestSharedGrades:
         second = run_batch(plan)
         assert len(parse_count) == 2 * single_cells
         assert without_elapsed(first.records) == without_elapsed(second.records)
+
+
+# What a scripted model-backed player replies before each action it is
+# asked for, most often nothing. The moderator re-prompts after one such
+# reply and fails the run after two. For the pairs below, the proposer's "Receiver is greedy" always
+# leaks a private line, and the receiver's "Proposer is greedy" leaks one
+# when the proposer is greedy.
+STALLS = (
+    (), (), (),
+    ("Hmm, not yet.",),
+    ("I think Receiver is greedy.",),
+    ("Proposer is greedy, surely.",),
+    ("Let me think about it.", "Hmm, not yet."),
+)
+OFFERS = ("OFFER: $0.30", "OFFER: $0.50", "OFFER: $0.70")
+DECISIONS = ("DECISION: accept", "DECISION: reject")
+SCRIPTED_PAIRS = ["fair-greedy", "greedy-greedy"]
+
+
+def strategy_replies(role, rounds):
+    texts = [oracle_text(role, personality, rounds=rounds) for personality in Personality]
+    return [f"STRATEGY: {text}" for text in texts] + ["Strategy: I will see how it goes."]
+
+
+def seat_replies(game, stalls):
+    """(proposer replies, receiver replies) for one run of `game`: its two
+    strategy replies, then each accepted action reply in the order asked,
+    each after the replies stalls(seat) gives. Two of them end the run."""
+    proposer_strategy, receiver_strategy, actions = game
+    seats = ([proposer_strategy], [receiver_strategy])
+    for round_actions in actions:
+        for replies, action in zip(seats, round_actions):
+            drawn = stalls(replies)
+            replies += drawn
+            if len(drawn) == 2:
+                return seats
+            replies.append(action)
+    return seats
+
+
+@st.composite
+def scripted_runs(draw, rounds, runs):
+    """What each of `runs` model-backed runs replies. A few games (strategy
+    and accepted action replies) are drawn and each run plays one of them,
+    so runs repeat games, sometimes with other stalls along the way."""
+    game = st.tuples(
+        st.sampled_from(strategy_replies(Role.PROPOSER, rounds)),
+        st.sampled_from(strategy_replies(Role.RECEIVER, rounds)),
+        st.lists(
+            st.tuples(st.sampled_from(OFFERS), st.sampled_from(DECISIONS)),
+            min_size=rounds, max_size=rounds,
+        ),
+    )
+    games = draw(st.lists(game, min_size=1, max_size=3))
+    stalls = st.sampled_from(STALLS)
+    return [seat_replies(draw(st.sampled_from(games)), lambda _: draw(stalls)) for _ in range(runs)]
+
+
+class ScriptedRuns(Gateway):
+    """Model-backed players whose run of seed n replies `scripts[n]`
+    (proposer replies, receiver replies). Each run's players ask their own
+    gateway, `for_run(seed)`, so what a run plays does not depend on which
+    worker plays it, or when."""
+
+    def __init__(self, scripts):
+        super().__init__()
+        self.scripts = scripts
+
+    def for_run(self, seed):
+        return ScriptedModelGateway(*self.scripts[seed])
+
+    def _complete(self, model, messages, params):
+        raise AssertionError("players ask their run's own gateway")
+
+
+def scripted_plan(rounds, runs_per_cell, pairs=SCRIPTED_PAIRS):
+    return plan_from_dict(
+        {"structures": ["multi_agent"], "pairs": pairs, "rounds": rounds,
+         "runs_per_cell": runs_per_cell, "model": "scripted"}
+    )
+
+
+def scripted_batch(plan, scripts, keep_prompts=False, max_workers=1):
+    """run_batch of the plan, each run's players replying its script."""
+    make = experiment.make_model_agents
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            experiment, "make_model_agents",
+            lambda config, shared: make(config, shared.for_run(config.seed)),
+        )
+        return run_batch(
+            plan, mode="replay", gateway=ScriptedRuns(scripts), keep_prompts=keep_prompts,
+            max_workers=max_workers,
+        )
+
+
+def scripted_alone(plan, scripts, keep_prompts=False):
+    """The records of scripted_batch's runs, each played and graded on its own."""
+    gateway = ScriptedRuns(scripts)
+    return records_run_by_run(
+        plan, None, keep_prompts,
+        players=lambda config: make_model_agents(config, gateway.for_run(config.seed)),
+    )
+
+
+class TestSharedModelGames:
+    """A batch builds, grades and serializes each distinct model-backed
+    game once. Every run still plays, passes its own information audit and
+    keeps its own traffic, so its record is the one it gets on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        rounds=st.integers(min_value=1, max_value=3),
+        runs_per_cell=st.integers(min_value=1, max_value=4),
+        keep_prompts=st.booleans(),
+        max_workers=st.integers(min_value=1, max_value=2),
+    )
+    def test_model_backed_records_match_runs_graded_one_by_one(
+        self, data, rounds, runs_per_cell, keep_prompts, max_workers
+    ):
+        plan = scripted_plan(rounds, runs_per_cell)
+        scripts = data.draw(scripted_runs(rounds, len(plan.cells()) * runs_per_cell))
+        batch = scripted_batch(plan, scripts, keep_prompts, max_workers)
+        alone = scripted_alone(plan, scripts, keep_prompts)
+        assert without_elapsed(batch.records) == without_elapsed(alone)
+
+    @staticmethod
+    def fair_greedy_game(offer="OFFER: $0.50"):
+        return (
+            strategy_replies(Role.PROPOSER, 2)[0],
+            strategy_replies(Role.RECEIVER, 2)[1],
+            [(offer, "DECISION: accept"), ("OFFER: $0.50", "DECISION: reject")],
+        )
+
+    def test_each_distinct_game_is_graded_and_serialized_once(self, monkeypatch):
+        calls = []
+        for name in ("evaluate_transcript", "serialize_canonical"):
+            def counted(transcript, _name=name, _original=getattr(orchestrator, name)):
+                calls.append(_name)
+                return _original(transcript)
+
+            monkeypatch.setattr(orchestrator, name, counted)
+        game, other = self.fair_greedy_game(), self.fair_greedy_game("OFFER: $0.30")
+        scripts = [
+            seat_replies(game, lambda _: []),
+            seat_replies(game, lambda _: []),
+            # The same game after a re-prompt: its traffic is its own.
+            seat_replies(game, lambda seat: ["Hmm, not yet."] if len(seat) == 1 else []),
+            seat_replies(other, lambda _: []),
+        ]
+        plan = scripted_plan(2, 4, ["fair-greedy"])
+        batch = scripted_batch(plan, scripts, keep_prompts=True)
+        assert sorted(calls) == ["evaluate_transcript"] * 2 + ["serialize_canonical"] * 2
+        assert [r["status"] for r in batch.records] == ["ok"] * 4
+        assert batch.records[0]["replies"] == batch.records[1]["replies"]
+        assert batch.records[0]["replies"] != batch.records[2]["replies"]
+        assert batch.records[0]["transcript"] == batch.records[2]["transcript"]
+        alone = scripted_alone(plan, scripts, keep_prompts=True)
+        assert without_elapsed(batch.records) == without_elapsed(alone)
+
+    def test_workers_that_switch_often_share_grades_safely(self):
+        # More workers than cores, switching every microsecond: two workers
+        # that both miss on one game grade it twice and store equal values.
+        game, other = self.fair_greedy_game(), self.fair_greedy_game("OFFER: $0.30")
+        variants = [
+            seat_replies(game, lambda _: []),
+            seat_replies(game, lambda seat: ["Hmm, not yet."] if len(seat) == 1 else []),
+            seat_replies(other, lambda _: []),
+        ]
+        plan = scripted_plan(2, 12)
+        scripts = [variants[k % 3] for k in range(len(plan.cells()) * 12)]
+        batches = []
+        thread = threading.Thread(
+            target=lambda: batches.append(scripted_batch(plan, scripts, True, max_workers=4))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        alone = scripted_alone(plan, scripts, keep_prompts=True)
+        assert without_elapsed(batches[0].records) == without_elapsed(alone)
+
+    def test_a_leaking_reply_fails_every_run_that_gets_it(self):
+        # The leak is in a reply the moderator re-prompts past, so the
+        # leaking runs play the same game as the clean ones.
+        game = self.fair_greedy_game()
+        clean = seat_replies(game, lambda _: [])
+        leaking = seat_replies(
+            game, lambda seat: ["I think Receiver is greedy."] if len(seat) == 1 else []
+        )
+        plan, scripts = scripted_plan(2, 4, ["fair-greedy"]), [clean, leaking, leaking, clean]
+        batch = scripted_batch(plan, scripts)
+        assert [r["cause"] for r in batch.records] == [
+            None,
+            "InformationLeakError: the proposer said the receiver's private profile out loud",
+            "InformationLeakError: the proposer said the receiver's private profile out loud",
+            None,
+        ]
+        assert without_elapsed(batch.records) == without_elapsed(scripted_alone(plan, scripts))
 
 
 # Stored lines of two records that keep the run-record schema.

@@ -2,12 +2,11 @@ import re
 
 import pytest
 
-from helpers import ACC, REJ, oracle_gateway, oracle_log, oracle_text
+from helpers import ACC, REJ, ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text
 from ultimatum import engine, orchestrator, prompts
 from ultimatum.agents import (
     Agent,
     Flaw,
-    Gateway,
     SamplingParams,
     default_plan,
     private_bio,
@@ -278,21 +277,6 @@ class TestInformationAudit:
             assert "is greedy." not in text
 
 
-class ScriptedModelGateway(Gateway):
-    """Answers each player from its own queue, routing on the system prompt."""
-
-    def __init__(self, proposer_replies, receiver_replies):
-        super().__init__()
-        self.queues = {
-            "Proposer": list(proposer_replies),
-            "Receiver": list(receiver_replies),
-        }
-
-    def _complete(self, model, messages, params):
-        who = "Proposer" if "You are Proposer" in messages[0]["content"] else "Receiver"
-        return self.queues[who].pop(0)
-
-
 class TestModelAgentGames:
     def test_scripted_chat_game_runs_end_to_end(self):
         gateway = ScriptedModelGateway(
@@ -418,13 +402,15 @@ def _strip_strategy_prefix(reply):
 
 class LineByLineModerator:
     def __init__(self, proposer, receiver, game):
-        # The seats run_multi_agent reads; the role-keyed dicts share their lists.
+        # The seats and rounds run_multi_agent reads; the role-keyed dicts
+        # share the seats' lists.
         self.proposer = orchestrator._Seat(Role.PROPOSER, proposer)
         self.receiver = orchestrator._Seat(Role.RECEIVER, receiver)
         seats = (self.proposer, self.receiver)
         self.agents = {seat.role: seat.agent for seat in seats}
         self.game = game
         self.strategies = {}
+        self.rounds = []
         self.log_lines = {Role.PROPOSER: [], Role.RECEIVER: []}
         self.outbound = {seat.role: seat.outbound for seat in seats}
         self.inbound = {seat.role: seat.inbound for seat in seats}
@@ -462,17 +448,17 @@ class LineByLineModerator:
             r = state.round_index
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.log_lines[role].append(f"[Round {r}]")
-            offer, reply = self._request(
+            offer, offer_reply = self._request(
                 Role.PROPOSER, state, self._extract_offer, "correct_offer"
             )
-            self.log_lines[Role.PROPOSER].append(_labeled("Say", reply))
+            self.log_lines[Role.PROPOSER].append(_labeled("Say", offer_reply))
             state = engine.submit_offer(state, offer)
             offer_line = f"OFFER: {format_money(offer)}"
             self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
-            decision, reply = self._request(
+            decision, decision_reply = self._request(
                 Role.RECEIVER, state, extract_decision_reply, "correct_decision"
             )
-            self.log_lines[Role.RECEIVER].append(_labeled("Say", reply))
+            self.log_lines[Role.RECEIVER].append(_labeled("Say", decision_reply))
             decision_line = f"DECISION: {decision.value}"
             self.log_lines[Role.PROPOSER].append(_labeled("Hear", decision_line))
             self.inbound[Role.PROPOSER].append(decision_line)
@@ -489,6 +475,7 @@ class LineByLineModerator:
             for role in (Role.PROPOSER, Role.RECEIVER):
                 self.tell(role, announcement)
                 self.log_lines[role].append(_labeled("Outcome", announcement))
+            self.rounds.append((outcome, offer_reply, decision_reply, announcement))
         return state.history
 
     def _extract_offer(self, reply):
