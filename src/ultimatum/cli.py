@@ -58,10 +58,6 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -163,24 +159,27 @@ def _cmd_grade(args: argparse.Namespace) -> int:
     if game.pot < MIN_POT:
         return _fail_usage(f"pot must be at least {MIN_POT} cents, got {game.pot}")
 
+    if not (args.single_log or (args.proposer_log and args.receiver_log)):
+        return _fail_usage("agent grading needs both --proposer-log and --receiver-log")
+    paths = [args.single_log] if args.single_log else [args.proposer_log, args.receiver_log]
+    texts = []
+    for path in paths:
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            return _fail_usage(str(exc))
+        except UnicodeDecodeError as exc:
+            return _fail_usage(f"{path}: {exc}")
     try:
         if args.single_log:
-            text = _read_text(args.single_log)
-            transcript, diagnostics = parse_single_model_log(text, pair, game)
-            name = args.single_log
+            transcript, diagnostics = parse_single_model_log(texts[0], pair, game)
         else:
-            if not (args.proposer_log and args.receiver_log):
-                return _fail_usage("agent grading needs both --proposer-log and --receiver-log")
-            logs = (_read_text(args.proposer_log), _read_text(args.receiver_log))
-            transcript, diagnostics = parse_agent_log(logs, pair, game)
-            name = f"{args.proposer_log} + {args.receiver_log}"
-    except OSError as exc:
-        return _fail_usage(str(exc))
+            transcript, diagnostics = parse_agent_log(tuple(texts), pair, game)
     except (UnparseableLogError, InconsistentLogsError) as exc:
         print(f"error: cannot grade: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     verdict = verdict_to_dict(evaluate_transcript(transcript))
-    _print_verdict(name, verdict, diagnostics.confidence.value, list(diagnostics.warnings))
+    _print_verdict(" + ".join(paths), verdict, diagnostics.confidence.value, list(diagnostics.warnings))
     return EXIT_OK
 
 

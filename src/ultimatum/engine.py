@@ -21,6 +21,8 @@ Money = int
 
 DEFAULT_POT: Money = 100
 DEFAULT_ROUNDS = 5
+# Largest pot: its amounts fit the 18 digits a canonical round line holds.
+MAX_POT: Money = 10**18 - 1
 
 
 class EngineError(Exception):
@@ -28,7 +30,7 @@ class EngineError(Exception):
 
 
 class InvalidConfigError(EngineError):
-    """Game parameters out of range (non-positive pot or round count)."""
+    """Game parameters out of range (pot outside [1, MAX_POT], rounds < 1)."""
 
 
 class WrongPhaseError(EngineError):
@@ -62,6 +64,8 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.pot < 1:
             raise InvalidConfigError(f"pot must be >= 1 cent, got {self.pot}")
+        if self.pot > MAX_POT:
+            raise InvalidConfigError(f"pot must be <= {MAX_POT} cents, got {self.pot}")
         if self.rounds < 1:
             raise InvalidConfigError(f"rounds must be >= 1, got {self.rounds}")
 

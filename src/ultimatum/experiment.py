@@ -24,7 +24,6 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -360,34 +359,14 @@ def _record(
     return record
 
 
-# Stands in for a record's transcript while the rest of the record is
-# encoded; its JSON form is then replaced by the transcript's.
-_TRANSCRIPT_MARKER = "transcript-marker"
-_ENCODED_MARKER = json.dumps(_TRANSCRIPT_MARKER)
-
-
-def _record_line(record: dict, escaped: dict[str, str]) -> str:
-    """json.dumps(record, sort_keys=True), escaping the record's transcript
-    through `escaped` (JSON form by text), so that runs sharing a transcript
-    escape it once. A record whose other fields also encode the marker is
-    encoded whole."""
-    text = record.get("transcript")
-    if type(text) is str:
-        line = json.dumps({**record, "transcript": _TRANSCRIPT_MARKER}, sort_keys=True)
-        if line.count(_ENCODED_MARKER) == 1:
-            if text not in escaped:
-                escaped[text] = encode_basestring_ascii(text)
-            return line.replace(_ENCODED_MARKER, escaped[text])
-    return json.dumps(record, sort_keys=True)
-
-
 class RunStore:
     """Append-only JSON-lines store of run records.
 
     One `append` writes all its records, one line each, under one lock
     acquisition and one open of the file, so the lines of concurrent
     appends never interleave and each call's lines stay together. Each
-    line is `json.dumps(record, sort_keys=True)`.
+    line is `json.dumps(record, sort_keys=True)`: ASCII, so a write cut
+    short never splits a character.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -395,8 +374,7 @@ class RunStore:
         self._lock = threading.Lock()
 
     def append(self, *records: dict) -> None:
-        escaped: dict[str, str] = {}
-        lines = "".join(_record_line(record, escaped) + "\n" for record in records)
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(lines)
@@ -410,31 +388,47 @@ def load_records(
 
     A final line with no newline that is not JSON is what a write cut short
     leaves behind: it is skipped, and `on_torn_line`, when given, is called
-    with a message naming the file and line. A bad line anywhere else, and
-    a record that breaks the schema, raise ValueError naming the file and
-    line (and the record by its run id or, lacking one, by its start).
+    with a message naming the file and line. A bad line anywhere else (not
+    UTF-8, not JSON or not an object), and a record that breaks the schema,
+    raise ValueError naming the file and line (and the record by its run id
+    or, lacking one, by its start).
     """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not line.endswith("\n"):  # only the last line can lack one
-                    if on_torn_line is not None:
-                        on_torn_line(f"{path}:{lineno}: skipped a torn final line")
-                    break
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record is not an object")
-            problem = _schema_problem(record)
-            if problem is not None:
-                name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
-                raise ValueError(f"{path}:{lineno}: record {name} {problem}")
-            records.append(record)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if not line.endswith("\n"):  # only the last line can lack one
+                        if on_torn_line is not None:
+                            on_torn_line(f"{path}:{lineno}: skipped a torn final line")
+                        break
+                    raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: record is not an object")
+                problem = _schema_problem(record)
+                if problem is not None:
+                    name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
+                    raise ValueError(f"{path}:{lineno}: record {name} {problem}")
+                records.append(record)
+        except UnicodeDecodeError:
+            _name_undecodable_line(path)
+            raise
     return records
+
+
+def _name_undecodable_line(path: str | Path) -> None:
+    """Raise ValueError naming the first line of a store that is not UTF-8.
+    Only a store that failed to decode is read again, as bytes."""
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
 
 
 def regrade_record(record: dict) -> dict:

@@ -57,14 +57,10 @@ class PersonalityPair:
 
     @classmethod
     def from_label(cls, label: str) -> "PersonalityPair":
+        """The pair a label such as `fair-greedy` names, in any letter case."""
         try:
             return _PAIRS_BY_LABEL[label.lower()]
-        except (KeyError, TypeError):
-            pass  # not a pair's label: read it token by token, to raise as that does
-        try:
-            p, r = label.lower().split("-")
-            return cls(Personality(p), Personality(r))
-        except ValueError:
+        except KeyError:
             raise ValueError(f"bad personality pair label: {label!r}") from None
 
 

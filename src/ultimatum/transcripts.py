@@ -1003,28 +1003,27 @@ _DECODER = json.JSONDecoder()
 # Encodes strategy fields: sorted keys, no spaces, non-ASCII escaped.
 _FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# A round line as serialize_canonical writes it: ASCII digits (at most 18,
-# well inside int()'s digit limit) and a decision word. parse_canonical
-# reads any other round line token by token (_read_round_tokens), which
-# also reads what int() accepts beyond ASCII digits, such as "+5" or "0_5".
+# A round line exactly as serialize_canonical writes it, the only form
+# parse_canonical reads: each number in ASCII digits with no sign and no
+# leading zero, at most 18 of them (engine.MAX_POT), and a decision word.
+_INT = r"(0|[1-9][0-9]{0,17})"
 _ROUND_LINE_RE = re.compile(
-    r"round ([0-9]{1,18}) offer=([0-9]{1,18}) decision=(accept|reject)"
-    r" payoffs=([0-9]{1,18})/([0-9]{1,18})"
+    rf"round {_INT} offer={_INT} decision=(accept|reject) payoffs={_INT}/{_INT}"
 )
 _DECISIONS = {d.value: d for d in Decision}
 
 
 def _by_value(enum_cls: type[enum.Enum]):
     """A function from a value to its enum_cls member, answered from a dict.
-    A value the dict does not hold, or cannot hash, goes to enum_cls itself,
-    which returns or raises as the plain enum call does."""
+    A value the dict does not hold, or cannot hash, raises the ValueError
+    that the plain enum call raises for it."""
     members = {member.value: member for member in enum_cls}
 
     def member(value):
         try:
             return members[value]
         except (KeyError, TypeError):
-            return enum_cls(value)
+            raise ValueError(f"{value!r} is not a valid {enum_cls.__qualname__}") from None
 
     return member
 
@@ -1116,23 +1115,6 @@ def _parse_kv(token: str, key: str) -> str:
     return token[len(key) + 1 :]
 
 
-def _read_round_tokens(line: str, rest: str) -> tuple[int, Money, Decision, tuple[Money, Money]]:
-    """(number, offer, decision, payoffs) of a round line read token by
-    token: the reading of any line that _ROUND_LINE_RE does not match."""
-    tokens = rest.split(" ")
-    if len(tokens) != 4:
-        raise MalformedRecordError(f"bad round line: {line!r}")
-    try:
-        number = int(tokens[0])
-        offer = int(_parse_kv(tokens[1], "offer"))
-        decision = Decision(_parse_kv(tokens[2], "decision"))
-        prop_pay, _, recv_pay = _parse_kv(tokens[3], "payoffs").partition("/")
-        payoffs = (int(prop_pay), int(recv_pay))
-    except ValueError as exc:
-        raise MalformedRecordError(f"bad round line: {exc}") from None
-    return number, offer, decision, payoffs
-
-
 def _read_json_pair(rest: str) -> tuple[object, object]:
     try:
         first, idx = _DECODER.raw_decode(rest)
@@ -1150,8 +1132,9 @@ def parse_canonical(text: str) -> Transcript:
     """Parse canonical v1 text back into a Transcript.
 
     Raises SchemaVersionError for an unknown version tag and
-    MalformedRecordError for any structural violation (field order, round
-    numbering, payoffs that do not match the decision).
+    MalformedRecordError for any structural violation (field order, a round
+    line not in the writer's form, round numbering, payoffs that do not
+    match the decision).
     """
     if not text.endswith("\n"):
         raise MalformedRecordError("canonical text must end with a newline")
@@ -1194,11 +1177,10 @@ def parse_canonical(text: str) -> Transcript:
                 raise MalformedRecordError("round lines must precede rawlog lines")
             match = _ROUND_LINE_RE.fullmatch(line)
             if match is None:
-                number, offer, decision, payoffs = _read_round_tokens(line, rest)
-            else:
-                number, offer, word, prop_pay, recv_pay = match.groups()
-                number, offer, decision = int(number), int(offer), _DECISIONS[word]
-                payoffs = (int(prop_pay), int(recv_pay))
+                raise MalformedRecordError(f"bad round line: {line!r}")
+            number, offer, word, prop_pay, recv_pay = match.groups()
+            number, offer, decision = int(number), int(offer), _DECISIONS[word]
+            payoffs = (int(prop_pay), int(recv_pay))
             if number != len(rounds) + 1 or number > config.rounds:
                 raise MalformedRecordError(f"round {number} out of sequence")
             if not 0 <= offer <= config.pot:

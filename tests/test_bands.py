@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import FIXTURES
 from ultimatum.agents import DEVIATION_ROUND
 from ultimatum.cli import EXIT_OK, EXIT_USAGE, main
+from ultimatum.engine import MAX_POT
 from ultimatum.experiment import InvalidPlanError, plan_from_dict, run_batch
 from ultimatum.strategy import MIN_POT, Personality, bands_for
 
@@ -140,3 +141,28 @@ class TestSmallestPot:
         argv = ["grade", "--single-log", str(log), "--pair", "fair-fair"]
         assert main(argv + ["--pot", str(MIN_POT - 1)]) == EXIT_USAGE
         assert f"at least {MIN_POT} cents" in capsys.readouterr().err
+
+
+class TestLargestPot:
+    """engine.MAX_POT: the largest pot whose amounts a canonical round line holds."""
+
+    def test_a_plan_at_it_runs_and_regrades_and_one_above_is_a_usage_error(self, tmp_path, capsys):
+        for pot, code in ((MAX_POT, EXIT_OK), (MAX_POT + 1, EXIT_USAGE)):
+            plan = tmp_path / f"pot{pot}.yaml"
+            plan.write_text(f"runs_per_cell: 1\npot: {pot}\n", encoding="utf-8")
+            out = tmp_path / f"pot{pot}.jsonl"
+            assert main(["run", "--plan", str(plan), "--out", str(out)]) == code, pot
+        assert capsys.readouterr().err == (
+            f"error: bad plan value: pot must be <= {MAX_POT} cents, got {MAX_POT + 1}\n"
+        )
+        assert not (tmp_path / f"pot{MAX_POT + 1}.jsonl").exists()
+        assert main(["grade", "--records", str(tmp_path / f"pot{MAX_POT}.jsonl")]) == EXIT_OK
+        assert "8 records, 8 graded, 0 failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pot, code", [(MAX_POT, EXIT_OK), (MAX_POT + 1, EXIT_USAGE)])
+    def test_grade_takes_pots_up_to_the_largest(self, capsys, pot, code):
+        log = FIXTURES / "fig_single_model_fair_fair.txt"
+        argv = ["grade", "--single-log", str(log), "--pair", "fair-fair"]
+        assert main(argv + ["--pot", str(pot)]) == code
+        err = "" if code == EXIT_OK else f"error: pot must be <= {MAX_POT} cents, got {pot}\n"
+        assert capsys.readouterr().err == err

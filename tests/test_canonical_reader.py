@@ -1,0 +1,216 @@
+"""The canonical reader reads each line in the one form the writer writes.
+
+`parse_canonical` reads a round line only as `serialize_canonical` writes
+it: each number in ASCII digits, with no sign and no leading zero, at most
+18 of them (`engine.MAX_POT`). Every other spelling of a round line, the
+near misses that `int()` would still read included, is refused with a
+message that names the line. Enum tokens of header and strategy lines are
+looked up by value and refused as the plain enum call refuses them.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import event, example, given
+from hypothesis import strategies as st
+
+from helpers import build_transcript
+from ultimatum import engine
+from ultimatum.engine import MAX_POT, Decision, GameConfig, RoundOutcome
+from ultimatum.strategy import (
+    ALL_PAIRS,
+    AdjustKind,
+    FinalRoundRule,
+    PersonalityPair,
+    Role,
+)
+from ultimatum.transcripts import (
+    _ROUND_LINE_RE,
+    MalformedRecordError,
+    Structure,
+    Transcript,
+    _by_value,
+    parse_canonical,
+    serialize_canonical,
+)
+
+# A valid transcript; its config and rounds are drawn, and its strategies
+# are not checked against them.
+BASE = dataclasses.replace(
+    build_transcript([50], [Decision.ACCEPT]), raw_logs=(("single_model", "[Round 1]\n"),)
+)
+VALID = serialize_canonical(BASE)
+pots = st.integers(5, 10000) | st.just(MAX_POT)
+
+
+def transcript_of(config: GameConfig, actions) -> Transcript:
+    _, outcomes = engine.replay(config, actions)
+    return dataclasses.replace(BASE, config=config, rounds=tuple(outcomes))
+
+
+# ---------------------------------------------------------------------------
+# Drawn transcripts: the writer's round lines and near misses of them
+# ---------------------------------------------------------------------------
+
+NON_ASCII_DIGITS = [str.maketrans("0123456789", digits) for digits in (
+    "٠١٢٣٤٥٦٧٨٩",  # Arabic-Indic
+    "０１２３４５６７８９",  # fullwidth
+)]
+
+
+def int_spellings(n: int) -> st.SearchStrategy[str]:
+    """n as serialize_canonical writes it, or a near miss that int() may
+    still read: a sign, leading zeros, an underscore, non-ASCII digits,
+    surrounding whitespace, more digits than a round line holds, or junk."""
+    s = str(n)
+    return st.sampled_from([
+        s, "+" + s, "-" + s, "0" + s, "00" + s, s + "_0", s[0] + "_" + s[1:], "_" + s,
+        *(s.translate(table) for table in NON_ASCII_DIGITS),
+        "\t" + s, s + "\t", s + "\r", "　" + s, "x" + s, s + ".0", "",
+        "1" * 19, "9" * 5000,
+    ])
+
+
+def decision_spellings(word: str) -> st.SearchStrategy[str]:
+    """word as written, or a near miss of a decision word. Never the other
+    decision: that would be the writer's line for other values."""
+    return st.sampled_from([
+        word, "Accept", "REJECT", "accepted", "rejects", "acc", "",
+        "accept\t", "\treject", "accept\r", "réject", "accept!",
+    ])
+
+
+@st.composite
+def round_lines(draw, line: str, outcome: RoundOutcome) -> str:
+    """line, the writer's line for outcome, or one time in four a near miss
+    of it: a field respelled, maybe a separator too, and maybe something
+    after the line. A respelling may leave the line as written."""
+    if draw(st.integers(0, 3)):
+        return line
+    o = outcome
+    fields = [str(o.round), str(o.offer), o.decision.value, str(o.proposer_payoff), str(o.receiver_payoff)]
+    seps = [" offer=", " decision=", " payoffs=", "/"]
+    at = draw(st.integers(0, 4))
+    fields[at] = draw(decision_spellings(fields[at]) if at == 2 else int_spellings(int(fields[at])))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 3))
+        seps[at] = draw(st.sampled_from([
+            seps[at].replace(" ", "  "), seps[at].replace(" ", "\t"),
+            seps[at].replace("=", " ="), seps[at].upper(), seps[at].strip(), "-",
+        ]))
+    tail = draw(st.sampled_from(["", "", " ", "\t", "  x"]))
+    return "round " + fields[0] + "".join(sep + f for sep, f in zip(seps, fields[1:])) + tail
+
+
+@st.composite
+def drawn_transcripts(draw) -> tuple[str, Transcript]:
+    """(text, transcript): the writer's text of a drawn transcript, each of
+    its round lines maybe replaced by a near miss."""
+    config = GameConfig(pot=draw(pots), rounds=draw(st.integers(1, 10)))
+    transcript = transcript_of(config, [
+        (draw(st.integers(0, config.pot)), draw(st.sampled_from(Decision)))
+        for _ in range(config.rounds)
+    ])
+    lines = serialize_canonical(transcript).split("\n")
+    rounds = slice(3, 3 + config.rounds)  # after the header and two strategy lines
+    lines[rounds] = [draw(round_lines(ln, o)) for ln, o in zip(lines[rounds], transcript.rounds)]
+    return "\n".join(lines), transcript
+
+
+def _with_round(line: str) -> tuple[str, Transcript]:
+    return VALID.replace("round 1 offer=50 decision=accept payoffs=50/50", line, 1), BASE
+
+
+class TestRoundLines:
+    @given(drawn=drawn_transcripts())
+    @example(drawn=(VALID, BASE))
+    @example(drawn=_with_round("round +1 offer=0_50 decision=accept payoffs=٥٠/50"))
+    @example(drawn=_with_round("round 01 offer=050 decision=accept payoffs=+50/50\t"))
+    @example(drawn=_with_round("round 1 offer=50 decision=accept payoffs=50/50/50"))
+    @example(drawn=_with_round("round 1 offer=50 decision=accept payoffs=050/50"))
+    def test_only_the_writers_round_lines_are_read(self, drawn):
+        text, transcript = drawn
+        written = serialize_canonical(transcript)
+        bad = [ln for ln, w in zip(text.split("\n"), written.split("\n")) if ln != w]
+        event("read" if not bad else "refused")
+        if not bad:
+            assert parse_canonical(text) == transcript
+        else:
+            with pytest.raises(MalformedRecordError) as info:
+                parse_canonical(text)
+            assert str(info.value) == f"bad round line: {bad[0]!r}"
+
+    @pytest.mark.parametrize("digits", [19, 5000])
+    @pytest.mark.parametrize("field", ["round", "offer", "payoffs", "payoff"])
+    def test_a_number_longer_than_a_round_line_holds_is_refused(self, field, digits):
+        line = {
+            "round": "round {} offer=50 decision=accept payoffs=50/50",
+            "offer": "round 1 offer={} decision=accept payoffs=50/50",
+            "payoffs": "round 1 offer=50 decision=accept payoffs={}/50",
+            "payoff": "round 1 offer=50 decision=accept payoffs=50/{}",
+        }[field].format("9" * digits)
+        text, _ = _with_round(line)
+        with pytest.raises(MalformedRecordError) as info:
+            parse_canonical(text)
+        assert str(info.value) == f"bad round line: {line!r}"
+
+    @given(pot=pots, rounds=st.integers(1, 10), data=st.data())
+    def test_serialized_transcripts_read_back(self, pot, rounds, data):
+        config = GameConfig(pot=pot, rounds=rounds)
+        transcript = transcript_of(config, [
+            (data.draw(st.integers(0, pot)), data.draw(st.sampled_from(Decision)))
+            for _ in range(rounds)
+        ])
+        text = serialize_canonical(transcript)
+        assert parse_canonical(text) == transcript
+        assert serialize_canonical(parse_canonical(text)) == text
+        # Every round line serialize_canonical writes is read by the pattern.
+        round_lines = [line for line in text.splitlines() if line.startswith("round ")]
+        assert all(_ROUND_LINE_RE.fullmatch(line) for line in round_lines)
+
+    def test_the_largest_pot_reads_back_with_18_digit_amounts(self):
+        actions = [(MAX_POT, Decision.ACCEPT), (0, Decision.ACCEPT), (MAX_POT, Decision.REJECT)]
+        transcript = transcript_of(GameConfig(pot=MAX_POT, rounds=3), actions)
+        text = serialize_canonical(transcript)
+        assert f"round 1 offer={MAX_POT} decision=accept payoffs=0/{MAX_POT}\n" in text
+        assert parse_canonical(text) == transcript
+
+
+# ---------------------------------------------------------------------------
+# Header and strategy lines: every enum token, valid or not
+# ---------------------------------------------------------------------------
+
+# Near misses of any enum token, some of which JSON cannot hash.
+NOT_VALUES = [None, 3, 1.5, [1], {"kind": "keep"}, "", "KEEP", "Proposer", "solo", "keep\t"]
+ENUM_TOKENS = [
+    (enum_cls, value)
+    for enum_cls in (Role, Structure, AdjustKind, FinalRoundRule)
+    for value in [*(member.value for member in enum_cls), *NOT_VALUES]
+]
+
+
+class TestHeaderAndStrategyLines:
+    @pytest.mark.parametrize(
+        "enum_cls, value", ENUM_TOKENS, ids=[f"{c.__name__}-{v!r}" for c, v in ENUM_TOKENS]
+    )
+    def test_enum_tokens_are_looked_up_as_the_enum_call_does(self, enum_cls, value):
+        def outcome(lookup):
+            try:
+                return lookup(value)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(_by_value(enum_cls)) == outcome(enum_cls)
+
+    @pytest.mark.parametrize("label", [
+        *(pair.label() for pair in ALL_PAIRS), "FAIR-Greedy", "fair-stingy", "fair",
+        "fair-fair-fair", "fair_fair", "fair-fair\t", "ſair-fair", "",
+    ])
+    def test_a_pair_label_names_its_pair_in_any_case_or_is_refused(self, label):
+        pairs = {pair.label(): pair for pair in ALL_PAIRS}
+        if label.lower() in pairs:
+            assert PersonalityPair.from_label(label) == pairs[label.lower()]
+        else:
+            with pytest.raises(ValueError) as info:
+                PersonalityPair.from_label(label)
+            assert str(info.value) == f"bad personality pair label: {label!r}"

@@ -151,6 +151,21 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_log", ["--single-log", "--proposer-log", "--receiver-log"])
+    def test_a_log_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, bad_log):
+        log = tmp_path / "bad.txt"
+        log.write_bytes(b"ROUND 1\n\xff\n")
+        proposer, receiver = FIXTURES / "fig_agent_proposer.txt", FIXTURES / "fig_agent_receiver.txt"
+        logs = {
+            "--single-log": ["--single-log", log],
+            "--proposer-log": ["--proposer-log", log, "--receiver-log", receiver],
+            "--receiver-log": ["--proposer-log", proposer, "--receiver-log", log],
+        }[bad_log]
+        assert main(["grade", *map(str, logs), "--pair", "fair-fair"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {log}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+
     @pytest.mark.parametrize("item", ["1", "null", "[fair-fair]", "{fair: greedy}"])
     def test_a_pair_that_is_not_a_label_is_a_usage_error(self, tmp_path, capsys, item):
         plan = tmp_path / "plan.yaml"
@@ -588,6 +603,20 @@ class TestTornStore:
             fh.write("\n")
         assert main(["grade", "--records", str(torn_store)]) == EXIT_USAGE
         assert f"{torn_store}:4: bad record" in capsys.readouterr().err
+
+
+class TestUndecodableStore:
+    @pytest.mark.parametrize("command", ["grade", "report"])
+    def test_a_line_that_is_not_utf8_is_named_by_its_file_and_line(self, store_path, capsys, command):
+        with store_path.open("ab") as fh:
+            fh.write(b'{"a": "\xff"}\n')
+        assert main([command, "--records", str(store_path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {store_path}:4: bad record: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n"
+        )
 
 
 class TestParser:

@@ -23,7 +23,6 @@ from ultimatum.experiment import (
     regrade_record,
     render_report,
     run_batch,
-    _TRANSCRIPT_MARKER,
     _record,
 )
 from ultimatum.orchestrator import (
@@ -47,6 +46,9 @@ class TestPlanValidation:
         assert plan.pairs == ALL_PAIRS
         assert plan.runs_per_cell == 10
         assert len(plan.cells()) == 8
+
+    def test_the_largest_pot_is_a_plan_value(self):
+        assert plan_from_dict({"pot": engine.MAX_POT}).game.pot == engine.MAX_POT
 
     def test_all_keyword_expands_both_axes(self):
         plan = plan_from_dict({"structures": "all", "pairs": "all"})
@@ -84,6 +86,8 @@ class TestPlanValidation:
             ({"structures": ["single_model", "single_model"]}, "duplicate"),
             ({"runs_per_cell": 0}, "runs_per_cell"),
             ({"pot": -5}, "bad plan value"),
+            ({"pot": engine.MAX_POT + 1}, f"bad plan value: pot must be <= {engine.MAX_POT} cents"),
+            ({"pot": 10**19}, f"bad plan value: pot must be <= {engine.MAX_POT} cents"),
             ({"sampling": {"typos": 1}}, "unknown sampling keys"),
             ({"sampling": [1, 2]}, "sampling must be a mapping"),
             ({"sampling": {"temperature": float("nan")}}, "temperature must be finite, got nan"),
@@ -856,40 +860,25 @@ LINE_A = json.dumps(stored_record(run_id="a"))
 LINE_B = json.dumps(stored_record(run_id="b"))
 
 
-# Texts that hold the marker RunStore.append stands in for a transcript,
-# as a whole, quoted as its JSON form is, or inside other text.
-marker_texts = st.sampled_from(
-    [_TRANSCRIPT_MARKER, f'"{_TRANSCRIPT_MARKER}"', f'say "{_TRANSCRIPT_MARKER}', "transcript"]
-) | st.builds(lambda a, b: a + _TRANSCRIPT_MARKER + b, st.text(max_size=5), st.text(max_size=5))
-texts = marker_texts | st.text(max_size=40)
+texts = st.text(max_size=40)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | texts,
     lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
     max_leaves=10,
 )
-
-
-@st.composite
-def record_batches(draw):
-    """Records to append in one call: nested fields, and transcripts drawn
-    from a small pool (so records share them) or of another type or absent."""
-    pool = draw(st.lists(texts, min_size=1, max_size=3))
-    fields = st.dictionaries(texts, json_values, max_size=4)
-    with_transcript = st.builds(
-        lambda record, transcript: {**record, "transcript": transcript},
-        fields,
-        st.sampled_from(pool) | json_values,
-    )
-    return draw(st.lists(with_transcript | fields, max_size=6))
+# Records to append in one call, with nested fields.
+record_batches = st.lists(st.dictionaries(texts, json_values, max_size=4), max_size=6)
 
 
 class TestRunStore:
-    @given(records=record_batches())
+    @given(records=record_batches)
     def test_each_line_is_the_record_dumped_with_sorted_keys(self, tmp_path_factory, records):
         store = RunStore(tmp_path_factory.mktemp("store") / "runs.jsonl")
         store.append(*records)
         expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
         assert store.path.read_text(encoding="utf-8") == expected
+        # ASCII only, so a line cut short never splits a character.
+        assert store.path.read_bytes().isascii()
 
     def test_append_and_load_round_trip(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
@@ -902,6 +891,17 @@ class TestRunStore:
         path.write_text(f"{LINE_A}\nnot json\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: bad record"):
             load_records(path)
+
+    def test_a_line_that_is_not_utf8_is_named_by_its_number(self, tmp_path):
+        # Far enough in that the text reader fails on a later chunk than the first.
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(f"{LINE_A}\n".encode() * 149 + b'{"a": "\xff"}\n' + f"{LINE_B}\n".encode())
+        with pytest.raises(ValueError) as info:
+            load_records(path)
+        assert str(info.value) == (
+            f"{path}:150: bad record: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte"
+        )
 
     def test_non_object_line_is_rejected(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import ACC, REJ, build_transcript, full_corpus, load_corpus_cases, oracle_text
-from ultimatum.engine import Decision, GameConfig
+from ultimatum.engine import MAX_POT, Decision, GameConfig
 from ultimatum.rubric import ErrorClass, evaluate_transcript
 from ultimatum.strategy import (
     ALL_PAIRS,
@@ -433,6 +434,14 @@ def _edit_lines(text, edit):
     return "".join(edit(text.splitlines(keepends=True)))
 
 
+def _respell_round_1(old, new):
+    """A tampering that respells part of round 1's line, and the message
+    that refuses the line it leaves."""
+    line = "round 1 offer=50 decision=accept payoffs=50/50"
+    tampered = line.replace(old, new, 1)
+    return lambda s: s.replace(line, tampered, 1), re.escape(f"bad round line: {tampered!r}")
+
+
 class TestCanonicalFormat:
     def test_round_trip_is_byte_stable(self):
         transcript = build_transcript([50, 55, 55, 55, 55], [REJ, ACC, ACC, ACC, ACC])
@@ -517,12 +526,31 @@ class TestCanonicalFormat:
         ),
         "round-not-an-integer": (
             lambda s: s.replace("offer=50", "offer=fifty", 1),
-            "bad round line: invalid literal",
+            "bad round line: 'round 1 offer=fifty",
         ),
         "offer-outside-pot": (
             lambda s: s.replace("offer=50 decision=accept payoffs=50/50",
-                                "offer=150 decision=accept payoffs=-50/150", 1),
+                                "offer=150 decision=reject payoffs=0/0", 1),
             "round 1: offer 150 outside pot",
+        ),
+        # Near misses of the writer's round line, each of which int() reads.
+        "round-signed": _respell_round_1("round 1", "round +1"),
+        "offer-underscore": _respell_round_1("offer=50", "offer=0_50"),
+        "offer-arabic-indic-digits": _respell_round_1("offer=50", "offer=٥٠"),
+        "round-trailing-tab": _respell_round_1("50/50", "50/50\t"),
+        "offer-19-digits": _respell_round_1("offer=50", "offer=" + "9" * 19),
+        "payoff-negative-zero": _respell_round_1(
+            "offer=50 decision=accept payoffs=50/50", "offer=0 decision=reject payoffs=-0/0"
+        ),
+        "offer-leading-zero": _respell_round_1("offer=50", "offer=050"),
+        "pot-above-max": (
+            lambda s: s.replace(" pot=100 ", f" pot={MAX_POT + 1} ", 1),
+            f"bad header values: pot must be <= {MAX_POT} cents, got {MAX_POT + 1}",
+        ),
+        # The largest pot is read; these rounds then do not split it.
+        "pot-at-max": (
+            lambda s: s.replace(" pot=100 ", f" pot={MAX_POT} ", 1),
+            r"round 1: payoffs \(50, 50\) inconsistent with accept",
         ),
         "rawlog-not-two-strings": (
             lambda s: s + 'rawlog "single_model" 7\n',
