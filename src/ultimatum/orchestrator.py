@@ -12,9 +12,10 @@ Two structures produce a gradable transcript:
   a player is handed the engine's game state: the round, the outcomes so
   far and, for the receiver, the pending offer. The transcript is built
   from the engine state the moderator drove and from each player's own
-  strategy reply. The moderator records the game as it is played and
-  renders each player's view of it, in one place, as a per-agent log; the
-  two logs are kept as the transcript's raw logs.
+  strategy reply. The moderator keeps one record of the game, its turn
+  log: every message it exchanged with a player, in order. Each player's
+  view of the game is rendered from it as a per-agent log; the two logs
+  are kept as the transcript's raw logs.
 
 The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
@@ -178,62 +179,50 @@ def _strip_strategy_prefix(reply: str) -> str:
     return f"{first}{sep}{rest}".strip()
 
 
-class _Seat:
-    """One player in a game: its role, its agent, and every message it
-    was told (`inbound`) and said (`outbound`)."""
-
-    __slots__ = ("role", "agent", "inbound", "outbound")
-
-    def __init__(self, role: Role, agent: Agent) -> None:
-        self.role = role
-        self.agent = agent
-        self.inbound: list[str] = []
-        self.outbound: list[str] = []
-
-    def tell(self, message: str, label: str = "announcement") -> None:
-        self.agent.receive(message, label)
-        self.inbound.append(message)
+# Turn-log labels. A player said a "strategy", "offer" or "decision" reply
+# the game was played from, or an "unusable" reply that got a correction; it
+# was told a "correction" or an "announcement".
+_ACCEPTED = ("strategy", "offer", "decision")
+_TOLD = ("correction", "announcement")
 
 
 class _Moderator:
-    """Drives the two players through one game and records it.
+    """Drives the two players through one game and keeps one record of it.
 
-    The record is what each player said and was told (for the audit and
-    the run's replies), the stripped strategy texts, and one entry per
-    round: the engine outcome, the accepted offer and decision replies and
-    the announcement. `logs()` renders the per-agent logs from it.
-
-    Each player's seat (`proposer`, `receiver`: its agent and the lists of
-    what it was told and said) is resolved once per game, when the
-    moderator is made, so no exchange looks anything up by role.
+    The record is the turn log (`turns`): every message the moderator
+    exchanged with a player, in order, as (role, label, text). The
+    information audit, the per-agent logs, the run's replies and its memo
+    key are all read from it.
     """
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
         self.game = game
-        self.proposer = _Seat(Role.PROPOSER, proposer)
-        self.receiver = _Seat(Role.RECEIVER, receiver)
-        self.strategies: dict[Role, str] = {}
-        self.rounds: list[tuple[engine.RoundOutcome, str, str, str]] = []
+        self.proposer = proposer
+        self.receiver = receiver
+        self.turns: list[tuple[Role, str, str]] = []
+
+    def _tell(self, agent: Agent, label: str, message: str) -> None:
+        agent.receive(message, label)
+        self.turns.append((agent.role, label, message))
 
     def strategy_phase(self) -> None:
-        for seat in (self.proposer, self.receiver):
-            reply = seat.agent.create_strategy()
-            seat.outbound.append(reply)
-            self.strategies[seat.role] = _strip_strategy_prefix(reply)
+        for agent in (self.proposer, self.receiver):
+            self.turns.append((agent.role, "strategy", agent.create_strategy()))
 
-    def _request(self, seat: _Seat, state: engine.GameState, extract, correction: str):
+    def _request(self, agent: Agent, state: engine.GameState, extract, label: str, correction: str):
         """Ask for an action, allowing one corrective re-prompt rendered
         from the `correction` template."""
         for attempt in range(2):
-            reply = seat.agent.act(state)
-            seat.outbound.append(reply)
+            reply = agent.act(state)
             value = extract(reply)
             if value is not None:
-                return value, reply
+                self.turns.append((agent.role, label, reply))
+                return value
+            self.turns.append((agent.role, "unusable", reply))
             if attempt == 0:
-                seat.tell(prompts.render(correction), "correction")
+                self._tell(agent, "correction", prompts.render(correction))
         raise TurnOrderViolationError(
-            f"{seat.role.value} failed to produce a usable action in round {state.round_index}"
+            f"{agent.role.value} failed to produce a usable action in round {state.round_index}"
         )
 
     def play(self) -> tuple[engine.RoundOutcome, ...]:
@@ -241,16 +230,11 @@ class _Moderator:
         proposer, receiver = self.proposer, self.receiver
         state = engine.new_game(self.game)
         while not state.finished:
-            offer, offer_reply = self._request(
-                proposer, state, self._extract_offer, "correct_offer"
-            )
+            offer = self._request(proposer, state, self._extract_offer, "offer", "correct_offer")
             state = engine.submit_offer(state, offer)
-            decision, decision_reply = self._request(
-                receiver, state, extract_decision_reply, "correct_decision"
+            decision = self._request(
+                receiver, state, extract_decision_reply, "decision", "correct_decision"
             )
-            proposer.inbound.append(f"DECISION: {decision.value}")
-            receiver.inbound.append(f"OFFER: {format_money(offer)}")
-
             state, outcome = engine.submit_decision(state, decision)
             announcement = prompts.render(
                 "announce_outcome",
@@ -260,9 +244,8 @@ class _Moderator:
                 proposer_text=format_money(outcome.proposer_payoff),
                 receiver_text=format_money(outcome.receiver_payoff),
             )
-            proposer.tell(announcement)
-            receiver.tell(announcement)
-            self.rounds.append((outcome, offer_reply, decision_reply, announcement))
+            self._tell(proposer, "announcement", announcement)
+            self._tell(receiver, "announcement", announcement)
         return state.history
 
     def _extract_offer(self, reply: str) -> Money | None:
@@ -271,19 +254,30 @@ class _Moderator:
             return None
         return offer
 
-    def logs(self) -> tuple[tuple[str, str], ...]:
+    def accepted(self) -> tuple[str, ...]:
+        """The replies the game was played from: both strategy replies,
+        then each round's offer and decision reply."""
+        return tuple([text for _, label, text in self.turns if label in _ACCEPTED])
+
+    def logs(self, history: tuple[engine.RoundOutcome, ...]) -> tuple[tuple[str, str], ...]:
         """The per-agent logs as (role, text) raw-log entries.
 
         Each log is the player's plan and strategy, then per round what it
         said, what it heard from the other side and the announced outcome.
         """
+        proposer_strategy, receiver_strategy, *actions = self.accepted()
+        # Both players are told the same announcements.
+        announcements = [
+            text for who, label, text in self.turns if who is Role.PROPOSER and label == "announcement"
+        ]
+        rounds = tuple(zip(history, actions[0::2], actions[1::2], announcements))
         logs = []
-        for role in (Role.PROPOSER, Role.RECEIVER):
+        for role, strategy in ((Role.PROPOSER, proposer_strategy), (Role.RECEIVER, receiver_strategy)):
             lines = [
                 _labeled("Plan", default_plan(role)),
-                _labeled("Strategy", self.strategies[role]),
+                _labeled("Strategy", _strip_strategy_prefix(strategy)),
             ]
-            for outcome, offer_reply, decision_reply, announcement in self.rounds:
+            for outcome, offer_reply, decision_reply, announcement in rounds:
                 if role is Role.PROPOSER:
                     turn = [_labeled("Say", offer_reply), f"[Hear] DECISION: {outcome.decision.value}"]
                 else:
@@ -292,22 +286,26 @@ class _Moderator:
             logs.append((role.value, "\n".join(lines) + "\n"))
         return tuple(logs)
 
+    def replies(self, role: Role) -> list[str]:
+        """Everything the player in `role` said, in order."""
+        return [text for who, label, text in self.turns if who is role and label not in _TOLD]
+
     def audit_information(self) -> None:
         """No message sent to or said by a player may contain the other
-        player's private personality line."""
-        for seat, other in ((self.proposer, self.receiver), (self.receiver, self.proposer)):
-            secret = private_bio(other.role, other.agent.personality).lower()
-            who, whose = seat.role.value, other.role.value
-            for text in seat.inbound:
-                if secret in text.lower():
-                    raise InformationLeakError(
-                        f"message to the {who} contains the {whose}'s private profile"
-                    )
-            for text in seat.outbound:
-                if secret in text.lower():
-                    raise InformationLeakError(
-                        f"the {who} said the {whose}'s private profile out loud"
-                    )
+        player's private personality line. For each player, the proposer
+        first, a leak in what it was told is reported before one in what it
+        said."""
+        for agent, other in ((self.proposer, self.receiver), (self.receiver, self.proposer)):
+            secret = private_bio(other.role, other.personality).lower()
+            who, whose, role = agent.role.value, other.role.value, agent.role
+            leaked = {
+                label in _TOLD for speaker, label, text in self.turns
+                if speaker is role and secret in text.lower()
+            }
+            if True in leaked:
+                raise InformationLeakError(f"message to the {who} contains the {whose}'s private profile")
+            if False in leaked:
+                raise InformationLeakError(f"the {who} said the {whose}'s private profile out loud")
 
 
 def run_multi_agent(
@@ -317,20 +315,20 @@ def run_multi_agent(
     graded: dict | None = None,
 ) -> SimulationResult:
     """Drive (proposer, receiver) through one moderated game and grade it.
-    The run's prompts and replies are built from the moderator's record
+    The run's prompts and replies are built from the moderator's turn log
     when the result's traffic is first read.
 
-    `graded`, when given, maps (pair, game, proposer strategy text,
-    receiver strategy text, the accepted (offer reply, decision reply) of
-    each round) to the (transcript, verdict, canonical text) of a game
-    already graded. That key determines the transcript: the strategy texts
-    are parsed against the game, the engine replays the actions read from
-    the accepted replies into the rounds, and the per-agent logs hold only
-    those texts, the rounds and each role's fixed plan. A game found there
-    is not built, graded or serialized again; one that grades is added.
-    Every run still plays through the moderator and passes its own
-    information audit, and its traffic is its own. A run that raises is
-    never stored, so every run that plays the same game raises.
+    `graded`, when given, maps (pair, game, the texts of the replies the
+    game was played from) to the (transcript, verdict, canonical text) of a
+    game already graded. That key determines the transcript: the strategy
+    replies are parsed against the game, the engine replays the actions
+    read from the offer and decision replies into the rounds, and the
+    per-agent logs hold only those texts, the rounds and each role's fixed
+    plan. A game found there is not built, graded or serialized again; one
+    that grades is added. Every run still plays through the moderator and
+    passes its own information audit, and its traffic is its own. A run
+    that raises is never stored, so every run that plays the same game
+    raises.
     """
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
@@ -341,14 +339,8 @@ def run_multi_agent(
     moderator.audit_information()
     if graded is None:
         graded = {}
-    strategies = moderator.strategies
-    key = (
-        config.pair,
-        config.game,
-        strategies[Role.PROPOSER],
-        strategies[Role.RECEIVER],
-        tuple((offer, decision) for _, offer, decision, _ in moderator.rounds),
-    )
+    accepted = moderator.accepted()
+    key = (config.pair, config.game, accepted)
     if key not in graded:
         transcript = Transcript(
             config=config.game,
@@ -356,10 +348,12 @@ def run_multi_agent(
             structure=Structure.MULTI_AGENT,
             strategies=tuple(
                 StrategySpec(role, text, parse_strategy_text(text, role, config.game))
-                for role, text in strategies.items()
+                for role, text in zip(
+                    (Role.PROPOSER, Role.RECEIVER), map(_strip_strategy_prefix, accepted[:2])
+                )
             ),
             rounds=rounds,
-            raw_logs=moderator.logs(),
+            raw_logs=moderator.logs(rounds),
         )
         graded[key] = (transcript, evaluate_transcript(transcript), serialize_canonical(transcript))
     transcript, verdict, canonical = graded[key]
@@ -375,15 +369,16 @@ def run_multi_agent(
 
 def _moderated_traffic(moderator: _Moderator) -> tuple[Traffic, Traffic]:
     """A moderated run's (prompts, replies): each player's labeled prompt
-    log (oracles keep none), then each player's replies, proposer first."""
+    log (oracles keep none), then each player's replies from the turn log,
+    proposer first."""
     prompt_pairs: list[tuple[str, str]] = []
     replies: list[tuple[str, str]] = []
-    for seat in (moderator.proposer, moderator.receiver):
-        name = seat.role.value
+    for agent in (moderator.proposer, moderator.receiver):
+        name = agent.role.value
         prompt_pairs += [
-            (f"{name}/{label}", text) for label, text in getattr(seat.agent, "prompt_log", ())
+            (f"{name}/{label}", text) for label, text in getattr(agent, "prompt_log", ())
         ]
-        replies += [(name, text) for text in seat.outbound]
+        replies += [(name, text) for text in moderator.replies(agent.role)]
     return tuple(prompt_pairs), tuple(replies)
 
 

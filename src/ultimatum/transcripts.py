@@ -49,6 +49,7 @@ from typing import NamedTuple
 from . import engine
 from .engine import Decision, GameConfig, Money, RoundOutcome
 from .strategy import (
+    ALL_PAIRS,
     AdjustKind,
     AdjustRule,
     CutoffRule,
@@ -1003,10 +1004,15 @@ _DECODER = json.JSONDecoder()
 # Encodes strategy fields: sorted keys, no spaces, non-ASCII escaped.
 _FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# A round line exactly as serialize_canonical writes it, the only form
-# parse_canonical reads: each number in ASCII digits with no sign and no
-# leading zero, at most 18 of them (engine.MAX_POT), and a decision word.
+# The header after its tag and version, and a round line, exactly as
+# serialize_canonical writes them, the only forms parse_canonical reads:
+# each number in ASCII digits with no sign and no leading zero, at most 18
+# of them (engine.MAX_POT), and each word one the writer writes.
 _INT = r"(0|[1-9][0-9]{0,17})"
+_HEADER_RE = re.compile(
+    rf"pot={_INT} rounds={_INT} pair=({'|'.join(pair.label() for pair in ALL_PAIRS)}) "
+    rf"structure=({'|'.join(structure.value for structure in Structure)})"
+)
 _ROUND_LINE_RE = re.compile(
     rf"round {_INT} offer={_INT} decision=(accept|reject) payoffs={_INT}/{_INT}"
 )
@@ -1109,12 +1115,6 @@ def serialize_canonical(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(token: str, key: str) -> str:
-    if not token.startswith(key + "="):
-        raise MalformedRecordError(f"expected {key}=..., got {token!r}")
-    return token[len(key) + 1 :]
-
-
 def _read_json_pair(rest: str) -> tuple[object, object]:
     try:
         first, idx = _DECODER.raw_decode(rest)
@@ -1132,28 +1132,31 @@ def parse_canonical(text: str) -> Transcript:
     """Parse canonical v1 text back into a Transcript.
 
     Raises SchemaVersionError for an unknown version tag and
-    MalformedRecordError for any structural violation (field order, a round
-    line not in the writer's form, round numbering, payoffs that do not
-    match the decision).
+    MalformedRecordError for any structural violation (field order, a
+    header or round line not in the writer's form, round numbering, payoffs
+    that do not match the decision).
     """
     if not text.endswith("\n"):
         raise MalformedRecordError("canonical text must end with a newline")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise MalformedRecordError("empty transcript text")
-    header = lines[0].split(" ")
-    if len(header) != 6 or header[0] != CANONICAL_TAG:
+    tag, _, rest = lines[0].partition(" ")
+    version, _, rest = rest.partition(" ")
+    if tag != CANONICAL_TAG:
         raise MalformedRecordError(f"bad header line: {lines[0]!r}")
-    if header[1] != CANONICAL_VERSION:
-        raise SchemaVersionError(f"unsupported transcript version {header[1]!r}")
+    if version != CANONICAL_VERSION:
+        raise SchemaVersionError(f"unsupported transcript version {version!r}")
+    match = _HEADER_RE.fullmatch(rest)
+    if match is None:
+        raise MalformedRecordError(f"bad header line: {lines[0]!r}")
+    pot_text, rounds_text, label, structure_text = match.groups()
     try:
-        config = GameConfig(
-            pot=int(_parse_kv(header[2], "pot")), rounds=int(_parse_kv(header[3], "rounds"))
-        )
-        pair = PersonalityPair.from_label(_parse_kv(header[4], "pair"))
-        structure = _structure(_parse_kv(header[5], "structure"))
-    except (ValueError, engine.InvalidConfigError) as exc:
+        config = GameConfig(pot=int(pot_text), rounds=int(rounds_text))
+    except engine.InvalidConfigError as exc:
         raise MalformedRecordError(f"bad header values: {exc}") from None
+    pair = PersonalityPair.from_label(label)
+    structure = _structure(structure_text)
 
     strategies: list[StrategySpec] = []
     rounds: list[RoundOutcome] = []

@@ -1,11 +1,12 @@
 """The canonical reader reads each line in the one form the writer writes.
 
-`parse_canonical` reads a round line only as `serialize_canonical` writes
-it: each number in ASCII digits, with no sign and no leading zero, at most
-18 of them (`engine.MAX_POT`). Every other spelling of a round line, the
-near misses that `int()` would still read included, is refused with a
-message that names the line. Enum tokens of header and strategy lines are
-looked up by value and refused as the plain enum call refuses them.
+`parse_canonical` reads a header or round line only as `serialize_canonical`
+writes it: each number in ASCII digits, with no sign and no leading zero, at
+most 18 of them (`engine.MAX_POT`), and each word one the writer writes.
+Every other spelling of such a line, the near misses that `int()` or a
+case-blind lookup would still read included, is refused with a message that
+names the line. Enum tokens of strategy lines are looked up by value and
+refused as the plain enum call refuses them.
 """
 
 import dataclasses
@@ -189,7 +190,48 @@ ENUM_TOKENS = [
 ]
 
 
+@st.composite
+def headers(draw) -> tuple[str, Transcript]:
+    """(text, transcript): the writer's text of a transcript of drawn size,
+    pair and structure, its header maybe with one field respelled."""
+    config = GameConfig(pot=draw(pots), rounds=draw(st.integers(1, 10)))
+    transcript = dataclasses.replace(
+        transcript_of(config, [(0, Decision.REJECT)] * config.rounds),
+        pair=draw(st.sampled_from(ALL_PAIRS)),
+        structure=draw(st.sampled_from(Structure)),
+    )
+    header, body = serialize_canonical(transcript).split("\n", 1)
+    label, structure = transcript.pair.label(), transcript.structure.value
+    fields = [str(config.pot), str(config.rounds), label, structure]
+    at = draw(st.integers(0, 4))
+    if at < 2:
+        fields[at] = draw(int_spellings(int(fields[at])))
+    elif at == 2:
+        fields[at] = draw(st.sampled_from([
+            label, label.upper(), label.title(), label.replace("-", "_"), label + "\t", "fair-stingy",
+        ]))
+    elif at == 3:
+        fields[at] = draw(st.sampled_from([structure, structure.upper(), "multi-agent", "solo", ""]))
+    head = "ultimatum-transcript v1 pot={} rounds={} pair={} structure={}".format(*fields)
+    tail = draw(st.sampled_from(["", "", "", " ", "\t", " x"]))
+    return f"{head}{tail}\n{body}", transcript
+
+
 class TestHeaderAndStrategyLines:
+    @given(drawn=headers())
+    @example(drawn=(VALID.replace(" pot=100 ", " pot=+100 ", 1), BASE))
+    @example(drawn=(VALID.replace(" pair=fair-fair ", " pair=FAIR-Fair ", 1), BASE))
+    def test_only_the_writers_header_is_read(self, drawn):
+        text, transcript = drawn
+        header = text.partition("\n")[0]
+        event("read" if text == serialize_canonical(transcript) else "refused")
+        if text == serialize_canonical(transcript):
+            assert parse_canonical(text) == transcript
+        else:
+            with pytest.raises(MalformedRecordError) as info:
+                parse_canonical(text)
+            assert str(info.value) == f"bad header line: {header!r}"
+
     @pytest.mark.parametrize(
         "enum_cls, value", ENUM_TOKENS, ids=[f"{c.__name__}-{v!r}" for c, v in ENUM_TOKENS]
     )

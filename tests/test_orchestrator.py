@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ACC, REJ, ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text
 from ultimatum import engine, orchestrator, prompts
@@ -312,6 +314,20 @@ class TestModelAgentGames:
         assert len(announcements) == 5
         assert "accepted" in announcements[0]
 
+    @pytest.mark.parametrize("script", ["markers", "re-prompts"])
+    def test_kept_traffic_is_the_wire(self, script):
+        # A role's kept prompts are its agent's system and user messages and
+        # its kept replies the assistant messages, in the order sent.
+        config = multi_agent_config(model="scripted")
+        agents = scripted_agents(config, *CHAT_GAMES[script])()
+        result = run_multi_agent(config, agents)
+        for agent in agents:
+            name = agent.role.value
+            sent = [m["content"] for m in agent.messages if m["role"] in ("system", "user")]
+            answered = [m["content"] for m in agent.messages if m["role"] == "assistant"]
+            assert [text for label, text in result.prompts if label.startswith(f"{name}/")] == sent
+            assert [text for who, text in result.replies if who == name] == answered
+
 
 def assert_logs_parse_to_the_transcript(config, result):
     """Re-parsing the per-agent logs kept as raw logs gives back the
@@ -384,7 +400,7 @@ class TestDispatch:
 
 # ---------------------------------------------------------------------------
 # The moderator that built per-agent logs line by line as it played, kept as
-# the reference for the one that renders them from its record of the game.
+# the reference for the one that renders them from its turn log.
 # ---------------------------------------------------------------------------
 
 
@@ -400,41 +416,44 @@ def _strip_strategy_prefix(reply):
     return f"{first}{sep}{rest}".strip()
 
 
-class LineByLineModerator:
-    def __init__(self, proposer, receiver, game):
-        # The seats and rounds run_multi_agent reads; the role-keyed dicts
-        # share the seats' lists.
-        self.proposer = orchestrator._Seat(Role.PROPOSER, proposer)
-        self.receiver = orchestrator._Seat(Role.RECEIVER, receiver)
-        seats = (self.proposer, self.receiver)
-        self.agents = {seat.role: seat.agent for seat in seats}
-        self.game = game
-        self.strategies = {}
-        self.rounds = []
-        self.log_lines = {Role.PROPOSER: [], Role.RECEIVER: []}
-        self.outbound = {seat.role: seat.outbound for seat in seats}
-        self.inbound = {seat.role: seat.inbound for seat in seats}
+ROLES = (Role.PROPOSER, Role.RECEIVER)
+TOLD_LABELS = ("correction", "announcement")
 
-    def tell(self, role, message, label="announcement"):
+
+class LineByLineModerator:
+    """Keeps its own lists of what each player was told and said, and of
+    the replies the game was played from, and writes each per-agent log a
+    line at a time."""
+
+    def __init__(self, proposer, receiver, game):
+        self.proposer, self.receiver = proposer, receiver
+        self.agents = {Role.PROPOSER: proposer, Role.RECEIVER: receiver}
+        self.game = game
+        self.played_from = []
+        self.told = {role: [] for role in ROLES}
+        self.said = {role: [] for role in ROLES}
+        self.log_lines = {role: [] for role in ROLES}
+
+    def tell(self, role, message, label):
         self.agents[role].receive(message, label)
-        self.inbound[role].append(message)
+        self.told[role].append(message)
 
     def strategy_phase(self):
-        for role in (Role.PROPOSER, Role.RECEIVER):
-            agent = self.agents[role]
-            reply = agent.create_strategy()
-            self.outbound[role].append(reply)
-            self.strategies[role] = _strip_strategy_prefix(reply)
+        for role in ROLES:
+            reply = self.agents[role].create_strategy()
+            self.said[role].append(reply)
+            self.played_from.append(reply)
             self.log_lines[role].append(_labeled("Plan", default_plan(role)))
-            self.log_lines[role].append(_labeled("Strategy", self.strategies[role]))
+            self.log_lines[role].append(_labeled("Strategy", _strip_strategy_prefix(reply)))
 
     def _request(self, role, state, extract, correction):
         agent = self.agents[role]
         for attempt in range(2):
             reply = agent.act(state)
-            self.outbound[role].append(reply)
+            self.said[role].append(reply)
             value = extract(reply)
             if value is not None:
+                self.played_from.append(reply)
                 return value, reply
             if attempt == 0:
                 self.tell(role, prompts.render(correction), "correction")
@@ -446,23 +465,19 @@ class LineByLineModerator:
         state = engine.new_game(self.game)
         while not state.finished:
             r = state.round_index
-            for role in (Role.PROPOSER, Role.RECEIVER):
+            for role in ROLES:
                 self.log_lines[role].append(f"[Round {r}]")
             offer, offer_reply = self._request(
                 Role.PROPOSER, state, self._extract_offer, "correct_offer"
             )
             self.log_lines[Role.PROPOSER].append(_labeled("Say", offer_reply))
             state = engine.submit_offer(state, offer)
-            offer_line = f"OFFER: {format_money(offer)}"
-            self.log_lines[Role.RECEIVER].append(_labeled("Hear", offer_line))
+            self.log_lines[Role.RECEIVER].append(_labeled("Hear", f"OFFER: {format_money(offer)}"))
             decision, decision_reply = self._request(
                 Role.RECEIVER, state, extract_decision_reply, "correct_decision"
             )
             self.log_lines[Role.RECEIVER].append(_labeled("Say", decision_reply))
-            decision_line = f"DECISION: {decision.value}"
-            self.log_lines[Role.PROPOSER].append(_labeled("Hear", decision_line))
-            self.inbound[Role.PROPOSER].append(decision_line)
-            self.inbound[Role.RECEIVER].append(offer_line)
+            self.log_lines[Role.PROPOSER].append(_labeled("Hear", f"DECISION: {decision.value}"))
             state, outcome = engine.submit_decision(state, decision)
             announcement = prompts.render(
                 "announce_outcome",
@@ -472,10 +487,9 @@ class LineByLineModerator:
                 proposer_text=format_money(outcome.proposer_payoff),
                 receiver_text=format_money(outcome.receiver_payoff),
             )
-            for role in (Role.PROPOSER, Role.RECEIVER):
-                self.tell(role, announcement)
+            for role in ROLES:
+                self.tell(role, announcement, "announcement")
                 self.log_lines[role].append(_labeled("Outcome", announcement))
-            self.rounds.append((outcome, offer_reply, decision_reply, announcement))
         return state.history
 
     def _extract_offer(self, reply):
@@ -484,7 +498,13 @@ class LineByLineModerator:
             return None
         return offer
 
-    def logs(self):
+    def accepted(self):
+        return tuple(self.played_from)
+
+    def replies(self, role):
+        return self.said[role]
+
+    def logs(self, history):
         return tuple(
             (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
         )
@@ -493,14 +513,26 @@ class LineByLineModerator:
         for role, opponent in ((Role.PROPOSER, Role.RECEIVER), (Role.RECEIVER, Role.PROPOSER)):
             other = self.agents[opponent]
             secret = private_bio(other.role, other.personality).lower()
-            for text in self.inbound[role] + self.outbound[role]:
+            for text in self.told[role] + self.said[role]:
                 if secret in text.lower():
                     raise InformationLeakError(f"{role.value} traffic holds a private profile")
 
 
-def moderated_run(monkeypatch, moderator_cls, config, make_agents):
-    """run_multi_agent under the given moderator: the result, and what each
-    player was told and said."""
+def told_and_said(moderator):
+    """Each role's told and said texts: the reference moderator's own
+    lists, or read from the moderator's turn log."""
+    if isinstance(moderator, LineByLineModerator):
+        return moderator.told, moderator.said
+    turns = moderator.turns
+    told = {role: [t for r, label, t in turns if r is role and label in TOLD_LABELS] for role in ROLES}
+    said = {role: [t for r, label, t in turns if r is role and label not in TOLD_LABELS] for role in ROLES}
+    return told, said
+
+
+def moderated_run(moderator_cls, config, make_agents):
+    """run_multi_agent under the given moderator: the result (or the
+    message of the TurnOrderViolationError it raised), and what each player
+    was told and said."""
     moderators = []
 
     class Kept(moderator_cls):
@@ -508,24 +540,27 @@ def moderated_run(monkeypatch, moderator_cls, config, make_agents):
             super().__init__(*args)
             moderators.append(self)
 
-    monkeypatch.setattr(orchestrator, "_Moderator", Kept)
-    result = run_multi_agent(config, make_agents())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orchestrator, "_Moderator", Kept)
+        try:
+            outcome = run_multi_agent(config, make_agents())
+        except TurnOrderViolationError as error:
+            outcome = str(error)
     (moderator,) = moderators
-    seats = (moderator.proposer, moderator.receiver)
-    told = {seat.role: seat.inbound for seat in seats}
-    said = {seat.role: seat.outbound for seat in seats}
-    return result, told, said
+    return outcome, *told_and_said(moderator)
 
 
-def assert_moderators_agree(monkeypatch, config, make_agents):
+def assert_moderators_agree(config, make_agents):
     moderator_cls = orchestrator._Moderator
-    expected = moderated_run(monkeypatch, LineByLineModerator, config, make_agents)
-    actual = moderated_run(monkeypatch, moderator_cls, config, make_agents)
-    (want, want_told, want_said), (got, got_told, got_said) = expected, actual
+    want, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents)
+    got, got_told, got_said = moderated_run(moderator_cls, config, make_agents)
+    assert (got_told, got_said) == (want_told, want_said)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
     assert got.transcript.raw_logs == want.transcript.raw_logs
     assert got.replies == want.replies
     assert got.prompts == want.prompts
-    assert (got_told, got_said) == (want_told, want_said)
     assert got == want
 
 
@@ -554,29 +589,93 @@ CHAT_GAMES = {
 }
 
 
+def scripted_agents(config, proposer_actions, receiver_actions):
+    """A factory of model-backed players answering from the given scripts
+    after oracle strategy replies, one with a prefix and one with a tail."""
+    pot, rounds = config.game.pot, config.game.rounds
+
+    def make_agents():
+        gateway = ScriptedModelGateway(
+            ["STRATEGY:\n" + oracle_text(Role.PROPOSER, Personality.FAIR, pot, rounds)]
+            + list(proposer_actions),
+            [oracle_text(Role.RECEIVER, Personality.FAIR, pot, rounds) + "\nThat is all."]
+            + list(receiver_actions),
+        )
+        return make_model_agents(config, gateway)
+
+    return make_agents
+
+
+JUNK_REPLIES = st.one_of(
+    st.sampled_from(["I like turtles.", "hmm, tough call", "", "¿Oferta? ٥٠ сентов", "DÉCISION : accepter"]),
+    st.text(max_size=40),
+)
+OFFER_FORMS = (
+    "OFFER: {}",
+    "I would like to offer {} this time.",
+    "Thinking it over.\nOFFER: {}  \n(final)",
+    "Mi oferta — OFFER：{}, ¿vale?",
+)
+DECISION_FORMS = (
+    "DECISION: accept",
+    "DECISION: reject",
+    "Sounds fair to me, I accept.",
+    "Let me see.\nDECISION: reject",
+    "DECISION: accept\nthanks",
+    "Décision — DECISION: reject ✓",
+)
+
+
+def mostly(usable, unusable):
+    """Three usable replies in four, so that most generated games finish."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda ok: usable if ok else unusable
+    )
+
+
+def offer_replies(pot):
+    offers = st.tuples(st.sampled_from(OFFER_FORMS), st.integers(0, pot))
+    outside = st.integers(pot + 1, 2 * pot).map(lambda cents: f"OFFER: {format_money(cents)}")
+    return mostly(
+        offers.map(lambda form_cents: form_cents[0].format(format_money(form_cents[1]))),
+        st.one_of(outside, JUNK_REPLIES),
+    )
+
+
+DECISION_REPLIES = mostly(st.sampled_from(DECISION_FORMS), JUNK_REPLIES)
+
+
+@st.composite
+def chat_scripts(draw):
+    """A game size and enough replies on each side for every round to take
+    a re-prompt: a scripted player is never asked once its script is out."""
+    game = GameConfig(pot=draw(st.integers(5, 1000)), rounds=draw(st.integers(1, 6)))
+    size = 2 * game.rounds
+    proposer = draw(st.lists(offer_replies(game.pot), min_size=size, max_size=size))
+    receiver = draw(st.lists(DECISION_REPLIES, min_size=size, max_size=size))
+    return game, proposer, receiver
+
+
 class TestModeratorRendersTheLineByLineLogs:
     @pytest.mark.parametrize("rounds", [1, 5, 10])
     @pytest.mark.parametrize("pot", [5, 37, 100, 1000])
-    def test_oracle_grids(self, monkeypatch, pot, rounds):
+    def test_oracle_grids(self, pot, rounds):
         game = GameConfig(pot=pot, rounds=rounds)
         for flaws in FLAW_GRIDS:
             for pair in ALL_PAIRS:
                 assert_moderators_agree(
-                    monkeypatch,
                     multi_agent_config(pair, game=game),
                     lambda: make_oracle_agents(pair, game, **flaws),
                 )
 
     @pytest.mark.parametrize("game", CHAT_GAMES)
-    def test_scripted_chat_games(self, monkeypatch, game):
-        proposer_actions, receiver_actions = CHAT_GAMES[game]
+    def test_scripted_chat_games(self, game):
         config = multi_agent_config(model="scripted")
+        assert_moderators_agree(config, scripted_agents(config, *CHAT_GAMES[game]))
 
-        def make_agents():
-            gateway = ScriptedModelGateway(
-                ["STRATEGY:\n" + oracle_text(Role.PROPOSER, Personality.FAIR)] + proposer_actions,
-                [oracle_text(Role.RECEIVER, Personality.FAIR) + "\nThat is all."] + receiver_actions,
-            )
-            return make_model_agents(config, gateway)
-
-        assert_moderators_agree(monkeypatch, config, make_agents)
+    @settings(max_examples=60)
+    @given(chat_scripts())
+    def test_generated_chat_games(self, script):
+        game, proposer_actions, receiver_actions = script
+        config = multi_agent_config(model="scripted", game=game)
+        assert_moderators_agree(config, scripted_agents(config, proposer_actions, receiver_actions))

@@ -442,6 +442,16 @@ def _respell_round_1(old, new):
     return lambda s: s.replace(line, tampered, 1), re.escape(f"bad round line: {tampered!r}")
 
 
+HEADER = "ultimatum-transcript v1 pot=100 rounds=5 pair=fair-fair structure=single_model"
+
+
+def _respell_header(old, new):
+    """A tampering that respells part of the header, and the message that
+    refuses the header it leaves."""
+    tampered = HEADER.replace(old, new, 1)
+    return lambda s: s.replace(HEADER, tampered, 1), re.escape(f"bad header line: {tampered!r}")
+
+
 class TestCanonicalFormat:
     def test_round_trip_is_byte_stable(self):
         transcript = build_transcript([50, 55, 55, 55, 55], [REJ, ACC, ACC, ACC, ACC])
@@ -495,13 +505,24 @@ class TestCanonicalFormat:
             "expected proposer then receiver strategy lines",
         ),
         "empty-text": (lambda s: "\n", "empty transcript text"),
-        "wrong-header-key": (
-            lambda s: s.replace(" pot=", " pots=", 1),
-            r"expected pot=\.\.\., got 'pots=100'",
+        "wrong-header-key": _respell_header(" pot=", " pots="),
+        "bad-header-value": _respell_header("rounds=5", "rounds=five"),
+        # Near misses of the writer's header, each of which int() or the
+        # case-blind pair lookup reads.
+        "pot-signed": _respell_header("pot=100", "pot=+100"),
+        "pot-leading-zero": _respell_header("pot=100", "pot=0100"),
+        "pot-underscore": _respell_header("pot=100", "pot=1_00"),
+        "rounds-arabic-indic-digits": _respell_header("rounds=5", "rounds=٣"),
+        "pair-upper-case": _respell_header("pair=fair-fair", "pair=FAIR-Fair"),
+        "header-trailing-space": _respell_header("single_model", "single_model "),
+        "structure-unknown": _respell_header("single_model", "single-model"),
+        "pot-zero": (
+            lambda s: s.replace(" pot=100 ", " pot=0 ", 1),
+            r"bad header values: pot must be >= 1 cent, got 0",
         ),
-        "bad-header-value": (
-            lambda s: s.replace("rounds=5", "rounds=five", 1),
-            "bad header values: invalid literal",
+        "rounds-zero": (
+            lambda s: s.replace(" rounds=5 ", " rounds=0 ", 1),
+            r"bad header values: rounds must be >= 1, got 0",
         ),
         "bad-json": (lambda s: s.replace('{"cutoff":null', '{"cutoff":nul', 1), "bad JSON payload"),
         "trailing-data": (
@@ -543,10 +564,7 @@ class TestCanonicalFormat:
             "offer=50 decision=accept payoffs=50/50", "offer=0 decision=reject payoffs=-0/0"
         ),
         "offer-leading-zero": _respell_round_1("offer=50", "offer=050"),
-        "pot-above-max": (
-            lambda s: s.replace(" pot=100 ", f" pot={MAX_POT + 1} ", 1),
-            f"bad header values: pot must be <= {MAX_POT} cents, got {MAX_POT + 1}",
-        ),
+        "pot-above-max": _respell_header("pot=100", f"pot={MAX_POT + 1}"),
         # The largest pot is read; these rounds then do not split it.
         "pot-at-max": (
             lambda s: s.replace(" pot=100 ", f" pot={MAX_POT} ", 1),
