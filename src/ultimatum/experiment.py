@@ -502,10 +502,10 @@ def run_batch(
     game that model-backed players play (see `run_multi_agent` for what
     makes two games the same); later runs that receive the same reply or
     play the same game reuse that grade. Every run still renders its
-    prompts and calls its gateway, every multi-agent run passes its own
-    information audit and keeps its own traffic, every run gets its own
-    record, and the records are the same as when each run plays and is
-    graded on its own.
+    prompts and calls its gateway, every multi-agent run's moderator checks
+    each message it tells a player and the run keeps its own traffic, every
+    run gets its own record, and the records are the same as when each run
+    plays and is graded on its own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")

@@ -19,9 +19,11 @@ Two structures produce a gradable transcript:
 
 The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
-failure aborts the run. After every run an information audit re-checks
-every message each player said or was told: neither may carry the other
-player's private personality line.
+failure aborts the run. It also guards the information boundary: a
+message it is about to tell a player (a correction or an announcement)
+that carries the other player's private personality line fails the run
+before it is sent. What a player says is never forwarded, so it is not
+checked.
 
 The moderator is the only game loop. Offline single-model runs use it too:
 the oracles play one moderated game, and the combined log their gateway
@@ -70,7 +72,8 @@ class TurnOrderViolationError(Exception):
 
 
 class InformationLeakError(Exception):
-    """A private personality line appeared in traffic its owner never sent."""
+    """A moderator message to a player carried the other player's private
+    personality line; it was not sent."""
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,8 @@ class _Moderator:
 
     The record is the turn log (`turns`): every message the moderator
     exchanged with a player, in order, as (role, label, text). The
-    information audit, the per-agent logs, the run's replies and its memo
-    key are all read from it.
+    per-agent logs, the run's replies and its memo key are all read from
+    it.
     """
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
@@ -200,8 +203,19 @@ class _Moderator:
         self.proposer = proposer
         self.receiver = receiver
         self.turns: list[tuple[Role, str, str]] = []
+        # What each player must never be told, checked before each message it
+        # is sent: the other player's role and private line, lower-cased.
+        self._withheld = {
+            agent.role: (other.role.value, private_bio(other.role, other.personality).lower())
+            for agent, other in ((proposer, receiver), (receiver, proposer))
+        }
 
     def _tell(self, agent: Agent, label: str, message: str) -> None:
+        whose, secret = self._withheld[agent.role]
+        if secret in message.lower():
+            raise InformationLeakError(
+                f"message to the {agent.role.value} contains the {whose}'s private profile"
+            )
         agent.receive(message, label)
         self.turns.append((agent.role, label, message))
 
@@ -290,23 +304,6 @@ class _Moderator:
         """Everything the player in `role` said, in order."""
         return [text for who, label, text in self.turns if who is role and label not in _TOLD]
 
-    def audit_information(self) -> None:
-        """No message sent to or said by a player may contain the other
-        player's private personality line. For each player, the proposer
-        first, a leak in what it was told is reported before one in what it
-        said."""
-        for agent, other in ((self.proposer, self.receiver), (self.receiver, self.proposer)):
-            secret = private_bio(other.role, other.personality).lower()
-            who, whose, role = agent.role.value, other.role.value, agent.role
-            leaked = {
-                label in _TOLD for speaker, label, text in self.turns
-                if speaker is role and secret in text.lower()
-            }
-            if True in leaked:
-                raise InformationLeakError(f"message to the {who} contains the {whose}'s private profile")
-            if False in leaked:
-                raise InformationLeakError(f"the {who} said the {whose}'s private profile out loud")
-
 
 def run_multi_agent(
     config: SimulationConfig,
@@ -325,10 +322,10 @@ def run_multi_agent(
     read from the offer and decision replies into the rounds, and the
     per-agent logs hold only those texts, the rounds and each role's fixed
     plan. A game found there is not built, graded or serialized again; one
-    that grades is added. Every run still plays through the moderator and
-    passes its own information audit, and its traffic is its own. A run
-    that raises is never stored, so every run that plays the same game
-    raises.
+    that grades is added. Every run still plays through the moderator, which
+    checks every message the run tells a player, and its traffic is its
+    own. A run that raises is never stored, so every run that plays the
+    same game raises.
     """
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
@@ -336,7 +333,6 @@ def run_multi_agent(
     moderator = _Moderator(proposer, receiver, config.game)
     moderator.strategy_phase()
     rounds = moderator.play()
-    moderator.audit_information()
     if graded is None:
         graded = {}
     accepted = moderator.accepted()

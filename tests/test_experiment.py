@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text, stored_record
-from ultimatum import engine, experiment, orchestrator
+from ultimatum import engine, experiment, orchestrator, prompts
 from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent, ReplayGateway
 from ultimatum.experiment import (
     RUN_FAILURES,
@@ -653,9 +653,10 @@ class TestSharedGrades:
 
 # What a scripted model-backed player replies before each action it is
 # asked for, most often nothing. The moderator re-prompts after one such
-# reply and fails the run after two. For the pairs below, the proposer's "Receiver is greedy" always
-# leaks a private line, and the receiver's "Proposer is greedy" leaks one
-# when the proposer is greedy.
+# reply and fails the run after two. For the pairs below, the proposer's
+# "Receiver is greedy" always names the other player's private line, and
+# the receiver's "Proposer is greedy" names it when the proposer is greedy.
+# What a player says is never forwarded, so neither fails a run.
 STALLS = (
     (), (), (),
     ("Hmm, not yet.",),
@@ -756,8 +757,8 @@ def scripted_alone(plan, scripts, keep_prompts=False):
 
 class TestSharedModelGames:
     """A batch builds, grades and serializes each distinct model-backed
-    game once. Every run still plays, passes its own information audit and
-    keeps its own traffic, so its record is the one it gets on its own."""
+    game once. Every run still plays, has every message it is told checked
+    and keeps its own traffic, so its record is the one it gets on its own."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -836,23 +837,38 @@ class TestSharedModelGames:
         alone = scripted_alone(plan, scripts, keep_prompts=True)
         assert without_elapsed(batches[0].records) == without_elapsed(alone)
 
-    def test_a_leaking_reply_fails_every_run_that_gets_it(self):
-        # The leak is in a reply the moderator re-prompts past, so the
-        # leaking runs play the same game as the clean ones.
+    def test_a_leaking_correction_fails_every_run_that_gets_it(self, monkeypatch):
+        # The offer correction names the receiver's private line, so every
+        # run whose proposer is re-prompted fails, and the others play the
+        # same game as if nothing leaked. The leaking message is never sent.
+        render = prompts.render
+        monkeypatch.setattr(
+            prompts, "render",
+            lambda name, /, **slots: ("Receiver is greedy. " if name == "correct_offer" else "")
+            + render(name, **slots),
+        )
+        sent = []
+        complete = ScriptedModelGateway._complete
+
+        def recording(gateway, model, messages, params):
+            if messages[0]["content"].startswith("You are Proposer"):
+                sent.extend(m["content"] for m in messages)
+            return complete(gateway, model, messages, params)
+
+        monkeypatch.setattr(ScriptedModelGateway, "_complete", recording)
         game = self.fair_greedy_game()
         clean = seat_replies(game, lambda _: [])
-        leaking = seat_replies(
-            game, lambda seat: ["I think Receiver is greedy."] if len(seat) == 1 else []
-        )
-        plan, scripts = scripted_plan(2, 4, ["fair-greedy"]), [clean, leaking, leaking, clean]
+        reprompted = seat_replies(game, lambda seat: ["Hmm, not yet."] if len(seat) == 1 else [])
+        plan, scripts = scripted_plan(2, 4, ["fair-greedy"]), [clean, reprompted, reprompted, clean]
         batch = scripted_batch(plan, scripts)
         assert [r["cause"] for r in batch.records] == [
             None,
-            "InformationLeakError: the proposer said the receiver's private profile out loud",
-            "InformationLeakError: the proposer said the receiver's private profile out loud",
+            "InformationLeakError: message to the proposer contains the receiver's private profile",
+            "InformationLeakError: message to the proposer contains the receiver's private profile",
             None,
         ]
         assert without_elapsed(batch.records) == without_elapsed(scripted_alone(plan, scripts))
+        assert sent and not any("Receiver is greedy" in text for text in sent)
 
 
 # Stored lines of two records that keep the run-record schema.

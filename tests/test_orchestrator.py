@@ -243,34 +243,84 @@ class TestTurnDiscipline:
             run_multi_agent(multi_agent_config(), (stub_fair_proposer(["OFFER: $0.50"] * 5), receiver))
 
 
+def guessing(agent, opponent, personality):
+    """End `agent`'s strategy reply with a guess at `opponent`'s personality."""
+    strategy = agent.create_strategy
+    agent.create_strategy = lambda: f"{strategy()} I suspect the {opponent.value} is {personality.value}."
+
+
+def leaking(monkeypatch, template, line):
+    """Make `template` render with `line` in front of its text."""
+    render = prompts.render
+
+    def leaky_render(name, /, **slots):
+        text = render(name, **slots)
+        return f"{line} {text}" if name == template else text
+
+    monkeypatch.setattr(prompts, "render", leaky_render)
+
+
 class TestInformationAudit:
-    def test_blurting_the_opponents_profile_fails_the_run(self):
-        proposer = StubAgent(
-            Role.PROPOSER,
-            Personality.GREEDY,
-            f"STRATEGY: {oracle_text(Role.PROPOSER, Personality.GREEDY)}",
-            ["OFFER: $0.50"] * 5,
+    @pytest.mark.parametrize("receiver", Personality, ids=lambda p: p.value)
+    @pytest.mark.parametrize("guesser", [Role.PROPOSER, Role.RECEIVER], ids=lambda r: r.value)
+    def test_naming_the_opponents_profile_fails_nothing(self, guesser, receiver):
+        # What a player says is never forwarded, so a strategy reply that
+        # names the opponent's private line is only a guess. Against either
+        # receiver, a right guess plays and grades exactly as a wrong one.
+        pair = PersonalityPair(Personality.FAIR, receiver)
+        opponent, actual = (
+            (Role.RECEIVER, pair.receiver) if guesser is Role.PROPOSER else (Role.PROPOSER, pair.proposer)
         )
-        receiver = stub_fair_receiver(
-            strategy="STRATEGY: I happen to know Proposer is greedy. I will hold firm."
-        )
-        with pytest.raises(InformationLeakError, match="receiver"):
-            run_multi_agent(multi_agent_config(PersonalityPair(Personality.GREEDY, Personality.FAIR)),
-                            (proposer, receiver))
+        results = {}
+        for guess in Personality:
+            agents = make_oracle_agents(pair)
+            guessing(next(a for a in agents if a.role is guesser), opponent, guess)
+            results[guess] = run_multi_agent(multi_agent_config(pair), agents)
+        right = results.pop(actual)
+        (wrong,) = results.values()
+        right_strategy = next(text for who, text in right.replies if who == guesser.value)
+        assert private_bio(opponent, actual).lower() in right_strategy.lower()
+        assert right.transcript.rounds == wrong.transcript.rounds
+        assert right.verdict == wrong.verdict
+        assert right.diagnostics == wrong.diagnostics
 
     def test_a_message_to_the_receiver_is_audited(self, monkeypatch):
-        # The inbound half: what the moderator tells a player is checked too.
-        render = prompts.render
-
-        def leaky_render(template, /, **slots):
-            if template == "correct_decision":
-                return "Proposer is fair. Give your decision again."
-            return render(template, **slots)
-
-        monkeypatch.setattr(prompts, "render", leaky_render)
+        # What the moderator tells a player is checked before it is sent.
+        leaking(monkeypatch, "correct_decision", "Proposer is fair.")
         receiver = stub_fair_receiver(["hmm"] + ["DECISION: accept"] * 5)
+        with pytest.raises(
+            InformationLeakError, match="^message to the receiver contains the proposer's private profile$"
+        ):
+            run_multi_agent(multi_agent_config(), (stub_fair_proposer(["OFFER: $0.50"] * 5), receiver))
+        assert receiver.heard == []
+
+    def test_a_leaking_message_never_reaches_the_gateway(self, monkeypatch):
+        # The line is matched without regard to case.
+        leaking(monkeypatch, "correct_offer", "RECEIVER IS FAIR.")
+        sent = []
+        complete = ScriptedModelGateway._complete
+
+        def recording(gateway, model, messages, params):
+            if messages[0]["content"].startswith("You are Proposer"):
+                sent.extend(m["content"] for m in messages)
+            return complete(gateway, model, messages, params)
+
+        monkeypatch.setattr(ScriptedModelGateway, "_complete", recording)
+        config = multi_agent_config(model="scripted")
+        with pytest.raises(
+            InformationLeakError, match="^message to the proposer contains the receiver's private profile$"
+        ):
+            run_multi_agent(config, scripted_agents(config, *CHAT_GAMES["re-prompts"])())
+        assert sent and not any("receiver is fair." in text.lower() for text in sent)
+
+    def test_a_leaking_correction_fails_before_a_second_unusable_reply(self, monkeypatch):
+        # The correction is checked when it is sent, so the run fails on the
+        # leak and never asks the receiver again.
+        leaking(monkeypatch, "correct_decision", "Proposer is fair.")
+        receiver = stub_fair_receiver(["hmm"] * 10)
         with pytest.raises(InformationLeakError, match="message to the receiver"):
             run_multi_agent(multi_agent_config(), (stub_fair_proposer(["OFFER: $0.50"] * 5), receiver))
+        assert len(receiver._actions) == 9  # asked once
 
     def test_private_bios_never_appear_in_replies(self):
         proposer, receiver = make_oracle_agents(GREEDY_GREEDY)
@@ -423,7 +473,7 @@ TOLD_LABELS = ("correction", "announcement")
 class LineByLineModerator:
     """Keeps its own lists of what each player was told and said, and of
     the replies the game was played from, and writes each per-agent log a
-    line at a time."""
+    line at a time. It checks each message before telling it."""
 
     def __init__(self, proposer, receiver, game):
         self.proposer, self.receiver = proposer, receiver
@@ -435,6 +485,11 @@ class LineByLineModerator:
         self.log_lines = {role: [] for role in ROLES}
 
     def tell(self, role, message, label):
+        other = self.agents[Role.RECEIVER if role is Role.PROPOSER else Role.PROPOSER]
+        if private_bio(other.role, other.personality).lower() in message.lower():
+            raise InformationLeakError(
+                f"message to the {role.value} contains the {other.role.value}'s private profile"
+            )
         self.agents[role].receive(message, label)
         self.told[role].append(message)
 
@@ -509,14 +564,6 @@ class LineByLineModerator:
             (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
         )
 
-    def audit_information(self):
-        for role, opponent in ((Role.PROPOSER, Role.RECEIVER), (Role.RECEIVER, Role.PROPOSER)):
-            other = self.agents[opponent]
-            secret = private_bio(other.role, other.personality).lower()
-            for text in self.told[role] + self.said[role]:
-                if secret in text.lower():
-                    raise InformationLeakError(f"{role.value} traffic holds a private profile")
-
 
 def told_and_said(moderator):
     """Each role's told and said texts: the reference moderator's own
@@ -530,9 +577,9 @@ def told_and_said(moderator):
 
 
 def moderated_run(moderator_cls, config, make_agents):
-    """run_multi_agent under the given moderator: the result (or the
-    message of the TurnOrderViolationError it raised), and what each player
-    was told and said."""
+    """run_multi_agent under the given moderator: the result (or the name
+    and message of the TurnOrderViolationError or InformationLeakError it
+    raised), and what each player was told and said."""
     moderators = []
 
     class Kept(moderator_cls):
@@ -544,24 +591,26 @@ def moderated_run(moderator_cls, config, make_agents):
         patch.setattr(orchestrator, "_Moderator", Kept)
         try:
             outcome = run_multi_agent(config, make_agents())
-        except TurnOrderViolationError as error:
-            outcome = str(error)
+        except (TurnOrderViolationError, InformationLeakError) as error:
+            outcome = f"{type(error).__name__}: {error}"
     (moderator,) = moderators
     return outcome, *told_and_said(moderator)
 
 
 def assert_moderators_agree(config, make_agents):
+    """Both moderators run the game alike; returns the real moderator's outcome."""
     moderator_cls = orchestrator._Moderator
     want, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents)
     got, got_told, got_said = moderated_run(moderator_cls, config, make_agents)
     assert (got_told, got_said) == (want_told, want_said)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
-        return
+        return got
     assert got.transcript.raw_logs == want.transcript.raw_logs
     assert got.replies == want.replies
     assert got.prompts == want.prompts
     assert got == want
+    return got
 
 
 # Scripted chat games: (proposer replies, receiver replies) after the strategy
@@ -656,6 +705,17 @@ def chat_scripts(draw):
     return game, proposer, receiver
 
 
+# A moderator message that carries the other player's private line in the
+# fair-fair games below, by template. Both players are told each
+# announcement, the proposer first, so the proposer hears this one and the
+# receiver's copy fails the run.
+LEAKS = {
+    "correct_offer": "Receiver is fair.",
+    "correct_decision": "Proposer is fair.",
+    "announce_outcome": "Proposer is fair.",
+}
+
+
 class TestModeratorRendersTheLineByLineLogs:
     @pytest.mark.parametrize("rounds", [1, 5, 10])
     @pytest.mark.parametrize("pot", [5, 37, 100, 1000])
@@ -673,9 +733,24 @@ class TestModeratorRendersTheLineByLineLogs:
         config = multi_agent_config(model="scripted")
         assert_moderators_agree(config, scripted_agents(config, *CHAT_GAMES[game]))
 
+    @pytest.mark.parametrize("template", LEAKS)
+    @pytest.mark.parametrize("game", ["markers", "re-prompts"])
+    def test_scripted_chat_games_with_a_leaking_template(self, monkeypatch, game, template):
+        leaking(monkeypatch, template, LEAKS[template])
+        config = multi_agent_config(model="scripted")
+        outcome = assert_moderators_agree(config, scripted_agents(config, *CHAT_GAMES[game]))
+        # "markers" earns no correction; every game is told announcements.
+        told = game == "re-prompts" or template == "announce_outcome"
+        assert isinstance(outcome, str) == told
+        if told:
+            assert outcome.startswith("InformationLeakError: message to the ")
+
     @settings(max_examples=60)
-    @given(chat_scripts())
-    def test_generated_chat_games(self, script):
+    @given(chat_scripts(), st.sampled_from([None, *LEAKS]))
+    def test_generated_chat_games(self, script, template):
         game, proposer_actions, receiver_actions = script
         config = multi_agent_config(model="scripted", game=game)
-        assert_moderators_agree(config, scripted_agents(config, proposer_actions, receiver_actions))
+        with pytest.MonkeyPatch.context() as patch:
+            if template is not None:
+                leaking(patch, template, LEAKS[template])
+            assert_moderators_agree(config, scripted_agents(config, proposer_actions, receiver_actions))

@@ -1,23 +1,26 @@
 """Every v1 prompt template, rendered through the code that sends it and
-pinned as literal text at two game sizes.
+pinned as literal text at two game sizes, and checked at many game sizes
+to carry no private line but the player's own.
 
 A template edit that changes what a model is sent fails here; such an edit
 also needs a new template version in prompts/manifest.json.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_gateway
+from helpers import ScriptedModelGateway, oracle_gateway
 from ultimatum import prompts
-from ultimatum.agents import Gateway
-from ultimatum.engine import GameConfig
+from ultimatum.agents import Gateway, private_bio
+from ultimatum.engine import GameConfig, format_money
 from ultimatum.orchestrator import (
     SimulationConfig,
     make_model_agents,
     run_multi_agent,
     run_single_model,
 )
-from ultimatum.strategy import Personality, PersonalityPair, Role
+from ultimatum.strategy import ALL_PAIRS, Personality, PersonalityPair, Role
 from ultimatum.transcripts import Structure
 
 GREEDY_FAIR = PersonalityPair(Personality.GREEDY, Personality.FAIR)
@@ -194,3 +197,65 @@ def test_the_pinned_prompts_cover_every_template_at_v1():
         "correct_offer": "v1",
         "correct_decision": "v1",
     }
+
+
+PRIVATE_LINES = [private_bio(role, personality) for role in Role for personality in Personality]
+
+
+def private_lines_in(text):
+    """The private lines `text` carries, matched without regard to case."""
+    return {line for line in PRIVATE_LINES if line.lower() in text.lower()}
+
+
+@st.composite
+def played_games(draw):
+    """A game size, a pair, and each player's replies: a strategy, one
+    unusable reply (so each player is sent its correction), then an action
+    for every round."""
+    game = GameConfig(pot=draw(st.integers(5, 10_000)), rounds=draw(st.integers(1, 10)))
+    offers = draw(st.lists(st.integers(0, game.pot), min_size=game.rounds, max_size=game.rounds))
+    decisions = draw(
+        st.lists(st.sampled_from(["accept", "reject"]), min_size=game.rounds, max_size=game.rounds)
+    )
+    replies = (
+        ["STRATEGY: I offer half.", "Let me think."] + [f"OFFER: {format_money(o)}" for o in offers],
+        ["STRATEGY: I accept half.", "Hmm."] + [f"DECISION: {d}" for d in decisions],
+    )
+    return game, draw(st.sampled_from(ALL_PAIRS)), replies
+
+
+@settings(max_examples=60)
+@given(played_games())
+def test_no_prompt_carries_the_other_players_private_line(played):
+    # Every template, rendered by the code that sends it: each player's
+    # system prompt carries exactly its own private line, and nothing else
+    # it is sent (the prompts ModelAgent renders itself included) carries
+    # any, so none carries the other player's. The single-model prompt
+    # names both personalities but carries no private line.
+    game, pair, replies = played
+    rendered = set()
+    render = prompts.render
+
+    def recording(name, /, **slots):
+        rendered.add(name)
+        return render(name, **slots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prompts, "render", recording)
+        config = SimulationConfig(Structure.MULTI_AGENT, pair, game, model="scripted")
+        multi = run_multi_agent(config, make_model_agents(config, ScriptedModelGateway(*replies)))
+        single_config = SimulationConfig(Structure.SINGLE_MODEL, pair, game)
+        single = run_single_model(single_config, oracle_gateway(pair, game))
+    assert rendered == set(prompts.manifest()["templates"])
+    bios = {
+        "proposer": private_bio(Role.PROPOSER, pair.proposer),
+        "receiver": private_bio(Role.RECEIVER, pair.receiver),
+    }
+    for label, text in multi.prompts:
+        who, _, kind = label.partition("/")
+        if kind == "system":
+            assert private_lines_in(text) == {bios[who]} and text.count(bios[who]) == 1, label
+        else:
+            assert private_lines_in(text) == set(), label
+    ((_, text),) = single.prompts
+    assert private_lines_in(text) == set()
