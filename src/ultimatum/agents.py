@@ -76,14 +76,24 @@ class SamplingParams:
         return tuple([repr(getattr(self, name)) for name in _SAMPLING_FIELDS])
 
 
+_DEFAULT_PLANS = {
+    role: f"Create a strategy for playing the ultimatum game as the {role.value}." for role in Role
+}
+_PRIVATE_BIOS = {
+    (role, personality): f"{role.value.capitalize()} is {personality.value}."
+    for role in Role
+    for personality in Personality
+}
+
+
 def default_plan(role: Role) -> str:
     """The planning instruction an agent starts from."""
-    return f"Create a strategy for playing the ultimatum game as the {role.value}."
+    return _DEFAULT_PLANS[role]
 
 
 def private_bio(role: Role, personality: Personality) -> str:
     """The one-sentence personality assignment kept in the player's own context."""
-    return f"{role.value.capitalize()} is {personality.value}."
+    return _PRIVATE_BIOS[role, personality]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Money is integer cents, always in [0, pot]. Floats never enter the engine.
 Money = int
@@ -70,8 +71,7 @@ class GameConfig:
             raise InvalidConfigError(f"rounds must be >= 1, got {self.rounds}")
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """Result of one completed round.
 
     Payoffs always conserve the pot: accepted rounds split it exactly,
@@ -85,8 +85,7 @@ class RoundOutcome:
     receiver_payoff: Money
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Immutable snapshot of a game in progress.
 
     round_index stays within 1..rounds even after the game finishes (it

@@ -3,6 +3,10 @@
 Templates live next to this module as plain text files; manifest.json
 records which version of each template is active. Every string sent to a
 model is rendered here so a run can report the exact prompt text it used.
+
+A template's only field form is `{name}` (and `{{`/`}}` for a literal
+brace). Each template is compiled once per process, at its first use,
+into a function of the slots dict that returns what `str.format` would.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ def manifest() -> dict:
         return json.load(fh)
 
 
-@lru_cache(maxsize=None)
 def load_template(name: str) -> str:
     entry = manifest()["templates"].get(name)
     if entry is None:
@@ -44,6 +47,49 @@ def load_template(name: str) -> str:
     return _resource(entry["file"]).read_text(encoding="utf-8").strip()
 
 
+def _compile(name: str, text: str):
+    """A function of a slots dict that returns `text.format(**slots)`.
+
+    It returns one f-string of adjacent literals: each literal run of `text`
+    is `repr`-quoted with its braces doubled, and each field reads a numbered
+    local set from `s[<repr of the slot name>]`; no template text is evaluated.
+    Any other field form is refused with a ValueError naming the template.
+    """
+    import string  # here, like importlib.resources: only a prompt's first render needs it
+
+    try:
+        pieces = list(string.Formatter().parse(text))
+    except ValueError as exc:
+        raise ValueError(f"prompt template {name!r}: {exc}") from None
+    numbered: dict[str, str] = {}  # slot name -> its local
+    parts = []
+    for literal, field, spec, conversion in pieces:
+        if literal:
+            parts.append("f" + repr(literal.replace("{", "{{").replace("}", "}}")))
+        if field is None:
+            continue
+        if not field.isidentifier() or spec or conversion:
+            form = field + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+            raise ValueError(f"prompt template {name!r}: field {{{form}}} is not {{name}}")
+        local = numbered.setdefault(field, f"_{len(numbered)}")
+        parts.append(f"f'{{{local}}}'")
+    lines = [f"    {local} = s[{slot!r}]" for slot, local in numbered.items()]
+    body = " ".join(parts) or "''"
+    source = "\n".join(["def render(s):", *lines, f"    return {body}"])
+    namespace: dict = {}
+    exec(compile(source, f"<prompt template {name}>", "exec"), namespace)
+    return namespace["render"]
+
+
+@lru_cache(maxsize=None)
+def _compiled(name: str):
+    return _compile(name, load_template(name))
+
+
 def render(template: str, /, **slots) -> str:
-    """Fill a template's substitution slots; unknown slots are an error."""
-    return load_template(template).format(**slots)
+    """Fill a template's `{name}` slots, compiling the template on first use.
+
+    A slot the template names but the caller omits raises `KeyError`; a
+    slot it does not name is ignored.
+    """
+    return _compiled(template)(slots)

@@ -8,6 +8,7 @@ from ultimatum.engine import (
     InvalidConfigError,
     OfferOutOfRangeError,
     Phase,
+    RoundOutcome,
     WrongPhaseError,
     format_money,
     new_game,
@@ -108,6 +109,26 @@ class TestOutcomes:
         assert [o.offer for o in state.history] == [20, 25, 30]
         assert state.finished
         assert state.round_index == 3
+
+
+class TestValues:
+    def test_fields_cannot_be_assigned(self):
+        state = submit_offer(new_game(), 30)
+        _, outcome = submit_decision(state, Decision.ACCEPT)
+        for value, field in ((state, "pending_offer"), (state, "phase"), (outcome, "offer")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+
+    def test_outcomes_keep_their_repr_equality_and_hash(self):
+        _, outcome = submit_decision(submit_offer(new_game(), 30), Decision.ACCEPT)
+        assert repr(outcome) == (
+            "RoundOutcome(round=1, offer=30, decision=<Decision.ACCEPT: 'accept'>, "
+            "proposer_payoff=70, receiver_payoff=30)"
+        )
+        same = RoundOutcome(1, 30, Decision.ACCEPT, 70, 30)
+        assert outcome == same and hash(outcome) == hash(same)
+        assert outcome != RoundOutcome(1, 30, Decision.REJECT, 0, 0)
+        assert len({outcome, same}) == 1
 
 
 class TestReplay:

@@ -6,6 +6,8 @@ A template edit that changes what a model is sent fails here; such an edit
 also needs a new template version in prompts/manifest.json.
 """
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,3 +261,46 @@ def test_no_prompt_carries_the_other_players_private_line(played):
             assert private_lines_in(text) == set(), label
     ((_, text),) = single.prompts
     assert private_lines_in(text) == set()
+
+
+# Slot text built from what could trip a generated renderer: braces, format
+# and escape characters, both quotes, newlines and non-ASCII.
+AWKWARD_PIECES = ["{", "}", "{{", "}}", "{x}", "%", "%s", "\\", "\\n", "'", '"', "'''", "\n", "é", "€", "a "]
+AWKWARD_TEXT = st.lists(st.sampled_from(AWKWARD_PIECES)).map("".join)
+SLOT_VALUES = AWKWARD_TEXT | st.text() | st.integers(-(10**20) + 1, 10**20 - 1)
+
+
+def slot_names(template):
+    return {field for _, field, _, _ in string.Formatter().parse(prompts.load_template(template)) if field}
+
+
+@pytest.mark.parametrize("template", sorted(prompts.manifest()["templates"]))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_render_equals_str_format(template, data):
+    slots = {name: data.draw(SLOT_VALUES, label=name) for name in sorted(slot_names(template))}
+    assert prompts.render(template, **slots) == prompts.load_template(template).format(**slots)
+
+
+def test_a_missing_slot_raises_key_error_naming_it_and_an_extra_slot_is_ignored():
+    with pytest.raises(KeyError) as missing:
+        prompts.render("request_decision", round=1, rounds=5)
+    assert missing.value.args == ("offer_text",)
+    assert prompts.render("correct_offer", extra="ignored") == prompts.load_template("correct_offer")
+    assert prompts.render("request_offer", round=2, rounds=3, offer_text="$1") == (
+        prompts.load_template("request_offer").format(round=2, rounds=3)
+    )
+
+
+@pytest.mark.parametrize("field", ["{0}", "{x!r}", "{x:>5}", "{x.y}", "{x[0]}", "{}", "}", "{"])
+def test_the_compiler_refuses_every_field_form_but_a_name(field):
+    with pytest.raises(ValueError, match="prompt template 'demo'"):
+        prompts._compile("demo", f"before {field} after")
+
+
+def test_the_compiler_renders_quotes_backslashes_and_doubled_braces_verbatim():
+    # Backslashes, quotes and braces the generated source must quote right.
+    literal = "''' \"\"\" \\n \\\\ \\N{{DIGIT ONE}} {{}}\n"
+    rendered = prompts._compile("demo", literal + "{x}{y}{x}")({"x": "{y}", "y": 7})
+    assert rendered == (literal + "{x}{y}{x}").format(x="{y}", y=7)
+    assert rendered == "''' \"\"\" \\n \\\\ \\N{DIGIT ONE} {}\n{y}7{y}"
