@@ -109,25 +109,31 @@ class Gateway:
         self.requests = 0
         self.retries = 0
 
-    def complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         """Answer one chat request.
 
-        Each message is a dict with exactly two string items, "role" and
-        "content", as ModelAgent and run_single_model send them. Replay
-        keys a request on that shape (see ReplayGateway).
+        Each message is a (role, content) tuple of two strings, as ModelAgent
+        and run_single_model send them. Replay keys a request on those pairs
+        (see ReplayGateway); only _request_payload builds the wire's dicts.
         """
         with self._lock:
             self.requests += 1
         return self._complete(model, messages, params)
 
-    def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         raise NotImplementedError
 
 
-def _request_payload(model: str, messages: list[dict], params: SamplingParams) -> dict:
+def _request_payload(model: str, messages: list[tuple[str, str]], params: SamplingParams) -> dict:
+    """The JSON body of a chat request, each (role, content) pair sent as a
+    {"role", "content"} dict. Raises TypeError naming the index of a message
+    that is not a 2-tuple (a dict would unpack into its keys)."""
+    for i, m in enumerate(messages):
+        if type(m) is not tuple or len(m) != 2:
+            raise TypeError(f"message {i} is a {type(m).__name__}, not a (role, content) tuple")
     return {
         "model": model,
-        "messages": messages,
+        "messages": [{"role": role, "content": content} for role, content in messages],
         "temperature": params.temperature,
         "top_p": params.top_p,
         "frequency_penalty": params.frequency_penalty,
@@ -142,21 +148,15 @@ def _canonical(value) -> str:
 _SAMPLING_FIELDS = tuple(f.name for f in fields(SamplingParams))
 
 
-def _request_key(model: str, messages: list[dict], params: SamplingParams) -> tuple:
-    """The value replay looks a request up by, for messages of the shape
-    Gateway.complete takes: (model, repr of each sampling value) and each
-    message's (role, content). Two requests have equal keys exactly when
-    their canonical JSON is equal; repr keeps 1 and 1.0, and 0.0 and -0.0,
-    apart as JSON does."""
-    return _key(model, params._reprs, messages)
+def _request_key(model: str, messages: list[tuple[str, str]], params: SamplingParams) -> tuple:
+    """The value replay looks a request up by: (model, repr of each sampling
+    value) and the (role, content) pairs as Gateway.complete takes them.
+    Two requests have equal keys exactly when their canonical JSON is
+    equal; repr keeps 1 and 1.0, and 0.0 and -0.0, apart as JSON does."""
+    return (model, *params._reprs), tuple(messages)
 
 
-def _key(model: str, reprs, messages: list[dict]) -> tuple:
-    """_request_key from the reprs of the sampling values, in field order."""
-    return (model, *reprs), tuple([(m["role"], m["content"]) for m in messages])
-
-
-def _request_digest(model: str, messages: list[dict], params: SamplingParams) -> str:
+def _request_digest(model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
     """The SHA-256 of _request_payload(model, messages, params) as canonical JSON."""
     canonical = _canonical(_request_payload(model, messages, params))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -204,7 +204,7 @@ class HttpGateway(Gateway):
         self.session = session
         self._sleep = sleep
 
-    def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         payload = _request_payload(model, messages, params)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -254,7 +254,7 @@ _REQUEST_FIELDS = {"model", "messages", *_SAMPLING_FIELDS}
 
 def _recorded_key(request, shared: dict) -> tuple | None:
     """The _request_key of a recorded request, or None when it does not
-    have the shape Gateway.complete sends. `shared` keeps one copy of each
+    have the shape _request_payload writes. `shared` keeps one copy of each
     frame and each (role, content) pair across the lines of a recording."""
     if not isinstance(request, dict) or request.keys() != _REQUEST_FIELDS:
         return None
@@ -266,16 +266,16 @@ def _recorded_key(request, shared: dict) -> tuple | None:
         or any(type(v) not in (int, float) for v in values)
     ):
         return None
+    pairs = []
     for m in messages:
-        if (
-            type(m) is not dict
-            or len(m) != 2
-            or type(m.get("role")) is not str
-            or type(m.get("content")) is not str
-        ):
+        if type(m) is not dict or len(m) != 2:
             return None
-    frame, pairs = _key(model, [repr(v) for v in values], messages)
-    return shared.setdefault(frame, frame), tuple([shared.setdefault(p, p) for p in pairs])
+        pair = (m.get("role"), m.get("content"))
+        if type(pair[0]) is not str or type(pair[1]) is not str:
+            return None
+        pairs.append(shared.setdefault(pair, pair))
+    frame = (model, *[repr(v) for v in values])
+    return shared.setdefault(frame, frame), tuple(pairs)
 
 
 def _recorded_entry(line: bytes, where: str, shared: dict) -> tuple[tuple, str] | None:
@@ -308,16 +308,17 @@ class ReplayGateway(Gateway):
     """Serves recorded request/response pairs from a JSON-lines file.
 
     Requests are looked up by their value (`_request_key`): the model,
-    the repr of each sampling value and each message's role and content.
-    Two requests have equal keys exactly when their canonical JSON (sorted
-    keys, no spaces, non-ASCII escaped) is equal, so recordings replay as
-    they did when requests were matched by a digest of that JSON, and
-    replay is insensitive to record order and safe under concurrency. A
-    recorded request must have the shape Gateway.complete sends: a string
-    model, messages of exactly a string role and content, and the four
-    sampling values as numbers. An unknown request is an error naming the
-    start of its canonical JSON's SHA-256: replay never invents a
-    completion.
+    the repr of each sampling value and the (role, content) pairs the
+    request was sent with. Two requests have equal keys exactly when their
+    canonical JSON (sorted keys, no spaces, non-ASCII escaped) is equal, so
+    recordings replay as they did when requests were matched by a digest
+    of that JSON, and replay is insensitive to record order and safe under
+    concurrency. A recorded request keeps the wire form _request_payload
+    writes: a string model, messages that are dicts of exactly a string
+    role and content, and the four sampling values as numbers. An unknown
+    request is an error naming the start of its canonical JSON's SHA-256:
+    replay never invents a completion; a message that is not a
+    (role, content) tuple is a TypeError.
 
     The file is read as UTF-8 lines, split at line feeds only. A line that
     repeats an earlier one is decoded and keyed once: only the SHA-256 of
@@ -343,7 +344,7 @@ class ReplayGateway(Gateway):
                 if entry is not None:
                     self._responses[entry[0]] = entry[1]
 
-    def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         try:
             return self._responses[_request_key(model, messages, params)]
         except KeyError:
@@ -361,12 +362,10 @@ class RecordingGateway(Gateway):
         self.inner = inner
         self.path = Path(path)
 
-    def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
+        request = _request_payload(model, messages, params)
         response = self.inner.complete(model, messages, params)
-        record = {
-            "request": _request_payload(model, messages, params),
-            "response": response,
-        }
+        record = {"request": request, "response": response}
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -567,11 +566,12 @@ class OracleAgent(Agent):
 class ModelAgent(Agent):
     """A player driven through a chat gateway.
 
-    Keeps its own ordered conversation (`messages`); every completion
-    resends the whole conversation, so gateway retries cannot reorder
-    anything. `prompt_log` holds (label, text) of every message the
-    player was sent, in order. The system prompt, rendered from the role,
-    personality and game, is the only place the private bio appears.
+    Keeps its own ordered conversation (`messages`) as (role, content)
+    pairs; every completion resends the whole conversation, so gateway
+    retries cannot reorder anything. `prompt_log` holds (label, text) of
+    every message the player was sent, in order. The system prompt,
+    rendered from the role, personality and game, is the only place the
+    private bio appears.
     """
 
     def __init__(
@@ -596,17 +596,17 @@ class ModelAgent(Agent):
             rounds_word=prompts.rounds_word(game.rounds),
             pot_text=format_money(game.pot),
         )
-        self.messages: list[dict] = [{"role": "system", "content": system}]
+        self.messages: list[tuple[str, str]] = [("system", system)]
         self.prompt_log: list[tuple[str, str]] = [("system", system)]
 
     def _send(self, label: str, content: str) -> None:
-        self.messages.append({"role": "user", "content": content})
+        self.messages.append(("user", content))
         self.prompt_log.append((label, content))
 
     def _ask(self, label: str, content: str) -> str:
         self._send(label, content)
         reply = self.gateway.complete(self.model, self.messages, self.params)
-        self.messages.append({"role": "assistant", "content": reply})
+        self.messages.append(("assistant", reply))
         return reply
 
     def create_strategy(self) -> str:

@@ -148,9 +148,7 @@ def run_single_model(
         rounds_word=prompts.rounds_word(config.game.rounds),
         pot_text=format_money(config.game.pot),
     )
-    reply = gateway.complete(
-        config.model, [{"role": "user", "content": prompt}], config.sampling
-    )
+    reply = gateway.complete(config.model, [("user", prompt)], config.sampling)
     if graded is None:
         graded = {}
     key = (reply, config.pair, config.game)
@@ -447,5 +445,5 @@ class OracleSingleModelGateway(Gateway):
         super().__init__()
         self._log = synthesize_single_model_log(transcript)
 
-    def _complete(self, model: str, messages: list[dict], params: SamplingParams) -> str:
+    def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         return self._log

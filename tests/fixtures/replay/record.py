@@ -4,18 +4,21 @@ A scripted stand-in model answers every request of plan.yaml with marker
 replies; RecordingGateway records each exchange, and the batch's verdicts
 are kept by run id. Run from the repository root:
 
-    PYTHONPATH=src python tests/fixtures/replay/record.py
+    PYTHONPATH=src python tests/fixtures/replay/record.py [OUT_DIR]
 
-The committed files were written by the RecordingGateway that predates
-the cached replay keys, so replaying them checks that recordings made
-before that change still replay. Rewrite them only when the recording
-format changes on purpose.
+OUT_DIR defaults to this directory. The committed files were written by
+the RecordingGateway that predates the cached replay keys, so replaying
+them checks that recordings made before that change still replay, and
+tests/test_golden_replay.py checks that this script still writes them
+byte for byte. Rewrite them only when the recording format changes on
+purpose.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 from ultimatum.agents import Gateway, RecordingGateway, oracle_strategy
@@ -67,8 +70,8 @@ class StandIn(Gateway):
     """Marker replies chosen from the conversation's first and last messages."""
 
     def _complete(self, model, messages, params):
-        first, last = messages[0]["content"], messages[-1]["content"]
-        if messages[0]["role"] == "user":
+        (first_role, first), (_, last) = messages[0], messages[-1]
+        if first_role == "user":
             found = re.search(r"for a (\w+) proposer and a (\w+) receiver", first)
             return _single_model_log(Personality(found[1]), Personality(found[2]))
         role = Role.PROPOSER if "You are Proposer" in first else Role.RECEIVER
@@ -82,18 +85,18 @@ class StandIn(Gateway):
         return f"DECISION: {'accept' if _accepts(personality, offer, round_index) else 'reject'}"
 
 
-def main() -> None:
-    recording = HERE / "recording.jsonl"
+def main(out: Path = HERE) -> None:
+    recording = out / "recording.jsonl"
     recording.unlink(missing_ok=True)
     batch = run_batch(
         PLAN, mode="live", gateway=RecordingGateway(StandIn(), recording), max_workers=1
     )
     verdicts = {r["run_id"]: r["verdict"] for r in batch.records}
-    with (HERE / "verdicts.json").open("w", encoding="utf-8") as fh:
+    with (out / "verdicts.json").open("w", encoding="utf-8") as fh:
         json.dump(verdicts, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{batch.gateway_usage['requests']} requests, {batch.failed_count} failed")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

@@ -61,7 +61,7 @@ class ScriptedModelGateway(Gateway):
         }
 
     def _complete(self, model, messages, params):
-        who = "Proposer" if "You are Proposer" in messages[0]["content"] else "Receiver"
+        who = "Proposer" if "You are Proposer" in messages[0][1] else "Receiver"
         return self.queues[who].pop(0)
 
 

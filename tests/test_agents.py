@@ -45,13 +45,13 @@ class TestProfiles:
         agent = ModelAgent(Role.PROPOSER, Personality.GREEDY, CONFIG, ScriptedGateway([]), "m")
         assert private_bio(Role.PROPOSER, Personality.GREEDY) == "Proposer is greedy."
         # The private bio sits on its own line after the opening sentence.
-        assert agent.messages[0]["content"].startswith(
+        assert agent.messages[0][1].startswith(
             "You are Proposer, a participant in a negotiation experiment.\nProposer is greedy.\n"
         )
 
     def test_directives_do_not_leak_the_opponent(self):
         agent = ModelAgent(Role.RECEIVER, Personality.FAIR, CONFIG, ScriptedGateway([]), "m")
-        directives = agent.messages[0]["content"]
+        directives = agent.messages[0][1]
         assert "Receiver is fair." in directives
         assert "Proposer is" not in directives
 
@@ -134,7 +134,7 @@ class ScriptedGateway(Gateway):
         self.seen = []
 
     def _complete(self, model, messages, params):
-        self.seen.append([dict(m) for m in messages])
+        self.seen.append(list(messages))
         return self.replies.pop(0)
 
 
@@ -146,9 +146,9 @@ class TestModelAgent:
         assert strategy == "STRATEGY: even splits only."
         assert agent.act(engine.new_game(CONFIG)) == "OFFER: $0.50"
 
-        roles = [m["role"] for m in agent.messages]
+        roles = [role for role, _ in agent.messages]
         assert roles == ["system", "user", "assistant", "user", "assistant"]
-        assert private_bio(Role.PROPOSER, Personality.FAIR) in agent.messages[0]["content"]
+        assert private_bio(Role.PROPOSER, Personality.FAIR) in agent.messages[0][1]
         # The gateway always sees the full conversation so far.
         assert len(gateway.seen[1]) == 4
 
@@ -157,8 +157,8 @@ class TestModelAgent:
         agent = ModelAgent(Role.RECEIVER, Personality.GREEDY, CONFIG, gateway, "test-model")
         agent.create_strategy()
         agent.receive("Round 1 result: the offer of $0.20 was rejected.")
-        assert agent.messages[-1]["role"] == "user"
-        assert "rejected" in agent.messages[-1]["content"]
+        assert agent.messages[-1][0] == "user"
+        assert "rejected" in agent.messages[-1][1]
 
     def test_prompt_log_labels_each_exchange(self):
         gateway = ScriptedGateway(["STRATEGY: even splits.", "OFFER: $0.50"])
@@ -179,7 +179,7 @@ class TestModelAgent:
         agent.create_strategy()
         assert gateway.seen[0] is agent.messages
         agent.receive("Round 1 result: accepted.")
-        assert agent.messages[-1] == {"role": "user", "content": "Round 1 result: accepted."}
+        assert agent.messages[-1] == ("user", "Round 1 result: accepted.")
         assert agent.prompt_log[-1] == ("announcement", "Round 1 result: accepted.")
 
 
@@ -213,7 +213,7 @@ def ok_response(content="hello"):
     return FakeResponse(200, {"choices": [{"message": {"content": content}}]})
 
 
-MESSAGES = [{"role": "user", "content": "hi"}]
+MESSAGES = [("user", "hi")]
 PARAMS = SamplingParams()
 
 
@@ -410,7 +410,7 @@ class TestHttpGateway:
             server.server_close()
         assert reply == "DECISION: accept"
         assert seen["auth"] == "Bearer sk-local"
-        assert seen["body"]["messages"] == MESSAGES
+        assert seen["body"]["messages"] == [{"role": "user", "content": "hi"}]
 
 
 def definitional_key(model, messages, params):
@@ -431,7 +431,7 @@ awkward_text = st.text(
 )
 roles = st.sampled_from(["system", "user", "assistant"]) | awkward_text
 messages_strategy = st.lists(
-    st.fixed_dictionaries({"role": roles, "content": awkward_text}),
+    st.tuples(roles, awkward_text),
     min_size=1,
     max_size=12,
 )
@@ -478,10 +478,7 @@ def nearby_requests(draw):
         else:
             j = draw(st.integers(0, 3))
             sampling[j] = respell[repr(sampling[j])]
-    return [
-        (m, [{"role": role, "content": content} for role, content in ms], SamplingParams(*vs))
-        for m, ms, vs in (first, (model, messages, sampling))
-    ]
+    return [(m, ms, SamplingParams(*vs)) for m, ms, vs in (first, (model, messages, sampling))]
 
 
 class TestRequestKey:
@@ -581,8 +578,8 @@ class TestRecordAndReplay:
         tape = tmp_path / "tape.jsonl"
         inner = ScriptedGateway(["one", "two"])
         recorder = RecordingGateway(inner, tape)
-        m1 = [{"role": "user", "content": "first"}]
-        m2 = [{"role": "user", "content": "second"}]
+        m1 = [("user", "first")]
+        m2 = [("user", "second")]
         assert recorder.complete("m", m1, PARAMS) == "one"
         assert recorder.complete("m", m2, PARAMS) == "two"
 
@@ -640,11 +637,9 @@ class TestRecordAndReplay:
 
     def test_replay_refuses_unknown_requests(self, tmp_path):
         tape = tmp_path / "tape.jsonl"
-        RecordingGateway(ScriptedGateway(["one"]), tape).complete(
-            "m", [{"role": "user", "content": "known"}], PARAMS
-        )
+        RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", [("user", "known")], PARAMS)
         replay = ReplayGateway(tape)
-        unknown = [{"role": "user", "content": "unknown"}]
+        unknown = [("user", "unknown")]
         digest = definitional_key("m", unknown, PARAMS)
         cause = rf"^no recorded response for request {digest[:12]}\.\.\. in tape\.jsonl$"
         with pytest.raises(GatewayError, match=cause):
@@ -665,3 +660,36 @@ class TestRecordAndReplay:
         gateway.complete("m", MESSAGES, PARAMS)
         gateway.complete("m", MESSAGES, PARAMS)
         assert gateway.requests == 2
+
+
+# Messages that are not (role, content) tuples: the wire's dict form, which
+# would unpack into its two keys, a list pair and a triple.
+NOT_PAIRS = [{"role": "user", "content": "hi"}, ["user", "hi"], ("user", "hi", "x")]
+
+
+class TestOnlyPairsAreSent:
+    @pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+    def test_http_posts_nothing(self, bad):
+        session = FakeSession([ok_response()])
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
+        with pytest.raises(TypeError, match=r"^message 1 is a .*, not a \(role, content\) tuple$"):
+            gateway.complete("m", [*MESSAGES, bad], PARAMS)
+        assert session.calls == []
+        assert gateway.retries == 0
+
+    @pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+    def test_recording_writes_no_line(self, tmp_path, bad):
+        tape = tmp_path / "tape.jsonl"
+        recorder = RecordingGateway(ScriptedGateway(["one"]), tape)
+        with pytest.raises(TypeError, match=r"^message 1 is a "):
+            recorder.complete("m", [*MESSAGES, bad], PARAMS)
+        assert not tape.exists()
+
+    @pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+    def test_replay_raises_a_type_error(self, tmp_path, bad):
+        tape = tmp_path / "tape.jsonl"
+        RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", MESSAGES, PARAMS)
+        replay = ReplayGateway(tape)
+        assert replay.complete("m", MESSAGES, PARAMS) == "one"
+        with pytest.raises(TypeError):
+            replay.complete("m", [*MESSAGES, bad], PARAMS)

@@ -851,8 +851,8 @@ class TestSharedModelGames:
         complete = ScriptedModelGateway._complete
 
         def recording(gateway, model, messages, params):
-            if messages[0]["content"].startswith("You are Proposer"):
-                sent.extend(m["content"] for m in messages)
+            if messages[0][1].startswith("You are Proposer"):
+                sent.extend(content for _, content in messages)
             return complete(gateway, model, messages, params)
 
         monkeypatch.setattr(ScriptedModelGateway, "_complete", recording)

@@ -6,7 +6,8 @@ Each store holds every field but `elapsed_seconds` of the records a
 the whole recording, `replayed-without-line-1.jsonl` the recording without
 its first line, so a run misses a request and stores its cause. Each
 replay must match its committed store record for record, prompt and reply
-traffic included.
+traffic included. The fixture's recorder (record.py) must still write the
+committed recording and verdicts byte for byte.
 
 Regenerate the files after an intended change with
 ``PYTHONPATH=src python tests/test_golden_replay.py``.
@@ -14,6 +15,7 @@ Regenerate the files after an intended change with
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import tempfile
@@ -58,6 +60,17 @@ def test_the_shortened_recording_pins_a_miss():
         causes = [json.loads(line).get("cause", "") for line in fh]
     miss = "GatewayError: no recorded response for request "
     assert any(cause.startswith(miss) for cause in causes)
+
+
+def test_the_recorder_writes_the_committed_fixture(tmp_path):
+    # The replays above read the committed recording; this pins the writer:
+    # the fixture's own recorder must still produce those bytes.
+    spec = importlib.util.spec_from_file_location("record_fixture", FIXTURE / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    record.main(tmp_path)
+    for name in ("recording.jsonl", "verdicts.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ for error in (RuntimeError("session bug"), ConnectionResetError("reset")):
     sleeps = []
     gateway = HttpGateway("http://example.invalid/v1", session=Session(error), sleep=sleeps.append)
     try:
-        gateway.complete("m", [{"role": "user", "content": "hi"}], SamplingParams())
+        gateway.complete("m", [("user", "hi")], SamplingParams())
     except Exception as exc:
         result.append([repr(exc), exc is error, gateway.retries, sleeps])
 """

@@ -301,8 +301,8 @@ class TestInformationAudit:
         complete = ScriptedModelGateway._complete
 
         def recording(gateway, model, messages, params):
-            if messages[0]["content"].startswith("You are Proposer"):
-                sent.extend(m["content"] for m in messages)
+            if messages[0][1].startswith("You are Proposer"):
+                sent.extend(content for _, content in messages)
             return complete(gateway, model, messages, params)
 
         monkeypatch.setattr(ScriptedModelGateway, "_complete", recording)
@@ -373,8 +373,8 @@ class TestModelAgentGames:
         result = run_multi_agent(config, agents)
         for agent in agents:
             name = agent.role.value
-            sent = [m["content"] for m in agent.messages if m["role"] in ("system", "user")]
-            answered = [m["content"] for m in agent.messages if m["role"] == "assistant"]
+            sent = [content for role, content in agent.messages if role in ("system", "user")]
+            answered = [content for role, content in agent.messages if role == "assistant"]
             assert [text for label, text in result.prompts if label.startswith(f"{name}/")] == sent
             assert [text for who, text in result.replies if who == name] == answered
 

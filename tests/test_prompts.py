@@ -42,8 +42,8 @@ class LastConversationGateway(Gateway):
         self.sent = {}
 
     def _complete(self, model, messages, params):
-        role = Role.PROPOSER if "You are Proposer" in messages[0]["content"] else Role.RECEIVER
-        self.sent[role] = [dict(m) for m in messages]
+        role = Role.PROPOSER if "You are Proposer" in messages[0][1] else Role.RECEIVER
+        self.sent[role] = list(messages)
         if len(messages) == 2:
             return "STRATEGY: I offer $0.10 and accept any offer."
         return "OFFER: $0.10" if role is Role.PROPOSER else "DECISION: accept"
@@ -110,7 +110,7 @@ def test_multi_agent_prompts_are_pinned(size):
     # What the gateway was sent is the same text: each player's last request
     # carries every prompt but the final announcement, which comes after it.
     for role in (Role.PROPOSER, Role.RECEIVER):
-        sent = [m["content"] for m in gateway.sent[role] if m["role"] != "assistant"]
+        sent = [content for who, content in gateway.sent[role] if who != "assistant"]
         assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
 
 
@@ -134,7 +134,7 @@ class StallsOnceGateway(LastConversationGateway):
 
     def _complete(self, model, messages, params):
         reply = super()._complete(model, messages, params)
-        role = Role.PROPOSER if "You are Proposer" in messages[0]["content"] else Role.RECEIVER
+        role = Role.PROPOSER if "You are Proposer" in messages[0][1] else Role.RECEIVER
         if len(messages) > 2 and role not in self.stalled:
             self.stalled.add(role)
             return "Let me think about it."
@@ -158,7 +158,7 @@ def test_corrections_are_pinned(size):
         expected[at + 1 : at + 1] = [correction, expected[at]]
     assert list(result.prompts) == expected
     for role in (Role.PROPOSER, Role.RECEIVER):
-        sent = [m["content"] for m in gateway.sent[role] if m["role"] != "assistant"]
+        sent = [content for who, content in gateway.sent[role] if who != "assistant"]
         assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
 
 
