@@ -182,6 +182,12 @@ class HttpGateway(Gateway):
     full conversation is resent verbatim each time. The API key is read
     from the API_KEY_ENV environment variable, never from files or
     arguments.
+
+    A batch on more than one worker posts through one HttpGateway from up
+    to 2 x its worker count threads at once, since each game asks both
+    players for their strategies together (see experiment.run_batch); on
+    one worker, from one thread. Anything that limits the requests in
+    flight must count that many.
     """
 
     def __init__(

@@ -222,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the plan's seed")
     run_p.add_argument("--out", required=True, help="JSON-lines store to append run records to")
     run_p.add_argument("--replay-file", help="recorded exchanges for replay mode")
-    run_p.add_argument("--workers", type=int, help="worker threads (default: 4 live, else 1)")
+    run_p.add_argument(
+        "--workers",
+        type=int,
+        help="worker threads (default: 4 live, else 1); see README for live requests in flight",
+    )
     run_p.add_argument(
         "--keep-prompts", action="store_true", help="store full prompt/reply traffic per run"
     )

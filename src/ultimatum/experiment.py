@@ -491,6 +491,13 @@ def run_batch(
     batch continues. Records are produced in grid order regardless of
     worker count, and a store gets them all in one append.
 
+    Only an HttpGateway waits on the network, so on more than one worker
+    each of its games asks both players for their strategies at once, the
+    receiver's on a helper pool of `max_workers` threads, and then play is
+    in strict alternation: up to 2 x `max_workers` requests may be in
+    flight. On one worker a batch sends one request at a time. On more
+    than one, multi-agent runs, the longest, are started first.
+
     Oracle players are deterministic, so in oracle mode each pair's game
     is played once per batch, before any worker starts. That one game
     serves every multi-agent run of the pair, and the pair's single-model
@@ -559,6 +566,17 @@ def run_batch(
     # they store equal values, so the dict needs no lock.
     graded: dict = {}
 
+    if max_workers is None:
+        max_workers = 4 if mode == "live" else 1
+    pooled = max_workers > 1 and len(jobs) > 1
+    helper = None
+    if max_workers > 1:
+        # Imported here: a batch on one worker starts no thread.
+        from concurrent.futures import ThreadPoolExecutor
+
+        if isinstance(shared_gateway, HttpGateway):
+            helper = ThreadPoolExecutor(max_workers=max_workers)
+
     def execute(job: tuple) -> dict:
         # The job's source is the run's outcome unless it is a gateway to play with.
         run_id, config, outcome = job
@@ -568,22 +586,26 @@ def run_batch(
                 outcome = run_single_model(config, outcome, graded=graded)
             elif isinstance(outcome, Gateway):
                 outcome = run_multi_agent(
-                    config, make_model_agents(config, outcome), graded=graded
+                    config, make_model_agents(config, outcome), graded=graded, helper=helper
                 )
         except RUN_FAILURES as exc:
             outcome = exc
         return _record(run_id, config, outcome, time.perf_counter() - started, keep_prompts)
 
-    if max_workers is None:
-        max_workers = 4 if mode == "live" else 1
-    if max_workers <= 1 or len(jobs) <= 1:
-        records = [execute(job) for job in jobs]
-    else:
-        # Imported here: a batch on one worker starts no thread pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(execute, jobs))
+    try:
+        if not pooled:
+            records = [execute(job) for job in jobs]
+        else:
+            order = sorted(
+                range(len(jobs)), key=lambda i: jobs[i][1].structure is not Structure.MULTI_AGENT
+            )
+            records = [None] * len(jobs)
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                for i, record in zip(order, pool.map(execute, [jobs[i] for i in order])):
+                    records[i] = record
+    finally:
+        if helper is not None:
+            helper.shutdown()
     elapsed = time.perf_counter() - started
 
     if store is not None:

@@ -6,6 +6,7 @@ Two structures produce a gradable transcript:
   strategies and simulate every round itself; the reply is parsed as a
   combined log.
 * multi agent - two players, each holding a private personality, are
+  asked for their strategies, neither seeing the other's, then
   driven through the rules engine in strict alternation by a moderator.
   Each player sees only its own instructions, the moderator's requests,
   and the public events (offers, decisions, outcomes). When asked to act,
@@ -217,9 +218,19 @@ class _Moderator:
         agent.receive(message, label)
         self.turns.append((agent.role, label, message))
 
-    def strategy_phase(self) -> None:
-        for agent in (self.proposer, self.receiver):
-            self.turns.append((agent.role, "strategy", agent.create_strategy()))
+    def strategy_phase(self, helper=None) -> None:
+        """Log both players' strategies, proposer first. With a `helper`
+        (an executor) the receiver is asked on it while the proposer is
+        asked here; if the proposer's request raises, the receiver's is
+        waited for before that error is raised."""
+        asked = None if helper is None else helper.submit(self.receiver.create_strategy)
+        try:
+            self.turns.append((self.proposer.role, "strategy", self.proposer.create_strategy()))
+        finally:
+            if asked is not None:
+                asked.exception()
+        reply = self.receiver.create_strategy() if asked is None else asked.result()
+        self.turns.append((self.receiver.role, "strategy", reply))
 
     def _request(self, agent: Agent, state: engine.GameState, extract, label: str, correction: str):
         """Ask for an action, allowing one corrective re-prompt rendered
@@ -308,6 +319,7 @@ def run_multi_agent(
     agents: tuple[Agent, Agent],
     *,
     graded: dict | None = None,
+    helper=None,
 ) -> SimulationResult:
     """Drive (proposer, receiver) through one moderated game and grade it.
     The run's prompts and replies are built from the moderator's turn log
@@ -324,12 +336,14 @@ def run_multi_agent(
     checks every message the run tells a player, and its traffic is its
     own. A run that raises is never stored, so every run that plays the
     same game raises.
+
+    `helper` is passed to `_Moderator.strategy_phase`.
     """
     proposer, receiver = agents
     if proposer.role is not Role.PROPOSER or receiver.role is not Role.RECEIVER:
         raise ValueError("agents must be (proposer, receiver)")
     moderator = _Moderator(proposer, receiver, config.game)
-    moderator.strategy_phase()
+    moderator.strategy_phase(helper)
     rounds = moderator.play()
     if graded is None:
         graded = {}

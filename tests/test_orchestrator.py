@@ -1,4 +1,5 @@
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -493,7 +494,9 @@ class LineByLineModerator:
         self.agents[role].receive(message, label)
         self.told[role].append(message)
 
-    def strategy_phase(self):
+    def strategy_phase(self, helper=None):
+        # A helper changes nothing a player is told or says, so the
+        # reference asks the two players in turn whether or not it has one.
         for role in ROLES:
             reply = self.agents[role].create_strategy()
             self.said[role].append(reply)
@@ -576,10 +579,11 @@ def told_and_said(moderator):
     return told, said
 
 
-def moderated_run(moderator_cls, config, make_agents):
-    """run_multi_agent under the given moderator: the result (or the name
-    and message of the TurnOrderViolationError or InformationLeakError it
-    raised), and what each player was told and said."""
+def moderated_run(moderator_cls, config, make_agents, helper=None):
+    """run_multi_agent under the given moderator, with `helper` for its
+    strategy phase: the result (or the name and message of the
+    TurnOrderViolationError or InformationLeakError it raised), and what
+    each player was told and said."""
     moderators = []
 
     class Kept(moderator_cls):
@@ -590,18 +594,18 @@ def moderated_run(moderator_cls, config, make_agents):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orchestrator, "_Moderator", Kept)
         try:
-            outcome = run_multi_agent(config, make_agents())
+            outcome = run_multi_agent(config, make_agents(), helper=helper)
         except (TurnOrderViolationError, InformationLeakError) as error:
             outcome = f"{type(error).__name__}: {error}"
     (moderator,) = moderators
     return outcome, *told_and_said(moderator)
 
 
-def assert_moderators_agree(config, make_agents):
+def assert_moderators_agree(config, make_agents, helper=None):
     """Both moderators run the game alike; returns the real moderator's outcome."""
     moderator_cls = orchestrator._Moderator
-    want, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents)
-    got, got_told, got_said = moderated_run(moderator_cls, config, make_agents)
+    want, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents, helper)
+    got, got_told, got_said = moderated_run(moderator_cls, config, make_agents, helper)
     assert (got_told, got_said) == (want_told, want_said)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
@@ -732,6 +736,12 @@ class TestModeratorRendersTheLineByLineLogs:
     def test_scripted_chat_games(self, game):
         config = multi_agent_config(model="scripted")
         assert_moderators_agree(config, scripted_agents(config, *CHAT_GAMES[game]))
+
+    @pytest.mark.parametrize("game", CHAT_GAMES)
+    def test_scripted_chat_games_with_strategies_asked_together(self, game):
+        config = multi_agent_config(model="scripted")
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            assert_moderators_agree(config, scripted_agents(config, *CHAT_GAMES[game]), helper)
 
     @pytest.mark.parametrize("template", LEAKS)
     @pytest.mark.parametrize("game", ["markers", "re-prompts"])
