@@ -185,7 +185,7 @@ def replay(
 
 
 def format_money(cents: Money) -> str:
-    """Render cents in dollar notation: 100 -> "$1", 50 -> "$0.50"."""
+    """Render cents in dollar notation, exactly: 100 -> "$1", 50 -> "$0.50"."""
     if cents % 100 == 0:
         return f"${cents // 100}"
-    return f"${cents / 100:.2f}"
+    return "$%d.%02d" % (cents // 100, cents % 100)

@@ -14,7 +14,6 @@ same records always produce byte-identical output.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import io
@@ -24,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter
+from operator import and_, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
@@ -282,6 +281,8 @@ _TEXT_FIELDS = {  # field: the values it may hold; None: any string, or absent
     "status": frozenset(("ok", "failed")),
 }
 _ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
+# A verdict's error class and strategy flags; a KeyError names the first one missing.
+_verdict_values = itemgetter("error_class", *_STRATEGY_FLAGS)
 
 
 def _shown(value: object) -> str:
@@ -291,29 +292,33 @@ def _shown(value: object) -> str:
 def _schema_problem(record: dict) -> str | None:
     """The first way the record breaks the run-record schema, or None."""
     for field, allowed in _TEXT_FIELDS.items():
-        if field not in record:
+        try:
+            value = record[field]
+        except KeyError:
             if allowed is not None:
                 return f"has no field '{field}'"
-        elif type(record[field]) is not str:
-            return f"has {field} {_shown(record[field])}, not a string"
-        elif allowed is not None and record[field] not in allowed:
-            return f"has unknown {field} {_shown(record[field])}"
+            continue
+        if type(value) is not str:
+            return f"has {field} {_shown(value)}, not a string"
+        if allowed is not None and value not in allowed:
+            return f"has unknown {field} {_shown(value)}"
     if record["status"] == "ok":
         verdict = record.get("verdict")
         if type(verdict) is not dict:
             return f"has verdict {_shown(verdict)}, not an object"
-        for field in ("error_class", *_STRATEGY_FLAGS):
-            if field not in verdict:
-                return f"has no verdict field '{field}'"
-        for flag in _STRATEGY_FLAGS:
-            if type(verdict[flag]) is not bool:
-                return f"has {flag} {_shown(verdict[flag])}, not true or false"
-        if verdict["error_class"] not in _ERROR_CLASSES:
-            return f"has unknown error_class {_shown(verdict['error_class'])}"
-        if type(record.get("transcript")) is not str:
-            return f"has transcript {_shown(record.get('transcript'))}, not text"
-    if type(record.get("schema")) is not int or record["schema"] != RUN_SCHEMA:
-        return f"has schema {_shown(record.get('schema'))}, not {RUN_SCHEMA}"
+        try:
+            values = _verdict_values(verdict)
+        except KeyError as exc:
+            return f"has no verdict field '{exc.args[0]}'"
+        for flag, flag_value in zip(_STRATEGY_FLAGS, values[1:]):
+            if type(flag_value) is not bool:
+                return f"has {flag} {_shown(flag_value)}, not true or false"
+        if values[0] not in _ERROR_CLASSES:
+            return f"has unknown error_class {_shown(values[0])}"
+        if type(transcript := record.get("transcript")) is not str:
+            return f"has transcript {_shown(transcript)}, not text"
+    if type(schema := record.get("schema")) is not int or schema != RUN_SCHEMA:
+        return f"has schema {_shown(schema)}, not {RUN_SCHEMA}"
     return None
 
 
@@ -397,7 +402,7 @@ def load_records(
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
                     record = json.loads(line)
@@ -665,26 +670,17 @@ _COUNT_FIELDS = tuple(f.name for f in fields(GroupCounts))
 
 def count_group(records: Iterable[dict]) -> GroupCounts:
     """Count a group of records that keep the run-record schema (as
-    `load_records` returns them). A record that is not ok, or has no
-    verdict, counts as failed."""
-    acc: collections.Counter = collections.Counter()
-    for record in records:
-        acc["total"] += 1
-        if record.get("status") != "ok" or not record.get("verdict"):
-            acc["failed"] += 1
-            continue
-        acc["ok"] += 1
-        verdict = record["verdict"]
-        pc, rc, ps, rs = (verdict[flag] for flag in _STRATEGY_FLAGS)
-        acc[verdict["error_class"]] += 1
-        acc["proposer_complete"] += pc
-        acc["receiver_complete"] += rc
-        acc["proposer_consistent"] += ps
-        acc["receiver_consistent"] += rs
-        acc["both_complete"] += pc and rc
-        acc["both_consistent"] += ps and rs
-        acc["strategy_robust"] += pc and rc and ps and rs
-    return GroupCounts(*(acc.get(name, 0) for name in _COUNT_FIELDS))
+    `load_records` returns them); a record that is not ok, or has no verdict,
+    counts as failed. Each count is a sum or list count over ok verdicts."""
+    records = list(records)
+    verdicts = [r["verdict"] for r in records if r.get("status") == "ok" and r.get("verdict")]
+    classes, pc, rc, ps, rs = list(zip(*map(_verdict_values, verdicts))) or ((),) * 5
+    return GroupCounts(
+        total=len(records), ok=len(verdicts), failed=len(records) - len(verdicts),
+        **{c: classes.count(c) for c in _ERROR_CLASSES}, proposer_complete=sum(pc), receiver_complete=sum(rc),
+        proposer_consistent=sum(ps), receiver_consistent=sum(rs), both_complete=sum(map(and_, pc, rc)),
+        both_consistent=sum(map(and_, ps, rs)), strategy_robust=sum(map(all, zip(pc, rc, ps, rs))),
+    )
 
 
 Group = tuple[str, int, int]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .engine import Decision, GameConfig, Money, RoundOutcome
 
@@ -307,16 +307,14 @@ def check_personality_consistency(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrescribedOffer:
+class PrescribedOffer(NamedTuple):
     """Offer range sanctioned by the plan; exact rules have lo == hi."""
 
     lo: Money
     hi: Money
 
 
-@dataclass(frozen=True)
-class PrescribedDecision:
+class PrescribedDecision(NamedTuple):
     decision: Decision
 
 

@@ -1116,15 +1116,20 @@ def serialize_canonical(transcript: Transcript) -> str:
 
 
 def _read_json_pair(rest: str) -> tuple[object, object]:
+    """The two JSON values that fill `rest`, one space apart. An error's
+    position counts from the start of the value it is in."""
+    start = 0
     try:
-        first, idx = _DECODER.raw_decode(rest)
-        tail = rest[idx:].lstrip()
-        second, end = _DECODER.raw_decode(tail, 0)
-        trailing = tail[end:].strip()
+        first, end = _DECODER.raw_decode(rest)
+        if end < len(rest) and rest[end] != " ":
+            raise MalformedRecordError(f"expected one space after a JSON value, got {rest[end]!r}")
+        start = end + 1
+        second, end = _DECODER.raw_decode(rest, start)
     except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"bad JSON payload: {exc}") from None
-    if trailing:
-        raise MalformedRecordError(f"trailing data after record: {trailing!r}")
+        where = json.JSONDecodeError(exc.msg, exc.doc[start:], exc.pos - start)
+        raise MalformedRecordError(f"bad JSON payload: {where}") from None
+    if end != len(rest):
+        raise MalformedRecordError(f"trailing data after record: {rest[end:].strip() or rest[end:]!r}")
     return first, second
 
 
@@ -1133,13 +1138,14 @@ def parse_canonical(text: str) -> Transcript:
 
     Raises SchemaVersionError for an unknown version tag and
     MalformedRecordError for any structural violation (field order, a
-    header or round line not in the writer's form, round numbering, payoffs
-    that do not match the decision).
+    header or round line not in the writer's form, a JSON separator other
+    than one space, round numbering, payoffs that do not match the
+    decision). Blank lines are skipped.
     """
     if not text.endswith("\n"):
         raise MalformedRecordError("canonical text must end with a newline")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    lines = text.split("\n")[:-1]  # blank lines are skipped: here if one leads, else in the loop
+    if not lines[0].strip() and not (lines := [ln for ln in lines if ln.strip()]):
         raise MalformedRecordError("empty transcript text")
     tag, _, rest = lines[0].partition(" ")
     version, _, rest = rest.partition(" ")
@@ -1199,7 +1205,7 @@ def parse_canonical(text: str) -> Transcript:
             if not isinstance(label, str) or not isinstance(logtext, str):
                 raise MalformedRecordError("rawlog line must hold two strings")
             raw_logs.append((label, logtext))
-        else:
+        elif line.strip():
             raise MalformedRecordError(f"unknown record kind {kind!r}")
 
     if len(strategies) != 2 or strategies[0].role is not Role.PROPOSER or strategies[1].role is not Role.RECEIVER:

@@ -12,8 +12,9 @@ from helpers import FIXTURES
 from ultimatum.agents import DEVIATION_ROUND
 from ultimatum.cli import EXIT_OK, EXIT_USAGE, main
 from ultimatum.engine import MAX_POT
-from ultimatum.experiment import InvalidPlanError, plan_from_dict, run_batch
+from ultimatum.experiment import InvalidPlanError, load_records, plan_from_dict, run_batch
 from ultimatum.strategy import MIN_POT, Personality, bands_for
+from ultimatum.transcripts import parse_canonical
 
 FAIR, GREEDY = Personality.FAIR, Personality.GREEDY
 
@@ -156,8 +157,16 @@ class TestLargestPot:
             f"error: bad plan value: pot must be <= {MAX_POT} cents, got {MAX_POT + 1}\n"
         )
         assert not (tmp_path / f"pot{MAX_POT + 1}.jsonl").exists()
-        assert main(["grade", "--records", str(tmp_path / f"pot{MAX_POT}.jsonl")]) == EXIT_OK
+        store = tmp_path / f"pot{MAX_POT}.jsonl"
+        assert main(["grade", "--records", str(store)]) == EXIT_OK
         assert "8 records, 8 graded, 0 failed" in capsys.readouterr().out
+        # Each oracle opens at the offer its own plan names, written and
+        # read back without rounding.
+        bands = bands_for(MAX_POT)
+        for record in load_records(store):
+            transcript = parse_canonical(record["transcript"])
+            planned = bands.fair_open if transcript.pair.proposer is FAIR else bands.greedy_open
+            assert transcript.rounds[0].offer == planned, record["run_id"]
 
     @pytest.mark.parametrize("pot, code", [(MAX_POT, EXIT_OK), (MAX_POT + 1, EXIT_USAGE)])
     def test_grade_takes_pots_up_to_the_largest(self, capsys, pot, code):

@@ -6,10 +6,12 @@ most 18 of them (`engine.MAX_POT`), and each word one the writer writes.
 Every other spelling of such a line, the near misses that `int()` or a
 case-blind lookup would still read included, is refused with a message that
 names the line. Enum tokens of strategy lines are looked up by value and
-refused as the plain enum call refuses them.
+refused as the plain enum call refuses them. A strategy or rawlog line's two
+JSON values are read only one space apart, with nothing after the second.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import event, example, given
@@ -47,6 +49,30 @@ pots = st.integers(5, 10000) | st.just(MAX_POT)
 def transcript_of(config: GameConfig, actions) -> Transcript:
     _, outcomes = engine.replay(config, actions)
     return dataclasses.replace(BASE, config=config, rounds=tuple(outcomes))
+
+
+_JSON = json.JSONDecoder()
+free_text = st.text(st.characters(codec="utf-8"), max_size=40) | st.sampled_from(
+    ["", " ", "a b", "two  spaces", "\t", '"', "\\", "x\ny", " lead", "trail "]
+)
+
+
+@st.composite
+def framed_transcripts(draw) -> Transcript:
+    """A transcript of drawn size and play whose strategy texts and raw logs
+    hold drawn free text, spaces, quotes and newlines included."""
+    config = GameConfig(pot=draw(pots), rounds=draw(st.integers(1, 10)))
+    transcript = transcript_of(config, [
+        (draw(st.integers(0, config.pot)), draw(st.sampled_from(Decision)))
+        for _ in range(config.rounds)
+    ])
+    return dataclasses.replace(
+        transcript,
+        pair=draw(st.sampled_from(ALL_PAIRS)),
+        structure=draw(st.sampled_from(Structure)),
+        strategies=tuple(dataclasses.replace(spec, raw_text=draw(free_text)) for spec in BASE.strategies),
+        raw_logs=tuple(draw(st.lists(st.tuples(free_text, free_text), max_size=2))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +181,8 @@ class TestRoundLines:
             parse_canonical(text)
         assert str(info.value) == f"bad round line: {line!r}"
 
-    @given(pot=pots, rounds=st.integers(1, 10), data=st.data())
-    def test_serialized_transcripts_read_back(self, pot, rounds, data):
-        config = GameConfig(pot=pot, rounds=rounds)
-        transcript = transcript_of(config, [
-            (data.draw(st.integers(0, pot)), data.draw(st.sampled_from(Decision)))
-            for _ in range(rounds)
-        ])
+    @given(transcript=framed_transcripts())
+    def test_serialized_transcripts_read_back(self, transcript):
         text = serialize_canonical(transcript)
         assert parse_canonical(text) == transcript
         assert serialize_canonical(parse_canonical(text)) == text
@@ -256,3 +277,65 @@ class TestHeaderAndStrategyLines:
             with pytest.raises(ValueError) as info:
                 PersonalityPair.from_label(label)
             assert str(info.value) == f"bad personality pair label: {label!r}"
+
+# ---------------------------------------------------------------------------
+# Line framing: one space between a strategy or rawlog line's two JSON
+# values, nothing after the second; blank lines are skipped
+# ---------------------------------------------------------------------------
+
+def _second_value_at(line: str) -> int:
+    """Where the second JSON value of a strategy or rawlog line starts."""
+    start = len("rawlog ") if line.startswith("rawlog ") else line.index(" ", len("strategy ")) + 1
+    return _JSON.raw_decode(line, start)[1] + 1
+
+
+@st.composite
+def framing_edits(draw, text: str) -> tuple[str, str]:
+    """(edit, text): the text with one strategy or rawlog line framed in a
+    way the writer never frames it."""
+    lines = text.split("\n")[:-1]
+    edit = draw(st.sampled_from(["two spaces", "tab", "no space", "trailing space", "trailing tab"]))
+    at = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith(("strategy ", "rawlog "))]))
+    line = lines[at]
+    cut = _second_value_at(line)
+    lines[at] = {
+        "two spaces": line[:cut] + " " + line[cut:],
+        "tab": line[:cut - 1] + "\t" + line[cut:],
+        "no space": line[:cut - 1] + line[cut:],
+        "trailing space": line + " ",
+        "trailing tab": line + "\t",
+    }[edit]
+    return edit, "\n".join(lines) + "\n"
+
+
+class TestLineFraming:
+    @given(transcript=framed_transcripts(), data=st.data())
+    def test_a_payload_line_framed_otherwise_is_refused(self, transcript, data):
+        edit, edited = data.draw(framing_edits(serialize_canonical(transcript)))
+        event(edit)
+        with pytest.raises(MalformedRecordError):
+            parse_canonical(edited)
+
+    @given(transcript=framed_transcripts(), data=st.data())
+    def test_a_blank_line_is_skipped_and_so_does_not_round_trip(self, transcript, data):
+        lines = serialize_canonical(transcript).split("\n")[:-1]
+        blank = data.draw(st.sampled_from(["", " ", "\t", " \t", "\u3000"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        edited = "\n".join(lines) + "\n"
+        assert parse_canonical(edited) == transcript
+        assert serialize_canonical(parse_canonical(edited)) != edited
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.replace('"single_model" "', '"single_model"  "', 1),
+         "bad JSON payload: Expecting value: line 1 column 1 (char 0)"),
+        (lambda s: s.replace('"single_model" "', '"single_model"\t"', 1),
+         "expected one space after a JSON value, got '\\t'"),
+        (lambda s: s.replace('"single_model" "', '"single_model""', 1),
+         "expected one space after a JSON value, got '\"'"),
+        (lambda s: s.replace('[Round 1]\\n"\n', '[Round 1]\\n" \n', 1), "trailing data after record: ' '"),
+        (lambda s: s.replace('[Round 1]\\n"\n', '[Round 1]\\n" x \n', 1), "trailing data after record: 'x'"),
+    ], ids=["two-spaces", "tab", "no-space", "trailing-space", "trailing-word"])
+    def test_each_refusal_names_what_is_off(self, edit, message):
+        with pytest.raises(MalformedRecordError) as info:
+            parse_canonical(edit(VALID))
+        assert str(info.value) == message

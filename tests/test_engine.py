@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ultimatum.engine import (
     Decision,
     GameConfig,
     InvalidConfigError,
+    MAX_POT,
     OfferOutOfRangeError,
     Phase,
     RoundOutcome,
@@ -16,6 +17,7 @@ from ultimatum.engine import (
     submit_decision,
     submit_offer,
 )
+from ultimatum.transcripts import extract_amounts
 
 
 class TestGameConfig:
@@ -154,6 +156,14 @@ class TestReplay:
 )
 def test_format_money(cents, text):
     assert format_money(cents) == text
+
+
+@given(st.integers(min_value=0, max_value=MAX_POT))
+@example(10**16 + 1)  # through a float it read back as 10**16 + 2
+@example(MAX_POT)  # through a float it read $10000000000000000.00, above MAX_POT
+@example(MAX_POT // 2)
+def test_format_money_reads_back_as_the_same_cents(cents):
+    assert extract_amounts(format_money(cents))[0].cents == cents
 
 
 @given(st.data())

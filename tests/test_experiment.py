@@ -1,7 +1,8 @@
+import collections
 import json
 import sys
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1070,6 +1071,36 @@ class TestRegrade:
             regrade_record(record)
 
 
+STRATEGY_FLAGS = (
+    "proposer_strategy_complete",
+    "receiver_strategy_complete",
+    "proposer_strategy_consistent",
+    "receiver_strategy_consistent",
+)
+
+
+def reference_count_group(records) -> GroupCounts:
+    """count_group as one Counter, updated field by field for each record."""
+    acc = collections.Counter()
+    for record in records:
+        acc["total"] += 1
+        if record.get("status") != "ok" or not record.get("verdict"):
+            acc["failed"] += 1
+            continue
+        acc["ok"] += 1
+        verdict = record["verdict"]
+        pc, rc, ps, rs = (verdict[flag] for flag in STRATEGY_FLAGS)
+        acc[verdict["error_class"]] += 1
+        acc["proposer_complete"] += pc
+        acc["receiver_complete"] += rc
+        acc["proposer_consistent"] += ps
+        acc["receiver_consistent"] += rs
+        acc["both_complete"] += pc and rc
+        acc["both_consistent"] += ps and rs
+        acc["strategy_robust"] += pc and rc and ps and rs
+    return GroupCounts(**{f.name: acc[f.name] for f in fields(GroupCounts)})
+
+
 class TestGroupCounts:
     def test_counts_add_like_vectors(self, mixed_records):
         whole = astuple(count_group(mixed_records))
@@ -1088,6 +1119,23 @@ class TestGroupCounts:
         assert counts.errors == 23
         assert counts.strategy_errors == 17
         assert counts.gameplay_errors == 9
+
+    @given(st.lists(
+        st.builds(
+            lambda status, verdict: {**status, "verdict": verdict},
+            # A record not ok counts as failed, whatever its verdict holds.
+            st.sampled_from([{"status": "ok"}] * 3 + [{"status": "failed"}, {}]),
+            st.builds(
+                lambda flags, error_class: {**dict(zip(STRATEGY_FLAGS, flags)), "error_class": error_class},
+                st.tuples(*[st.booleans()] * 4),
+                st.sampled_from([c.value for c in ErrorClass]),
+            ) | st.sampled_from([None, {}]),
+        ),
+        max_size=30,
+    ))
+    def test_counts_equal_a_tally_kept_field_by_field(self, records):
+        assert count_group(records) == reference_count_group(records)
+        assert count_group(iter(records)) == count_group(records)
 
     def test_empty_group_has_no_rate(self):
         # A cell whose every run failed has nothing graded to take a rate of.

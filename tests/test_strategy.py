@@ -307,6 +307,25 @@ class TestPrescribedAction:
             prescribed_action(spec, CONFIG, t.rounds, 3, pending_offer=pending)
 
 
+class TestPrescriptionValues:
+    def test_fields_cannot_be_assigned(self):
+        for value, field in ((PrescribedOffer(40, 60), "lo"), (PrescribedDecision(Decision.ACCEPT), "decision")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+
+    def test_prescriptions_keep_their_repr_equality_and_hash(self):
+        offer, decision = PrescribedOffer(40, 60), PrescribedDecision(Decision.REJECT)
+        assert repr(offer) == "PrescribedOffer(lo=40, hi=60)"
+        assert repr(decision) == "PrescribedDecision(decision=<Decision.REJECT: 'reject'>)"
+        assert (offer.lo, offer.hi, decision.decision) == (40, 60, Decision.REJECT)
+        same_offer, same_decision = PrescribedOffer(lo=40, hi=60), PrescribedDecision(Decision.REJECT)
+        assert offer == same_offer and hash(offer) == hash(same_offer)
+        assert decision == same_decision and hash(decision) == hash(same_decision)
+        assert offer != PrescribedOffer(60, 40)
+        assert decision != PrescribedDecision(Decision.ACCEPT)
+        assert len({offer, same_offer, decision, same_decision}) == 2
+
+
 class TestAdherence:
     def test_clean_oracle_game_is_adherent(self):
         t = build_transcript([20, 25, 30, 35, 40], [REJ, REJ, REJ, REJ, ACC], pair="greedy-fair")
