@@ -364,14 +364,17 @@ def _record(
     return record
 
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class RunStore:
     """Append-only JSON-lines store of run records.
 
     One `append` writes all its records, one line each, under one lock
     acquisition and one open of the file, so the lines of concurrent
     appends never interleave and each call's lines stay together. Each
-    line is `json.dumps(record, sort_keys=True)`: ASCII, so a write cut
-    short never splits a character.
+    line is `json.dumps(record, sort_keys=True)`, made by one encoder built
+    once: ASCII, so a write cut short never splits a character.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -379,7 +382,7 @@ class RunStore:
         self._lock = threading.Lock()
 
     def append(self, *records: dict) -> None:
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        lines = "".join(_RECORD_ENCODER.encode(record) + "\n" for record in records)
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(lines)

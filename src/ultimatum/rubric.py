@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Decision, RoundOutcome
+from .engine import Decision
 from .strategy import (
     Role,
     bands_for,
@@ -105,38 +105,36 @@ class Verdict:
         return ErrorClass.STRATEGY_ONLY if self.gameplay_ok else ErrorClass.BOTH
 
 
-def _round_flags(transcript: Transcript, outcome: RoundOutcome) -> list[RoundFlag]:
-    """Generic band breaks of one observed round, before any is excused."""
-    bands, pair = bands_for(transcript.config.pot), transcript.pair
-    r, offer, decision = outcome.round, outcome.offer, outcome.decision
+def _round_flags(transcript: Transcript) -> list[RoundFlag]:
+    """Generic band breaks of each observed round, in order, before any is
+    excused. One walk carries what a later round is judged against: the
+    round before it, whether every round so far was rejected, and the
+    receiver's ceiling, which starts at its personality's round-1 boundary
+    and only falls: accepting an offer proves the threshold is no higher."""
+    bands, pair, final = bands_for(transcript.config.pot), transcript.pair, transcript.config.rounds
+    (lo, hi), ceiling = bands.step, bands.accept_min(pair.receiver)
     flags: list[RoundFlag] = []
-    if r == 1:
-        if not bands.offer_fits(pair.proposer, offer):
-            flags.append(RoundFlag(1, Role.PROPOSER, "opening_offer_band"))
-        if (decision is Decision.ACCEPT) != (offer >= bands.accept_min(pair.receiver)):
-            flags.append(RoundFlag(1, Role.RECEIVER, "opening_decision_band"))
-        return flags
-    history = transcript.rounds[: r - 1]
-    prev = history[-1]
-    if prev.decision is Decision.ACCEPT:
-        if abs(offer - prev.offer) > bands.slack:
-            flags.append(RoundFlag(r, Role.PROPOSER, "offer_change_after_accept"))
-    else:
-        lo, hi = bands.step
-        if not lo <= offer - prev.offer <= hi:
+    prev, all_rejected = None, True
+    for outcome in transcript.rounds:
+        r, offer, decision = outcome.round, outcome.offer, outcome.decision
+        if prev is None:
+            if not bands.offer_fits(pair.proposer, offer):
+                flags.append(RoundFlag(1, Role.PROPOSER, "opening_offer_band"))
+            if (decision is Decision.ACCEPT) != (offer >= ceiling):
+                flags.append(RoundFlag(1, Role.RECEIVER, "opening_decision_band"))
+        elif prev.decision is Decision.ACCEPT:
+            if abs(offer - prev.offer) > bands.slack:
+                flags.append(RoundFlag(r, Role.PROPOSER, "offer_change_after_accept"))
+        elif not lo <= offer - prev.offer <= hi:
             flags.append(RoundFlag(r, Role.PROPOSER, "offer_change_after_reject"))
-    if decision is Decision.REJECT:
-        all_rejected = all(o.decision is Decision.REJECT for o in history)
-        # The receiver's threshold starts at its personality's round-1
-        # boundary and only falls: accepting an offer proves it is no higher.
-        ceiling = min(
-            [bands.accept_min(pair.receiver)]
-            + [o.offer for o in history if o.decision is Decision.ACCEPT]
-        )
-        if r == transcript.config.rounds and all_rejected and offer >= 1:
-            flags.append(RoundFlag(r, Role.RECEIVER, "final_round_capitulation"))
-        elif offer >= ceiling:
-            flags.append(RoundFlag(r, Role.RECEIVER, "threshold_raised"))
+        if prev is not None and decision is Decision.REJECT:
+            if r == final and all_rejected and offer >= 1:
+                flags.append(RoundFlag(r, Role.RECEIVER, "final_round_capitulation"))
+            elif offer >= ceiling:
+                flags.append(RoundFlag(r, Role.RECEIVER, "threshold_raised"))
+        if decision is Decision.ACCEPT:
+            all_rejected, ceiling = False, min(ceiling, offer)
+        prev = outcome
     return flags
 
 
@@ -165,8 +163,7 @@ def evaluate_transcript(transcript: Transcript) -> Verdict:
     spec_of = {Role.PROPOSER: prop_spec, Role.RECEIVER: recv_spec}
     flags = [
         flag
-        for outcome in transcript.rounds
-        for flag in _round_flags(transcript, outcome)
+        for flag in _round_flags(transcript)
         if flag.rule in _NON_OVERRIDABLE_RULES
         or not follows(spec_of[flag.role], transcript, flag.round)
     ]

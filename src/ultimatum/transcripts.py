@@ -43,7 +43,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Context, Decimal
 from typing import NamedTuple
 
 from . import engine
@@ -154,26 +154,40 @@ class AmountMatch(NamedTuple):
     text: str
 
 
-def _frac_to_cents(frac: str) -> Money:
-    # One decimal digit means tenths of a dollar: $0.5 is 50 cents.
-    return int(frac) * 10 if len(frac) == 1 else int(frac)
+# A run of more than 18 digits names no amount or round that a game has
+# (engine.MAX_POT and a header's rounds hold at most 18; int() refuses more
+# than 4300), so it reads as _BEYOND, past every pot and every round.
+_BEYOND = engine.MAX_POT + 1
+
+
+def _number(digits: str) -> int:
+    return int(digits) if len(digits) <= 18 else _BEYOND
+
+
+def _to_cents(
+    dollars: str | None, frac: str | None, frac_only: str | None, whole: str | None, cents: str | None
+) -> Money:
+    """The cents that the groups of one `_AMOUNT_RE` match name. A group that
+    took no part is None in a match object and "" from `findall`. One
+    decimal digit means tenths of a dollar: $0.5 is 50 cents."""
+    if cents:
+        return _number(cents.replace(",", ""))
+    frac = frac or frac_only
+    tail = int(frac.ljust(2, "0")) if frac else 0
+    units = dollars or whole
+    return _number(units.replace(",", "")) * 100 + tail if units else tail
+
+
+def _amount_cents(text: str) -> list[Money]:
+    """The cents of every money amount in the text, in document order: what
+    `extract_amounts` reads, without the spans that only strategy text needs."""
+    return [_to_cents(*groups) for groups in _AMOUNT_RE.findall(text)]
 
 
 def extract_amounts(text: str) -> list[AmountMatch]:
-    """All money amounts in the text, in document order, as integer cents."""
-    out: list[AmountMatch] = []
-    for m in _AMOUNT_RE.finditer(text):
-        dollars, frac, frac_only, whole, cents = m.groups()
-        if dollars is not None:
-            value = int(dollars.replace(",", "")) * 100 + _frac_to_cents(frac)
-        elif frac_only is not None:
-            value = _frac_to_cents(frac_only)
-        elif whole is not None:
-            value = int(whole.replace(",", "")) * 100
-        else:
-            value = int(cents.replace(",", ""))
-        out.append(AmountMatch(value, m.span(), m.group(0)))
-    return out
+    """All money amounts in the text, in document order, as integer cents with
+    the span and text of each (a run of over 18 digits is past every pot)."""
+    return [AmountMatch(_to_cents(*m.groups()), m.span(), m.group(0)) for m in _AMOUNT_RE.finditer(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +282,7 @@ def _round_candidates(text: str) -> list[tuple[int, int, int]]:
     """
     by_start: dict[int, tuple[int, int, int]] = {}
     for m in _ROUND_HEADING_RE.finditer(text):
-        by_start[m.start()] = (m.start(), m.end(), int(m.group(1)))
+        by_start[m.start()] = (m.start(), m.end(), _number(m.group(1)))
     heading_ends = {end for _, end, _ in by_start.values()}
     for m in _ROUND_INLINE_RE.finditer(text):
         if m.end() in heading_ends:
@@ -278,7 +292,7 @@ def _round_candidates(text: str) -> list[tuple[int, int, int]]:
         while i and text[i - 1] in " \t*#>[(\"'":
             i -= 1
         if not i or text[i - 1] in ".!?\n":
-            by_start[m.start()] = (m.start(), m.end(), int(m.group(1)))
+            by_start[m.start()] = (m.start(), m.end(), _number(m.group(1)))
     return sorted(by_start.values())
 
 
@@ -286,26 +300,21 @@ def _round_chain(text: str, rounds: int) -> list[tuple[int, int, int]]:
     """Choose one heading per round 1..rounds, in order.
 
     Works backwards from the last mention of the final round so that
-    strategy text mentioning early rounds does not steal a heading; falls
-    back to a forward scan, and returns the longest prefix found (callers
-    decide whether a short chain is an error).
+    strategy text mentioning early rounds does not steal a heading: one
+    pass from the last candidate takes each whose number is the next one
+    wanted (rounds, then rounds - 1, ...). A short chain falls back to a
+    forward scan, which returns the longest prefix found (callers decide
+    whether a short chain is an error).
     """
     cands = _round_candidates(text)
-    chosen: dict[int, tuple[int, int, int]] = {}
-    limit = len(text) + 1
-    for n in range(rounds, 0, -1):
-        best = None
-        for cand in cands:
-            if cand[2] == n and cand[0] < limit:
-                best = cand
-        if best is None:
-            break
-        chosen[n] = best
-        limit = best[0]
-    if len(chosen) == rounds:
-        return [chosen[n] for n in range(1, rounds + 1)]
-    # Forward scan: first heading for each successive number.
     chain: list[tuple[int, int, int]] = []
+    for cand in reversed(cands):
+        if cand[2] == rounds - len(chain):
+            chain.append(cand)
+            if len(chain) == rounds:
+                return chain[::-1]
+    # Forward scan: first heading for each successive number.
+    chain = []
     pos = -1
     for n in range(1, rounds + 1):
         nxt = next((c for c in cands if c[2] == n and c[0] > pos), None)
@@ -356,19 +365,19 @@ def _extract_offer(segment: str, lines: list[str]) -> tuple[Money | None, bool, 
     for line in lines:
         m = _OFFER_MARKER_RE.match(line)
         if m:
-            amounts = extract_amounts(m.group("rest"))
+            amounts = _amount_cents(m.group("rest"))
             if amounts:
-                return amounts[0].cents, True, warnings
+                return amounts[0], True, warnings
             warnings.append("OFFER marker without a readable amount")
     for line in lines:
         if _OFFER_VERB_RE.search(line) and not _OFFER_SKIP_RE.search(line):
-            amounts = extract_amounts(line)
+            amounts = _amount_cents(line)
             if amounts:
-                return amounts[0].cents, False, warnings
-    amounts = extract_amounts(segment)
+                return amounts[0], False, warnings
+    amounts = _amount_cents(segment)
     if amounts:
         warnings.append("offer taken without an offer verb nearby")
-        return amounts[0].cents, False, warnings
+        return amounts[0], False, warnings
     return None, False, warnings
 
 
@@ -408,7 +417,7 @@ def _check_payoffs(
     for line in lines:
         if not _PAYOFF_LINE_RE.search(line) or _OFFER_VERB_RE.search(line):
             continue
-        amounts = [a.cents for a in extract_amounts(line)]
+        amounts = _amount_cents(line)
         if len(amounts) >= 2 and sorted(amounts[:2]) != expected:
             return [
                 f"round {round_no}: payoff line says {amounts[:2]}, engine computes {expected}"
@@ -491,16 +500,22 @@ def _mentions_acceptance(low: str) -> bool:
     return bool(_ACCEPT_STEM_RE.search(low)) and bool(_CONDITIONAL_RE.search(low))
 
 
+def _pot_share(percent: str | None, pot: Money) -> Money:
+    """A share of the pot in whole cents, rounded down as the bands are (half the
+    pot if no percentage is given); any number of decimal places reads exactly."""
+    if percent is None:
+        return pot // 2
+    if _number(percent.partition(".")[0]) == _BEYOND:
+        return _BEYOND
+    exact = Context(prec=len(percent) + 20)  # a digit per digit of both factors
+    return int(exact.divide_int(exact.multiply(Decimal(percent), pot), 100))
+
+
 def _clause_amounts(clause: str, pot: Money) -> list[AmountMatch]:
-    """The money amounts and pot shares of one strategy clause, in document
-    order. A share is rounded down to whole cents, as the bands are."""
+    """The money amounts and pot shares of one strategy clause, in document order."""
     amounts = extract_amounts(clause)
     shares = [
-        AmountMatch(
-            pot // 2 if m["percent"] is None else Fraction(m["percent"]) * pot // 100,
-            m.span(),
-            m.group(0),
-        )
+        AmountMatch(_pot_share(m["percent"], pot), m.span(), m.group(0))
         for m in _POT_SHARE_RE.finditer(clause)
     ]
     return sorted(amounts + shares, key=lambda a: a.span) if shares else amounts
@@ -602,21 +617,21 @@ _ORDINAL_ROUND_RE = re.compile(
 )
 
 
-def _round_scope(low: str) -> list[int] | None:
-    """Rounds a clause names, or None when it applies to every round."""
-    m = _ROUND_RANGE_RE.search(low)
-    if m:
-        return list(range(int(m.group(1)), int(m.group(2)) + 1))
-    m = _FIRST_ROUNDS_RE.search(low)
-    if m and m.group(1) in _WORD_NUMBERS:
-        return list(range(1, _WORD_NUMBERS[m.group(1)] + 1))
-    m = _ROUND_INLINE_RE.search(low)
-    if m:
-        return [int(m.group(1))]
-    m = _ORDINAL_ROUND_RE.search(low)
-    if m:
-        return [_ORDINALS[m.group(1)]]
-    return None
+def _round_scope(low: str, rounds: int) -> range | None:
+    """The game's rounds that a clause names, or None when it names none and
+    applies to every round. Only rounds 1..rounds are kept: "rounds 1
+    through 3000000" in a five-round game scopes rounds 1-5."""
+    if m := _ROUND_RANGE_RE.search(low):
+        lo, hi = _number(m.group(1)), _number(m.group(2))
+    elif (m := _FIRST_ROUNDS_RE.search(low)) and m.group(1) in _WORD_NUMBERS:
+        lo, hi = 1, _WORD_NUMBERS[m.group(1)]
+    elif m := _ROUND_INLINE_RE.search(low):
+        lo = hi = _number(m.group(1))
+    elif m := _ORDINAL_ROUND_RE.search(low):
+        lo = hi = _ORDINALS[m.group(1)]
+    else:
+        return None
+    return range(max(lo, 1), min(hi, rounds) + 1)
 
 
 _BEFORE_FINAL_RE = re.compile(
@@ -661,7 +676,7 @@ def _parse_receiver_text(text: str, config: GameConfig) -> ReceiverStrategy:
         t = _threshold_value(low, vals, config.pot)
         if t is None:
             continue
-        scope = _round_scope(low)
+        scope = _round_scope(low, config.rounds)
         if scope is None:
             if threshold is None:
                 threshold = t
@@ -1003,6 +1018,8 @@ CANONICAL_VERSION = "v1"
 _DECODER = json.JSONDecoder()
 # Encodes strategy fields: sorted keys, no spaces, non-ASCII escaped.
 _FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Quotes a string as the call json.dumps(string) makes: ASCII, non-ASCII escaped.
+_quote = json.encoder.encode_basestring_ascii
 
 # The header after its tag and version, and a round line, exactly as
 # serialize_canonical writes them, the only forms parse_canonical reads:
@@ -1104,14 +1121,14 @@ def serialize_canonical(transcript: Transcript) -> str:
     ]
     for spec in transcript.strategies:
         fields = _FIELDS_ENCODER.encode(_fields_to_json(spec))
-        lines.append(f"strategy {spec.role.value} {fields} {json.dumps(spec.raw_text)}")
+        lines.append(f"strategy {spec.role.value} {fields} {_quote(spec.raw_text)}")
     for o in transcript.rounds:
         lines.append(
             f"round {o.round} offer={o.offer} decision={o.decision.value} "
             f"payoffs={o.proposer_payoff}/{o.receiver_payoff}"
         )
     for label, text in transcript.raw_logs:
-        lines.append(f"rawlog {json.dumps(label)} {json.dumps(text)}")
+        lines.append(f"rawlog {_quote(label)} {_quote(text)}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,8 @@ import json
 import pathlib
 import random
 
+from hypothesis import strategies as st
+
 from ultimatum import engine
 from ultimatum.agents import Gateway, oracle_strategy
 from ultimatum.engine import Decision, GameConfig
@@ -25,6 +27,13 @@ CORPUS = FIXTURES / "corpus"
 
 ACC = Decision.ACCEPT
 REJ = Decision.REJECT
+
+# Any code point, lone surrogates and control characters included, and the
+# characters JSON escapes by name.
+any_text = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff'),
+    max_size=40,
+)
 
 
 def oracle_text(role: Role, personality: Personality, pot: int = 100, rounds: int = 5) -> str:

@@ -8,6 +8,8 @@ case-blind lookup would still read included, is refused with a message that
 names the line. Enum tokens of strategy lines are looked up by value and
 refused as the plain enum call refuses them. A strategy or rawlog line's two
 JSON values are read only one space apart, with nothing after the second.
+The writer quotes its strings as `json.dumps` does, which the reference
+writer below still calls.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
-from helpers import build_transcript
+from helpers import any_text, build_transcript
 from ultimatum import engine
 from ultimatum.engine import MAX_POT, Decision, GameConfig, RoundOutcome
 from ultimatum.strategy import (
@@ -28,7 +30,9 @@ from ultimatum.strategy import (
     Role,
 )
 from ultimatum.transcripts import (
+    _FIELDS_ENCODER,
     _ROUND_LINE_RE,
+    _fields_to_json,
     MalformedRecordError,
     Structure,
     Transcript,
@@ -339,3 +343,39 @@ class TestLineFraming:
         with pytest.raises(MalformedRecordError) as info:
             parse_canonical(edit(VALID))
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Reference: the writer quoting each string through json.dumps
+# ---------------------------------------------------------------------------
+
+
+def ref_serialize_canonical(transcript):
+    cfg = transcript.config
+    lines = [
+        f"ultimatum-transcript v1 pot={cfg.pot} rounds={cfg.rounds} "
+        f"pair={transcript.pair.label()} structure={transcript.structure.value}"
+    ]
+    for spec in transcript.strategies:
+        fields = _FIELDS_ENCODER.encode(_fields_to_json(spec))
+        lines.append(f"strategy {spec.role.value} {fields} {json.dumps(spec.raw_text)}")
+    for o in transcript.rounds:
+        lines.append(
+            f"round {o.round} offer={o.offer} decision={o.decision.value} "
+            f"payoffs={o.proposer_payoff}/{o.receiver_payoff}"
+        )
+    for label, text in transcript.raw_logs:
+        lines.append(f"rawlog {json.dumps(label)} {json.dumps(text)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(transcript=framed_transcripts(), data=st.data())
+@example(transcript=BASE, data=None)
+def test_the_writer_quotes_strings_as_json_dumps_does(transcript, data):
+    if data is not None:
+        transcript = dataclasses.replace(
+            transcript,
+            strategies=tuple(dataclasses.replace(spec, raw_text=data.draw(any_text)) for spec in transcript.strategies),
+            raw_logs=tuple(data.draw(st.lists(st.tuples(any_text, any_text), max_size=2))),
+        )
+    assert serialize_canonical(transcript) == ref_serialize_canonical(transcript)

@@ -22,7 +22,7 @@ DRIFT = "[differs from stored verdict]"
 
 # src/ultimatum, prompts/ included, grows only by a stated choice: a change
 # that raises this bound says why in CHANGES.md.
-SOURCE_LINE_BOUND = 4604
+SOURCE_LINE_BOUND = 4621
 
 
 def test_the_source_stays_within_its_line_bound():
@@ -70,6 +70,34 @@ def store(tmp_path_factory) -> Path:
         done = _cli("run", "--plan", "plan.yaml", "--out", "runs.jsonl", "--workers", workers, cwd=work)
         assert done.returncode == 0, done.stderr
     return work / "runs.jsonl"
+
+
+def test_one_and_two_workers_write_the_same_oracle_store(store):
+    # The second run appends to the store the first wrote.
+    lines = store.read_text(encoding="utf-8").splitlines()
+    records = [{k: v for k, v in json.loads(line).items() if k != "elapsed_seconds"} for line in lines]
+    assert len(records) == 24
+    assert records[:12] == records[12:]
+
+
+@pytest.mark.parametrize("plan, args, error", [
+    ("endpoint: localhost:8000/v1/chat/completions\n", ["--mode", "live"], None),
+    (PLAN, ["--workers", "0"], None),
+    ("runs_per_cell: 1\npot: 99.5\n", [], None),
+    ("runs_per_cell: 1\npot: 100\npot: 200\n", [],
+     "error: plan file repeats key 'pot' on line 3 (first on line 2)"),
+    ("structures: [unclosed\n", [],
+     "error: plan file is not valid YAML: expected ',' or ']', but got '<stream end>' on line 2, column 1"),
+], ids=["endpoint-not-http", "no-workers", "fractional-pot", "repeated-key", "invalid-yaml"])
+def test_a_bad_plan_is_one_error_line_and_no_store(tmp_path, plan, args, error):
+    (tmp_path / "plan.yaml").write_text(plan, encoding="utf-8")
+    done = _cli("run", "--plan", "plan.yaml", "--out", "runs.jsonl", *args, cwd=tmp_path)
+    assert done.returncode == 2
+    assert not (tmp_path / "runs.jsonl").exists()
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if error is not None:
+        assert lines == [error]
 
 
 def test_every_stored_verdict_regrades_the_same_and_both_reports_run(store):

@@ -7,7 +7,7 @@ from dataclasses import astuple, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text, stored_record
+from helpers import ScriptedModelGateway, any_text, oracle_gateway, oracle_log, oracle_text, stored_record
 from ultimatum import engine, experiment, orchestrator, prompts
 from ultimatum.agents import Flaw, Gateway, GatewayError, HttpGateway, OracleAgent, ReplayGateway
 from ultimatum.experiment import (
@@ -877,14 +877,13 @@ LINE_A = json.dumps(stored_record(run_id="a"))
 LINE_B = json.dumps(stored_record(run_id="b"))
 
 
-texts = st.text(max_size=40)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | texts,
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(any_text, children, max_size=3),
     max_leaves=10,
 )
 # Records to append in one call, with nested fields.
-record_batches = st.lists(st.dictionaries(texts, json_values, max_size=4), max_size=6)
+record_batches = st.lists(st.dictionaries(any_text, json_values, max_size=4), max_size=6)
 
 
 class TestRunStore:

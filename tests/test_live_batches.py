@@ -22,12 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_log, oracle_text
-from ultimatum import orchestrator
+from ultimatum import cli, orchestrator
 from ultimatum.agents import HttpGateway, RecordingGateway, ReplayGateway
 from ultimatum.engine import GameConfig, format_money
 from ultimatum.experiment import load_plan, plan_from_dict, regrade_record, run_batch
 from ultimatum.strategy import Personality, PersonalityPair, Role
-from ultimatum.transcripts import Structure, parse_canonical, serialize_canonical
+from ultimatum.transcripts import (
+    Structure,
+    parse_canonical,
+    parse_strategy_text,
+    serialize_canonical,
+)
 
 ENDPOINT = "http://fuzz.invalid/v1/chat/completions"
 
@@ -117,6 +122,58 @@ class FuzzSession:
         ), ("No deal, I reject that split.",)
 
 
+def turn_of(messages: list[dict]) -> str:
+    """"log" for a single-model request; else the role asked for a strategy,
+    or "offer" or "decision"."""
+    if len(messages) == 1:
+        return "log"
+    role, _ = speaker(messages)
+    if is_strategy_request(messages):
+        return role.value
+    return "offer" if role is Role.PROPOSER else "decision"
+
+
+# Replies that name a number past int()'s 4300-digit limit, or rounds far
+# past the game's: each form is (the turn it answers, a function from that
+# turn's usable reply to the reply sent).
+LONG_FORMS = {
+    "offer amount": ("offer", lambda reply: f"OFFER: ${'9' * 5000}"),
+    "offer in cents": ("offer", lambda reply: f"I offer {'9' * 5000} cents."),
+    "offer with commas": ("offer", lambda reply: f"OFFER: $1{',000' * 1500}.00"),
+    "strategy amount": ("receiver", lambda reply: f"{reply} I accept ${'4' * 5000}.5 or more in round 1."),
+    "pot share": ("proposer", lambda reply: f"{reply} I will never offer {'5' * 5000}% of the pot."),
+    "pot share fraction": ("receiver", lambda reply: f"{reply} I accept at least 4.{'5' * 5000} percent."),
+    "round number": ("receiver", lambda reply: f"{reply} I accept at least $0.40 in round {'7' * 5000}."),
+    "round range": ("receiver", lambda reply: f"{reply} I accept at least $0.40 in rounds 1 through {10**12}."),
+    "log heading": ("log", lambda log: f"Round {'6' * 5000}: a warm-up.\n{log}"),
+    "log inline round": ("log", lambda log: log.replace("ROUND 2\n", f"ROUND 2\nRound {'6' * 5000} is next.\n", 1)),
+    "log amount": ("log", lambda log: log.replace(
+        "STRATEGY (Receiver): ", f"STRATEGY (Receiver): I accept ${'4' * 5000} or more in round 1. ", 1
+    )),
+    "log round range": ("log", lambda log: log.replace(
+        "STRATEGY (Receiver): ", f"STRATEGY (Receiver): I accept $0.40 in rounds 2 to {'8' * 5000}. ", 1
+    )),
+    "log offer": ("log", lambda log: log.replace("OFFER: ", f"OFFER: ${'9' * 5000} or ", 1)),
+}
+
+
+class LongNumberSession(FuzzSession):
+    """A FuzzSession with no HTTP errors and no junk, whose replies to one
+    turn are rewritten; it counts the rewrites."""
+
+    def __init__(self, game: GameConfig, turn: str, rewrite) -> None:
+        super().__init__(game, salt=0)
+        self.turn, self.rewrite, self.rewritten = turn, rewrite, 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        messages = json["messages"]
+        (reply, *_), _ = self.replies(messages, pick=37)
+        if turn_of(messages) == self.turn:
+            self.rewritten += 1
+            reply = self.rewrite(reply)
+        return Response(200, reply)
+
+
 def _json_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -170,6 +227,46 @@ class TestFuzzedLiveBatches:
         for body in posts - alone_posts:
             messages = json.loads(body)["messages"]
             assert is_strategy_request(messages) and speaker(messages)[0] is Role.RECEIVER
+
+    @pytest.mark.parametrize("form", LONG_FORMS)
+    def test_a_reply_with_a_long_number_costs_at_most_its_own_run(self, form):
+        plan = live_plan(pot=100, rounds=3, runs_per_cell=1)
+        session = LongNumberSession(plan.game, *LONG_FORMS[form])
+        gateway = HttpGateway(ENDPOINT, session=session, sleep=lambda s: None)
+        batch = run_batch(plan, mode="live", gateway=gateway, max_workers=1)
+        assert session.rewritten
+        assert [r["run_id"] for r in batch.records] == [
+            f"{structure.value}.{pair.label()}.000" for structure, pair in plan.cells()
+        ]
+        for record in batch.records:
+            if record["status"] == "ok":
+                assert regrade_record(record) == record["verdict"]
+                text = record["transcript"]
+                assert serialize_canonical(parse_canonical(text)) == text
+
+    @pytest.mark.parametrize("last", [3_000_000, 10**12])
+    def test_a_long_round_range_scopes_only_the_games_rounds(self, last):
+        text = f"I will only accept offers of at least $0.40 in rounds 1 through {last}."
+        start = time.perf_counter()
+        plan = parse_strategy_text(text, Role.RECEIVER, GameConfig(rounds=5))
+        assert time.perf_counter() - start < 0.25
+        assert plan.round_thresholds == {r: 40 for r in range(1, 6)}
+
+    @pytest.mark.parametrize("form", [form for form, (turn, _) in LONG_FORMS.items() if turn == "log"])
+    def test_grading_a_log_with_a_long_number_gives_a_verdict_or_one_error_line(
+        self, form, tmp_path, capsys
+    ):
+        pair, game = PersonalityPair.from_label("fair-greedy"), GameConfig(pot=100, rounds=3)
+        _, rewrite = LONG_FORMS[form]
+        (tmp_path / "log.txt").write_text(rewrite(oracle_log(pair, game)), encoding="utf-8")
+        argv = ["grade", "--single-log", str(tmp_path / "log.txt"), "--pair", "fair-greedy", "--rounds", "3"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and out
+        else:
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: cannot grade: ")
 
     def test_workers_and_helpers_that_switch_often_lose_no_count(self):
         # 4 workers and 4 helpers on a small machine, switching every

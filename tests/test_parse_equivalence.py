@@ -11,7 +11,11 @@ match exactly as the plain forms they replaced, which are kept below.
 Strategy texts are parsed through a process-wide cache, which must agree
 with an uncached parse and must not let one caller's plan leak into
 another's. Single agent replies are read through process-wide caches too,
-which must agree with an uncached reading.
+which must agree with an uncached reading. The round chain is chosen in one
+pass from the last candidate, and must choose what the nested loop it
+replaced chose. Replies and payoff lines read amounts as cents alone, which
+must be the cents `extract_amounts` reads, and both the cents the reader
+read before the long-number rule.
 """
 
 import dataclasses
@@ -22,7 +26,7 @@ import string
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ultimatum import engine, transcripts
@@ -38,6 +42,7 @@ from ultimatum.strategy import (
     StrategySpec,
 )
 from ultimatum.transcripts import (
+    _AMOUNT_RE,
     _BRACKET_LABEL_RE,
     _DECISION_MARKER_RE,
     _OFFER_MARKER_RE,
@@ -55,6 +60,7 @@ from ultimatum.transcripts import (
     _decision_hits,
     _extract_decision,
     _extract_offer,
+    _amount_cents,
     _parse_strategy,
     _player_sections,
     _round_chain,
@@ -854,3 +860,117 @@ def test_the_spellings_are_every_case_fold_of_each_letter():
                 if re.fullmatch(c, ch, re.IGNORECASE):
                     folds[c].add(ch)
     assert folds == {c: set(_SPELLINGS[c]) for c in folds}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the round chain chosen by a nested loop
+# ---------------------------------------------------------------------------
+
+
+def ref_round_chain(text, rounds):
+    cands = transcripts._round_candidates(text)
+    chosen = {}
+    limit = len(text) + 1
+    for n in range(rounds, 0, -1):
+        best = None
+        for cand in cands:
+            if cand[2] == n and cand[0] < limit:
+                best = cand
+        if best is None:
+            break
+        chosen[n] = best
+        limit = best[0]
+    if len(chosen) == rounds:
+        return [chosen[n] for n in range(1, rounds + 1)]
+    chain = []
+    pos = -1
+    for n in range(1, rounds + 1):
+        nxt = next((c for c in cands if c[2] == n and c[0] > pos), None)
+        if nxt is None:
+            break
+        chain.append(nxt)
+        pos = nxt[0]
+    return chain
+
+
+_HEADINGS = ("Round {n}", "ROUND {n}:", "[Round {n}]", "**Round {n}**", "## round {n}", "  Round {n} -")
+_MENTIONS = (
+    "Done. Round {n} is next.",
+    "I accept anything in round {n}.",
+    "Then (round {n}) came! Round {n} again?",
+    "OFFER: $0.50 for round {n}",
+)
+_chain_piece = st.integers(0, 11).flatmap(
+    lambda n: st.sampled_from(_HEADINGS + _MENTIONS).map(lambda form: form.format(n=n))
+) | st.sampled_from(["OFFER: $0.40", "DECISION: accept", "STRATEGY (Proposer): offer half.", ""])
+
+
+@settings(max_examples=300)
+@given(pieces=st.lists(_chain_piece, max_size=24), rounds=st.integers(1, 10))
+@example(pieces=["Round 1", "Round 2", "Round 1", "Round 2"], rounds=2)
+@example(pieces=["Round 2", "Round 1", "Round 2", "Round 3"], rounds=3)
+@example(pieces=["Round 1", "Round 3", "Round 2"], rounds=3)
+def test_the_one_pass_round_chain_matches_the_nested_loop(pieces, rounds):
+    text = "\n".join(pieces)
+    assert _round_chain(text, rounds) == ref_round_chain(text, rounds)
+
+
+# ---------------------------------------------------------------------------
+# Reference: amounts read as cents before the long-number rule
+# ---------------------------------------------------------------------------
+
+
+def ref_amount_cents(text):
+    out = []
+    for m in _AMOUNT_RE.finditer(text):
+        dollars, frac, frac_only, whole, cents = m.groups()
+        if dollars is not None:
+            value = int(dollars.replace(",", "")) * 100 + (int(frac) * 10 if len(frac) == 1 else int(frac))
+        elif frac_only is not None:
+            value = int(frac_only) * 10 if len(frac_only) == 1 else int(frac_only)
+        elif whole is not None:
+            value = int(whole.replace(",", "")) * 100
+        else:
+            value = int(cents.replace(",", ""))
+        out.append(value)
+    return out
+
+
+# Digit runs of at most 18, the longest a game's amounts have.
+_money_piece = st.one_of(
+    st.integers(0, 10**18 - 1).flatmap(_money_forms),
+    st.integers(0, 10**6).map(lambda n: f"${n:,}"),
+    st.integers(0, 10**6).map(lambda n: f"{n:,} cents"),
+    st.integers(0, 999).map(lambda n: f"{n},{n:02d}"),
+    st.sampled_from([
+        "$.5", "$1.5", "$.05", "$1.", "$1,25", "$1,250", "$1,2500", "5 CENTS", "5Cents", "5cent",
+        "5 ¢", "5¢", "1,000¢", "ab12cents", "x$5y", "$5x", "12abc", "cents", "$", "$.", "0.5", "¢",
+    ]),
+    st.text(alphabet="$.,¢ 0123456789centsCENTSx", max_size=12),
+)
+money_texts = st.lists(_money_piece, max_size=8).flatmap(
+    lambda pieces: st.sampled_from(["", " ", "\n", " and "]).map(lambda sep: sep.join(pieces))
+)
+
+
+@settings(max_examples=300)
+@given(text=money_texts)
+@example(text="$1,250.5 and $.5, 5 CENTS, 45¢, 7cents, x12cents and $1,25")
+def test_the_cents_reader_reads_what_extract_amounts_reads(text):
+    cents = _amount_cents(text)
+    assert cents == [a.cents for a in extract_amounts(text)]
+    # Pieces joined with no space can run into more than 18 digits, which
+    # the reference reads by the old rule.
+    assume(max((len(run.replace(",", "")) for run in re.findall(r"\d[\d,]*", text)), default=0) <= 18)
+    assert cents == ref_amount_cents(text)
+
+
+@pytest.mark.parametrize("text, cents", [
+    ("$" + "9" * 18, [(10**18 - 1) * 100]),
+    ("$" + "9" * 19, [(10**18) * 100]),
+    ("9" * 19 + " cents", [10**18]),
+    ("$1" + ",000" * 6 + ".5", [10**18 * 100 + 50]),
+    ("$" + "4" * 5000 + ".25 or $.5", [10**18 * 100 + 25, 50]),
+])
+def test_a_digit_run_longer_than_18_reads_as_past_every_pot(text, cents):
+    assert _amount_cents(text) == cents == [a.cents for a in extract_amounts(text)]

@@ -1,16 +1,20 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ACC, REJ, FIXTURES, build_transcript
 from ultimatum import engine
+from ultimatum.agents import Flaw, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig
 from ultimatum.rubric import (
+    _NON_OVERRIDABLE_RULES,
     ErrorClass,
     MalformedTranscriptError,
+    RoundFlag,
     Verdict,
+    _round_flags,
     evaluate_transcript,
 )
 from ultimatum.strategy import (
@@ -26,6 +30,10 @@ from ultimatum.strategy import (
     Role,
     StrategySpec,
     bands_for,
+    check_adherence,
+    check_completeness,
+    check_personality_consistency,
+    follows,
     prescribed_action,
 )
 from ultimatum.transcripts import Structure, Transcript, parse_single_model_log
@@ -333,3 +341,131 @@ def test_followed_complete_plans_excuse_every_overridable_flag(pot, rounds, data
     assert verdict.proposer_strategy_complete and verdict.receiver_strategy_complete
     assert verdict.proposer_adherent and verdict.receiver_adherent
     assert {f.rule for f in verdict.per_round_flags} <= {"final_round_capitulation"}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the band breaks judged one round at a time
+# ---------------------------------------------------------------------------
+# `_round_flags` judges every round in one walk that carries the round
+# before, whether every round so far was rejected and the receiver's
+# ceiling. The reference below is the per-round form it replaced, which
+# rebuilt all three from the rounds before each one; the walk must give the
+# same flags in the same order, and the same verdict.
+
+
+def ref_round_flags(transcript, outcome):
+    bands, pair = bands_for(transcript.config.pot), transcript.pair
+    r, offer, decision = outcome.round, outcome.offer, outcome.decision
+    flags = []
+    if r == 1:
+        if not bands.offer_fits(pair.proposer, offer):
+            flags.append(RoundFlag(1, Role.PROPOSER, "opening_offer_band"))
+        if (decision is Decision.ACCEPT) != (offer >= bands.accept_min(pair.receiver)):
+            flags.append(RoundFlag(1, Role.RECEIVER, "opening_decision_band"))
+        return flags
+    history = transcript.rounds[: r - 1]
+    prev = history[-1]
+    if prev.decision is Decision.ACCEPT:
+        if abs(offer - prev.offer) > bands.slack:
+            flags.append(RoundFlag(r, Role.PROPOSER, "offer_change_after_accept"))
+    else:
+        lo, hi = bands.step
+        if not lo <= offer - prev.offer <= hi:
+            flags.append(RoundFlag(r, Role.PROPOSER, "offer_change_after_reject"))
+    if decision is Decision.REJECT:
+        all_rejected = all(o.decision is Decision.REJECT for o in history)
+        ceiling = min(
+            [bands.accept_min(pair.receiver)]
+            + [o.offer for o in history if o.decision is Decision.ACCEPT]
+        )
+        if r == transcript.config.rounds and all_rejected and offer >= 1:
+            flags.append(RoundFlag(r, Role.RECEIVER, "final_round_capitulation"))
+        elif offer >= ceiling:
+            flags.append(RoundFlag(r, Role.RECEIVER, "threshold_raised"))
+    return flags
+
+
+def ref_evaluate_transcript(transcript):
+    game, pair, specs = transcript.config, transcript.pair, transcript.strategies
+    prop_spec, recv_spec = specs
+    proposer_adherent, receiver_adherent = check_adherence(specs, transcript)
+    spec_of = {Role.PROPOSER: prop_spec, Role.RECEIVER: recv_spec}
+    flags = [
+        flag
+        for outcome in transcript.rounds
+        for flag in ref_round_flags(transcript, outcome)
+        if flag.rule in _NON_OVERRIDABLE_RULES
+        or not follows(spec_of[flag.role], transcript, flag.round)
+    ]
+    return Verdict(
+        proposer_strategy_complete=check_completeness(prop_spec, game),
+        receiver_strategy_complete=check_completeness(recv_spec, game),
+        proposer_strategy_consistent=check_personality_consistency(prop_spec, pair.proposer, game),
+        receiver_strategy_consistent=check_personality_consistency(recv_spec, pair.receiver, game),
+        proposer_adherent=proposer_adherent,
+        receiver_adherent=receiver_adherent,
+        gameplay_human_consistent=not flags,
+        per_round_flags=tuple(flags),
+    )
+
+
+@st.composite
+def played_games(draw) -> Transcript:
+    """A game of drawn pot, rounds and pair with every accept/reject
+    history, whose offers sit at 0, 1, the pot, the band edges, the step
+    bounds and the slack after the round before (each +-1) and at the
+    accepted offers +-1, or anywhere in the pot. Its plans are none, the
+    oracles' own (flawed or not), or drawn field by field."""
+    config = GameConfig(pot=draw(st.integers(MIN_POT, 10_000)), rounds=draw(st.integers(1, 10)))
+    pot, pair = config.pot, draw(st.sampled_from(ALL_PAIRS))
+    bands = bands_for(pot)
+    (lo, hi), slack = bands.step, bands.slack
+    edges = {0, 1, pot, *bands.fair_offer, bands.greedy_offer_below, *bands.fair_threshold, bands.greedy_min}
+    actions = []
+    for _ in range(config.rounds):
+        marks = set(edges)
+        if actions:
+            prev = actions[-1][0]
+            marks.update(prev + d for d in (0, lo, hi, slack, -slack))
+        marks.update(offer for offer, decision in actions if decision is Decision.ACCEPT)
+        marks = {m + d for m in marks for d in (-1, 0, 1) if 0 <= m + d <= pot}
+        offer = draw(st.sampled_from(sorted(marks)) | st.integers(0, pot))
+        actions.append((offer, draw(st.sampled_from(Decision))))
+    _, outcomes = engine.replay(config, actions)
+
+    plans = draw(st.sampled_from(["none", "oracle", "drawn"]))
+    if plans == "none":
+        specs = NO_PLANS
+    elif plans == "oracle":
+        specs = tuple(
+            StrategySpec(role, *oracle_strategy(
+                role, personality, config,
+                draw(st.sampled_from([None] + [f for f in Flaw if flaw_role(f) is role])),
+            ))
+            for role, personality in ((Role.PROPOSER, pair.proposer), (Role.RECEIVER, pair.receiver))
+        )
+    else:
+        amount = st.none() | st.integers(0, pot + 1)
+        rule = st.sampled_from([None, AdjustRule(AdjustKind.KEEP)]) | st.builds(
+            AdjustRule, _STEPS, st.none() | st.integers(0, pot // 4)
+        ) | st.builds(AdjustRule, st.just(AdjustKind.SET_TO), st.integers(0, pot))
+        specs = (
+            StrategySpec(Role.PROPOSER, "", ProposerStrategy(
+                draw(amount), draw(rule), draw(rule), draw(st.none() | st.builds(CutoffRule, amount))
+            )),
+            StrategySpec(Role.RECEIVER, "", ReceiverStrategy(
+                draw(amount),
+                draw(st.dictionaries(st.integers(1, config.rounds), st.integers(0, pot + 1))),
+                draw(st.none() | st.sampled_from(FinalRoundRule)),
+            )),
+        )
+    return Transcript(config, pair, Structure.SINGLE_MODEL, specs, tuple(outcomes))
+
+
+@settings(max_examples=300)
+@given(transcript=played_games())
+def test_round_flags_in_one_walk_match_the_per_round_reference(transcript):
+    assert _round_flags(transcript) == [
+        flag for outcome in transcript.rounds for flag in ref_round_flags(transcript, outcome)
+    ]
+    assert evaluate_transcript(transcript) == ref_evaluate_transcript(transcript)

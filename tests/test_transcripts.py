@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from ultimatum.transcripts import (
     SchemaVersionError,
     Structure,
     UnparseableLogError,
+    _pot_share,
     extract_amounts,
     extract_decision_reply,
     extract_offer_reply,
@@ -331,6 +333,26 @@ class TestStrategyTextParsing:
         # Rounded down to whole cents, as the bands are: 40% of 37 cents is 14.
         parsed = parse_strategy_text(text, role, GameConfig(pot=pot))
         assert getattr(parsed, field) == share[0] * pot // share[1]
+
+    @pytest.mark.parametrize("percent, pot, cents", [
+        ("50." + "0" * 19, 100, 50),
+        ("50." + "0" * 5000, 37, 18),
+        ("33." + "3" * 5000, 300, 99),
+        ("33." + "3" * 5000 + "4", 300, 100),
+    ], ids=["19-zeros", "5000-zeros", "5000-threes", "5000-threes-then-4"])
+    def test_a_pot_share_reads_every_decimal_place(self, percent, pot, cents):
+        # Only a whole part of more than 18 digits is past every pot.
+        text = f"I accept any offer of at least {percent}% of the pot"
+        assert parse_strategy_text(text, Role.RECEIVER, GameConfig(pot=pot)).threshold == cents
+
+    @given(
+        whole=st.integers(0, 10**18 - 1),
+        places=st.text("0123456789", max_size=60),
+        pot=st.integers(1, MAX_POT),
+    )
+    def test_a_pot_share_is_the_exact_share_rounded_down(self, whole, places, pot):
+        percent = f"{whole}.{places}" if places else str(whole)
+        assert _pot_share(percent, pot) == Fraction(percent) * pot // 100
 
     def test_pot_shares_keep_document_order(self):
         # The step is the first amount after "by", here a share ahead of a dollar amount.
