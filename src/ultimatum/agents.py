@@ -296,7 +296,7 @@ def _recorded_entry(line: bytes, where: str, shared: dict) -> tuple[tuple, str] 
         return None
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or too many digits
         raise ValueError(f"{where}: bad recording: {exc}") from None
     response = record.get("response") if isinstance(record, dict) else None
     if not isinstance(response, str) or "request" not in record:

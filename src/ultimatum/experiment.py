@@ -15,7 +15,6 @@ same records always produce byte-identical output.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -79,8 +78,6 @@ class InvalidPlanError(ValueError):
     """The experiment plan is malformed or internally contradictory."""
 
 
-# Cached: the plans of one run or sweep mostly share an endpoint.
-@functools.lru_cache(maxsize=64)
 def _is_http_url(value: str) -> bool:
     try:
         url = urlsplit(value)
@@ -409,7 +406,7 @@ def load_records(
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or too many digits
                     if not line.endswith("\n"):  # only the last line can lack one
                         if on_torn_line is not None:
                             on_torn_line(f"{path}:{lineno}: skipped a torn final line")

@@ -1145,6 +1145,8 @@ def _read_json_pair(rest: str) -> tuple[object, object]:
     except json.JSONDecodeError as exc:
         where = json.JSONDecodeError(exc.msg, exc.doc[start:], exc.pos - start)
         raise MalformedRecordError(f"bad JSON payload: {where}") from None
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise MalformedRecordError(f"bad JSON payload: {exc}") from None
     if end != len(rest):
         raise MalformedRecordError(f"trailing data after record: {rest[end:].strip() or rest[end:]!r}")
     return first, second

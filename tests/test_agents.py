@@ -619,11 +619,12 @@ class TestRecordAndReplay:
         with pytest.raises(ValueError, match=r":2: bad recording: .*shape of a chat request"):
             ReplayGateway(tape)
 
-    def test_a_repeated_bad_line_is_reported_at_its_first_line(self, tmp_path):
+    @pytest.mark.parametrize("bad", ["{bad", '{"n": ' + "7" * 5000 + "}"], ids=["bad-json", "too-many-digits"])
+    def test_a_repeated_bad_line_is_reported_at_its_first_line(self, tmp_path, bad):
         tape = tmp_path / "tape.jsonl"
         RecordingGateway(ScriptedGateway(["one"]), tape).complete("m", MESSAGES, PARAMS)
         good = tape.read_text(encoding="utf-8")
-        tape.write_text(good + "{bad\n" + good + "{bad\n", encoding="utf-8")
+        tape.write_text(good + bad + "\n" + good + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"tape\.jsonl:2: bad recording: "):
             ReplayGateway(tape)
 

@@ -312,6 +312,15 @@ def framing_edits(draw, text: str) -> tuple[str, str]:
     return edit, "\n".join(lines) + "\n"
 
 
+def _refusal(text: str) -> str | None:
+    """What json.loads says of text it refuses; None if it reads it."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestLineFraming:
     @given(transcript=framed_transcripts(), data=st.data())
     def test_a_payload_line_framed_otherwise_is_refused(self, transcript, data):
@@ -338,7 +347,9 @@ class TestLineFraming:
          "expected one space after a JSON value, got '\"'"),
         (lambda s: s.replace('[Round 1]\\n"\n', '[Round 1]\\n" \n', 1), "trailing data after record: ' '"),
         (lambda s: s.replace('[Round 1]\\n"\n', '[Round 1]\\n" x \n', 1), "trailing data after record: 'x'"),
-    ], ids=["two-spaces", "tab", "no-space", "trailing-space", "trailing-word"])
+        (lambda s: s.replace('"initial_offer":50', '"initial_offer":' + "7" * 5000, 1),
+         f"bad JSON payload: {_refusal('7' * 5000)}"),
+    ], ids=["two-spaces", "tab", "no-space", "trailing-space", "trailing-word", "too-many-digits"])
     def test_each_refusal_names_what_is_off(self, edit, message):
         with pytest.raises(MalformedRecordError) as info:
             parse_canonical(edit(VALID))

@@ -1,7 +1,10 @@
 """Checks that once ran only as shell in CI, run here as tier-1 tests.
 
-Each runs what the shell ran: the CLI in a fresh interpreter through
-`subprocess`, in `tmp_path`.
+Each runs what the shell ran: the CLI or one of the `scripts/` entry
+points in a fresh interpreter through `subprocess`, in `tmp_path`, with
+`src/` on PYTHONPATH. The replay-fixture forms the shell replayed (the
+doubled and reversed recording, 1 and 2 workers, three runs per cell, no
+re-grade drift) are cases of tests/test_golden_replay.py.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ DRIFT = "[differs from stored verdict]"
 
 # src/ultimatum, prompts/ included, grows only by a stated choice: a change
 # that raises this bound says why in CHANGES.md.
-SOURCE_LINE_BOUND = 4621
+SOURCE_LINE_BOUND = 4620
 
 
 def test_the_source_stays_within_its_line_bound():
@@ -31,13 +34,34 @@ def test_the_source_stays_within_its_line_bound():
     assert lines <= SOURCE_LINE_BOUND, f"src/ultimatum: {lines} .py lines"
 
 
-def _cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ultimatum.cli", *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    return _python("-m", "ultimatum.cli", *args, cwd=cwd)
+
+
+ORACLE = "run_oracle_experiment.py"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce_reference_stats.py"],
+    [ORACLE, "--runs-per-cell", "2"],
+    [ORACLE, "--runs-per-cell", "2", "--proposer-flaw", "incomplete"],
+    [ORACLE, "--runs-per-cell", "2", "--proposer-flaw", "deviator"],
+    [ORACLE, "--runs-per-cell", "2", "--receiver-flaw", "inconsistent_threshold"],
+], ids=["reference-stats", "oracle", "oracle-incomplete", "oracle-deviator", "oracle-inconsistent-threshold"])
+def test_each_script_exits_zero(tmp_path, argv):
+    # reproduce_reference_stats.py exits 1 when a statistic drifts from its
+    # pinned value, run_oracle_experiment.py when a run fails.
+    done = _python(str(ROOT / "scripts" / argv[0]), *argv[1:], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 def test_a_pot_above_the_largest_is_one_error_line_and_no_store(tmp_path):

@@ -410,54 +410,6 @@ class TestFailedRuns:
         assert "cell,single_model/fair-fair,human_rate,100" in render_report(summary, fmt="csv")
 
 
-class TestReplayFixture:
-    """tests/fixtures/replay/recording.jsonl was written by the RecordingGateway
-    from before replay keys were built from cached pieces (see record.py there)."""
-
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_an_older_recording_replays_to_its_verdicts(self, fixtures_dir, max_workers):
-        folder = fixtures_dir / "replay"
-        gateway = ReplayGateway(folder / "recording.jsonl")
-        batch = run_batch(
-            load_plan(folder / "plan.yaml"), mode="replay", gateway=gateway, max_workers=max_workers
-        )
-        assert batch.failed_count == 0
-        expected = json.loads((folder / "verdicts.json").read_text(encoding="utf-8"))
-        assert {r["run_id"]: r["verdict"] for r in batch.records} == expected
-        with (folder / "recording.jsonl").open(encoding="utf-8") as fh:
-            assert batch.gateway_usage["requests"] == sum(1 for _ in fh)
-
-    def test_one_and_two_workers_replay_the_same_records(self, fixtures_dir):
-        folder = fixtures_dir / "replay"
-        plan = load_plan(folder / "plan.yaml")
-        batches = [
-            run_batch(
-                plan,
-                mode="replay",
-                gateway=ReplayGateway(folder / "recording.jsonl"),
-                max_workers=workers,
-                keep_prompts=True,
-            )
-            for workers in (1, 2)
-        ]
-        assert batches[0].failed_count == 0
-        assert without_elapsed(batches[0].records) == without_elapsed(batches[1].records)
-
-    def test_replay_does_not_depend_on_where_the_recording_lives(self, fixtures_dir, tmp_path):
-        # One exchange is left out, so some run fails and stores its cause.
-        folder = fixtures_dir / "replay"
-        lines = (folder / "recording.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        plan = load_plan(folder / "plan.yaml")
-        batches = []
-        for directory in ("first", "second"):
-            tape = tmp_path / directory / "recording.jsonl"
-            tape.parent.mkdir()
-            tape.write_text("".join(lines[1:]), encoding="utf-8")
-            batches.append(run_batch(plan, mode="replay", gateway=ReplayGateway(tape)))
-        assert batches[0].failed_count > 0
-        assert without_elapsed(batches[0].records) == without_elapsed(batches[1].records)
-
-
 def without_elapsed(records):
     return [{k: v for k, v in r.items() if k != "elapsed_seconds"} for r in records]
 
@@ -1001,8 +953,9 @@ class TestRunStore:
         [
             (f'{{"run_id": "a", "sta\n{LINE_B}\n', 1),
             (f'{LINE_A}\n{{"run_id": "b", "sta\n', 2),
+            (f'{LINE_A}\n{{"run_id": {"7" * 5000}}}\n', 2),
         ],
-        ids=["middle", "terminated-last"],
+        ids=["middle", "terminated-last", "too-many-digits"],
     )
     def test_a_bad_line_with_its_newline_still_raises(self, tmp_path, text, lineno):
         path = tmp_path / "runs.jsonl"
