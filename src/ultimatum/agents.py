@@ -49,6 +49,7 @@ from .strategy import (
     bands_for,
     prescribed_action,
 )
+from .transcripts import INPUT_FAILURES, decode_line
 
 if TYPE_CHECKING:
     import requests
@@ -247,7 +248,7 @@ class HttpGateway(Gateway):
                 raise GatewayError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (*INPUT_FAILURES, KeyError, IndexError, TypeError) as exc:
                 raise GatewayError(f"malformed completion response: {exc}") from exc
             if not isinstance(content, str):
                 raise GatewayError(f"completion content is {type(content).__name__}, not text")
@@ -284,28 +285,20 @@ def _recorded_key(request, shared: dict) -> tuple | None:
     return shared.setdefault(frame, frame), tuple(pairs)
 
 
-def _recorded_entry(line: bytes, where: str, shared: dict) -> tuple[tuple, str] | None:
-    """The (lookup key, response) of one recording line, None for a
-    blank line. Raises ValueError starting with `where` for a line that is
-    not a recorded exchange."""
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{where}: bad recording: {exc}") from None
-    if not text.strip():
+def _recorded_entry(line: bytes, shared: dict) -> tuple[tuple, str] | None:
+    """The (lookup key, response) of one recording line, None for a blank
+    line. Raises ValueError for a line that is not a recorded exchange."""
+    record = decode_line(line)
+    if record is None:
         return None
-    try:
-        record = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or too many digits
-        raise ValueError(f"{where}: bad recording: {exc}") from None
-    response = record.get("response") if isinstance(record, dict) else None
+    response = record.get("response")
     if not isinstance(response, str) or "request" not in record:
-        raise ValueError(f"{where}: bad recording: expected a request and a text response")
+        raise ValueError("expected a request and a text response")
     key = _recorded_key(record["request"], shared)
     if key is None:
         raise ValueError(
-            f"{where}: bad recording: the request does not have the shape of a chat "
-            "request (model, role/content messages, sampling values)"
+            "the request does not have the shape of a chat request "
+            "(model, role/content messages, sampling values)"
         )
     return key, response
 
@@ -326,13 +319,13 @@ class ReplayGateway(Gateway):
     replay never invents a completion; a message that is not a
     (role, content) tuple is a TypeError.
 
-    The file is read as UTF-8 lines, split at line feeds only. A line that
-    repeats an earlier one is decoded and keyed once: only the SHA-256 of
-    each distinct line is kept, with its key and response, and the keys
-    share one copy of each frame and each message. When several
+    The file is split at line feeds only, each line read by `decode_line`.
+    A line that repeats an earlier one is decoded and keyed once: only the
+    SHA-256 of each distinct line is kept, with its key and response, and
+    the keys share one copy of each frame and each message. When several
     lines record the same request, the last one wins. A line that is not a
-    recorded exchange (bad UTF-8, bad JSON or the wrong shape) raises
-    ValueError `<path>:<line>: bad recording: ...` at its first occurrence.
+    recorded exchange raises ValueError `<path>:<line>: bad recording: ...`
+    at its first occurrence.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -345,7 +338,10 @@ class ReplayGateway(Gateway):
             for lineno, line in enumerate(fh, start=1):
                 line_digest = hashlib.sha256(line).digest()
                 if line_digest not in entries:
-                    entries[line_digest] = _recorded_entry(line, f"{path}:{lineno}", shared)
+                    try:
+                        entries[line_digest] = _recorded_entry(line, shared)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: bad recording: {exc}") from None
                 entry = entries[line_digest]
                 if entry is not None:
                     self._responses[entry[0]] = entry[1]

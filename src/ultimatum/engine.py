@@ -148,17 +148,8 @@ def submit_decision(state: GameState, decision: Decision) -> tuple[GameState, Ro
         raise WrongPhaseError(f"cannot submit a decision while {state.phase.value}")
     offer = state.pending_offer
     assert offer is not None
-    if decision is Decision.ACCEPT:
-        payoffs = (state.config.pot - offer, offer)
-    else:
-        payoffs = (0, 0)
-    outcome = RoundOutcome(
-        round=state.round_index,
-        offer=offer,
-        decision=decision,
-        proposer_payoff=payoffs[0],
-        receiver_payoff=payoffs[1],
-    )
+    payoffs = (state.config.pot - offer, offer) if decision is Decision.ACCEPT else (0, 0)
+    outcome = RoundOutcome(state.round_index, offer, decision, *payoffs)
     history = state.history + (outcome,)
     if len(history) >= state.config.rounds:
         next_state = GameState(state.config, state.round_index, Phase.FINISHED, history)

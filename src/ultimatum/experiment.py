@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -57,7 +58,7 @@ from .stats import (
     two_proportion_z,
 )
 from .strategy import ALL_PAIRS, MIN_POT, PersonalityPair, Role
-from .transcripts import Structure, UnparseableLogError, parse_canonical
+from .transcripts import INPUT_FAILURES, Structure, UnparseableLogError, decode_line, parse_canonical
 
 RUN_SCHEMA = 1
 
@@ -125,6 +126,10 @@ class ExperimentPlan:
             raise InvalidPlanError(f"{self.receiver_flaw.value} is not a receiver flaw")
         if not isinstance(self.model, str):
             raise InvalidPlanError(f"model must be a string, got {self.model!r}")
+        if _SURROGATE.search(self.model):
+            raise InvalidPlanError(f"model must be UTF-8 text, got {self.model!r}")
+        if not -(2**63) <= self.seed < 2**63:  # so every run's seed stays writable as JSON
+            raise InvalidPlanError(f"seed must fit in 64 bits, got {self.seed.bit_length()} bits")
         for f in fields(SamplingParams):
             value = getattr(self.sampling, f.name)
             if not math.isfinite(value):
@@ -244,6 +249,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             data = yaml.load(fh, Loader=PlanLoader)
     except OSError as exc:
         raise InvalidPlanError(f"cannot read plan file: {exc}") from exc
+    except InvalidPlanError:  # a repeated key, raised inside yaml.load
+        raise
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if getattr(exc, "problem", None) and mark is not None:
@@ -251,6 +258,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         else:
             where = " ".join(str(exc).split())
         raise InvalidPlanError(f"plan file is not valid YAML: {where}") from exc
+    except INPUT_FAILURES as exc:  # too many digits, or nested too deep
+        raise InvalidPlanError(f"bad plan value: {exc}") from exc
     return plan_from_dict(data if data is not None else {})
 
 
@@ -270,13 +279,16 @@ _STRATEGY_FLAGS = (
 # The run-record schema, checked in this order where stored records enter
 # (`load_records`): the text fields below; on an ok record, its verdict
 # object's `error_class` and boolean `_STRATEGY_FLAGS`, and its text
-# `transcript`; then `schema`. Nothing else in a record is checked.
+# `transcript`; then `schema`; then that the text grade and report print is
+# UTF-8. Nothing else in a record is checked.
 _TEXT_FIELDS = {  # field: the values it may hold; None: any string, or absent
     "structure": frozenset(s.value for s in Structure),
     "pair": frozenset(p.label() for p in ALL_PAIRS),
     "model": None,
     "status": frozenset(("ok", "failed")),
 }
+# A surrogate code point: text holding one has no UTF-8 form to print.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _ERROR_CLASSES = tuple(c.value for c in ErrorClass)  # a tuple: a set would raise on [1]
 # A verdict's error class and strategy flags; a KeyError names the first one missing.
 _verdict_values = itemgetter("error_class", *_STRATEGY_FLAGS)
@@ -316,6 +328,10 @@ def _schema_problem(record: dict) -> str | None:
             return f"has transcript {_shown(transcript)}, not text"
     if type(schema := record.get("schema")) is not int or schema != RUN_SCHEMA:
         return f"has schema {_shown(schema)}, not {RUN_SCHEMA}"
+    for field in ("run_id", "model", "cause"):  # the text grade and report print
+        value = record.get(field)
+        if type(value) is str and not value.isascii() and _SURROGATE.search(value):
+            return f"has {field} {_shown(value)}, not UTF-8 text"
     return None
 
 
@@ -391,49 +407,33 @@ def load_records(
     """Read every record from a JSON-lines store, each checked against the
     run-record schema; the readers after this one trust their input.
 
-    A final line with no newline that is not JSON is what a write cut short
-    leaves behind: it is skipped, and `on_torn_line`, when given, is called
-    with a message naming the file and line. A bad line anywhere else (not
-    UTF-8, not JSON or not an object), and a record that breaks the schema,
-    raise ValueError naming the file and line (and the record by its run id
-    or, lacking one, by its start).
+    The store is split at line feeds only, each line read by `decode_line`.
+    A final line with no newline that does not read is what a write cut
+    short leaves behind: it is skipped, and `on_torn_line`, when given, is
+    called with a message naming the file and line. A bad line anywhere
+    else, and a record that breaks the schema, raise ValueError naming the
+    file and line (and the record by its run id or, lacking one, by its start).
     """
     records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or too many digits
-                    if not line.endswith("\n"):  # only the last line can lack one
-                        if on_torn_line is not None:
-                            on_torn_line(f"{path}:{lineno}: skipped a torn final line")
-                        break
-                    raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise ValueError(f"{path}:{lineno}: record is not an object")
-                problem = _schema_problem(record)
-                if problem is not None:
-                    name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
-                    raise ValueError(f"{path}:{lineno}: record {name} {problem}")
-                records.append(record)
-        except UnicodeDecodeError:
-            _name_undecodable_line(path)
-            raise
-    return records
-
-
-def _name_undecodable_line(path: str | Path) -> None:
-    """Raise ValueError naming the first line of a store that is not UTF-8.
-    Only a store that failed to decode is read again, as bytes."""
-    with Path(path).open("rb") as fh:
+    # 64 KiB: a store's lines run to kilobytes, which the default 8 KiB buffer reads slower.
+    with Path(path).open("rb", buffering=1 << 16) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
+                record = decode_line(line)
+            except ValueError as exc:
+                if not line.endswith(b"\n"):  # only the last line can lack one
+                    if on_torn_line is not None:
+                        on_torn_line(f"{path}:{lineno}: skipped a torn final line")
+                    break
+                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
+            if record is None:
+                continue
+            problem = _schema_problem(record)
+            if problem is not None:
+                name = record.get("run_id") or json.dumps(record, sort_keys=True)[:60]
+                raise ValueError(f"{path}:{lineno}: record {name} {problem}")
+            records.append(record)
+    return records
 
 
 def regrade_record(record: dict) -> dict:

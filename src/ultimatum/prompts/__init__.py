@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-_ROUND_WORDS = {
+ROUND_WORDS = {
     1: "one", 2: "two", 3: "three", 4: "four", 5: "five",
     6: "six", 7: "seven", 8: "eight", 9: "nine", 10: "ten",
 }
@@ -22,7 +22,7 @@ _ROUND_WORDS = {
 
 def rounds_word(rounds: int) -> str:
     """The round count as prompt text: 5 -> "five", 12 -> "12"."""
-    return _ROUND_WORDS.get(rounds, str(rounds))
+    return ROUND_WORDS.get(rounds, str(rounds))
 
 
 def _resource(name: str):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from typing import NamedTuple
 
-from . import engine
+from . import engine, prompts
 from .engine import Decision, GameConfig, Money, RoundOutcome
 from .strategy import (
     ALL_PAIRS,
@@ -469,10 +469,8 @@ _POT_SHARE_RE = re.compile(
     re.IGNORECASE,
 )
 
-_WORD_NUMBERS = {
-    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
-    "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
-}
+# Every round count a prompt spells out is one "first N rounds" reads.
+_WORD_NUMBERS = {word: n for n, word in prompts.ROUND_WORDS.items()}
 _ORDINALS = {
     "first": 1, "second": 2, "third": 3, "fourth": 4, "fifth": 5,
     "sixth": 6, "seventh": 7, "eighth": 8, "ninth": 9, "tenth": 10,
@@ -548,10 +546,7 @@ def _adjust_rule(low: str, clause: str, amounts: list[AmountMatch]) -> AdjustRul
 
 
 def _parse_proposer_text(text: str, pot: Money) -> ProposerStrategy:
-    initial = None
-    on_accept = None
-    on_reject = None
-    cutoff = None
+    initial = on_accept = on_reject = cutoff = None
     for clause in _split_clauses(text):
         low = clause.lower()
         amounts = _clause_amounts(clause, pot)
@@ -597,9 +592,7 @@ def _threshold_value(low: str, vals: list[Money], pot: Money) -> Money | None:
         return None
     if _ADJUSTMENT_VERB_RE.search(low) and "adjusting" not in low:
         return None
-    if _BELOW_RE.search(low):
-        return vals[0]
-    if _AT_LEAST_RE.search(low):
+    if _BELOW_RE.search(low) or _AT_LEAST_RE.search(low):
         return vals[0]
     if _ABOVE_RE.search(low):
         return vals[0] if "or equal" in low else vals[0] + 1
@@ -612,9 +605,7 @@ def _threshold_value(low: str, vals: list[Money], pot: Money) -> Money | None:
 
 _ROUND_RANGE_RE = re.compile(r"rounds?\s+(\d+)\s*(?:-|–|to|through)\s*(\d+)")
 _FIRST_ROUNDS_RE = re.compile(r"first\s+(\w+)\s+rounds")
-_ORDINAL_ROUND_RE = re.compile(
-    r"\b(first|second|third|fourth|fifth|sixth|seventh|eighth|ninth|tenth)\s+round\b"
-)
+_ORDINAL_ROUND_RE = re.compile(rf"\b({'|'.join(_ORDINALS)})\s+round\b")
 
 
 def _round_scope(low: str, rounds: int) -> range | None:
@@ -810,10 +801,9 @@ def _assemble(
 def _strategy_marker_blocks(pre: str) -> dict[Role, str]:
     """STRATEGY (Proposer): ... blocks from the pre-round text."""
     blocks: dict[Role, str] = {}
-    lines = pre.split("\n")
     current: Role | None = None
     buf: list[str] = []
-    for line in lines:
+    for line in pre.split("\n"):
         m = _STRATEGY_MARKER_RE.match(line)
         if m:
             if current is not None and current not in blocks:
@@ -825,7 +815,6 @@ def _strategy_marker_blocks(pre: str) -> dict[Role, str]:
             if _is_marker_line(line):
                 blocks[current] = "\n".join(buf).strip()
                 current = None
-                buf = []
             else:
                 buf.append(line)
     if current is not None and current not in blocks:
@@ -1021,6 +1010,28 @@ _FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # Quotes a string as the call json.dumps(string) makes: ASCII, non-ASCII escaped.
 _quote = json.encoder.encode_basestring_ascii
 
+# Every way outside text can fail to read: ValueError (not UTF-8, not JSON or
+# YAML, too many digits) or RecursionError (nested deeper than the limit).
+INPUT_FAILURES = (ValueError, RecursionError)
+
+
+def decode_line(line: bytes) -> dict | None:
+    """The JSON object on one line of a JSON-lines file, or None for a line
+    of only whitespace. Raises ValueError for every way a line can fail:
+    not UTF-8, not JSON, not an object, an integer longer than the
+    interpreter converts, or nesting deeper than the recursion limit."""
+    text = line.decode("utf-8")
+    if text.isspace():
+        return None
+    try:
+        value = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    if type(value) is not dict:
+        raise ValueError("not an object")
+    return value
+
+
 # The header after its tag and version, and a round line, exactly as
 # serialize_canonical writes them, the only forms parse_canonical reads:
 # each number in ASCII digits with no sign and no leading zero, at most 18
@@ -1070,17 +1081,14 @@ def _adjust_from_json(obj) -> AdjustRule | None:
 
 
 def _fields_to_json(spec: StrategySpec) -> dict:
-    if spec.role is Role.PROPOSER:
-        plan = spec.parsed
-        assert isinstance(plan, ProposerStrategy)
+    plan = spec.parsed  # a StrategySpec's plan is of its role's kind
+    if isinstance(plan, ProposerStrategy):
         return {
             "initial_offer": plan.initial_offer,
             "on_accept": _adjust_to_json(plan.on_accept),
             "on_reject": _adjust_to_json(plan.on_reject),
             "cutoff": None if plan.cutoff is None else {"limit": plan.cutoff.limit},
         }
-    plan = spec.parsed
-    assert isinstance(plan, ReceiverStrategy)
     return {
         "threshold": plan.threshold,
         "round_thresholds": {str(k): v for k, v in sorted(plan.round_thresholds.items())},
@@ -1145,7 +1153,7 @@ def _read_json_pair(rest: str) -> tuple[object, object]:
     except json.JSONDecodeError as exc:
         where = json.JSONDecodeError(exc.msg, exc.doc[start:], exc.pos - start)
         raise MalformedRecordError(f"bad JSON payload: {where}") from None
-    except ValueError as exc:  # an integer longer than the interpreter converts
+    except INPUT_FAILURES as exc:  # too many digits, or nested too deep
         raise MalformedRecordError(f"bad JSON payload: {exc}") from None
     if end != len(rest):
         raise MalformedRecordError(f"trailing data after record: {rest[end:].strip() or rest[end:]!r}")

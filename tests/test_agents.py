@@ -370,6 +370,19 @@ class TestHttpGateway:
         with pytest.raises(GatewayError):
             gateway.complete("m", MESSAGES, PARAMS)
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"choices": ' + b"7" * 5000 + b"}"],
+        ids=["nested-too-deep", "too-many-digits"],
+    )
+    def test_a_body_that_does_not_read_is_an_error(self, body):
+        response = requests.Response()
+        response.status_code, response._content, response.encoding = 200, body, "utf-8"
+        session = FakeSession([response])
+        gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)
+        with pytest.raises(GatewayError, match="^malformed completion response: "):
+            gateway.complete("m", MESSAGES, PARAMS)
+
     def test_null_content_is_an_error(self):
         session = FakeSession([FakeResponse(200, {"choices": [{"message": {"content": None}}]})])
         gateway = HttpGateway("http://example.invalid/v1", session=session, sleep=lambda s: None)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import ACC, REJ, build_transcript, full_corpus, load_corpus_cases, oracle_text
+from ultimatum import prompts
 from ultimatum.engine import MAX_POT, Decision, GameConfig
 from ultimatum.rubric import ErrorClass, evaluate_transcript
 from ultimatum.strategy import (
@@ -270,6 +271,13 @@ class TestStrategyTextParsing:
             round_thresholds={1: 40, 2: 40, 3: 40, 4: 40},
             final_round_rule=FinalRoundRule.ACCEPT_ANY_NONZERO,
         )
+
+    @pytest.mark.parametrize("rounds", sorted(prompts.ROUND_WORDS))
+    def test_every_round_count_a_prompt_spells_out_reads_in_first_n_rounds(self, rounds):
+        word = prompts.rounds_word(rounds)
+        text = f"I will only accept offers of at least $0.40 in the first {word} rounds."
+        parsed = parse_strategy_text(text, Role.RECEIVER, GameConfig(rounds=20))
+        assert parsed == ReceiverStrategy(round_thresholds={r: 40 for r in range(1, rounds + 1)})
 
     @pytest.mark.parametrize(
         "text,expected",
