@@ -11,7 +11,7 @@ the statistics code is visible at a glance:
 
 import sys
 
-from ultimatum.stats import ContingencyTable2x2, chi_square_2x2, two_proportion_z
+from ultimatum.stats import chi_square_2x2, two_proportion_z
 
 # (test, counts s1/n1/s2/n2, pinned statistic, pinned p, p is upper bound)
 CASES = [
@@ -36,7 +36,7 @@ def main() -> int:
     for test, counts, pinned_stat, pinned_p, p_is_bound in CASES:
         s1, n1, s2, n2 = counts
         if test == "chi2":
-            result = chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
+            result = chi_square_2x2(s1, n1, s2, n2)
         else:
             result = two_proportion_z(s1, n1, s2, n2)
         stat_ok = abs(result.statistic - pinned_stat) <= STAT_TOLERANCE

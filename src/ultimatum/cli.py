@@ -34,12 +34,7 @@ from .experiment import (
     verdict_to_dict,
 )
 from .rubric import evaluate_transcript
-from .stats import (
-    ContingencyTable2x2,
-    DegenerateTableError,
-    chi_square_2x2,
-    two_proportion_z,
-)
+from .stats import DegenerateTableError, chi_square_2x2, two_proportion_z
 from .strategy import MIN_POT, PersonalityPair
 from .transcripts import (
     InconsistentLogsError,
@@ -196,8 +191,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     s1, n1, s2, n2 = args.counts
     try:
         if args.test == "chi2":
-            result = chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
-            print(f"chi-square = {result.statistic:.6f} (df={result.df})")
+            result = chi_square_2x2(s1, n1, s2, n2)
+            print(f"chi-square = {result.statistic:.6f} (df=1)")
         else:
             result = two_proportion_z(s1, n1, s2, n2)
             print(f"z = {result.statistic:.6f}")

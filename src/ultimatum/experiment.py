@@ -50,7 +50,6 @@ from .orchestrator import (
 )
 from .rubric import ErrorClass, MalformedTranscriptError, Verdict, evaluate_transcript
 from .stats import (
-    ContingencyTable2x2,
     DegenerateTableError,
     TestResult,
     chi_square_2x2,
@@ -737,10 +736,6 @@ def _compare(
     return Comparison(name, groups, result, result.warning)
 
 
-def _chi_square(s1: int, n1: int, s2: int, n2: int) -> TestResult:
-    return chi_square_2x2(ContingencyTable2x2.from_successes(s1, n1, s2, n2))
-
-
 def _headline(
     name: str,
     by_member: dict[tuple[str, str], GroupCounts],
@@ -762,7 +757,7 @@ def _headline(
     skip = None
     if missing:
         skip = "no graded runs" if len(missing) == 2 else f"no graded {missing[0]} runs"
-    return _compare(name, tuple(groups), _chi_square, skip)
+    return _compare(name, tuple(groups), chi_square_2x2, skip)
 
 
 def aggregate(records: Iterable[dict]) -> Summary:
@@ -939,7 +934,7 @@ def _render_markdown(summary: Summary) -> str:
         result = h.note
         if h.test is not None:
             result = (
-                f"chi-square {_fmt_stat(h.test.statistic)} (df={h.test.df}), "
+                f"chi-square {_fmt_stat(h.test.statistic)} (df=1), "
                 f"p {_fmt_p(h.test.p_two_tailed)}"
             ) + (f" ({h.note})" if h.note else "")
         lines.append(f"- {h.name}: {detail} -> {result}")

@@ -212,11 +212,12 @@ _NEGATIONS = {"not", "no", "never", "cannot"}
 # reject this...", "you should accept"). Such mentions are skipped.
 _CONDITIONALS = {"if", "unless", "whether", "should", "might", "may", "could"}
 
-_WORD_RE = re.compile(r"[a-zA-Z']+")
+# Letters of any alphabet, read under case folding as the markers are.
+_WORD_RE = re.compile(r"(?:[^\W\d_]|')+")
 
 
 def _decision_hits(line: str) -> list[Decision]:
-    tokens = [t.lower() for t in _WORD_RE.findall(line)]
+    tokens = [t.casefold() for t in _WORD_RE.findall(line)]
     hits: list[Decision] = []
     for i, tok in enumerate(tokens):
         if tok in _ACCEPT_WORDS:
@@ -799,26 +800,29 @@ def _assemble(
 
 
 def _strategy_marker_blocks(pre: str) -> dict[Role, str]:
-    """STRATEGY (Proposer): ... blocks from the pre-round text."""
+    """STRATEGY (Proposer): ... blocks from the pre-round text.
+
+    The first block of a role wins, however it or a later one closes.
+    """
     blocks: dict[Role, str] = {}
     current: Role | None = None
     buf: list[str] = []
     for line in pre.split("\n"):
         m = _STRATEGY_MARKER_RE.match(line)
         if m:
-            if current is not None and current not in blocks:
-                blocks[current] = "\n".join(buf).strip()
+            if current is not None:
+                blocks.setdefault(current, "\n".join(buf).strip())
             current = Role(m.group("role").lower())
             buf = [m.group("rest")]
             continue
         if current is not None:
             if _is_marker_line(line):
-                blocks[current] = "\n".join(buf).strip()
+                blocks.setdefault(current, "\n".join(buf).strip())
                 current = None
             else:
                 buf.append(line)
-    if current is not None and current not in blocks:
-        blocks[current] = "\n".join(buf).strip()
+    if current is not None:
+        blocks.setdefault(current, "\n".join(buf).strip())
     return blocks
 
 

@@ -17,12 +17,7 @@ from ultimatum import engine
 from ultimatum.engine import Decision, GameConfig
 from ultimatum.experiment import aggregate, plan_from_dict, render_report, run_batch
 from ultimatum.rubric import ErrorClass, evaluate_transcript
-from ultimatum.stats import (
-    ContingencyTable2x2,
-    chi_square_2x2,
-    format_percent,
-    two_proportion_z,
-)
+from ultimatum.stats import chi_square_2x2, format_percent, two_proportion_z
 from ultimatum.strategy import Personality, PersonalityPair
 from ultimatum.transcripts import (
     parse_agent_log,
@@ -36,11 +31,11 @@ PAIR_LABELS = ["fair-fair", "fair-greedy", "greedy-fair", "greedy-greedy"]
 
 def test_ac1_pinned_reference_comparisons_reproduce():
     """The six reference comparisons come out at their pinned values."""
-    chi_80 = chi_square_2x2(ContingencyTable2x2.from_successes(35, 40, 20, 40))
+    chi_80 = chi_square_2x2(35, 40, 20, 40)
     assert chi_80.statistic == pytest.approx(13.091, abs=1e-3)
     assert chi_80.p_two_tailed == pytest.approx(0.000297, abs=2e-5)
 
-    chi_sub = chi_square_2x2(ContingencyTable2x2.from_successes(35, 40, 22, 40))
+    chi_sub = chi_square_2x2(35, 40, 22, 40)
     assert chi_sub.statistic == pytest.approx(10.3127, abs=1e-3)
     assert chi_sub.p_two_tailed == pytest.approx(0.001321, abs=1e-5)
 
@@ -77,7 +72,7 @@ def test_ac2_chi_square_equals_z_squared_on_random_tables():
         c, d = rng.randint(0, 60), rng.randint(0, 60)
         if min(a + b, c + d, a + c, b + d) == 0:
             continue
-        chi = chi_square_2x2(ContingencyTable2x2(a, b, c, d))
+        chi = chi_square_2x2(a, a + b, c, c + d)
         z = two_proportion_z(a, a + b, c, c + d)
         assert chi.statistic == pytest.approx(z.statistic**2, rel=1e-9, abs=1e-12)
         assert chi.p_two_tailed == pytest.approx(z.p_two_tailed, rel=1e-9, abs=1e-15)

@@ -25,7 +25,7 @@ DRIFT = "[differs from stored verdict]"
 
 # src/ultimatum, prompts/ included, grows only by a stated choice: a change
 # that raises this bound says why in CHANGES.md.
-SOURCE_LINE_BOUND = 4615
+SOURCE_LINE_BOUND = 4568
 
 
 def test_the_source_stays_within_its_line_bound():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import ACC, REJ, build_transcript, full_corpus, load_corpus_cases, oracle_text
-from ultimatum import prompts
+from ultimatum import prompts, transcripts
 from ultimatum.engine import MAX_POT, Decision, GameConfig
 from ultimatum.rubric import ErrorClass, evaluate_transcript
 from ultimatum.strategy import (
@@ -102,6 +102,16 @@ class TestReplyExtraction:
     def test_conditional_mentions_are_not_decisions(self):
         assert extract_decision_reply("If I reject, we both get nothing.") is None
 
+    @pytest.mark.parametrize("text", ["DECISION: I refu\u017fe", "I REFU\u017fE this split."])
+    def test_decision_words_read_under_case_folding(self, text):
+        # The long s folds to "s", as it does in the markers.
+        assert extract_decision_reply(text) is REJ
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_ascii_decision_words_split_as_the_ascii_pattern_did(self, text):
+        reference = [t.lower() for t in re.findall(r"[a-zA-Z']+", text)]
+        assert [t.casefold() for t in transcripts._WORD_RE.findall(text)] == reference
+
 
 def single_model_log(offers, decisions, pot=100, heading="ROUND {n}"):
     lines = [
@@ -168,6 +178,26 @@ class TestSingleModelParsing:
         assert transcript.strategies[1].raw_text == (
             "I will accept offers of $0.40 or more in every round."
         )
+
+    @pytest.mark.parametrize(
+        "first_close,second_close",
+        [
+            ("STRATEGY (Receiver): I accept.", "OFFER: $0.50"),
+            ("OFFER: $0.50", "STRATEGY (Receiver): I accept."),
+            ("STRATEGY (Receiver): I accept.", "DECISION: accept"),
+            ("STRATEGY (Receiver): I accept.", "[Note] two plans"),
+            ("STRATEGY (Receiver): I accept.", ""),
+        ],
+    )
+    def test_the_first_strategy_block_of_a_role_wins(self, first_close, second_close):
+        pre = [
+            "STRATEGY (Proposer): offer $0.50.", first_close,
+            "STRATEGY (Proposer): offer $0.20.", second_close,
+        ]
+        rounds = single_model_log([50] * 5, [ACC] * 5).split("\n")[2:]
+        transcript, diag = parse_single_model_log("\n".join(pre + rounds), FAIR_FAIR)
+        assert diag.confidence is Confidence.EXACT
+        assert transcript.strategies[0].raw_text == "offer $0.50."
 
     def test_missing_decision_is_an_error(self):
         text = single_model_log([50, 50, 50, 50, 50], [ACC] * 5)
