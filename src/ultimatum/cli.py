@@ -117,8 +117,10 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return _fail_usage(str(exc))
         failures = 0
-        # Verdict or error per distinct transcript ("" is not keyed: its error names the run).
+        # Verdict or error per distinct transcript ("" is not keyed: its error
+        # names the run), and verdict per distinct game (see regrade_record).
         graded: dict[str, dict | Exception] = {}
+        games: dict[str, dict] = {}
         for record in records:
             run_id = record.get("run_id", "?")
             if record.get("status") != "ok":
@@ -129,7 +131,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
             verdict = graded.get(key)
             if verdict is None:
                 try:
-                    verdict = regrade_record(record)
+                    verdict = regrade_record(record, games)
                 except Exception as exc:  # noqa: BLE001 - report and continue
                     verdict = exc
                 if key is not None:

@@ -57,7 +57,14 @@ from .stats import (
     two_proportion_z,
 )
 from .strategy import ALL_PAIRS, MIN_POT, PersonalityPair, Role
-from .transcripts import INPUT_FAILURES, Structure, UnparseableLogError, decode_line, parse_canonical
+from .transcripts import (
+    INPUT_FAILURES,
+    Structure,
+    UnparseableLogError,
+    decode_line,
+    game_text,
+    parse_canonical,
+)
 
 RUN_SCHEMA = 1
 
@@ -435,11 +442,18 @@ def load_records(
     return records
 
 
-def regrade_record(record: dict) -> dict:
-    """Re-grade a stored run from its canonical transcript."""
+def regrade_record(record: dict, games: dict | None = None) -> dict:
+    """Re-grade a stored run from its canonical transcript, which is always
+    parsed. `games` maps each game text (`transcripts.game_text`) graded
+    so far to its verdict, so each game is graded once."""
     if record.get("status") != "ok" or not record.get("transcript"):
         raise ValueError(f"run {record.get('run_id')!r} has no transcript to grade")
-    return verdict_to_dict(evaluate_transcript(parse_canonical(record["transcript"])))
+    transcript = parse_canonical(record["transcript"])
+    games = {} if games is None else games
+    game = game_text(record["transcript"])
+    if game not in games:
+        games[game] = verdict_to_dict(evaluate_transcript(transcript))
+    return games[game]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +476,9 @@ class BatchResult:
         return sum(1 for r in self.records if r["status"] != "ok")
 
 
-def _play_oracles(plan: ExperimentPlan, pair: PersonalityPair) -> SimulationResult | Exception:
+def _play_oracles(
+    plan: ExperimentPlan, pair: PersonalityPair, graded: dict
+) -> SimulationResult | Exception:
     """The pair's oracle game, played once through the moderator, or the
     run failure it raised (which then fails every run of the pair)."""
     config = SimulationConfig(
@@ -474,7 +490,7 @@ def _play_oracles(plan: ExperimentPlan, pair: PersonalityPair) -> SimulationResu
     )
     agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
     try:
-        return run_multi_agent(config, agents)
+        return run_multi_agent(config, agents, graded=graded)
     except RUN_FAILURES as exc:
         return exc
 
@@ -509,14 +525,15 @@ def run_batch(
     players play every run.
 
     Within one batch, each distinct single-model reply (with its pair and
-    game) is parsed, graded and serialized once, and so is each distinct
-    game that model-backed players play (see `run_multi_agent` for what
-    makes two games the same); later runs that receive the same reply or
-    play the same game reuse that grade. Every run still renders its
-    prompts and calls its gateway, every multi-agent run's moderator checks
-    each message it tells a player and the run keeps its own traffic, every
-    run gets its own record, and the records are the same as when each run
-    plays and is graded on its own.
+    game) is parsed and serialized once, and so is each distinct game that
+    model-backed players play (see `run_multi_agent` for what makes two
+    games the same); later runs that receive the same reply or play the
+    same game reuse that work. Each distinct game text is graded once, so
+    an oracle pair's one grade serves both structures. Every run still
+    renders its prompts and calls its gateway, every multi-agent run's
+    moderator checks each message it tells a player and the run keeps its
+    own traffic, every run gets its own record, and the records are the
+    same as when each run plays and is graded on its own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -533,6 +550,10 @@ def run_batch(
         raise InvalidPlanError("replay mode needs a recorded gateway")
 
     started = time.perf_counter()
+    # Grades of the replies, model-backed games and game texts seen in this
+    # batch. Two worker threads may both miss on one key and both grade it;
+    # they store equal values, so the dict needs no lock.
+    graded: dict = {}
     # Each job carries its source: the model-backed gateway; in oracle mode
     # the pair's played game for a multi-agent run and the gateway answering
     # from it for a single-model run; or the exception the game raised.
@@ -543,7 +564,7 @@ def run_batch(
         if source is None:
             # The game and flaws are fixed for the batch: the pair decides the game.
             if pair not in games:
-                games[pair] = _play_oracles(plan, pair)
+                games[pair] = _play_oracles(plan, pair, graded)
             source = games[pair]
             if structure is Structure.SINGLE_MODEL and isinstance(source, SimulationResult):
                 source = OracleSingleModelGateway(source.transcript)
@@ -564,11 +585,6 @@ def run_batch(
                     source,
                 )
             )
-
-    # Grades of the single-model replies and model-backed games seen in this
-    # batch. Two worker threads may both miss on one key and both grade it;
-    # they store equal values, so the dict needs no lock.
-    graded: dict = {}
 
     if max_workers is None:
         max_workers = 4 if mode == "live" else 1

@@ -62,6 +62,7 @@ from .transcripts import (
     Transcript,
     extract_decision_reply,
     extract_offer_reply,
+    game_text,
     parse_single_model_log,
     parse_strategy_text,
     serialize_canonical,
@@ -123,6 +124,17 @@ class SimulationResult:
         return self._built_traffic[1]
 
 
+def _grade(transcript: Transcript, graded: dict) -> tuple[Verdict, str]:
+    """The transcript's (verdict, canonical text). The verdict is looked up
+    in `graded` by the text's `game_text`, all that grading reads, so a
+    game is graded once whichever structure it came from."""
+    canonical = serialize_canonical(transcript)
+    game = game_text(canonical)
+    if game not in graded:
+        graded[game] = evaluate_transcript(transcript)
+    return graded[game], canonical
+
+
 # ---------------------------------------------------------------------------
 # Single-model structure
 # ---------------------------------------------------------------------------
@@ -138,9 +150,10 @@ def run_single_model(
 
     `graded`, when given, maps (reply, pair, game) to the (transcript,
     diagnostics, verdict, canonical text) of a reply already parsed and
-    graded. A reply found there is not parsed or serialized again; one that
-    parses and grades is added. A reply that raises is never stored, so
-    every run that gets it raises.
+    graded, and a game text to its verdict (see `_grade`). A reply found
+    there is not parsed or serialized again, and a new reply's game found
+    there is not graded again; a reply that parses and grades is added. A
+    reply that raises is never stored, so every run that gets it raises.
     """
     prompt = prompts.render(
         "single_model",
@@ -155,8 +168,7 @@ def run_single_model(
     key = (reply, config.pair, config.game)
     if key not in graded:
         transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
-        verdict = evaluate_transcript(transcript)
-        graded[key] = (transcript, diagnostics, verdict, serialize_canonical(transcript))
+        graded[key] = (transcript, diagnostics, *_grade(transcript, graded))
     transcript, diagnostics, verdict, canonical = graded[key]
     traffic = ((("single_model", prompt),), (("single_model", reply),))
     return SimulationResult(transcript, verdict, diagnostics, canonical, lambda: traffic)
@@ -332,9 +344,10 @@ def run_multi_agent(
     read from the offer and decision replies into the rounds, and the
     per-agent logs hold only those texts, the rounds and each role's fixed
     plan. A game found there is not built, graded or serialized again; one
-    that grades is added. Every run still plays through the moderator, which
-    checks every message the run tells a player, and its traffic is its
-    own. A run that raises is never stored, so every run that plays the
+    that grades is added. Its verdict is looked up and stored by game text,
+    as in `run_single_model`. Every run still plays through the moderator,
+    which checks every message the run tells a player, and its traffic is
+    its own. A run that raises is never stored, so every run that plays the
     same game raises.
 
     `helper` is passed to `_Moderator.strategy_phase`.
@@ -363,7 +376,7 @@ def run_multi_agent(
             rounds=rounds,
             raw_logs=moderator.logs(rounds),
         )
-        graded[key] = (transcript, evaluate_transcript(transcript), serialize_canonical(transcript))
+        graded[key] = (transcript, *_grade(transcript, graded))
     transcript, verdict, canonical = graded[key]
     return SimulationResult(
         transcript,

@@ -1144,6 +1144,14 @@ def serialize_canonical(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def game_text(canonical: str) -> str:
+    """The canonical text without the header's ` structure=` token and the
+    rawlog lines: all that `evaluate_transcript` reads of a text that parses."""
+    header, _, body = canonical.partition("\n")
+    end = body.find("\nrawlog ") + 1 or len(body)
+    return header.partition(" structure=")[0] + "\n" + body[:end]
+
+
 def _read_json_pair(rest: str) -> tuple[object, object]:
     """The two JSON values that fill `rest`, one space apart. An error's
     position counts from the start of the value it is in."""

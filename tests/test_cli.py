@@ -13,6 +13,7 @@ from ultimatum import experiment
 from ultimatum.agents import Gateway, GatewayError
 from ultimatum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from ultimatum.experiment import load_records, plan_from_dict, regrade_record, run_batch
+from ultimatum.transcripts import game_text
 
 
 @pytest.fixture
@@ -336,6 +337,42 @@ class TestGradeCommand:
             strings = collections.Counter(t for t in parsed if isinstance(t, str))
             assert strings == collections.Counter({t: passes for t in distinct})
             assert len(parsed) == strings.total()  # only text is parsed
+
+    def test_a_pass_grades_each_distinct_game_once(self, mixed_store, monkeypatch, capsys):
+        # Each pair's game is stored under both structures, so the store's
+        # four distinct transcripts hold two games.
+        graded = []
+        evaluate = experiment.evaluate_transcript
+        monkeypatch.setattr(
+            experiment, "evaluate_transcript", lambda t: graded.append(t.pair.label()) or evaluate(t)
+        )
+        expected = reference_grade(load_records(mixed_store))
+        graded.clear()
+        assert main(["grade", "--records", str(mixed_store)]) == expected[1]
+        assert capsys.readouterr().out == expected[0]
+        assert graded == ["fair-greedy", "greedy-greedy"]
+
+    def test_a_text_is_parsed_before_its_game_is_looked_up(self, store_path, capsys):
+        # Each record after the first holds the first one's game, but its
+        # text does not read: the first one's game text (the header lacks
+        # its structure), or the text with a malformed rawlog line.
+        ok = load_records(store_path)[0]
+        text = ok["transcript"]
+        records = [ok] + [
+            {**ok, "run_id": run_id, "transcript": transcript}
+            for run_id, transcript in (
+                ("game-text", game_text(text)),
+                ("one-string-rawlog", text + 'rawlog "proposer"\n'),
+                ("rawlog-junk", text + 'rawlog "a" "b" junk\n'),
+            )
+        ]
+        store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        expected = reference_grade(records)
+        assert main(["grade", "--records", str(store_path)]) == EXIT_PARTIAL == expected[1]
+        out = capsys.readouterr().out
+        assert out == expected[0]
+        assert out.count(": ungradable (") == 3
+        assert "game-text: ungradable (bad header line: " in out
 
     def test_a_transcript_that_is_not_text_is_a_usage_error(self, store_path, capsys):
         ok = load_records(store_path)[0]

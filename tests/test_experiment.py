@@ -539,6 +539,21 @@ class TestSharedGrades:
         assert len(games_played) == 2 * len(plan.pairs)
         assert without_elapsed(first.records) == without_elapsed(second.records)
 
+    @pytest.mark.parametrize("runs_per_cell", [1, 3])
+    @pytest.mark.parametrize("pairs", [["greedy-fair"], ["fair-greedy", "greedy-greedy"], "all"])
+    def test_an_oracle_batch_grades_each_pair_once(self, monkeypatch, pairs, runs_per_cell):
+        # A pair's single-model runs hold the game of its multi-agent runs,
+        # so the batch grades P games for P pairs, not 2P.
+        graded = []
+        evaluate = orchestrator.evaluate_transcript
+        monkeypatch.setattr(
+            orchestrator, "evaluate_transcript", lambda t: graded.append(t.pair) or evaluate(t)
+        )
+        plan = plan_from_dict({"pairs": pairs, "runs_per_cell": runs_per_cell})
+        batch = run_batch(plan)
+        assert graded == list(plan.pairs)
+        assert batch.ok_count == len(plan.cells()) * runs_per_cell
+
     def test_a_failed_oracle_game_fails_every_run_of_its_pair(self, monkeypatch):
         # A greedy proposer that never names an offer: the pair's one game
         # raises TurnOrderViolationError, which every run of the pair records.

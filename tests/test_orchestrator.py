@@ -38,6 +38,7 @@ from ultimatum.transcripts import (
     Structure,
     extract_decision_reply,
     extract_offer_reply,
+    game_text,
     parse_agent_log,
     parse_canonical,
 )
@@ -417,6 +418,28 @@ class TestTranscriptMatchesItsLogs:
         assert result.diagnostics.confidence is Confidence.EXACT
         assert result.diagnostics.warnings == ()
         assert_logs_parse_to_the_transcript(config, result)
+
+
+class TestOneGameText:
+    """Both structures' transcripts of one oracle game hold one game text,
+    so an oracle batch grades the game once for both."""
+
+    @settings(max_examples=60)
+    @given(
+        pot=st.integers(5, 10_000),
+        rounds=st.integers(1, 10),
+        pair=st.sampled_from(ALL_PAIRS),
+        flaws=st.sampled_from(FLAW_GRIDS),
+    )
+    def test_single_model_and_multi_agent_runs_of_an_oracle_game(self, pot, rounds, pair, flaws):
+        game = GameConfig(pot=pot, rounds=rounds)
+        played = run_multi_agent(multi_agent_config(pair, game=game), make_oracle_agents(pair, game, **flaws))
+        single = run_single_model(
+            single_model_config(pair, game=game), OracleSingleModelGateway(played.transcript)
+        )
+        assert single.canonical != played.canonical
+        assert game_text(single.canonical) == game_text(played.canonical)
+        assert single.verdict == played.verdict
 
 
 class TestDispatch:

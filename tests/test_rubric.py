@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ACC, REJ, FIXTURES, build_transcript
+from helpers import ACC, REJ, FIXTURES, any_text, build_transcript
 from ultimatum import engine
 from ultimatum.agents import Flaw, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig
@@ -36,7 +36,14 @@ from ultimatum.strategy import (
     follows,
     prescribed_action,
 )
-from ultimatum.transcripts import Structure, Transcript, parse_single_model_log
+from ultimatum.transcripts import (
+    Structure,
+    Transcript,
+    game_text,
+    parse_canonical,
+    parse_single_model_log,
+    serialize_canonical,
+)
 
 GREEDY_GREEDY = PersonalityPair.from_label("greedy-greedy")
 
@@ -469,3 +476,30 @@ def test_round_flags_in_one_walk_match_the_per_round_reference(transcript):
         flag for outcome in transcript.rounds for flag in ref_round_flags(transcript, outcome)
     ]
     assert evaluate_transcript(transcript) == ref_evaluate_transcript(transcript)
+
+
+# Raw-log text, including text that reads like a rawlog line once unquoted.
+raw_log_text = any_text | st.sampled_from(["\nrawlog ", 'rawlog "a" "b"\n', " structure=multi_agent"])
+
+
+@settings(max_examples=200)
+@given(transcript=played_games(), data=st.data())
+def test_transcripts_with_one_game_text_get_one_verdict(transcript, data):
+    # The game under either structure, with any raw logs: one game text, and
+    # every stored text of it reads back to the game's own verdict.
+    variants = [
+        dataclasses.replace(
+            transcript,
+            structure=data.draw(st.sampled_from(Structure)),
+            raw_logs=tuple(data.draw(st.lists(st.tuples(raw_log_text, raw_log_text), max_size=2))),
+        )
+        for _ in range(2)
+    ]
+    texts = [serialize_canonical(variant) for variant in variants]
+    assert game_text(texts[0]) == game_text(texts[1])
+    verdict = evaluate_transcript(transcript)
+    assert [evaluate_transcript(parse_canonical(text)) for text in texts] == [verdict, verdict]
+    # The game text is the game's whole text less its structure, so games
+    # that differ anywhere else have different game texts.
+    bare = serialize_canonical(dataclasses.replace(transcript, raw_logs=()))
+    assert game_text(texts[0]) == bare.replace(" structure=single_model", "", 1)
