@@ -13,6 +13,7 @@ flaws demonstrate how each grading axis reacts:
 import argparse
 import sys
 
+from ultimatum.agents import Flaw, flaw_role
 from ultimatum.engine import DEFAULT_POT, DEFAULT_ROUNDS
 from ultimatum.experiment import (
     ExperimentPlan,
@@ -23,6 +24,7 @@ from ultimatum.experiment import (
     render_report,
     run_batch,
 )
+from ultimatum.strategy import Role
 
 
 def main(argv=None) -> int:
@@ -33,16 +35,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     parser.add_argument("--out", help="append run records to this JSON-lines file")
     parser.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    parser.add_argument(
-        "--proposer-flaw",
-        choices=["incomplete", "deviator"],
-        help="plant a proposer flaw in every run",
-    )
-    parser.add_argument(
-        "--receiver-flaw",
-        choices=["inconsistent_threshold"],
-        help="plant a receiver flaw in every run",
-    )
+    for role in Role:
+        parser.add_argument(
+            f"--{role.value}-flaw",
+            choices=[flaw.value for flaw in Flaw if flaw_role(flaw) is role],
+            help=f"plant a {role.value} flaw in every run",
+        )
     args = parser.parse_args(argv)
 
     data = {
@@ -51,11 +49,7 @@ def main(argv=None) -> int:
         "pot": args.pot,
         "rounds": args.rounds,
     }
-    flaws = {}
-    if args.proposer_flaw:
-        flaws["proposer"] = args.proposer_flaw
-    if args.receiver_flaw:
-        flaws["receiver"] = args.receiver_flaw
+    flaws = {role.value: flaw for role in Role if (flaw := getattr(args, f"{role.value}_flaw"))}
     if flaws:
         data["flaws"] = flaws
 

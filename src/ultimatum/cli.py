@@ -63,6 +63,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.seed is not None:
             plan = dataclasses.replace(plan, seed=args.seed)
         gateway = None
+        if args.replay_file is not None and args.mode != "replay":
+            return _fail_usage("--replay-file only applies in replay mode")
         if args.mode == "replay":
             if not args.replay_file:
                 return _fail_usage("--replay-file is required in replay mode")

@@ -378,8 +378,9 @@ def _record(
         "verdict": verdict_to_dict(outcome.verdict) if ok else None,
     }
     if ok and keep_prompts:
-        record["prompts"] = [[label, text] for label, text in outcome.prompts]
-        record["replies"] = [[label, text] for label, text in outcome.replies]
+        sent, received = outcome.traffic()
+        record["prompts"] = [[label, text] for label, text in sent]
+        record["replies"] = [[label, text] for label, text in received]
     return record
 
 
@@ -524,12 +525,8 @@ def run_batch(
     gateway answers with the combined log written from it. Model-backed
     players play every run.
 
-    Within one batch, each distinct single-model reply (with its pair and
-    game) is parsed and serialized once, and so is each distinct game that
-    model-backed players play (see `run_multi_agent` for what makes two
-    games the same); later runs that receive the same reply or play the
-    same game reuse that work. Each distinct game text is graded once, so
-    an oracle pair's one grade serves both structures. Every run still
+    A batch's runs share one memo (see `orchestrator._memo_entry`), so an
+    oracle pair's one grade serves both structures. Every run still
     renders its prompts and calls its gateway, every multi-agent run's
     moderator checks each message it tells a player and the run keeps its
     own traffic, every run gets its own record, and the records are the
@@ -541,6 +538,8 @@ def run_batch(
         raise InvalidPlanError(f"workers must be at least 1, got {max_workers}")
     if mode != "oracle" and (plan.proposer_flaw or plan.receiver_flaw):
         raise InvalidPlanError("planted flaws only apply to oracle players")
+    if mode == "oracle" and gateway is not None:
+        raise InvalidPlanError("oracle mode plays scripted players and takes no gateway")
     shared_gateway = gateway
     if mode == "live" and shared_gateway is None:
         if not plan.endpoint:
@@ -550,9 +549,9 @@ def run_batch(
         raise InvalidPlanError("replay mode needs a recorded gateway")
 
     started = time.perf_counter()
-    # Grades of the replies, model-backed games and game texts seen in this
-    # batch. Two worker threads may both miss on one key and both grade it;
-    # they store equal values, so the dict needs no lock.
+    # The batch's memo (see `orchestrator._memo_entry`). Two worker threads
+    # may both miss on one key and both build it; they store equal values,
+    # so the dict needs no lock.
     graded: dict = {}
     # Each job carries its source: the model-backed gateway; in oracle mode
     # the pair's played game for a multi-agent run and the gateway answering

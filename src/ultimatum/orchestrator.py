@@ -36,7 +36,6 @@ same as when every run plays its own.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -100,39 +99,41 @@ Traffic = tuple[tuple[str, str], ...]
 @dataclass(frozen=True)
 class SimulationResult:
     """One finished run: the transcript (also in the canonical text a run
-    record stores), its grade, and the traffic that produced it: `prompts`
-    sent and `replies` received, in order, as (label, text) pairs.
-    `_traffic` builds the two when either is first read, so traffic that
-    nobody reads (a batch that does not keep prompts) is never built."""
+    record stores), its grade, and `traffic`, which builds the run's
+    (prompts sent, replies received), in order, as (label, text) pairs
+    when called, so a batch that does not keep prompts never builds it."""
 
     transcript: Transcript
     verdict: Verdict
     diagnostics: ParseDiagnostics
     canonical: str
-    _traffic: Callable[[], tuple[Traffic, Traffic]] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def _built_traffic(self) -> tuple[Traffic, Traffic]:
-        return self._traffic()
-
-    @property
-    def prompts(self) -> Traffic:
-        return self._built_traffic[0]
-
-    @property
-    def replies(self) -> Traffic:
-        return self._built_traffic[1]
+    traffic: Callable[[], tuple[Traffic, Traffic]] = field(repr=False, compare=False)
 
 
-def _grade(transcript: Transcript, graded: dict) -> tuple[Verdict, str]:
-    """The transcript's (verdict, canonical text). The verdict is looked up
-    in `graded` by the text's `game_text`, all that grading reads, so a
-    game is graded once whichever structure it came from."""
-    canonical = serialize_canonical(transcript)
-    game = game_text(canonical)
-    if game not in graded:
-        graded[game] = evaluate_transcript(transcript)
-    return graded[game], canonical
+def _memo_entry(graded: dict | None, key: tuple, build: Callable, *args) -> tuple:
+    """A run's (transcript, verdict, diagnostics, canonical text) entry, in
+    `SimulationResult`'s field order, for either structure.
+
+    `graded` is a batch's memo; None starts a fresh one. It maps each run
+    key seen so far (a single-model reply with its pair and game, or a
+    moderated game: see `run_multi_agent`) to its entry, and each game
+    text (`transcripts.game_text`, all that grading reads) to its verdict.
+    A key found there is not built, serialized or graded again. A new
+    key's transcript and diagnostics are `build(*args)`; its canonical
+    text is serialized, and its game is graded only if no earlier entry,
+    of either structure, had that game text. A build or grade that raises
+    stores nothing, so every run with that key raises.
+    """
+    if graded is None:
+        graded = {}
+    if key not in graded:
+        transcript, diagnostics = build(*args)
+        canonical = serialize_canonical(transcript)
+        game = game_text(canonical)
+        if game not in graded:
+            graded[game] = evaluate_transcript(transcript)
+        graded[key] = (transcript, graded[game], diagnostics, canonical)
+    return graded[key]
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +147,8 @@ def run_single_model(
     *,
     graded: dict | None = None,
 ) -> SimulationResult:
-    """One completion simulates the whole game; parse and grade it.
-
-    `graded`, when given, maps (reply, pair, game) to the (transcript,
-    diagnostics, verdict, canonical text) of a reply already parsed and
-    graded, and a game text to its verdict (see `_grade`). A reply found
-    there is not parsed or serialized again, and a new reply's game found
-    there is not graded again; a reply that parses and grades is added. A
-    reply that raises is never stored, so every run that gets it raises.
-    """
+    """One completion simulates the whole game; parse and grade it through
+    the `graded` memo (see `_memo_entry`)."""
     prompt = prompts.render(
         "single_model",
         proposer_personality=config.pair.proposer.value,
@@ -163,15 +157,10 @@ def run_single_model(
         pot_text=format_money(config.game.pot),
     )
     reply = gateway.complete(config.model, [("user", prompt)], config.sampling)
-    if graded is None:
-        graded = {}
     key = (reply, config.pair, config.game)
-    if key not in graded:
-        transcript, diagnostics = parse_single_model_log(reply, config.pair, config.game)
-        graded[key] = (transcript, diagnostics, *_grade(transcript, graded))
-    transcript, diagnostics, verdict, canonical = graded[key]
+    entry = _memo_entry(graded, key, parse_single_model_log, *key)
     traffic = ((("single_model", prompt),), (("single_model", reply),))
-    return SimulationResult(transcript, verdict, diagnostics, canonical, lambda: traffic)
+    return SimulationResult(*entry, lambda: traffic)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +194,7 @@ class _Moderator:
 
     The record is the turn log (`turns`): every message the moderator
     exchanged with a player, in order, as (role, label, text). The
-    per-agent logs, the run's replies and its memo key are all read from
+    per-agent logs, the run's traffic and its memo key are all read from
     it.
     """
 
@@ -321,9 +310,18 @@ class _Moderator:
             logs.append((role.value, "\n".join(lines) + "\n"))
         return tuple(logs)
 
-    def replies(self, role: Role) -> list[str]:
-        """Everything the player in `role` said, in order."""
-        return [text for who, label, text in self.turns if who is role and label not in _TOLD]
+    def traffic(self) -> tuple[Traffic, Traffic]:
+        """The run's (prompts, replies): each player's labeled prompt log
+        (oracles keep none), then everything each player said, from the
+        turn log, proposer first."""
+        prompt_pairs: list[tuple[str, str]] = []
+        replies: list[tuple[str, str]] = []
+        for agent in (self.proposer, self.receiver):
+            name, log = agent.role.value, getattr(agent, "prompt_log", ())
+            prompt_pairs += [(f"{name}/{label}", text) for label, text in log]
+            said = [text for who, label, text in self.turns if who is agent.role and label not in _TOLD]
+            replies += [(name, text) for text in said]
+        return tuple(prompt_pairs), tuple(replies)
 
 
 def run_multi_agent(
@@ -333,22 +331,17 @@ def run_multi_agent(
     graded: dict | None = None,
     helper=None,
 ) -> SimulationResult:
-    """Drive (proposer, receiver) through one moderated game and grade it.
-    The run's prompts and replies are built from the moderator's turn log
-    when the result's traffic is first read.
+    """Drive (proposer, receiver) through one moderated game and grade it
+    through the `graded` memo (see `_memo_entry`). The run's traffic is
+    built from the moderator's turn log when it is asked for.
 
-    `graded`, when given, maps (pair, game, the texts of the replies the
-    game was played from) to the (transcript, verdict, canonical text) of a
-    game already graded. That key determines the transcript: the strategy
+    The memo key is the pair, the game and the texts of the replies the
+    game was played from. It determines the transcript: the strategy
     replies are parsed against the game, the engine replays the actions
     read from the offer and decision replies into the rounds, and the
     per-agent logs hold only those texts, the rounds and each role's fixed
-    plan. A game found there is not built, graded or serialized again; one
-    that grades is added. Its verdict is looked up and stored by game text,
-    as in `run_single_model`. Every run still plays through the moderator,
-    which checks every message the run tells a player, and its traffic is
-    its own. A run that raises is never stored, so every run that plays the
-    same game raises.
+    plan. Every run still plays through the moderator, which checks every
+    message the run tells a player, and its traffic is its own.
 
     `helper` is passed to `_Moderator.strategy_phase`.
     """
@@ -358,49 +351,30 @@ def run_multi_agent(
     moderator = _Moderator(proposer, receiver, config.game)
     moderator.strategy_phase(helper)
     rounds = moderator.play()
-    if graded is None:
-        graded = {}
-    accepted = moderator.accepted()
-    key = (config.pair, config.game, accepted)
-    if key not in graded:
-        transcript = Transcript(
-            config=config.game,
-            pair=config.pair,
-            structure=Structure.MULTI_AGENT,
-            strategies=tuple(
-                StrategySpec(role, text, parse_strategy_text(text, role, config.game))
-                for role, text in zip(
-                    (Role.PROPOSER, Role.RECEIVER), map(_strip_strategy_prefix, accepted[:2])
-                )
-            ),
-            rounds=rounds,
-            raw_logs=moderator.logs(rounds),
-        )
-        graded[key] = (transcript, *_grade(transcript, graded))
-    transcript, verdict, canonical = graded[key]
-    return SimulationResult(
-        transcript,
-        verdict,
-        # Moderated runs report exact confidence and no warnings; per-action provenance is not kept yet.
-        ParseDiagnostics(Confidence.EXACT),
-        canonical,
-        functools.partial(_moderated_traffic, moderator),
+    key = (config.pair, config.game, moderator.accepted())
+    entry = _memo_entry(graded, key, _moderated_transcript, config, moderator, rounds)
+    return SimulationResult(*entry, moderator.traffic)
+
+
+def _moderated_transcript(
+    config: SimulationConfig, moderator: _Moderator, rounds: tuple[engine.RoundOutcome, ...]
+) -> tuple[Transcript, ParseDiagnostics]:
+    """The transcript of the game `moderator` played, and its diagnostics:
+    moderated runs report exact confidence and no warnings, since
+    per-action provenance is not kept yet."""
+    strategies = map(_strip_strategy_prefix, moderator.accepted()[:2])
+    transcript = Transcript(
+        config=config.game,
+        pair=config.pair,
+        structure=Structure.MULTI_AGENT,
+        strategies=tuple(
+            StrategySpec(role, text, parse_strategy_text(text, role, config.game))
+            for role, text in zip((Role.PROPOSER, Role.RECEIVER), strategies)
+        ),
+        rounds=rounds,
+        raw_logs=moderator.logs(rounds),
     )
-
-
-def _moderated_traffic(moderator: _Moderator) -> tuple[Traffic, Traffic]:
-    """A moderated run's (prompts, replies): each player's labeled prompt
-    log (oracles keep none), then each player's replies from the turn log,
-    proposer first."""
-    prompt_pairs: list[tuple[str, str]] = []
-    replies: list[tuple[str, str]] = []
-    for agent in (moderator.proposer, moderator.receiver):
-        name = agent.role.value
-        prompt_pairs += [
-            (f"{name}/{label}", text) for label, text in getattr(agent, "prompt_log", ())
-        ]
-        replies += [(name, text) for text in moderator.replies(agent.role)]
-    return tuple(prompt_pairs), tuple(replies)
+    return transcript, ParseDiagnostics(Confidence.EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES
-from ultimatum import experiment
+from ultimatum import cli, experiment
 from ultimatum.agents import Gateway, GatewayError
 from ultimatum.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from ultimatum.experiment import load_records, plan_from_dict, regrade_record, run_batch
@@ -211,6 +211,26 @@ class TestRunCommand:
         code = main(["run", "--plan", str(plan_file), "--out", str(out), "--mode", "replay"])
         assert code == EXIT_USAGE
         assert "--replay-file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["oracle", "live"])
+    def test_a_replay_file_outside_replay_mode_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("endpoint: http://127.0.0.1:9/v1/chat/completions\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch started")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        code = main(
+            ["run", "--plan", str(plan), "--out", str(out), "--mode", mode,
+             "--replay-file", str(tmp_path / "missing.jsonl")]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --replay-file only applies in replay mode\n"
+        assert not out.exists()
 
     @staticmethod
     def replay(plan_file, out, recording):

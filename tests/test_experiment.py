@@ -288,13 +288,13 @@ class TestRunBatch:
         self, fixtures_dir, monkeypatch, keep_prompts
     ):
         built = []
-        build = orchestrator._moderated_traffic
+        build = orchestrator._Moderator.traffic
 
         def counted(moderator):
             built.append(moderator)
             return build(moderator)
 
-        monkeypatch.setattr(orchestrator, "_moderated_traffic", counted)
+        monkeypatch.setattr(orchestrator._Moderator, "traffic", counted)
         folder = fixtures_dir / "replay"
         batch = run_batch(
             load_plan(folder / "plan.yaml"),
@@ -322,6 +322,16 @@ class TestRunBatch:
         plan = plan_from_dict({"flaws": {"proposer": "deviator"}})
         with pytest.raises(InvalidPlanError, match="oracle"):
             run_batch(plan, mode="replay", gateway=FailingGateway())
+
+    def test_oracle_mode_refuses_a_gateway(self, tmp_path):
+        gateway = FailingGateway()
+        store = RunStore(tmp_path / "runs.jsonl")
+        with pytest.raises(
+            InvalidPlanError, match="^oracle mode plays scripted players and takes no gateway$"
+        ):
+            run_batch(plan_from_dict({}), mode="oracle", store=store, gateway=gateway)
+        assert gateway.requests == 0
+        assert not store.path.exists()
 
     def test_live_mode_needs_an_endpoint(self):
         with pytest.raises(InvalidPlanError, match="endpoint"):

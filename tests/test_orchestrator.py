@@ -10,8 +10,10 @@ from ultimatum import engine, orchestrator, prompts
 from ultimatum.agents import (
     Agent,
     Flaw,
+    Gateway,
     SamplingParams,
     default_plan,
+    flaw_role,
     private_bio,
 )
 from ultimatum.engine import Decision, GameConfig, format_money
@@ -36,6 +38,7 @@ from ultimatum.strategy import (
 from ultimatum.transcripts import (
     Confidence,
     Structure,
+    UnparseableLogError,
     extract_decision_reply,
     extract_offer_reply,
     game_text,
@@ -102,7 +105,7 @@ class TestSingleModelStructure:
     def test_prompt_names_both_personalities(self):
         pair = PersonalityPair(Personality.GREEDY, Personality.FAIR)
         result = run_single_model(single_model_config(pair), oracle_gateway(pair))
-        (label, prompt), = result.prompts
+        (label, prompt), = result.traffic()[0]
         assert label == "single_model"
         assert "greedy" in prompt and "fair" in prompt
 
@@ -172,9 +175,9 @@ class TestMultiAgentStructure:
 
     def test_replies_record_each_side_separately(self):
         result = run_multi_agent(multi_agent_config(), make_oracle_agents(FAIR_FAIR))
-        speakers = {speaker for speaker, _ in result.replies}
+        speakers = {speaker for speaker, _ in result.traffic()[1]}
         assert speakers == {"proposer", "receiver"}
-        proposer_said = [text for speaker, text in result.replies if speaker == "proposer"]
+        proposer_said = [text for speaker, text in result.traffic()[1] if speaker == "proposer"]
         assert "OFFER: $0.50" in proposer_said
 
 
@@ -225,7 +228,7 @@ class TestTurnDiscipline:
         corrections = [m for m in proposer.heard if "Give your offer again" in m]
         assert len(corrections) == 1
         # The garbage reply still shows up in the recorded traffic.
-        assert ("proposer", "I like turtles.") in result.replies
+        assert ("proposer", "I like turtles.") in result.traffic()[1]
 
     def test_persistent_bad_replies_abort_the_run(self):
         proposer = stub_fair_proposer(["no comment"] * 10)
@@ -280,7 +283,7 @@ class TestInformationAudit:
             results[guess] = run_multi_agent(multi_agent_config(pair), agents)
         right = results.pop(actual)
         (wrong,) = results.values()
-        right_strategy = next(text for who, text in right.replies if who == guesser.value)
+        right_strategy = next(text for who, text in right.traffic()[1] if who == guesser.value)
         assert private_bio(opponent, actual).lower() in right_strategy.lower()
         assert right.transcript.rounds == wrong.transcript.rounds
         assert right.verdict == wrong.verdict
@@ -327,7 +330,7 @@ class TestInformationAudit:
     def test_private_bios_never_appear_in_replies(self):
         proposer, receiver = make_oracle_agents(GREEDY_GREEDY)
         result = run_multi_agent(multi_agent_config(GREEDY_GREEDY), (proposer, receiver))
-        for _, text in result.replies:
+        for _, text in result.traffic()[1]:
             assert "is greedy." not in text
 
 
@@ -344,7 +347,7 @@ class TestModelAgentGames:
         result = run_multi_agent(config, agents)
         assert result.verdict.error_class is ErrorClass.NONE
         assert gateway.requests == 12
-        labels = [label for label, _ in result.prompts]
+        labels = [label for label, _ in result.traffic()[0]]
         assert "proposer/system" in labels
         assert "proposer/create_strategy" in labels
         assert "receiver/request_decision" in labels
@@ -372,13 +375,13 @@ class TestModelAgentGames:
         # its kept replies the assistant messages, in the order sent.
         config = multi_agent_config(model="scripted")
         agents = scripted_agents(config, *CHAT_GAMES[script])()
-        result = run_multi_agent(config, agents)
+        kept_prompts, kept_replies = run_multi_agent(config, agents).traffic()
         for agent in agents:
             name = agent.role.value
             sent = [content for role, content in agent.messages if role in ("system", "user")]
             answered = [content for role, content in agent.messages if role == "assistant"]
-            assert [text for label, text in result.prompts if label.startswith(f"{name}/")] == sent
-            assert [text for who, text in result.replies if who == name] == answered
+            assert [text for label, text in kept_prompts if label.startswith(f"{name}/")] == sent
+            assert [text for who, text in kept_replies if who == name] == answered
 
 
 def assert_logs_parse_to_the_transcript(config, result):
@@ -582,8 +585,14 @@ class LineByLineModerator:
     def accepted(self):
         return tuple(self.played_from)
 
-    def replies(self, role):
-        return self.said[role]
+    def traffic(self):
+        sent = [
+            (f"{role.value}/{label}", text)
+            for role in ROLES
+            for label, text in getattr(self.agents[role], "prompt_log", ())
+        ]
+        said = [(role.value, text) for role in ROLES for text in self.said[role]]
+        return tuple(sent), tuple(said)
 
     def logs(self, history):
         return tuple(
@@ -634,8 +643,7 @@ def assert_moderators_agree(config, make_agents, helper=None):
         assert got == want
         return got
     assert got.transcript.raw_logs == want.transcript.raw_logs
-    assert got.replies == want.replies
-    assert got.prompts == want.prompts
+    assert got.traffic() == want.traffic()
     assert got == want
     return got
 
@@ -787,3 +795,127 @@ class TestModeratorRendersTheLineByLineLogs:
             if template is not None:
                 leaking(patch, template, LEAKS[template])
             assert_moderators_agree(config, scripted_agents(config, proposer_actions, receiver_actions))
+
+
+# ---------------------------------------------------------------------------
+# The memo step that makes every entry, for both structures
+# ---------------------------------------------------------------------------
+
+
+class OneReply(Gateway):
+    """Answers every completion request with one text."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def _complete(self, model, messages, params):
+        return self.text
+
+
+class Refused(Exception):
+    """Raised by a build or grade the test makes fail."""
+
+
+MEMO_GAMES = st.tuples(
+    st.sampled_from(ALL_PAIRS),
+    st.builds(GameConfig, pot=st.integers(5, 10_000), rounds=st.integers(1, 10)),
+    st.sampled_from([None, *Flaw]),
+)
+# A run of a drawn game: moderated, or as a single-model reply that is the
+# game's combined log, the log after a preamble (another key with the same
+# game text), or text no log can be read from. A build or a grade of the
+# run may be refused.
+MEMO_RUNS = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from(["moderated", "log", "preamble", "unreadable"]),
+    st.sampled_from([None, "build", "grade"]),
+)
+
+
+def oracle_flaws(flaw):
+    return {} if flaw is None else {f"{flaw_role(flaw).value}_flaw": flaw}
+
+
+def memo_reply(game, kind):
+    """The single-model reply of a drawn run, or None for a moderated one."""
+    pair, config, flaw = game
+    if kind == "moderated":
+        return None
+    if kind == "unreadable":
+        return "I would rather not play."
+    log = oracle_log(pair, config, **oracle_flaws(flaw))
+    return log if kind == "log" else "Here is the simulation.\n" + log
+
+
+def memo_run(game, reply, graded=None):
+    """The drawn run through the `graded` memo: its result, or the name and
+    message of the exception it raised."""
+    pair, config, flaw = game
+    try:
+        if reply is None:
+            agents = make_oracle_agents(pair, config, **oracle_flaws(flaw))
+            return run_multi_agent(multi_agent_config(pair, game=config), agents, graded=graded)
+        gateway = OneReply(reply)
+        return run_single_model(single_model_config(pair, game=config), gateway, graded=graded)
+    except UnparseableLogError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+@settings(max_examples=60)
+@given(games=st.lists(MEMO_GAMES, min_size=1, max_size=3), runs=st.lists(MEMO_RUNS, max_size=10))
+def test_one_memo_step_builds_and_grades_each_key_once(games, runs):
+    # Replies are written before anything is counted: writing one plays the
+    # oracles' game.
+    runs = [
+        (games[i % len(games)], memo_reply(games[i % len(games)], kind), refuse)
+        for i, kind, refuse in runs
+    ]
+    fresh = [memo_run(game, reply) for game, reply, _ in runs]
+    memo, builds, grades = {}, [], []
+    refusing = None
+
+    def counted(step, name, calls):
+        def run(*args):
+            if refusing == name:
+                raise Refused(name)
+            result = step(*args)
+            calls.append(args)
+            return result
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("parse_single_model_log", "_moderated_transcript"):
+            patch.setattr(orchestrator, name, counted(getattr(orchestrator, name), "build", builds))
+        patch.setattr(
+            orchestrator, "evaluate_transcript",
+            counted(orchestrator.evaluate_transcript, "grade", grades),
+        )
+        for (game, reply, refusing), want in zip(runs, fresh):
+            before, counts = dict(memo), (len(builds), len(grades))
+            try:
+                got = memo_run(game, reply, memo)
+            except Refused:
+                # A refused build or grade stores nothing, and what it did
+                # build is not counted.
+                assert memo == before
+                del builds[counts[0]:], grades[counts[1]:]
+                continue
+            assert got == want
+            if isinstance(got, str):
+                assert memo == before
+            else:
+                assert got.traffic() == want.traffic()
+                assert memo[game_text(got.canonical)] == got.verdict
+
+    # Every key was built once and every game text graded once: each build
+    # stores one entry and each grade one verdict, and none is overwritten.
+    entries = {key: entry for key, entry in memo.items() if not isinstance(key, str)}
+    assert len(builds) == len(entries)
+    assert len(grades) == len(memo) - len(entries)
+    # Every entry is the one a fresh memo builds.
+    built_fresh = [
+        (r.transcript, r.verdict, r.diagnostics, r.canonical) for r in fresh if not isinstance(r, str)
+    ]
+    assert all(entry in built_fresh for entry in entries.values())

@@ -106,7 +106,7 @@ def test_multi_agent_prompts_are_pinned(size):
     result = run_multi_agent(config, make_model_agents(config, gateway))
 
     expected = expected_multi_agent_prompts(game.rounds, rounds_word, pot_text, keep_text)
-    assert list(result.prompts) == expected
+    assert list(result.traffic()[0]) == expected
     # What the gateway was sent is the same text: each player's last request
     # carries every prompt but the final announcement, which comes after it.
     for role in (Role.PROPOSER, Role.RECEIVER):
@@ -156,7 +156,7 @@ def test_corrections_are_pinned(size):
     ):
         at = next(i for i, (seen, _) in enumerate(expected) if seen == label)
         expected[at + 1 : at + 1] = [correction, expected[at]]
-    assert list(result.prompts) == expected
+    assert list(result.traffic()[0]) == expected
     for role in (Role.PROPOSER, Role.RECEIVER):
         sent = [content for who, content in gateway.sent[role] if who != "assistant"]
         assert sent == [text for label, text in expected if label.startswith(role.value)][:-1]
@@ -167,7 +167,7 @@ def test_single_model_prompt_is_pinned(size):
     game, rounds_word, pot_text, _ = GAMES[size]
     config = SimulationConfig(Structure.SINGLE_MODEL, GREEDY_FAIR, game)
     result = run_single_model(config, oracle_gateway(GREEDY_FAIR, game))
-    assert result.prompts == (
+    assert result.traffic()[0] == (
         (
             "single_model",
             f"Create a strategy for a greedy proposer and a fair receiver in playing the ultimatum "
@@ -253,13 +253,13 @@ def test_no_prompt_carries_the_other_players_private_line(played):
         "proposer": private_bio(Role.PROPOSER, pair.proposer),
         "receiver": private_bio(Role.RECEIVER, pair.receiver),
     }
-    for label, text in multi.prompts:
+    for label, text in multi.traffic()[0]:
         who, _, kind = label.partition("/")
         if kind == "system":
             assert private_lines_in(text) == {bios[who]} and text.count(bios[who]) == 1, label
         else:
             assert private_lines_in(text) == set(), label
-    ((_, text),) = single.prompts
+    ((_, text),) = single.traffic()[0]
     assert private_lines_in(text) == set()
 
 
