@@ -114,6 +114,11 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         )
 
     if args.records:
+        for flag, value in (("--pair", args.pair), ("--pot", args.pot), ("--rounds", args.rounds)):
+            if value is not None:
+                return _fail_usage(
+                    f"{flag} does not apply to --records: each record names its own pair and game"
+                )
         try:
             records = load_records(args.records, on_torn_line=_warn)
         except (OSError, ValueError) as exc:
@@ -152,7 +157,10 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         return _fail_usage("--pair is required when grading raw logs")
     try:
         pair = PersonalityPair.from_label(args.pair)
-        game = GameConfig(pot=args.pot, rounds=args.rounds)
+        game = GameConfig(
+            pot=DEFAULT_POT if args.pot is None else args.pot,
+            rounds=DEFAULT_ROUNDS if args.rounds is None else args.rounds,
+        )
     except (ValueError, InvalidConfigError) as exc:
         return _fail_usage(str(exc))
     if game.pot < MIN_POT:
@@ -237,12 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     grade_p.add_argument("--proposer-log", help="proposer agent log file")
     grade_p.add_argument("--receiver-log", help="receiver agent log file")
     grade_p.add_argument("--pair", help="personality pair label, e.g. fair-greedy")
-    grade_p.add_argument(
-        "--pot", type=int, default=DEFAULT_POT, help=f"pot in cents (default {DEFAULT_POT})"
-    )
-    grade_p.add_argument(
-        "--rounds", type=int, default=DEFAULT_ROUNDS, help=f"rounds (default {DEFAULT_ROUNDS})"
-    )
+    # None marks an option not given, which --records refuses.
+    grade_p.add_argument("--pot", type=int, help=f"pot in cents (default {DEFAULT_POT})")
+    grade_p.add_argument("--rounds", type=int, help=f"rounds (default {DEFAULT_ROUNDS})")
     grade_p.set_defaults(func=_cmd_grade)
 
     report_p = sub.add_parser("report", help="aggregate stored runs into tables")

@@ -14,9 +14,9 @@ Two structures produce a gradable transcript:
   far and, for the receiver, the pending offer. The transcript is built
   from the engine state the moderator drove and from each player's own
   strategy reply. The moderator keeps one record of the game, its turn
-  log: every message it exchanged with a player, in order. Each player's
-  view of the game is rendered from it as a per-agent log; the two logs
-  are kept as the transcript's raw logs.
+  log: every message it exchanged with a player, in order. The offer and
+  decision replies the game was played from are read from it and kept as
+  the transcript's raw logs, one per action in turn order.
 
 The moderator enforces turn discipline on content: a reply that does not
 contain the requested action gets one corrective re-prompt, and a second
@@ -48,7 +48,6 @@ from .agents import (
     ModelAgent,
     OracleAgent,
     SamplingParams,
-    default_plan,
     private_bio,
 )
 from .engine import Decision, GameConfig, Money, format_money
@@ -167,12 +166,6 @@ def run_single_model(
 # Multi-agent structure
 # ---------------------------------------------------------------------------
 
-def _labeled(label: str, text: str) -> str:
-    first, _, rest = text.partition("\n")
-    line = f"[{label}] {first}".rstrip()
-    return f"{line}\n{rest}" if rest else line
-
-
 _STRATEGY_PREFIX_RE = re.compile(r"^\s*strategy\s*:\s*", re.IGNORECASE)
 
 
@@ -187,15 +180,17 @@ def _strip_strategy_prefix(reply: str) -> str:
 # was told a "correction" or an "announcement".
 _ACCEPTED = ("strategy", "offer", "decision")
 _TOLD = ("correction", "announcement")
+# The raw-log labels of a round's offer and decision reply.
+_ACTION_LABELS = ("proposer/offer", "receiver/decision")
 
 
 class _Moderator:
     """Drives the two players through one game and keeps one record of it.
 
     The record is the turn log (`turns`): every message the moderator
-    exchanged with a player, in order, as (role, label, text). The
-    per-agent logs, the run's traffic and its memo key are all read from
-    it.
+    exchanged with a player, in order, as (role, label, text). The replies
+    the game was played from (the memo key and the transcript's raw logs)
+    and the run's traffic are read from it.
     """
 
     def __init__(self, proposer: Agent, receiver: Agent, game: GameConfig) -> None:
@@ -283,33 +278,6 @@ class _Moderator:
         then each round's offer and decision reply."""
         return tuple([text for _, label, text in self.turns if label in _ACCEPTED])
 
-    def logs(self, history: tuple[engine.RoundOutcome, ...]) -> tuple[tuple[str, str], ...]:
-        """The per-agent logs as (role, text) raw-log entries.
-
-        Each log is the player's plan and strategy, then per round what it
-        said, what it heard from the other side and the announced outcome.
-        """
-        proposer_strategy, receiver_strategy, *actions = self.accepted()
-        # Both players are told the same announcements.
-        announcements = [
-            text for who, label, text in self.turns if who is Role.PROPOSER and label == "announcement"
-        ]
-        rounds = tuple(zip(history, actions[0::2], actions[1::2], announcements))
-        logs = []
-        for role, strategy in ((Role.PROPOSER, proposer_strategy), (Role.RECEIVER, receiver_strategy)):
-            lines = [
-                _labeled("Plan", default_plan(role)),
-                _labeled("Strategy", _strip_strategy_prefix(strategy)),
-            ]
-            for outcome, offer_reply, decision_reply, announcement in rounds:
-                if role is Role.PROPOSER:
-                    turn = [_labeled("Say", offer_reply), f"[Hear] DECISION: {outcome.decision.value}"]
-                else:
-                    turn = [f"[Hear] OFFER: {format_money(outcome.offer)}", _labeled("Say", decision_reply)]
-                lines += [f"[Round {outcome.round}]", *turn, _labeled("Outcome", announcement)]
-            logs.append((role.value, "\n".join(lines) + "\n"))
-        return tuple(logs)
-
     def traffic(self) -> tuple[Traffic, Traffic]:
         """The run's (prompts, replies): each player's labeled prompt log
         (oracles keep none), then everything each player said, from the
@@ -338,10 +306,10 @@ def run_multi_agent(
     The memo key is the pair, the game and the texts of the replies the
     game was played from. It determines the transcript: the strategy
     replies are parsed against the game, the engine replays the actions
-    read from the offer and decision replies into the rounds, and the
-    per-agent logs hold only those texts, the rounds and each role's fixed
-    plan. Every run still plays through the moderator, which checks every
-    message the run tells a player, and its traffic is its own.
+    read from the offer and decision replies into the rounds, and the raw
+    logs are those offer and decision replies. Every run still plays
+    through the moderator, which checks every message the run tells a
+    player, and its traffic is its own.
 
     `helper` is passed to `_Moderator.strategy_phase`.
     """
@@ -361,8 +329,13 @@ def _moderated_transcript(
 ) -> tuple[Transcript, ParseDiagnostics]:
     """The transcript of the game `moderator` played, and its diagnostics:
     moderated runs report exact confidence and no warnings, since
-    per-action provenance is not kept yet."""
-    strategies = map(_strip_strategy_prefix, moderator.accepted()[:2])
+    per-action provenance is not kept yet.
+
+    Its raw logs are the offer and decision replies the game was played
+    from, in turn order, labelled `proposer/offer` and `receiver/decision`.
+    """
+    replies = moderator.accepted()
+    strategies = map(_strip_strategy_prefix, replies[:2])
     transcript = Transcript(
         config=config.game,
         pair=config.pair,
@@ -372,7 +345,7 @@ def _moderated_transcript(
             for role, text in zip((Role.PROPOSER, Role.RECEIVER), strategies)
         ),
         rounds=rounds,
-        raw_logs=moderator.logs(rounds),
+        raw_logs=tuple(zip(_ACTION_LABELS * len(rounds), replies[2:])),
     )
     return transcript, ParseDiagnostics(Confidence.EXACT)
 

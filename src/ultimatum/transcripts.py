@@ -99,8 +99,8 @@ class Transcript:
     """A fully parsed game: who played, what was declared, what happened.
 
     rounds are engine-recomputed outcomes in round order; raw_logs carries
-    the original text(s) opaquely as (label, text) pairs so any transcript
-    can be re-parsed and re-graded later.
+    the player output opaquely as (label, text) pairs, for audit: the
+    parsed log(s), or a moderated game's offer and decision replies.
     """
 
     config: GameConfig

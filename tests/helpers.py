@@ -8,9 +8,9 @@ import random
 
 from hypothesis import strategies as st
 
-from ultimatum import engine
-from ultimatum.agents import Gateway, oracle_strategy
-from ultimatum.engine import Decision, GameConfig
+from ultimatum import engine, prompts
+from ultimatum.agents import Gateway, default_plan, oracle_strategy
+from ultimatum.engine import Decision, GameConfig, format_money
 from ultimatum.experiment import RUN_SCHEMA
 from ultimatum.orchestrator import (
     OracleSingleModelGateway,
@@ -36,6 +36,15 @@ any_text = st.text(
 )
 
 
+def raw_logs(text):
+    """Up to 20 raw-log entries, as many as a moderated game of 10 rounds
+    keeps (one per action), each label either drawn from `text` or one the
+    writers use: a combined log's, the per-agent logs' of older multi-agent
+    records, or an action reply's."""
+    labels = st.sampled_from(["single_model", "proposer", "receiver", "proposer/offer", "receiver/decision"])
+    return st.lists(st.tuples(labels | text, text), max_size=20).map(tuple)
+
+
 def oracle_text(role: Role, personality: Personality, pot: int = 100, rounds: int = 5) -> str:
     raw, _ = oracle_strategy(role, personality, GameConfig(pot=pot, rounds=rounds))
     return raw
@@ -57,6 +66,43 @@ def oracle_gateway(pair: PersonalityPair, game: GameConfig | None = None, **flaw
 def oracle_log(pair: PersonalityPair, game: GameConfig | None = None, **flaws) -> str:
     """The combined single-model log written from the pair's own game."""
     return synthesize_single_model_log(oracle_game(pair, game, **flaws).transcript)
+
+
+def _labeled(label: str, text: str) -> str:
+    first, _, rest = text.partition("\n")
+    line = f"[{label}] {first}".rstrip()
+    return f"{line}\n{rest}" if rest else line
+
+
+def render_agent_logs(transcript: Transcript) -> tuple[str, str]:
+    """The (proposer log, receiver log) of a moderated game, rendered from
+    its transcript in the moderator's bracket-label format.
+
+    Each log is the role's fixed plan and its strategy, then per round what
+    the player said (its raw-log reply), what it heard from the other side
+    and the announced outcome. These are the per-agent logs that multi-agent
+    records stored as raw logs before they stored the action replies.
+    """
+    replies = [text for _, text in transcript.raw_logs]
+    logs = []
+    for spec in transcript.strategies:
+        lines = [_labeled("Plan", default_plan(spec.role)), _labeled("Strategy", spec.raw_text)]
+        for outcome, offer_reply, decision_reply in zip(transcript.rounds, replies[0::2], replies[1::2]):
+            if spec.role is Role.PROPOSER:
+                turn = [_labeled("Say", offer_reply), f"[Hear] DECISION: {outcome.decision.value}"]
+            else:
+                turn = [f"[Hear] OFFER: {format_money(outcome.offer)}", _labeled("Say", decision_reply)]
+            announcement = prompts.render(
+                "announce_outcome",
+                round=outcome.round,
+                offer_text=format_money(outcome.offer),
+                decision_word="accepted" if outcome.decision is Decision.ACCEPT else "rejected",
+                proposer_text=format_money(outcome.proposer_payoff),
+                receiver_text=format_money(outcome.receiver_payoff),
+            )
+            lines += [f"[Round {outcome.round}]", *turn, _labeled("Outcome", announcement)]
+        logs.append("\n".join(lines) + "\n")
+    return logs[0], logs[1]
 
 
 class ScriptedModelGateway(Gateway):

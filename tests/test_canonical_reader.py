@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
-from helpers import any_text, build_transcript
+from helpers import any_text, build_transcript, raw_logs
 from ultimatum import engine
 from ultimatum.engine import MAX_POT, Decision, GameConfig, RoundOutcome
 from ultimatum.strategy import (
@@ -75,7 +75,7 @@ def framed_transcripts(draw) -> Transcript:
         pair=draw(st.sampled_from(ALL_PAIRS)),
         structure=draw(st.sampled_from(Structure)),
         strategies=tuple(dataclasses.replace(spec, raw_text=draw(free_text)) for spec in BASE.strategies),
-        raw_logs=tuple(draw(st.lists(st.tuples(free_text, free_text), max_size=2))),
+        raw_logs=draw(raw_logs(free_text)),
     )
 
 
@@ -387,6 +387,6 @@ def test_the_writer_quotes_strings_as_json_dumps_does(transcript, data):
         transcript = dataclasses.replace(
             transcript,
             strategies=tuple(dataclasses.replace(spec, raw_text=data.draw(any_text)) for spec in transcript.strategies),
-            raw_logs=tuple(data.draw(st.lists(st.tuples(any_text, any_text), max_size=2))),
+            raw_logs=data.draw(raw_logs(any_text)),
         )
     assert serialize_canonical(transcript) == ref_serialize_canonical(transcript)

@@ -446,6 +446,17 @@ class TestGradeCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "option", [["--pair", "fair-greedy"], ["--pot", "-5"], ["--rounds", "5"]], ids=lambda o: o[0]
+    )
+    def test_a_records_pass_refuses_the_raw_log_options(self, store_path, capsys, option):
+        # Each record names its own pair and game, so an option that would
+        # set them is a usage error, even an invalid one or the default.
+        assert main(["grade", "--records", str(store_path), *option]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {option[0]} does not apply to --records: each record names its own pair and game\n"
+
     def test_raw_logs_need_a_pair(self, capsys):
         log = FIXTURES / "fig_single_model_fair_fair.txt"
         assert main(["grade", "--single-log", str(log)]) == EXIT_USAGE

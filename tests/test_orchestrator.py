@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ACC, REJ, ScriptedModelGateway, oracle_gateway, oracle_log, oracle_text
+from helpers import (
+    ACC,
+    REJ,
+    ScriptedModelGateway,
+    oracle_gateway,
+    oracle_log,
+    oracle_text,
+    render_agent_logs,
+)
 from ultimatum import engine, orchestrator, prompts
 from ultimatum.agents import (
     Agent,
@@ -44,6 +53,7 @@ from ultimatum.transcripts import (
     game_text,
     parse_agent_log,
     parse_canonical,
+    serialize_canonical,
 )
 
 FAIR_FAIR = PersonalityPair(Personality.FAIR, Personality.FAIR)
@@ -385,11 +395,13 @@ class TestModelAgentGames:
 
 
 def assert_logs_parse_to_the_transcript(config, result):
-    """Re-parsing the per-agent logs kept as raw logs gives back the
-    transcript and diagnostics the run of `config` reported."""
-    logs = tuple(text for _, text in result.transcript.raw_logs)
+    """Parsing the per-agent logs rendered from the run's transcript gives
+    back its game text, the transcript but for its raw logs, and the
+    diagnostics the run of `config` reported."""
+    logs = render_agent_logs(result.transcript)
     parsed, diagnostics = parse_agent_log(logs, config.pair, config.game)
-    assert parsed == result.transcript
+    assert game_text(serialize_canonical(parsed)) == game_text(result.canonical)
+    assert dataclasses.replace(parsed, raw_logs=result.transcript.raw_logs) == result.transcript
     assert diagnostics == result.diagnostics
 
 
@@ -477,7 +489,8 @@ class TestDispatch:
 
 # ---------------------------------------------------------------------------
 # The moderator that built per-agent logs line by line as it played, kept as
-# the reference for the one that renders them from its turn log.
+# the reference for the one that keeps a turn log: its logs are the ones
+# rendered from the other's transcript.
 # ---------------------------------------------------------------------------
 
 
@@ -594,10 +607,8 @@ class LineByLineModerator:
         said = [(role.value, text) for role in ROLES for text in self.said[role]]
         return tuple(sent), tuple(said)
 
-    def logs(self, history):
-        return tuple(
-            (role.value, "\n".join(lines) + "\n") for role, lines in self.log_lines.items()
-        )
+    def agent_logs(self):
+        return tuple("\n".join(self.log_lines[role]) + "\n" for role in ROLES)
 
 
 def told_and_said(moderator):
@@ -614,8 +625,8 @@ def told_and_said(moderator):
 def moderated_run(moderator_cls, config, make_agents, helper=None):
     """run_multi_agent under the given moderator, with `helper` for its
     strategy phase: the result (or the name and message of the
-    TurnOrderViolationError or InformationLeakError it raised), and what
-    each player was told and said."""
+    TurnOrderViolationError or InformationLeakError it raised), the
+    moderator, and what each player was told and said."""
     moderators = []
 
     class Kept(moderator_cls):
@@ -630,18 +641,21 @@ def moderated_run(moderator_cls, config, make_agents, helper=None):
         except (TurnOrderViolationError, InformationLeakError) as error:
             outcome = f"{type(error).__name__}: {error}"
     (moderator,) = moderators
-    return outcome, *told_and_said(moderator)
+    return outcome, moderator, *told_and_said(moderator)
 
 
 def assert_moderators_agree(config, make_agents, helper=None):
-    """Both moderators run the game alike; returns the real moderator's outcome."""
+    """Both moderators run the game alike, and the per-agent logs rendered
+    from the real moderator's transcript are the reference's, byte for
+    byte; returns the real moderator's outcome."""
     moderator_cls = orchestrator._Moderator
-    want, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents, helper)
-    got, got_told, got_said = moderated_run(moderator_cls, config, make_agents, helper)
+    want, reference, want_told, want_said = moderated_run(LineByLineModerator, config, make_agents, helper)
+    got, _, got_told, got_said = moderated_run(moderator_cls, config, make_agents, helper)
     assert (got_told, got_said) == (want_told, want_said)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return got
+    assert render_agent_logs(got.transcript) == reference.agent_logs()
     assert got.transcript.raw_logs == want.transcript.raw_logs
     assert got.traffic() == want.traffic()
     assert got == want
@@ -795,6 +809,45 @@ class TestModeratorRendersTheLineByLineLogs:
             if template is not None:
                 leaking(patch, template, LEAKS[template])
             assert_moderators_agree(config, scripted_agents(config, proposer_actions, receiver_actions))
+
+
+@st.composite
+def played_scripts(draw):
+    """A game size and scripts in which every action is one usable reply,
+    after one unusable reply for some: (game, proposer replies, receiver
+    replies, the raw logs the game must keep)."""
+    game = GameConfig(pot=draw(st.integers(5, 10_000)), rounds=draw(st.integers(1, 10)))
+    offers = st.tuples(st.sampled_from(OFFER_FORMS), st.integers(0, game.pot)).map(
+        lambda form_cents: form_cents[0].format(format_money(form_cents[1]))
+    )
+    outside = st.integers(game.pot + 1, 2 * game.pot).map(lambda cents: f"OFFER: {format_money(cents)}")
+    unusable_offers = outside | JUNK_REPLIES.filter(
+        lambda reply: extract_offer_reply(reply) not in range(game.pot + 1)
+    )
+    unusable_decisions = JUNK_REPLIES.filter(lambda reply: extract_decision_reply(reply) is None)
+    proposer, receiver, raw_logs = [], [], []
+    for _ in range(game.rounds):
+        for script, label, usable, unusable in (
+            (proposer, "proposer/offer", offers, unusable_offers),
+            (receiver, "receiver/decision", st.sampled_from(DECISION_FORMS), unusable_decisions),
+        ):
+            reply = draw(usable)
+            script += draw(st.lists(unusable, max_size=1)) + [reply]
+            raw_logs.append((label, reply))
+    return game, proposer, receiver, tuple(raw_logs)
+
+
+@settings(max_examples=60)
+@given(played_scripts())
+def test_raw_logs_are_the_accepted_action_replies(script):
+    # Re-prompts, marker-free and multi-line replies: the raw logs hold
+    # each accepted offer and decision reply, in turn order, and nothing
+    # else, and they read back from the canonical text.
+    game, proposer_actions, receiver_actions, raw_logs = script
+    config = multi_agent_config(model="scripted", game=game)
+    result = run_multi_agent(config, scripted_agents(config, proposer_actions, receiver_actions)())
+    assert result.transcript.raw_logs == raw_logs
+    assert parse_canonical(result.canonical).raw_logs == raw_logs
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ACC, REJ, FIXTURES, any_text, build_transcript
+from helpers import ACC, REJ, FIXTURES, any_text, build_transcript, raw_logs
 from ultimatum import engine
 from ultimatum.agents import Flaw, flaw_role, oracle_strategy
 from ultimatum.engine import Decision, GameConfig
@@ -491,7 +491,7 @@ def test_transcripts_with_one_game_text_get_one_verdict(transcript, data):
         dataclasses.replace(
             transcript,
             structure=data.draw(st.sampled_from(Structure)),
-            raw_logs=tuple(data.draw(st.lists(st.tuples(raw_log_text, raw_log_text), max_size=2))),
+            raw_logs=data.draw(raw_logs(raw_log_text)),
         )
         for _ in range(2)
     ]
