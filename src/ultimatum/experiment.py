@@ -526,11 +526,12 @@ def run_batch(
     players play every run.
 
     A batch's runs share one memo (see `orchestrator._memo_entry`), so an
-    oracle pair's one grade serves both structures. Every run still
-    renders its prompts and calls its gateway, every multi-agent run's
-    moderator checks each message it tells a player and the run keeps its
-    own traffic, every run gets its own record, and the records are the
-    same as when each run plays and is graded on its own.
+    oracle pair's one grade serves both structures; an oracle single-model
+    cell's entry is written from the game, not parsed from its log. Every
+    run still renders its prompts and calls its gateway, every multi-agent
+    run's moderator checks each message it tells a player and the run
+    keeps its own traffic, every run gets its own record, and the records
+    are the same as when each run plays and is graded on its own.
     """
     if mode not in MODES:
         raise InvalidPlanError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -567,6 +568,7 @@ def run_batch(
             source = games[pair]
             if structure is Structure.SINGLE_MODEL and isinstance(source, SimulationResult):
                 source = OracleSingleModelGateway(source.transcript)
+                source.write_entry(graded)
         for k in range(plan.runs_per_cell):
             run_id = f"{structure.value}.{pair.label()}.{k:03d}"
             seed = plan.seed * 1_000_003 + len(jobs)

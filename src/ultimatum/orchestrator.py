@@ -29,15 +29,15 @@ checked.
 The moderator is the only game loop. Offline single-model runs use it too:
 the oracles play one moderated game, and the combined log their gateway
 answers with is written from that game's transcript. Oracle players are
-deterministic, so an oracle batch plays each pair's game once and lets it
-serve both structures (see `experiment.run_batch`); the records are the
-same as when every run plays its own.
+deterministic, so an oracle batch plays each pair's game once and writes
+both structures' entries from it, parsing no log (see `experiment.run_batch`);
+the records are the same as when every run plays its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import engine, prompts
@@ -121,7 +121,9 @@ def _memo_entry(graded: dict | None, key: tuple, build: Callable, *args) -> tupl
     key's transcript and diagnostics are `build(*args)`; its canonical
     text is serialized, and its game is graded only if no earlier entry,
     of either structure, had that game text. A build or grade that raises
-    stores nothing, so every run with that key raises.
+    stores nothing, so every run with that key raises. An oracle batch
+    writes each single-model cell's entry before its runs start, from the
+    played game (`OracleSingleModelGateway.write_entry`).
     """
     if graded is None:
         graded = {}
@@ -182,6 +184,8 @@ _ACCEPTED = ("strategy", "offer", "decision")
 _TOLD = ("correction", "announcement")
 # The raw-log labels of a round's offer and decision reply.
 _ACTION_LABELS = ("proposer/offer", "receiver/decision")
+# A transcript built from a played game, not parsed from text, is exact.
+_EXACT = ParseDiagnostics(Confidence.EXACT)
 
 
 class _Moderator:
@@ -347,7 +351,7 @@ def _moderated_transcript(
         rounds=rounds,
         raw_logs=tuple(zip(_ACTION_LABELS * len(rounds), replies[2:])),
     )
-    return transcript, ParseDiagnostics(Confidence.EXACT)
+    return transcript, _EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +391,11 @@ def synthesize_single_model_log(transcript: Transcript) -> str:
     """A combined log in the requested reply format, written from a played
     game: each strategy's text, then every round of `transcript.rounds`.
 
-    Used in offline runs so the single-model pipeline (prompt, completion,
-    combined-log parse, grade) is exercised end to end without a network.
-    The game is one the oracles played through the moderator
-    (`run_multi_agent`), the only game loop; an oracle batch plays it once
-    per pair and writes both structures' runs from it.
+    An oracle gateway answers with it, so offline single-model runs send
+    their prompts without a network. The game is one the oracles played
+    through the moderator (`run_multi_agent`), the only game loop; an oracle
+    batch plays it once per pair and writes both structures' entries from
+    it, so a batch parses no such log (a property test pins the parse equal).
     """
     lines = [
         f"STRATEGY ({spec.role.value.capitalize()}): {spec.raw_text}"
@@ -417,7 +421,17 @@ class OracleSingleModelGateway(Gateway):
 
     def __init__(self, transcript: Transcript) -> None:
         super().__init__()
+        self._played = transcript
         self._log = synthesize_single_model_log(transcript)
+
+    def write_entry(self, graded: dict) -> None:
+        """Write the cell's entry into the memo `graded` (see `_memo_entry`)
+        from the played game, not from a parse of the log: the engine and
+        the moderator enforced every rule the parse re-checks, and a
+        property test pins the entry equal to the parse."""
+        played, log = self._played, self._log
+        single = replace(played, structure=Structure.SINGLE_MODEL, raw_logs=(("single_model", log),))
+        _memo_entry(graded, (log, played.pair, played.config), lambda: (single, _EXACT))
 
     def _complete(self, model: str, messages: list[tuple[str, str]], params: SamplingParams) -> str:
         return self._log

@@ -167,6 +167,40 @@ class TestRunCommand:
         assert out == ""
         assert err == f"error: {log}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
 
+    def test_a_log_that_cannot_be_read_is_one_error_line(self, tmp_path, capsys):
+        log = tmp_path / "missing.txt"
+        assert main(["grade", "--single-log", str(log), "--pair", "fair-fair"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{log}'\n"
+
+    @pytest.mark.parametrize("key, error", [
+        ("structures", "error: plan names no structures\n"),
+        ("pairs", "error: plan names no personality pairs\n"),
+    ])
+    def test_a_plan_with_an_empty_grid_is_one_error_line(self, tmp_path, capsys, key, error):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(f"{key}: []\n", encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "--plan", str(plan), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+    def test_a_payoff_line_the_engine_disagrees_with_is_a_warning(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        log.write_text(
+            "STRATEGY (Proposer): I will offer $0.50 in every round.\n"
+            "STRATEGY (Receiver): I will accept offers of at least $0.40.\n"
+            "ROUND 1\nOFFER: $0.50\nDECISION: accept\n"
+            "OUTCOME: the proposer receives $0.60 and the receiver receives $0.40\n",
+            encoding="utf-8",
+        )
+        argv = ["grade", "--single-log", str(log), "--pair", "fair-fair", "--rounds", "1"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"{log}: none (parse confidence: exact)\n")
+        assert out.endswith("warning: round 1: payoff line says [60, 40], engine computes [50, 50]\n")
+
     @pytest.mark.parametrize("item", ["1", "null", "[fair-fair]", "{fair: greedy}"])
     def test_a_pair_that_is_not_a_label_is_a_usage_error(self, tmp_path, capsys, item):
         plan = tmp_path / "plan.yaml"

@@ -106,6 +106,8 @@ class TestPlanValidation:
             ({"model": 7}, "model must be a string, got 7"),
             ({"sampling": {"temperature": True}}, "temperature must be a number, got True"),
             ({"sampling": {"top_p": "0.9"}}, "sampling top_p must be a number, got '0.9'"),
+            ({"structures": []}, "^plan names no structures$"),
+            ({"pairs": []}, "^plan names no personality pairs$"),
         ],
     )
     def test_bad_plans_are_rejected(self, data, fragment):
@@ -619,13 +621,36 @@ class TestSharedGrades:
         # A reply that fails to parse is not kept: each run parses it again.
         assert parse_count == [reply] * 3
 
-    def test_grades_do_not_outlive_their_batch(self, parse_count):
+    @pytest.mark.parametrize(
+        "flaws", [None, {"proposer": "deviator", "receiver": "inconsistent_threshold"}]
+    )
+    def test_an_oracle_batch_parses_no_combined_log(self, parse_count, flaws):
+        # Each single-model cell's entry is written from the pair's played game.
+        plan = plan_from_dict({"runs_per_cell": 2, "flaws": flaws})
+        batch = run_batch(plan)
+        assert parse_count == []
+        expected = records_run_by_run(
+            plan,
+            lambda pair: oracle_gateway(pair, plan.game, proposer_flaw=plan.proposer_flaw,
+                                        receiver_flaw=plan.receiver_flaw),
+        )
+        assert without_elapsed(batch.records) == without_elapsed(expected)
+
+    def test_grades_do_not_outlive_their_batch(self, monkeypatch):
+        # Each batch builds one entry per cell and grades one game per pair.
+        built, graded = [], []
+        serialize, evaluate = orchestrator.serialize_canonical, orchestrator.evaluate_transcript
+        monkeypatch.setattr(
+            orchestrator, "serialize_canonical", lambda t: built.append(t.pair) or serialize(t)
+        )
+        monkeypatch.setattr(
+            orchestrator, "evaluate_transcript", lambda t: graded.append(t.pair) or evaluate(t)
+        )
         plan = plan_from_dict({"runs_per_cell": 3})
-        single_cells = sum(s is Structure.SINGLE_MODEL for s, _ in plan.cells())
         first = run_batch(plan)
-        assert len(parse_count) == single_cells
+        assert (len(built), graded) == (len(plan.cells()), list(plan.pairs))
         second = run_batch(plan)
-        assert len(parse_count) == 2 * single_cells
+        assert (len(built), graded) == (2 * len(plan.cells()), 2 * list(plan.pairs))
         assert without_elapsed(first.records) == without_elapsed(second.records)
 
 

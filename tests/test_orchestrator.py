@@ -3,7 +3,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -36,6 +36,7 @@ from ultimatum.orchestrator import (
     make_oracle_agents,
     run_multi_agent,
     run_single_model,
+    synthesize_single_model_log,
 )
 from ultimatum.rubric import ErrorClass
 from ultimatum.strategy import (
@@ -53,6 +54,7 @@ from ultimatum.transcripts import (
     game_text,
     parse_agent_log,
     parse_canonical,
+    parse_single_model_log,
     serialize_canonical,
 )
 
@@ -455,6 +457,31 @@ class TestOneGameText:
         assert single.canonical != played.canonical
         assert game_text(single.canonical) == game_text(played.canonical)
         assert single.verdict == played.verdict
+
+    @settings(max_examples=80)
+    @given(
+        pot=st.integers(5, 10_000) | st.just(engine.MAX_POT),
+        rounds=st.integers(1, 10),
+        pair=st.sampled_from(ALL_PAIRS),
+        proposer_flaw=st.sampled_from([None, Flaw.INCOMPLETE, Flaw.DEVIATOR]),
+        receiver_flaw=st.sampled_from([None, Flaw.INCONSISTENT_THRESHOLD]),
+    )
+    @example(engine.MAX_POT, 10, GREEDY_GREEDY, Flaw.DEVIATOR, Flaw.INCONSISTENT_THRESHOLD)
+    def test_an_oracle_cells_written_entry_is_the_parse_of_its_log(
+        self, pot, rounds, pair, proposer_flaw, receiver_flaw
+    ):
+        # An oracle batch writes a single-model cell's memo entry from the
+        # played game; it is the entry a parse of the cell's combined log builds.
+        game = GameConfig(pot=pot, rounds=rounds)
+        agents = make_oracle_agents(pair, game, proposer_flaw, receiver_flaw)
+        played = run_multi_agent(multi_agent_config(pair, game=game), agents)
+        log = synthesize_single_model_log(played.transcript)
+        graded = {}
+        OracleSingleModelGateway(played.transcript).write_entry(graded)
+        transcript, verdict, diagnostics, canonical = graded[(log, pair, game)]
+        assert (transcript, diagnostics) == parse_single_model_log(log, pair, game)
+        assert canonical == serialize_canonical(transcript)
+        assert verdict == played.verdict
 
 
 class TestDispatch:

@@ -425,6 +425,32 @@ class TestStrategyTextParsing:
         assert parsed.cutoff is not None
         assert parsed.cutoff.limit is None
 
+    @pytest.mark.parametrize(
+        "text,role,expected",
+        [
+            # A round named by its ordinal scopes the threshold to that round.
+            ("In the third round, I accept offers of $20 or more.", Role.RECEIVER,
+             ReceiverStrategy(round_thresholds={3: 2000})),
+            # "or less" after a rejection: the threshold is one cent above the amount.
+            ("I reject offers of $30 or less.", Role.RECEIVER, ReceiverStrategy(threshold=3001)),
+            # A conditional offer with no adjustment verb sets the next offer.
+            ("If rejected, I offer $60.", Role.PROPOSER,
+             ProposerStrategy(on_reject=AdjustRule(AdjustKind.SET_TO, 6000))),
+        ],
+    )
+    def test_rarer_wordings_at_a_large_pot(self, text, role, expected):
+        assert parse_strategy_text(text, role, GameConfig(pot=10_000)) == expected
+
+    @pytest.mark.parametrize("negation", ["don't", "do not", "never"])
+    def test_a_negated_accept_is_a_rejection_condition(self, negation):
+        # "accept" after "if" reads as the accept condition; negated, it is the
+        # reject one, and no accept condition (the negated-accept returns of
+        # _mentions_rejection and _mentions_acceptance).
+        text = f"I offer $0.50. If they {negation} accept, I raise my offer by $0.05."
+        assert parse_strategy_text(text, Role.PROPOSER, CONFIG) == ProposerStrategy(
+            initial_offer=50, on_reject=AdjustRule(AdjustKind.INCREASE_BY, 5)
+        )
+
 
 class TestCorpus:
     @pytest.mark.parametrize("case", load_corpus_cases(), ids=lambda c: c["name"])
@@ -639,6 +665,10 @@ class TestCanonicalFormat:
             "expected proposer then receiver strategy lines",
         ),
         "missing-round": (lambda s: _edit_lines(s, lambda ls: ls[:-1]), "expected 5 rounds, got 4"),
+        "strategy-fields-missing-a-key": (
+            lambda s: s.replace('"initial_offer":50,', "", 1),
+            "^bad strategy fields: 'initial_offer'$",
+        ),
     }
 
     @pytest.mark.parametrize("mutate, match", TAMPERINGS.values(), ids=TAMPERINGS.keys())
