@@ -213,6 +213,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"warning: {result.warning}")
     except (DegenerateTableError, ValueError) as exc:
         return _fail_usage(str(exc))
+    except OverflowError as exc:
+        return _fail_usage(f"counts too large for a float: {exc}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import math
 import re
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from operator import and_, itemgetter
 from pathlib import Path
@@ -221,7 +221,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         )
     except InvalidPlanError:
         raise
-    except (ValueError, TypeError, EngineError) as exc:
+    except (ValueError, TypeError, OverflowError, EngineError) as exc:  # float(10**400) overflows
         raise InvalidPlanError(f"bad plan value: {exc}") from exc
 
 
@@ -477,23 +477,33 @@ class BatchResult:
         return sum(1 for r in self.records if r["status"] != "ok")
 
 
-def _play_oracles(
-    plan: ExperimentPlan, pair: PersonalityPair, graded: dict
-) -> SimulationResult | Exception:
-    """The pair's oracle game, played once through the moderator, or the
-    run failure it raised (which then fails every run of the pair)."""
-    config = SimulationConfig(
-        structure=Structure.MULTI_AGENT,
-        pair=pair,
-        game=plan.game,
-        model=plan.model,
-        sampling=plan.sampling,
-    )
-    agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
-    try:
-        return run_multi_agent(config, agents, graded=graded)
-    except RUN_FAILURES as exc:
-        return exc
+def _play_oracles(plan: ExperimentPlan, graded: dict) -> dict:
+    """Every oracle cell's one outcome, keyed by (structure, pair): a
+    result, or the run failure that fails every run of the cell.
+
+    Oracle players are deterministic and a cell's runs differ only in
+    their seeds, so each cell is run once. Each pair's game is played once
+    through the moderator; it is the multi-agent cell's outcome, and its
+    single-model cell is run once on a gateway answering with that game's
+    combined log, after the cell's memo entry is written from the game
+    (`OracleSingleModelGateway.write_entry`), so no log is parsed. A game
+    that raised fails both cells of its pair.
+    """
+    outcomes = {}
+    for pair in plan.pairs:
+        config = SimulationConfig(Structure.MULTI_AGENT, pair, plan.game, plan.model, plan.sampling)
+        agents = make_oracle_agents(pair, plan.game, plan.proposer_flaw, plan.receiver_flaw)
+        try:
+            game = run_multi_agent(config, agents, graded=graded)
+        except RUN_FAILURES as exc:
+            game = exc
+        outcomes[Structure.MULTI_AGENT, pair] = outcomes[Structure.SINGLE_MODEL, pair] = game
+        if Structure.SINGLE_MODEL in plan.structures and isinstance(game, SimulationResult):
+            gateway = OracleSingleModelGateway(game.transcript)
+            gateway.write_entry(graded)
+            config = replace(config, structure=Structure.SINGLE_MODEL)
+            outcomes[Structure.SINGLE_MODEL, pair] = run_single_model(config, gateway, graded=graded)
+    return outcomes
 
 
 def run_batch(
@@ -519,16 +529,15 @@ def run_batch(
     flight. On one worker a batch sends one request at a time. On more
     than one, multi-agent runs, the longest, are started first.
 
-    Oracle players are deterministic, so in oracle mode each pair's game
-    is played once per batch, before any worker starts. That one game
-    serves every multi-agent run of the pair, and the pair's single-model
-    gateway answers with the combined log written from it. Model-backed
-    players play every run.
+    Jobs are (run id, config) pairs, and `execute` alone decides how a run
+    is played. Oracle players are deterministic, so in oracle mode each
+    cell is run once per batch, before any worker starts (`_play_oracles`),
+    and its one outcome serves every run of the cell. Model-backed players
+    play every run, on the shared gateway.
 
     A batch's runs share one memo (see `orchestrator._memo_entry`), so an
-    oracle pair's one grade serves both structures; an oracle single-model
-    cell's entry is written from the game, not parsed from its log. Every
-    run still renders its prompts and calls its gateway, every multi-agent
+    oracle pair's one grade serves both structures. Every model-backed run
+    renders its prompts and calls its gateway, every played multi-agent
     run's moderator checks each message it tells a player and the run
     keeps its own traffic, every run gets its own record, and the records
     are the same as when each run plays and is graded on its own.
@@ -554,38 +563,13 @@ def run_batch(
     # may both miss on one key and both build it; they store equal values,
     # so the dict needs no lock.
     graded: dict = {}
-    # Each job carries its source: the model-backed gateway; in oracle mode
-    # the pair's played game for a multi-agent run and the gateway answering
-    # from it for a single-model run; or the exception the game raised.
-    games: dict[PersonalityPair, SimulationResult | Exception] = {}
-    jobs: list[tuple[str, SimulationConfig, Gateway | SimulationResult | Exception]] = []
+    oracle = _play_oracles(plan, graded) if shared_gateway is None else None
+    jobs: list[tuple[str, SimulationConfig]] = []
     for structure, pair in plan.cells():
-        source = shared_gateway
-        if source is None:
-            # The game and flaws are fixed for the batch: the pair decides the game.
-            if pair not in games:
-                games[pair] = _play_oracles(plan, pair, graded)
-            source = games[pair]
-            if structure is Structure.SINGLE_MODEL and isinstance(source, SimulationResult):
-                source = OracleSingleModelGateway(source.transcript)
-                source.write_entry(graded)
         for k in range(plan.runs_per_cell):
-            run_id = f"{structure.value}.{pair.label()}.{k:03d}"
             seed = plan.seed * 1_000_003 + len(jobs)
-            jobs.append(
-                (
-                    run_id,
-                    SimulationConfig(
-                        structure=structure,
-                        pair=pair,
-                        game=plan.game,
-                        model=plan.model,
-                        sampling=plan.sampling,
-                        seed=seed,
-                    ),
-                    source,
-                )
-            )
+            config = SimulationConfig(structure, pair, plan.game, plan.model, plan.sampling, seed)
+            jobs.append((f"{structure.value}.{pair.label()}.{k:03d}", config))
 
     if max_workers is None:
         max_workers = 4 if mode == "live" else 1
@@ -598,17 +582,17 @@ def run_batch(
         if isinstance(shared_gateway, HttpGateway):
             helper = ThreadPoolExecutor(max_workers=max_workers)
 
-    def execute(job: tuple) -> dict:
-        # The job's source is the run's outcome unless it is a gateway to play with.
-        run_id, config, outcome = job
+    def execute(job: tuple[str, SimulationConfig]) -> dict:
+        run_id, config = job
         started = time.perf_counter()
         try:
-            if isinstance(outcome, Gateway) and config.structure is Structure.SINGLE_MODEL:
-                outcome = run_single_model(config, outcome, graded=graded)
-            elif isinstance(outcome, Gateway):
-                outcome = run_multi_agent(
-                    config, make_model_agents(config, outcome), graded=graded, helper=helper
-                )
+            if oracle is not None:
+                outcome = oracle[config.structure, config.pair]
+            elif config.structure is Structure.SINGLE_MODEL:
+                outcome = run_single_model(config, shared_gateway, graded=graded)
+            else:
+                agents = make_model_agents(config, shared_gateway)
+                outcome = run_multi_agent(config, agents, graded=graded, helper=helper)
         except RUN_FAILURES as exc:
             outcome = exc
         return _record(run_id, config, outcome, time.perf_counter() - started, keep_prompts)

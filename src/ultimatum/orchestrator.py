@@ -29,9 +29,9 @@ checked.
 The moderator is the only game loop. Offline single-model runs use it too:
 the oracles play one moderated game, and the combined log their gateway
 answers with is written from that game's transcript. Oracle players are
-deterministic, so an oracle batch plays each pair's game once and writes
-both structures' entries from it, parsing no log (see `experiment.run_batch`);
-the records are the same as when every run plays its own.
+deterministic, so an oracle batch runs each cell once, parsing no log (see
+`experiment._play_oracles`); the records are the same as when every run
+plays its own.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def _memo_entry(graded: dict | None, key: tuple, build: Callable, *args) -> tupl
     text is serialized, and its game is graded only if no earlier entry,
     of either structure, had that game text. A build or grade that raises
     stores nothing, so every run with that key raises. An oracle batch
-    writes each single-model cell's entry before its runs start, from the
-    played game (`OracleSingleModelGateway.write_entry`).
+    writes each single-model cell's entry from the played game before the
+    cell's one run (`OracleSingleModelGateway.write_entry`).
     """
     if graded is None:
         graded = {}
@@ -394,8 +394,8 @@ def synthesize_single_model_log(transcript: Transcript) -> str:
     An oracle gateway answers with it, so offline single-model runs send
     their prompts without a network. The game is one the oracles played
     through the moderator (`run_multi_agent`), the only game loop; an oracle
-    batch plays it once per pair and writes both structures' entries from
-    it, so a batch parses no such log (a property test pins the parse equal).
+    batch writes the single-model cell's entry from that game, so it parses
+    no such log (a property test pins the parse equal).
     """
     lines = [
         f"STRATEGY ({spec.role.value.capitalize()}): {spec.raw_text}"

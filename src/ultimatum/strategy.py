@@ -334,9 +334,11 @@ def prescribed_action(
 ) -> PrescribedAction | None:
     """The move the strategy dictates at the given state, or None if it has no rule.
 
-    Pure function of its inputs. history holds the completed rounds before
-    round_no; receivers additionally need the offer on the table. A step
-    the plan left open may be anything in the pot's concession band.
+    Pure function of its inputs. history holds at least the completed
+    rounds before round_no; later ones are not read, so a caller may pass
+    a whole game's rounds. Receivers additionally need the offer on the
+    table. A step the plan left open may be anything in the pot's
+    concession band.
 
     Raises:
         ValueError: the query itself is malformed (history too short,
@@ -400,7 +402,7 @@ def follows(spec: StrategySpec, transcript: "Transcript", round_no: int) -> bool
     prescribed = prescribed_action(
         spec,
         transcript.config,
-        transcript.rounds[: round_no - 1],
+        transcript.rounds,
         round_no,
         pending_offer=outcome.offer if spec.role is Role.RECEIVER else None,
     )

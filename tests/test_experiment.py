@@ -497,6 +497,34 @@ def games_played(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The (structure, pair) of each run_single_model and run_multi_agent
+    call run_batch makes, in order."""
+    calls = []
+    for name in ("run_single_model", "run_multi_agent"):
+
+        def counted(config, *args, _run=getattr(experiment, name), **kwargs):
+            calls.append((config.structure, config.pair))
+            return _run(config, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+def stall_greedy_proposers(monkeypatch):
+    """A greedy oracle proposer never names an offer, so each game it
+    plays raises TurnOrderViolationError in round 1."""
+    act = OracleAgent.act
+
+    def act_or_stall(agent, state):
+        if agent.role is Role.PROPOSER and agent.personality is Personality.GREEDY:
+            return "Let me think about it."
+        return act(agent, state)
+
+    monkeypatch.setattr(OracleAgent, "act", act_or_stall)
+
+
 STRUCTURE_MIXES = [["single_model"], ["multi_agent"], ["single_model", "multi_agent"]]
 
 
@@ -566,17 +594,33 @@ class TestSharedGrades:
         assert graded == list(plan.pairs)
         assert batch.ok_count == len(plan.cells()) * runs_per_cell
 
+    @pytest.mark.parametrize("stalls", [False, True], ids=["every game plays", "greedy games fail"])
+    @pytest.mark.parametrize("keep_prompts", [False, True], ids=["no prompts", "prompts"])
+    @pytest.mark.parametrize("structures", STRUCTURE_MIXES, ids="+".join)
+    def test_an_oracle_batch_runs_each_cell_once(
+        self, monkeypatch, dispatched, structures, keep_prompts, stalls
+    ):
+        # Each pair's game is played once, and its single-model cell is run
+        # once on the game's combined log, unless the game failed.
+        if stalls:
+            stall_greedy_proposers(monkeypatch)
+        plan = plan_from_dict({"structures": structures, "runs_per_cell": 3})
+        batch = run_batch(plan, keep_prompts=keep_prompts)
+        expected = []
+        for pair in plan.pairs:
+            expected.append((Structure.MULTI_AGENT, pair))
+            played = not (stalls and pair.proposer is Personality.GREEDY)
+            if Structure.SINGLE_MODEL in plan.structures and played:
+                expected.append((Structure.SINGLE_MODEL, pair))
+        assert dispatched == expected
+        by_run = records_run_by_run(plan, lambda pair: oracle_gateway(pair, plan.game), keep_prompts)
+        assert without_elapsed(batch.records) == without_elapsed(by_run)
+        assert batch.failed_count == (len(plan.cells()) * 3 // 2 if stalls else 0)
+
     def test_a_failed_oracle_game_fails_every_run_of_its_pair(self, monkeypatch):
-        # A greedy proposer that never names an offer: the pair's one game
-        # raises TurnOrderViolationError, which every run of the pair records.
-        act = OracleAgent.act
-
-        def act_or_stall(agent, state):
-            if agent.role is Role.PROPOSER and agent.personality is Personality.GREEDY:
-                return "Let me think about it."
-            return act(agent, state)
-
-        monkeypatch.setattr(OracleAgent, "act", act_or_stall)
+        # The pair's one game raises TurnOrderViolationError, which every run
+        # of the pair records.
+        stall_greedy_proposers(monkeypatch)
         batch = run_batch(plan_from_dict({"runs_per_cell": 2}))
         assert len(batch.records) == 16
         for record in batch.records:

@@ -21,7 +21,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES
@@ -193,6 +193,10 @@ PLAN_BASE = {
 }
 
 
+def _plan_text(**values: str) -> str:
+    return "".join(f"{key}: {value}\n" for key, value in {**PLAN_BASE, **values}.items())
+
+
 @st.composite
 def plans(draw) -> str:
     plan = dict(PLAN_BASE)
@@ -211,7 +215,7 @@ def plans(draw) -> str:
             name = "temperature" if key == "sampling" else "proposer"
             value = draw(st.sampled_from([value, f"{{{name}: {value}}}"]))
         plan[key] = value
-    text = "".join(f"{key}: {value}\n" for key, value in plan.items())
+    text = _plan_text(**plan)
     if draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text)))]
     return text
@@ -219,6 +223,8 @@ def plans(draw) -> str:
 
 @settings(max_examples=40)
 @given(text=plans())
+@example(text=_plan_text(sampling="{temperature: 1" + "0" * 400 + "}"))  # too large for a float
+@example(text=_plan_text(sampling="{top_p: 0x" + "f" * 4000 + "}"))
 def test_any_plan_runs_or_is_one_error_line(tmp_path_factory, text):
     work = tmp_path_factory.mktemp("plan")
     (work / "plan.yaml").write_text(text, encoding="utf-8")
@@ -227,6 +233,16 @@ def test_any_plan_runs_or_is_one_error_line(tmp_path_factory, text):
     if result[0] != EXIT_USAGE:
         for command in ("report", "grade"):
             assert_one_outcome(*cli(command, "--records", work / "runs.jsonl"))
+
+
+# Counts as the shell hands them over: small, negative, or past a float's range.
+COUNTS = st.one_of(st.integers(-2, 12), st.sampled_from([10**400, 10**400 + 1, 2 * 10**400, 10**308]))
+
+
+@settings(max_examples=40)
+@given(test=st.sampled_from(["chi2", "ztest"]), counts=st.lists(COUNTS, min_size=4, max_size=4))
+def test_any_stats_counts_test_or_are_one_error_line(test, counts):
+    assert_one_outcome(*cli("stats", test, *counts))
 
 
 STORE_FIELDS = [
@@ -354,6 +370,17 @@ def test_a_plan_with_a_lone_surrogate_model_is_one_error_line(tmp_path):
     result = _plan(tmp_path, 'model: "\\ud800"\nruns_per_cell: 1\n')
     assert_one_error_line(result, "model must be UTF-8 text, got '\\ud800'")
     assert not (tmp_path / "runs.jsonl").exists()
+
+
+def test_a_sampling_value_too_large_for_a_float_is_one_error_line(tmp_path):
+    result = _plan(tmp_path, "runs_per_cell: 1\nsampling: {temperature: 1" + "0" * 400 + "}\n")
+    assert_one_error_line(result, "bad plan value: int too large to convert to float")
+
+
+@pytest.mark.parametrize("test", ["chi2", "ztest"])
+def test_stats_on_counts_too_large_for_a_float_is_one_error_line(test):
+    result = cli("stats", test, 10**400, 10**400, 1, 2)
+    assert_one_error_line(result, "counts too large for a float: ")
 
 
 def test_a_seed_the_store_cannot_write_is_one_error_line(tmp_path):

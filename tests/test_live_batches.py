@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_log, oracle_text
-from ultimatum import cli, orchestrator
+from ultimatum import cli, experiment, orchestrator
 from ultimatum.agents import HttpGateway, RecordingGateway, ReplayGateway
 from ultimatum.engine import GameConfig, format_money
 from ultimatum.experiment import load_plan, plan_from_dict, regrade_record, run_batch
@@ -354,6 +354,23 @@ class TestAFailedStrategyRequest:
         assert batch.gateway_usage == {"requests": 2, "retries": 0}
 
 
+def test_a_live_batch_posts_to_the_plans_endpoint(monkeypatch):
+    # With no gateway passed in, the batch builds an HttpGateway for the
+    # plan's endpoint; here its session is in-process.
+    plan = live_plan(runs_per_cell=1, rounds=2)
+    built = []
+
+    class InProcessHttpGateway(HttpGateway):
+        def __init__(self, endpoint):
+            built.append(endpoint)
+            super().__init__(endpoint, session=FuzzSession(plan.game, 5), sleep=lambda s: None)
+
+    monkeypatch.setattr(experiment, "HttpGateway", InProcessHttpGateway)
+    batch = run_batch(plan, mode="live", max_workers=1, keep_prompts=True)
+    assert built == [ENDPOINT]
+    assert_same_records(batch, fuzzed_batch(plan, 5, workers=1)[0])
+
+
 class TestDispatchOrder:
     def mapped_structures(self, monkeypatch):
         """The structures of the jobs each pool is handed, in order."""
@@ -362,7 +379,7 @@ class TestDispatchOrder:
 
         def recording(pool, fn, jobs, **kwargs):
             jobs = list(jobs)
-            mapped.append([config.structure for _, config, _ in jobs])
+            mapped.append([config.structure for _, config in jobs])
             return original(pool, fn, jobs, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "map", recording)

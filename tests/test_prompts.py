@@ -292,6 +292,11 @@ def test_a_missing_slot_raises_key_error_naming_it_and_an_extra_slot_is_ignored(
     )
 
 
+def test_an_unknown_template_is_a_key_error_naming_it():
+    with pytest.raises(KeyError, match="unknown prompt template 'no_such_template'"):
+        prompts.render("no_such_template")
+
+
 @pytest.mark.parametrize("field", ["{0}", "{x!r}", "{x:>5}", "{x.y}", "{x[0]}", "{}", "}", "{"])
 def test_the_compiler_refuses_every_field_form_but_a_name(field):
     with pytest.raises(ValueError, match="prompt template 'demo'"):

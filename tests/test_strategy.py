@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import ACC, REJ, build_transcript, oracle_text
+from ultimatum import strategy
 from ultimatum.engine import Decision, GameConfig
 from ultimatum.transcripts import parse_strategy_text
 from ultimatum.strategy import (
@@ -294,6 +295,12 @@ class TestPrescribedAction:
         with pytest.raises(ValueError):
             prescribed_action(receiver_spec(FULL_RECEIVER), CONFIG, [], 1)
 
+    @pytest.mark.parametrize("round_no", [0, CONFIG.rounds + 1])
+    def test_a_round_outside_the_game_is_refused(self, round_no):
+        t = build_transcript([50] * 5, [REJ] * 5)
+        with pytest.raises(ValueError, match=f"round {round_no} outside 1..5"):
+            prescribed_action(proposer_spec(FULL_PROPOSER), CONFIG, t.rounds, round_no)
+
     def test_history_must_reach_the_queried_round(self):
         with pytest.raises(ValueError):
             prescribed_action(proposer_spec(FULL_PROPOSER), CONFIG, [], 3)
@@ -305,6 +312,16 @@ class TestPrescribedAction:
         t = build_transcript([50], [REJ])
         with pytest.raises(ValueError, match="history has 1 rounds, need 2"):
             prescribed_action(spec, CONFIG, t.rounds, 3, pending_offer=pending)
+
+
+@pytest.mark.parametrize(
+    "role, plan",
+    [(Role.PROPOSER, FULL_RECEIVER), (Role.RECEIVER, FULL_PROPOSER)],
+    ids=["proposer", "receiver"],
+)
+def test_a_spec_holding_the_other_roles_plan_is_refused(role, plan):
+    with pytest.raises(ValueError, match=f"{role.value} spec holds {type(plan).__name__}"):
+        StrategySpec(role, "stub", plan)
 
 
 class TestPrescriptionValues:
@@ -331,6 +348,20 @@ class TestAdherence:
         t = build_transcript([20, 25, 30, 35, 40], [REJ, REJ, REJ, REJ, ACC], pair="greedy-fair")
         assert check_adherence(t.strategies, t) == (True, True)
         assert all(follows(spec, t, r) for spec in t.strategies for r in range(1, 6))
+
+    def test_each_round_is_checked_against_the_whole_game_not_a_copy(self, monkeypatch):
+        # A fresh slice of the earlier rounds for every round made grading
+        # quadratic in the round count; prescribed_action reads one round.
+        t = build_transcript([20, 25, 30, 35, 40], [REJ, REJ, REJ, REJ, ACC], pair="greedy-fair")
+        histories, prescribe = [], strategy.prescribed_action
+
+        def spy(spec, config, history, *args, **kwargs):
+            histories.append(history)
+            return prescribe(spec, config, history, *args, **kwargs)
+
+        monkeypatch.setattr(strategy, "prescribed_action", spy)
+        assert check_adherence(t.strategies, t) == (True, True)
+        assert len(histories) == 10 and all(history is t.rounds for history in histories)
 
     def test_offer_tolerance_is_five_cents(self):
         inside = build_transcript([50, 55], [ACC, ACC])

@@ -199,6 +199,18 @@ class TestSingleModelParsing:
         assert diag.confidence is Confidence.EXACT
         assert transcript.strategies[0].raw_text == "offer $0.50."
 
+    def test_a_receiver_section_written_first_is_split_by_its_heading(self):
+        # No STRATEGY (Role) markers: the "<Player> Strategy" headings split
+        # the text, whichever player comes first.
+        pre = [
+            "Receiver Strategy: I will accept offers of $0.40 or more in every round.",
+            "Proposer Strategy: I will offer $0.50 in the first round.",
+        ]
+        rounds = single_model_log([50] * 5, [ACC] * 5).split("\n")[2:]
+        transcript, diag = parse_single_model_log("\n".join(pre + rounds), FAIR_FAIR)
+        assert diag.confidence is Confidence.HEURISTIC
+        assert [spec.raw_text for spec in transcript.strategies] == pre[::-1]
+
     def test_missing_decision_is_an_error(self):
         text = single_model_log([50, 50, 50, 50, 50], [ACC] * 5)
         text = text.replace("DECISION: accept\nROUND 2", "ROUND 2")
@@ -240,6 +252,22 @@ class TestAgentLogParsing:
             "If an offer is accepted, I will keep the offer the same.",
             "I will accept offers of $0.40 or more in every round.",
         ]
+
+    def test_the_strategy_label_ends_at_the_next_label(self):
+        prop, recv = agent_logs([50] * 5, [ACC] * 5)
+        prop = prop.replace("in the first round. ", "in the first round.\n[Say] Ready.\n", 1)
+        transcript, diag = parse_agent_log((prop, recv), FAIR_FAIR)
+        assert diag.confidence is Confidence.EXACT
+        assert transcript.strategies[0].raw_text == "I will offer $0.50 in the first round."
+
+    def test_without_a_strategy_label_the_labelled_text_but_the_plan_is_kept(self):
+        prop, recv = agent_logs([50] * 5, [ACC] * 5)
+        plan = "[Plan] Create a strategy for playing the ultimatum game as the proposer.\n"
+        unlabelled = prop.replace("[Strategy] ", plan + "[Say] ", 1)
+        transcript, diag = parse_agent_log((unlabelled, recv), FAIR_FAIR)
+        assert diag.confidence is Confidence.HEURISTIC
+        labelled, _ = parse_agent_log((prop, recv), FAIR_FAIR)
+        assert transcript.strategies == labelled.strategies
 
     def test_disagreeing_offers_raise(self):
         prop, recv = agent_logs([50] * 5, [ACC] * 5)
